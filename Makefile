@@ -6,7 +6,7 @@ GO        ?= go
 BENCH_N   ?= 1
 BENCHTIME ?= 1s
 
-.PHONY: all build test race race-core bench vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+.PHONY: all build test race race-core bench bench-smoke vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
 
 all: build test
 
@@ -14,8 +14,9 @@ all: build test
 # the concurrency-heavy packages under the race detector, smoke runs
 # of the shared-dimension-plane and partition-dealt experiments over
 # 2-shard groups, the shard-loss chaos smoke, the telemetry-plane
-# metrics smoke, and the HTAP write-plane smoke.
-ci: vet build test race-core dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+# metrics smoke, the HTAP write-plane smoke, and the benchmark's own
+# build + smoke.
+ci: vet build test race-core dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke bench-smoke
 
 # End-to-end smoke of the admit-once execution tier: the dimadmit
 # experiment exercises plane admission, fan-out activation, and merged
@@ -49,6 +50,15 @@ metrics-smoke:
 # metric families (scripts/updates-smoke.sh).
 updates-smoke:
 	./scripts/updates-smoke.sh
+
+# bench/ is its own Go module, so `go build ./... && go test ./...` here
+# never compiles it — yet it builds against core.PageSource, agg.Result
+# and server.DecodeResults, and its page-read decorator embeds
+# *storage.HeapFile. Build it, run its smoke suite against a live cjoind,
+# and run its tests, so an internal/ change that breaks the benchmark
+# fails CI instead of the next benchmark run.
+bench-smoke:
+	bash bench/run.sh -smoke && (cd bench && $(GO) test ./...)
 
 race-core:
 	$(GO) test -race -timeout 900s ./internal/core ./internal/admission ./internal/server ./internal/bitvec ./internal/dimht ./internal/dimplane ./internal/query ./internal/shard ./internal/obs ./internal/storage ./internal/txn

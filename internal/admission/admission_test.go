@@ -21,13 +21,17 @@ func env(t testing.TB, rows, maxConc int) (*ssb.Dataset, *core.Pipeline) {
 
 // envDisk generates a dataset on a throttled device, for tests that need
 // the continuous scan to take a predictable, nontrivial time.
-func envDisk(t testing.TB, rows, maxConc int, dc disk.Config) (*ssb.Dataset, *core.Pipeline) {
+func envDisk(t testing.TB, rows, maxConc int, dc disk.Config, tweaks ...func(*core.Config)) (*ssb.Dataset, *core.Pipeline) {
 	t.Helper()
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: rows, Seed: 7, Disk: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: maxConc, Workers: 2})
+	ccfg := core.Config{MaxConcurrent: maxConc, Workers: 2}
+	for _, tw := range tweaks {
+		tw(&ccfg)
+	}
+	p, err := core.NewPipeline(ds.Star, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +206,25 @@ func TestCancelWhileRunning(t *testing.T) {
 
 func TestQueueWaitDeadline(t *testing.T) {
 	// ~25 MB/s over ~600 KB of fact pages: one scan cycle takes ~25 ms,
-	// far beyond the impatient ticket's deadline.
-	ds, p := envDisk(t, 4000, 1, disk.Config{SeqBytesPerSec: 25 << 20})
+	// far beyond the impatient ticket's deadline. Zone maps are off so
+	// the blocker pays the whole cycle: pruned to its ten pages it takes
+	// ~5 ms and races the deadline.
+	ds, p := envDisk(t, 4000, 1, disk.Config{SeqBytesPerSec: 25 << 20},
+		func(c *core.Config) { c.DisableZoneMaps = true })
 	q := admission.NewQueue(p, admission.Config{MaxQueue: 16})
 	bounds := bind(t, ds, 3)
 
 	blocker, err := q.Submit(bounds[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The blocker must hold the slot, not still sit in line, when the
+	// impatient ticket's clock starts.
+	for start := time.Now(); blocker.State() != admission.StateRunning; {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("blocker never started running")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	impatient, err := q.SubmitOpts(bounds[1], admission.Options{MaxWait: 5 * time.Millisecond})
 	if err != nil {

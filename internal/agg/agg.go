@@ -7,7 +7,7 @@ package agg
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cjoin/internal/expr"
@@ -201,13 +201,13 @@ func (s *Sorted) Add(j *expr.Joined) {
 // Results implements Aggregator.
 func (s *Sorted) Results() []Result {
 	ng := len(s.groupBy)
-	sort.Slice(s.rows, func(a, b int) bool {
-		return lessInt64s(s.rows[a][:ng], s.rows[b][:ng])
+	slices.SortFunc(s.rows, func(a, b []int64) int {
+		return slices.Compare(a[:ng], b[:ng])
 	})
 	var out []Result
 	var cur *bucket
 	for _, row := range s.rows {
-		if cur == nil || !equalInt64s(cur.group, row[:ng]) {
+		if cur == nil || !slices.Equal(cur.group, row[:ng]) {
 			if cur != nil {
 				out = append(out, Result{Group: cur.group, Ints: cur.ints, Counts: cur.counts})
 			}
@@ -261,75 +261,62 @@ func (s *Sorted) foldRow(b *bucket, row []int64, existed bool) {
 // is exact; MIN/MAX take the extremum. Counts always add, since every
 // partial bucket counted its own input rows. Integer addition over int64
 // is associative and commutative, so merge order cannot change results.
+//
+// The merge is one linear k-way pass over the already sorted partials.
+// The partials are never modified, but a group present in only one of
+// them is passed through without copying, so the output shares that
+// group's slices with its partial; only groups that combine are copied.
 func Merge(specs []Spec, parts ...[]Result) []Result {
-	total := 0
+	longest := 0
 	for _, p := range parts {
-		total += len(p)
+		longest = max(longest, len(p))
 	}
-	if total == 0 {
+	if longest == 0 {
 		return nil
 	}
-	all := make([]Result, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sortResults(all)
-	out := make([]Result, 0, len(all))
-	for _, r := range all {
-		if len(out) == 0 || !equalInt64s(out[len(out)-1].Group, r.Group) {
-			out = append(out, Result{
-				Group:  append([]int64(nil), r.Group...),
-				Ints:   append([]int64(nil), r.Ints...),
-				Counts: append([]int64(nil), r.Counts...),
-			})
+	out := make([]Result, 0, longest)
+	pos := make([]int, len(parts)) // cursor into each partial
+	owned := false                 // out's last group is Merge's own copy
+	for {
+		// The next group is the smallest head; ties go to the earliest
+		// partial, and the equal heads follow in the next rounds.
+		next := -1
+		for i, p := range parts {
+			if pos[i] < len(p) && (next < 0 || slices.Compare(p[pos[i]].Group, parts[next][pos[next]].Group) < 0) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return out
+		}
+		r := parts[next][pos[next]]
+		pos[next]++
+		if len(out) == 0 || !slices.Equal(out[len(out)-1].Group, r.Group) {
+			out = append(out, r)
+			owned = false
 			continue
 		}
 		cur := &out[len(out)-1]
+		if !owned {
+			cur.Ints, cur.Counts = slices.Clone(cur.Ints), slices.Clone(cur.Counts)
+			owned = true
+		}
 		for i, s := range specs {
 			switch s.Fn {
 			case Sum, Count, Avg:
 				cur.Ints[i] += r.Ints[i]
 			case Min:
-				if r.Ints[i] < cur.Ints[i] {
-					cur.Ints[i] = r.Ints[i]
-				}
+				cur.Ints[i] = min(cur.Ints[i], r.Ints[i])
 			case Max:
-				if r.Ints[i] > cur.Ints[i] {
-					cur.Ints[i] = r.Ints[i]
-				}
+				cur.Ints[i] = max(cur.Ints[i], r.Ints[i])
 			}
 			cur.Counts[i] += r.Counts[i]
 		}
 	}
-	return out
 }
 
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(a, b int) bool { return lessInt64s(rs[a].Group, rs[b].Group) })
-}
-
-func lessInt64s(a, b []int64) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(rs, func(a, b Result) int { return slices.Compare(a.Group, b.Group) })
 }
 
 // FormatResults renders results as a compact debug table.

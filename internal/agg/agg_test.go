@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -238,5 +239,32 @@ func TestMergeEmpty(t *testing.T) {
 	got := Merge(specs, nil, one)
 	if !reflect.DeepEqual(got, one) {
 		t.Fatalf("single partial changed: %v", got)
+	}
+}
+
+// TestMergeLeavesPartialsIntact: Merge passes uncombined groups through
+// without copying, so it must never write through a partial — combining
+// happens on Merge's own copy.
+func TestMergeLeavesPartialsIntact(t *testing.T) {
+	specs := []Spec{{Fn: Sum, Arg: col(1)}, {Fn: Min, Arg: col(1)}}
+	mk := func(g, v, n int64) Result {
+		return Result{Group: []int64{g}, Ints: []int64{v, v}, Counts: []int64{n, n}}
+	}
+	a := []Result{mk(1, 10, 1), mk(2, 20, 2), mk(4, 40, 4)}
+	b := []Result{mk(2, 5, 1), mk(3, 30, 3), mk(4, 1, 1)}
+	c := []Result{mk(4, 7, 2)}
+	snapshot := fmt.Sprint(a, b, c)
+	got := Merge(specs, a, b, c)
+	want := []Result{
+		mk(1, 10, 1),
+		{Group: []int64{2}, Ints: []int64{25, 5}, Counts: []int64{3, 3}},
+		mk(3, 30, 3),
+		{Group: []int64{4}, Ints: []int64{48, 1}, Counts: []int64{7, 7}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge:\n got %v\nwant %v", got, want)
+	}
+	if after := fmt.Sprint(a, b, c); after != snapshot {
+		t.Fatalf("Merge modified its inputs:\nbefore %s\n after %s", snapshot, after)
 	}
 }

@@ -181,6 +181,7 @@ func TestDoubleCancel(t *testing.T) {
 	}
 	gs.gate <- struct{}{} // complete the in-flight read; cancel lands next
 	waitActive(t, p, 0)
+	<-h.Done() // cleanup drops the query before it retires the plane slot
 
 	// maxConc=1: the only slot must be free again.
 	h2, err := p.Submit(countStar(t, ds))

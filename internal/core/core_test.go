@@ -196,7 +196,9 @@ func TestSlotReuseBeyondMaxConc(t *testing.T) {
 
 func TestTooManyQueries(t *testing.T) {
 	ds := dataset(t, 30000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 2})
+	// Full scans: a query zone-mapped down to a few pages can finish and
+	// free its slot before the third Submit.
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 2, DisableZoneMaps: true})
 	qs := bindWorkload(t, ds, 3, 0.3, 37)
 	h1, err := p.Submit(qs[0])
 	if err != nil {
@@ -296,7 +298,8 @@ func TestProgressReaches1(t *testing.T) {
 
 func TestStopFailsInflightQueries(t *testing.T) {
 	ds := dataset(t, 50000)
-	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: 4})
+	// A full scan, so the query cannot complete ahead of Stop.
+	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: 4, DisableZoneMaps: true})
 	if err != nil {
 		t.Fatal(err)
 	}

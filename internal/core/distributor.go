@@ -109,6 +109,9 @@ func (d *distributor) control(c *control) {
 			rq.sink.Finalize(nil)
 		} else {
 			results := rq.aggr.Results()
+			// The handle outlives the query (the server keeps finished
+			// queries for status lookups); the hash table must not.
+			rq.aggr = nil
 			query.SortResults(results, rq.q.OrderBy)
 			results = rq.q.ApplyLimit(results)
 			rq.deliver(results, nil)

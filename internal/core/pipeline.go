@@ -62,11 +62,11 @@ type runningQuery struct {
 	pruneRanges []colRange
 	pruneEmpty  bool
 	// needPages is the page-granular companion of needParts, indexed by
-	// the SCAN-LOCAL partition order (it is derived by the owning
-	// preprocessor against its own scan's synopses at registration). Nil
-	// means no page-level information; a nil inner slice means every
-	// page of that partition.
-	needPages [][]bool
+	// the SCAN-LOCAL partition order (activate cuts it against this
+	// pipeline's own scan synopses before the Preprocessor is paused).
+	// Nil means no page-level information; nil bits means every page of
+	// that partition.
+	needPages []pageSet
 
 	// Progress accounting (§3.2.3: "the current point in the continuous
 	// scan can serve as a reliable progress indicator").
@@ -88,13 +88,13 @@ func (rq *runningQuery) needsPart(g int) bool {
 
 // pageNeeded reports whether the query's completion countdown charges
 // the given page of SCAN-LOCAL partition part. Pages beyond the bitmap
-// (appended after registration) are not charged: the countdown covers
-// exactly the page set frozen at registration.
+// (appended after it was cut) are not charged: the countdown covers
+// exactly the page set frozen at admission.
 func (rq *runningQuery) pageNeeded(part, page int) bool {
-	if rq.needPages == nil || rq.needPages[part] == nil {
+	if rq.needPages == nil || rq.needPages[part].bits == nil {
 		return true
 	}
-	bits := rq.needPages[part]
+	bits := rq.needPages[part].bits
 	return page < len(bits) && bits[page]
 }
 
@@ -272,6 +272,9 @@ type pipeMetrics struct {
 	retries     *obs.Counter
 	failures    *obs.Counter
 	filterBatch *obs.Histogram
+	// registerStall times preprocessor.register: how long the continuous
+	// scan pauses to install one query (§3.3.1).
+	registerStall *obs.Histogram
 }
 
 func newPipeMetrics(r *obs.Registry, shard int) pipeMetrics {
@@ -306,6 +309,8 @@ func newPipeMetrics(r *obs.Registry, shard int) pipeMetrics {
 			"Terminal pipeline failures (escalated scan errors, panics, stalls).", "shard").With(sh),
 		filterBatch: r.DurationHistogramVec("cjoin_filter_batch_seconds",
 			"Wall time probing one batch through the active filter sequence (1-in-8 sampled).", "shard").With(sh),
+		registerStall: r.DurationHistogramVec("cjoin_register_stall_seconds",
+			"Time the continuous scan pauses to install one query (Algorithm 1 lines 17-22).", "shard").With(sh),
 	}
 }
 
@@ -674,10 +679,12 @@ func (p *Pipeline) activate(ctx context.Context, q *query.Bound, slot int, sink 
 	if p.star.PartCol >= 0 {
 		rq.needParts = p.neededPartitions(q, slot)
 	}
-	// Zone-map pruning: derive the fact-column ranges the preprocessor
-	// will intersect with its scan's page synopses at registration.
+	// Zone-map pruning: derive the fact-column ranges and intersect them
+	// with this scan's page synopses here, on the submitter's goroutine,
+	// so the Preprocessor's stall (register) never pays for it.
 	if !p.cfg.DisableZoneMaps {
 		rq.pruneRanges, rq.pruneEmpty = pruneRanges(p.star, p.plane, q, slot)
+		rq.needPages = p.pp.scan.needPagesFor(rq)
 	}
 
 	// Register under the manager lock, re-checking the terminal states:

@@ -243,11 +243,17 @@ func (pp *preprocessor) emit(b *batch) bool {
 
 // register installs a new query (Algorithm 1 lines 19–22): extend Q, mark
 // the start position, emit the query-start control tuple, resume.
+//
+// This is the paper's stall: the scan is paused for exactly as long as
+// this function runs (cjoin_register_stall_seconds), so it only stamps,
+// counts and reference-counts. The query's page bitmap was cut by the
+// submitter before the command was sent (factScan.needPagesFor); pages
+// appended since then lie beyond it and are read but never charged.
 func (pp *preprocessor) register(cmd ppCmd) {
+	defer pp.p.om.registerStall.ObserveSince(time.Now())
 	rq := cmd.rq
 	rq.startPos = pp.scan.position()
 	rq.sawStart = false
-	rq.needPages = pp.buildNeedPages(rq)
 	if pp.scan.static || rq.pruneEmpty || rq.needPages != nil {
 		// Pruning countdown over the partitions and pages this scan
 		// covers: a shard's scan may hold only a dealt subset, so the
@@ -255,10 +261,10 @@ func (pp *preprocessor) register(cmd ppCmd) {
 		// (pages the query needs on OTHER shards are theirs to count),
 		// and within a needed partition only the pages the query's
 		// zone-map bitmap retains are charged. A non-static scan joins
-		// the countdown regime once it has a bitmap: the page set is
-		// frozen at registration, so pages appended later are read but
-		// never charged, and completion still means "every needed page
-		// delivered exactly once".
+		// the countdown regime once it has a bitmap: the page set was
+		// frozen when the bitmap was cut, so pages appended later are
+		// read but never charged, and completion still means "every
+		// needed page delivered exactly once".
 		var pages, prunedPart, prunedZone int64
 		for li := range pp.scan.parts {
 			total := int64(pp.scan.pagesInPart(li))
@@ -267,17 +273,12 @@ func (pp *preprocessor) register(cmd ppCmd) {
 				prunedPart += total
 			case rq.pruneEmpty:
 				prunedZone += total
-			case rq.needPages == nil || rq.needPages[li] == nil:
+			case rq.needPages == nil || rq.needPages[li].bits == nil:
 				pages += total
 			default:
-				var k int64
-				for _, b := range rq.needPages[li] {
-					if b {
-						k++
-					}
-				}
-				pages += k
-				prunedZone += total - k
+				ps := rq.needPages[li]
+				pages += ps.needed
+				prunedZone += int64(len(ps.bits)) - ps.needed
 			}
 		}
 		rq.pagesLeft = pages
@@ -310,48 +311,6 @@ func (pp *preprocessor) register(cmd ppCmd) {
 	}
 }
 
-// buildNeedPages intersects the query's column ranges with the scan's
-// page synopses, yielding a scan-local per-partition bitmap of needed
-// pages — the page-granular companion of needParts. Nil means "no
-// page-level information" (all pages of needed partitions); a nil inner
-// slice means every page of that partition. Pages without a frozen
-// synopsis (the heap tail, sources with no zone maps) are always needed.
-func (pp *preprocessor) buildNeedPages(rq *runningQuery) [][]bool {
-	if pp.p.cfg.DisableZoneMaps || rq.pruneEmpty || len(rq.pruneRanges) == 0 {
-		return nil
-	}
-	var np [][]bool
-	for li := range pp.scan.parts {
-		if pp.scan.parts[li].bounds == nil {
-			continue
-		}
-		if pp.scan.static && !rq.needsPart(pp.scan.globalOf(li)) {
-			continue // partition-pruned; the partition level handles it
-		}
-		n := pp.scan.pagesInPart(li)
-		bits := make([]bool, n)
-		pruned := false
-		for pg := 0; pg < n; pg++ {
-			bits[pg] = true
-			for _, r := range rq.pruneRanges {
-				if lo, hi, ok := pp.scan.pageBounds(li, pg, r.col); ok && (hi < r.min || lo > r.max) {
-					bits[pg] = false
-					pruned = true
-					break
-				}
-			}
-		}
-		if !pruned {
-			continue // every page intersects: same as no bitmap
-		}
-		if np == nil {
-			np = make([][]bool, len(pp.scan.parts))
-		}
-		np[li] = bits
-	}
-	return np
-}
-
 // refPages adjusts the partition- and page-level reference counts for
 // one query; register calls it with +1 and finish with -1, keeping the
 // two levels symmetric by construction.
@@ -371,23 +330,21 @@ func (pp *preprocessor) refPages(rq *runningQuery, delta int) {
 		if pp.scan.static && !rq.needsPart(pp.scan.globalOf(li)) {
 			continue
 		}
-		if rq.needPages == nil || rq.needPages[li] == nil {
+		if rq.needPages == nil || rq.needPages[li].bits == nil {
 			pp.partRefs[li] += delta
 			pp.pageAllRefs[li] += delta
 			continue
 		}
-		bits := rq.needPages[li]
+		bits := rq.needPages[li].bits
 		if len(pp.pageRefs[li]) < len(bits) {
 			pp.pageRefs[li] = append(pp.pageRefs[li], make([]int, len(bits)-len(pp.pageRefs[li]))...)
 		}
-		any := false
 		for pg, b := range bits {
 			if b {
 				pp.pageRefs[li][pg] += delta
-				any = true
 			}
 		}
-		if any {
+		if rq.needPages[li].needed > 0 {
 			pp.partRefs[li] += delta
 		}
 	}

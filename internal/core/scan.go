@@ -90,16 +90,6 @@ func newFactScan(star *catalog.Star, override PageSource, subset []int, wrap fun
 // pagesInPart returns the page count of scan-local partition i.
 func (s *factScan) pagesInPart(i int) int { return s.parts[i].src.NumPages() }
 
-// pageBounds returns the zone-map synopsis of (partition, page, column),
-// ok=false when the source has none or the page is not frozen.
-func (s *factScan) pageBounds(part, page, col int) (min, max int64, ok bool) {
-	b := s.parts[part].bounds
-	if b == nil {
-		return 0, 0, false
-	}
-	return b.PageColBounds(page, col)
-}
-
 // takeSkipped drains the count of zone-map-skipped pages.
 func (s *factScan) takeSkipped() int64 {
 	k := s.zmSkipped

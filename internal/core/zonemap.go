@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"cjoin/internal/catalog"
 	"cjoin/internal/dimplane"
@@ -22,6 +23,13 @@ import (
 // holds no row that can contribute to the query and is charged to — and,
 // when no resident query needs it, physically skipped by — the
 // continuous scan.
+//
+// The bitmap is cut on the submitting goroutine (Pipeline.activate), not
+// in the Preprocessor's stall window: §3.3.1 keeps everything expensive
+// ahead of the pause, and the synopses are read through BoundsSource's
+// bulk face — an O(1) "can this range prune at all?" per column, then
+// lock-once column runs for the ranges that can — so a query whose ranges
+// prune nothing costs O(range columns) and allocates nothing.
 
 // colRange constrains one fact column (absolute index, hidden columns
 // included) to the closed interval [min, max].
@@ -69,6 +77,86 @@ func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot
 		}
 	}
 	return ranges, false
+}
+
+// boundsChunk is how many pages of one column needPagesFor reads per
+// ColBoundsRun call: large enough that the source's lock is taken a
+// handful of times per column, small enough that the buffer is a few KB
+// however large the partition.
+const boundsChunk = 256
+
+// pageSet is a query's zone-map verdict on one scan-local partition:
+// bits[pg] is set iff page pg's synopsis intersects every range
+// constraint, needed counts the set bits. Nil bits means every page.
+type pageSet struct {
+	bits   []bool
+	needed int64
+}
+
+// needPagesFor intersects the query's column ranges with the scan's page
+// synopses, yielding the per-partition page sets registration charges
+// and reference-counts — the page-granular companion of needParts. Nil
+// means "no page-level information" (all pages of needed partitions).
+// Pages without a frozen synopsis (the heap tail, sources with no zone
+// maps) are always needed. It touches only the scan's immutable topology
+// and the sources' own synchronized accessors, so it is safe off the
+// Preprocessor goroutine; the page set is frozen at the moment it is cut,
+// and pages appended later are read but never charged (pageNeeded).
+func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
+	if rq.pruneEmpty || len(rq.pruneRanges) == 0 {
+		return nil
+	}
+	var (
+		np   []pageSet
+		live []colRange // ranges that can prune in the current partition
+		run  []int64    // (min, max) pairs of one column chunk, reused
+	)
+	for li := range s.parts {
+		b := s.parts[li].bounds
+		if b == nil {
+			continue
+		}
+		if s.static && !rq.needsPart(s.globalOf(li)) {
+			continue // partition-pruned; the partition level handles it
+		}
+		live = live[:0]
+		for _, r := range rq.pruneRanges {
+			if !b.AllPagesIntersect(r.col, r.min, r.max) {
+				live = append(live, r)
+			}
+		}
+		if len(live) == 0 {
+			continue // every page intersects: same as no bitmap
+		}
+		n := s.pagesInPart(li)
+		if run == nil {
+			run = make([]int64, 2*boundsChunk)
+		}
+		bits := slices.Repeat([]bool{true}, n)
+		needed := int64(n)
+		for _, r := range live {
+			for first := 0; first < n; first += boundsChunk {
+				k := b.ColBoundsRun(r.col, first, 1, run[:2*min(boundsChunk, n-first)])
+				for i, pg := 0, first; i < k; i, pg = i+1, pg+1 {
+					if bits[pg] && (run[2*i+1] < r.min || run[2*i] > r.max) {
+						bits[pg] = false
+						needed--
+					}
+				}
+				if k < boundsChunk {
+					break // the frozen pages end here
+				}
+			}
+		}
+		if needed == int64(n) {
+			continue // AllPagesIntersect was only being cautious
+		}
+		if np == nil {
+			np = make([]pageSet, len(s.parts))
+		}
+		np[li] = pageSet{bits: bits, needed: needed}
+	}
+	return np
 }
 
 // collectFactRanges walks the top-level AND conjuncts of a fact

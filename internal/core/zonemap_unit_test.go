@@ -187,6 +187,9 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 				if res.Err != nil {
 					t.Fatal(res.Err)
 				}
+				// Twelve queries over eight slots: the result arrives
+				// before Algorithm 2 has recycled the slot.
+				<-h.Done()
 				rq := h.(*pipeHandle).rq
 				if rq.pruneEmpty {
 					if len(res.Rows) != 0 {

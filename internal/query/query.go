@@ -9,7 +9,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cjoin/internal/agg"
@@ -32,17 +34,17 @@ func SortResults(rs []agg.Result, order []OrderSpec) {
 	if len(order) == 0 {
 		return
 	}
-	sort.SliceStable(rs, func(a, b int) bool {
+	slices.SortStableFunc(rs, func(a, b agg.Result) int {
 		for _, o := range order {
-			va, vb := outputCol(rs[a], o.Col), outputCol(rs[b], o.Col)
-			if va != vb {
+			c := cmp.Compare(outputCol(a, o.Col), outputCol(b, o.Col))
+			if c != 0 {
 				if o.Desc {
-					return va > vb
+					return -c
 				}
-				return va < vb
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 }
 

@@ -121,6 +121,18 @@ func TestMetricsAndTraceE2E(t *testing.T) {
 		t.Errorf("unknown trace = HTTP %d, want 404", resp.StatusCode)
 	}
 
+	// A result is delivered before Algorithm 2 has retired the query's
+	// slots; let the last cleanups land before comparing end states.
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		text, err := env.cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parseMetrics(t, text)["cjoin_dimplane_slots_in_use"] == 0 || time.Since(start) > 5*time.Second {
+			break
+		}
+	}
+
 	// --- /metrics vs /stats: same run, same numbers ------------------
 	st, err := env.cl.Stats(ctx)
 	if err != nil {

@@ -320,25 +320,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.status(sv, false))
 }
 
-// evictLocked drops the oldest finished queries beyond cfg.MaxTracked.
+// evictLookahead bounds how many still-live queries one eviction sweep
+// steps over before giving up: the sweep runs under s.mu on every
+// submission, so it must not walk the whole registration order.
+const evictLookahead = 64
+
+// evictLocked drops the oldest finished queries beyond cfg.MaxTracked,
+// in registration order. It pops from the head of order while over the
+// cap, so a submission pays for the one entry it pushes the table over
+// by; entries still queued or running are never evicted — the sweep
+// steps over up to evictLookahead of them, keeping their place.
 func (s *Server) evictLocked() {
-	if len(s.queries) <= s.cfg.MaxTracked {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		sv := s.queries[id]
-		if sv == nil {
-			continue
-		}
-		if len(s.queries) > s.cfg.MaxTracked && sv.ticket.State().Terminal() {
+	over := len(s.queries) - s.cfg.MaxTracked
+	var live [evictLookahead]string
+	n, i := 0, 0
+	for ; over > 0 && i < len(s.order) && n < len(live); i++ {
+		id := s.order[i]
+		if s.queries[id].ticket.State().Terminal() {
 			delete(s.queries, id)
 			s.tracer.Drop(id)
+			over--
 			continue
 		}
-		kept = append(kept, id)
+		live[n] = id
+		n++
 	}
-	s.order = kept
+	// Put the stepped-over entries back at the new head, order intact.
+	copy(s.order[i-n:i], live[:n])
+	s.order = s.order[i-n:]
 }
 
 func (s *Server) lookup(r *http.Request) (*served, bool) {

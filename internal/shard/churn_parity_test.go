@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -132,5 +133,136 @@ func TestShardParityUnderChurn(t *testing.T) {
 	wg.Wait()
 	if writerErr != nil {
 		t.Fatalf("writer: %v", writerErr)
+	}
+}
+
+// TestShardPageParityUnderWriter extends the pruning-parity invariant
+// to a growing heap. A writer keeps appending pages and stamping
+// deletes (which widen flushed pages' synopses) while narrow date-window
+// queries run; it is held off only while one query is being admitted to
+// the single pipeline and to every group, so all of them cut their page
+// bitmaps over the same heap geometry. Everything the writer adds after
+// that lies beyond the bitmaps: the scans read it, no executor charges
+// it, and the per-shard charged pages still sum to the single
+// pipeline's — with every answer exact at the query's snapshot.
+func TestShardPageParityUnderWriter(t *testing.T) {
+	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 3000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
+	single, err := core.NewPipeline(ds.Star, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.Start()
+	t.Cleanup(single.Stop)
+	groups := make(map[int]*shard.Group)
+	for _, n := range []int{2, 3} {
+		g, err := shard.New(ds.Star, shard.Config{Shards: n, Core: ccfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Start()
+		t.Cleanup(g.Stop)
+		groups[n] = g
+	}
+
+	var admitting sync.Mutex // held by the test while it admits one query
+	stop := make(chan struct{})
+	var writerErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wrng := rand.New(rand.NewSource(5))
+		var delCursor int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			admitting.Lock()
+			_, err := ds.AppendFact(wrng.Intn(40)+10, wrng)
+			if err == nil {
+				_, err = ds.DeleteFact(delCursor)
+				delCursor += 7 // spread the widenings; slower than the heap grows
+			}
+			admitting.Unlock()
+			if err != nil {
+				writerErr = err
+				return
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(23))
+	nk := len(ds.DateKeys)
+	pruned := 0
+	for qi := 0; qi < 20; qi++ {
+		lo := rng.Intn(nk - nk/20)
+		text := fmt.Sprintf(
+			"SELECT SUM(lo_revenue), d_year FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d GROUP BY d_year",
+			ds.DateKeys[lo], ds.DateKeys[lo+nk/20])
+		b, err := query.ParseBind(text, ds.Star)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		admitting.Lock()
+		b.Snapshot = ds.Txn.Begin()
+		pagesAtCut := int64(ds.Lineorder.Heap.NumPages())
+		h, err := single.Submit(b)
+		handles := map[int]core.Handle{}
+		for n, g := range groups {
+			if err == nil {
+				handles[n], err = g.Submit(b)
+			}
+		}
+		admitting.Unlock()
+		if err != nil {
+			t.Fatalf("query %d submit: %v", qi, err)
+		}
+
+		want, err := ref.Execute(b)
+		if err != nil {
+			t.Fatalf("query %d ref: %v", qi, err)
+		}
+		sres := h.Wait()
+		if sres.Err != nil {
+			t.Fatalf("query %d single: %v", qi, sres.Err)
+		}
+		if !ref.ResultsEqual(sres.Rows, want) {
+			t.Fatalf("query %d: single pipeline diverges from ref at snapshot %d", qi, b.Snapshot)
+		}
+		if h.PagesScanned() < pagesAtCut {
+			pruned++
+		}
+		if h.PagesScanned() > pagesAtCut {
+			t.Fatalf("query %d: charged %d pages, the heap had %d when its bitmap was cut", qi, h.PagesScanned(), pagesAtCut)
+		}
+		for n, gh := range handles {
+			gres := gh.Wait()
+			if gres.Err != nil {
+				t.Fatalf("query %d group(%d): %v", qi, n, gres.Err)
+			}
+			if !ref.ResultsEqual(gres.Rows, want) {
+				t.Fatalf("query %d: %d-shard group diverges from ref at snapshot %d", qi, n, b.Snapshot)
+			}
+			if got := gh.PagesScanned(); got != h.PagesScanned() {
+				t.Fatalf("query %d: %d-shard group charged %d pages, single pipeline %d (%d pages at cut)",
+					qi, n, got, h.PagesScanned(), pagesAtCut)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if writerErr != nil {
+		t.Fatalf("writer: %v", writerErr)
+	}
+	if pruned < 15 {
+		t.Fatalf("only %d of 20 queries were page-pruned; the bitmap path was barely exercised", pruned)
 	}
 }

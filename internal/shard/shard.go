@@ -747,6 +747,7 @@ func (h *groupHandle) gather() {
 		h.deliver(core.QueryResult{Err: firstErr})
 	} else {
 		rows := agg.Merge(h.bound.Aggs, parts...)
+		clear(parts) // merged: gather lives on until every slot recycles
 		query.SortResults(rows, h.bound.OrderBy)
 		rows = h.bound.ApplyLimit(rows)
 		h.deliver(core.QueryResult{Rows: rows})
@@ -859,16 +860,27 @@ func (s *stridedSource) ReadPage(page int, dst []int64, scratch []byte) (int, er
 	return s.src.ReadPage(s.offset+page*s.stride, dst, scratch)
 }
 
-// PageColBounds forwards the zone-map synopsis of the base source under
-// the same page mapping, so a shard's per-page pruning decisions are
-// identical to the single pipeline's for the pages it owns — the
-// page-level half of the pruning-parity invariant. A base source without
-// zone maps answers ok=false (no pruning), never wrong bounds.
-func (s *stridedSource) PageColBounds(page, col int) (min, max int64, ok bool) {
+// AllPagesIntersect and ColBoundsRun forward the zone-map face of the
+// base source under the same page mapping, so a shard's per-page pruning
+// decisions are identical to the single pipeline's for the pages it owns
+// — the page-level half of the pruning-parity invariant. The base's
+// "every page intersects" covers a superset of this shard's pages, so it
+// holds for them too; a run over shard pages first, first+stride, … is
+// the base's run over offset+first*s.stride with the strides multiplied.
+// A base source without zone maps prunes nothing: every page intersects,
+// no page has frozen bounds.
+func (s *stridedSource) AllPagesIntersect(col int, lo, hi int64) bool {
 	if b, isB := s.src.(core.BoundsSource); isB {
-		return b.PageColBounds(s.offset+page*s.stride, col)
+		return b.AllPagesIntersect(col, lo, hi)
 	}
-	return 0, 0, false
+	return true
+}
+
+func (s *stridedSource) ColBoundsRun(col, first, stride int, dst []int64) int {
+	if b, isB := s.src.(core.BoundsSource); isB {
+		return b.ColBoundsRun(col, s.offset+first*s.stride, stride*s.stride, dst)
+	}
+	return 0
 }
 
 var _ core.BoundsSource = (*stridedSource)(nil)

@@ -11,6 +11,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"cjoin/internal/disk"
@@ -42,10 +43,15 @@ type HeapFile struct {
 
 	// Zone-map synopsis (see zonemap.go): per flushed page, 2*ncols
 	// values (min then max for each column); tailMin/tailMax track the
-	// not-yet-flushed tail.
+	// not-yet-flushed tail. minOfMax/maxOfMin summarize each column over
+	// all flushed pages (stale-but-sound under widening); boundsVer
+	// advances whenever pageBounds changes.
 	pageBounds []int64
 	tailMin    []int64
 	tailMax    []int64
+	minOfMax   []int64
+	maxOfMin   []int64
+	boundsVer  uint64
 }
 
 // CreateHeap creates an empty raw heap for rows of ncols columns on dev.
@@ -71,7 +77,7 @@ func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 	if rpp < 1 {
 		panic(fmt.Sprintf("storage: row width %d exceeds page capacity", width))
 	}
-	return &HeapFile{
+	h := &HeapFile{
 		dev:         dev,
 		ncols:       ncols,
 		width:       width,
@@ -80,7 +86,14 @@ func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 		tail:        make([]byte, PageSize),
 		tailMin:     make([]int64, ncols),
 		tailMax:     make([]int64, ncols),
+		minOfMax:    make([]int64, ncols),
+		maxOfMin:    make([]int64, ncols),
 	}
+	// No flushed page yet: "every page intersects" holds vacuously.
+	for c := range h.minOfMax {
+		h.minOfMax[c], h.maxOfMin[c] = math.MaxInt64, math.MinInt64
+	}
+	return h
 }
 
 // Codec returns the heap's page codec.

@@ -190,7 +190,9 @@ func TestConcurrentAppendAndScan(t *testing.T) {
 				t.Errorf("non-increasing row %d after %d", row[0], prev)
 				break
 			}
-			if prev < 1000 && row[0] != prev+1 {
+			// Row 999 is the last pre-existing one: what follows it was
+			// appended concurrently and may be skipped.
+			if prev < 999 && row[0] != prev+1 {
 				t.Errorf("pre-existing row gap: %d after %d", row[0], prev)
 				break
 			}

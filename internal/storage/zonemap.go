@@ -13,6 +13,15 @@ import "fmt"
 // published bounds: PageColBounds answers ok=false for it and readers must
 // treat it as matching everything. UpdateCol only ever widens bounds, so a
 // stale synopsis is conservative (less pruning), never unsound.
+//
+// Beside the per-page synopsis the heap keeps, per column, the two scalars
+// that decide "every flushed page intersects [lo,hi]" without looking at
+// any page: the smallest page max and the largest page min. They are
+// folded at flush and deliberately NOT refreshed when UpdateCol widens a
+// page: widening can only raise the true min-of-max and lower the true
+// max-of-min, so the stale scalars make AllPagesIntersect answer false
+// more often — the caller then takes the exact per-page pass — never true
+// wrongly.
 
 // PageBounds is the synopsis of one column over one flushed page.
 type PageBounds struct {
@@ -34,6 +43,60 @@ func (h *HeapFile) PageColBounds(page, col int) (min, max int64, ok bool) {
 	}
 	i := (page*h.ncols + col) * 2
 	return h.pageBounds[i], h.pageBounds[i+1], true
+}
+
+// AllPagesIntersect reports whether the synopsis of column col on every
+// flushed page intersects the closed interval [lo,hi] — i.e. whether that
+// range can prune no flushed page. It reads two scalars under the lock,
+// so rejecting a non-pruning range costs O(1) however large the heap. A
+// false answer is not proof that some page is disjoint (the scalars go
+// stale under UpdateCol widening); an out-of-range column answers true,
+// matching PageColBounds' "assume any value".
+func (h *HeapFile) AllPagesIntersect(col int, lo, hi int64) bool {
+	if col < 0 || col >= h.ncols {
+		return true
+	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.minOfMax[col] >= lo && h.maxOfMin[col] <= hi
+}
+
+// ColBoundsRun copies the synopsis of column col for flushed pages first,
+// first+stride, first+2*stride, … into dst as (min, max) pairs — page
+// first+i*stride at dst[2i], dst[2i+1] — taking the heap lock once for
+// the whole run. It returns the number of pages filled: the run stops at
+// the end of dst or at the first page without frozen bounds (the tail
+// onward), and an out-of-range column fills none. Pages past the returned
+// count must be treated as matching everything.
+func (h *HeapFile) ColBoundsRun(col, first, stride int, dst []int64) int {
+	if col < 0 || col >= h.ncols || first < 0 || stride < 1 {
+		return 0
+	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	flushed := len(h.pageOffs)
+	if first >= flushed {
+		return 0
+	}
+	n := (flushed - first + stride - 1) / stride
+	if n > len(dst)/2 {
+		n = len(dst) / 2
+	}
+	src, step := h.pageBounds[(first*h.ncols+col)*2:], stride*h.ncols*2
+	for i := 0; i < n; i++ {
+		dst[2*i], dst[2*i+1] = src[i*step], src[i*step+1]
+	}
+	return n
+}
+
+// BoundsVersion returns a counter that advances whenever the published
+// synopsis changes: a page flushes or UpdateCol widens a flushed page's
+// bounds. Two equal readings bracket an interval in which every bounds
+// accessor saw the same synopsis.
+func (h *HeapFile) BoundsVersion() uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.boundsVer
 }
 
 // ColBounds returns a copy of the synopsis for column col over all
@@ -74,7 +137,14 @@ func (h *HeapFile) boundsAppendLocked(row []int64) {
 func (h *HeapFile) boundsFlushLocked() {
 	for c := 0; c < h.ncols; c++ {
 		h.pageBounds = append(h.pageBounds, h.tailMin[c], h.tailMax[c])
+		if h.tailMax[c] < h.minOfMax[c] {
+			h.minOfMax[c] = h.tailMax[c]
+		}
+		if h.tailMin[c] > h.maxOfMin[c] {
+			h.maxOfMin[c] = h.tailMin[c]
+		}
 	}
+	h.boundsVer++
 }
 
 // boundsWidenLocked widens the synopsis covering (page, col) to admit v.
@@ -85,9 +155,11 @@ func (h *HeapFile) boundsWidenLocked(page, col int, v int64) {
 		i := (page*h.ncols + col) * 2
 		if v < h.pageBounds[i] {
 			h.pageBounds[i] = v
+			h.boundsVer++
 		}
 		if v > h.pageBounds[i+1] {
 			h.pageBounds[i+1] = v
+			h.boundsVer++
 		}
 		return
 	}

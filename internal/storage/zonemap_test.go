@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cjoin/internal/disk"
@@ -144,4 +145,160 @@ func TestColBounds(t *testing.T) {
 	if _, err := h.ColBounds(5); err == nil {
 		t.Fatal("ColBounds(5) on a 2-column heap succeeded")
 	}
+}
+
+// TestBulkBoundsMatchPerCell pins the bulk face against the per-cell one
+// on a settled heap: ColBoundsRun carries PageColBounds' values for
+// every (first, stride), stops at the tail, and AllPagesIntersect is true
+// exactly when no flushed page is disjoint — until a widening leaves its
+// scalars stale, after which it may only err towards false.
+func TestBulkBoundsMatchPerCell(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 3)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 9*h.RowsPerPage()+4; i++ {
+		h.Append([]int64{int64(i / 10), rng.Int63n(100), 5})
+	}
+	flushed := h.FlushedPages()
+	for col := 0; col < 3; col++ {
+		for first := 0; first <= flushed; first++ {
+			for stride := 1; stride <= 3; stride++ {
+				dst := make([]int64, 2*(flushed+2))
+				n := h.ColBoundsRun(col, first, stride, dst)
+				if want := (flushed - first + stride - 1) / stride; n != want {
+					t.Fatalf("col %d first %d stride %d: filled %d pages, %d are flushed on that run", col, first, stride, n, want)
+				}
+				for i := 0; i < n; i++ {
+					min, max, _ := h.PageColBounds(first+i*stride, col)
+					if dst[2*i] != min || dst[2*i+1] != max {
+						t.Fatalf("col %d page %d: run [%d,%d], cell [%d,%d]", col, first+i*stride, dst[2*i], dst[2*i+1], min, max)
+					}
+				}
+			}
+		}
+		if n := h.ColBoundsRun(col, 0, 1, make([]int64, 6)); n != 3 {
+			t.Fatalf("a 3-pair buffer was filled with %d pages", n)
+		}
+	}
+	if n := h.ColBoundsRun(7, 0, 1, make([]int64, 8)); n != 0 {
+		t.Fatalf("unknown column filled %d pages", n)
+	}
+
+	allIntersect := func(col int, lo, hi int64) bool {
+		for p := 0; p < flushed; p++ {
+			if min, max, _ := h.PageColBounds(p, col); max < lo || min > hi {
+				return false
+			}
+		}
+		return true
+	}
+	probe := func(exact bool) {
+		t.Helper()
+		for trial := 0; trial < 300; trial++ {
+			col := rng.Intn(3)
+			lo := rng.Int63n(120) - 10
+			hi := lo + rng.Int63n(120)
+			got, want := h.AllPagesIntersect(col, lo, hi), allIntersect(col, lo, hi)
+			if got && !want || exact && got != want {
+				t.Fatalf("col %d [%d,%d]: AllPagesIntersect=%v, per-cell says %v (exact=%v)", col, lo, hi, got, want, exact)
+			}
+		}
+	}
+	probe(true)
+	if !h.AllPagesIntersect(7, 1, 0) {
+		t.Fatal("an unknown column must never prune")
+	}
+
+	// Widen page 0 so that every page now reaches 50 on column 0: the
+	// true answer for [45,50] flips to "all intersect", the stale scalars
+	// may keep saying false, and must never say true where a page is
+	// disjoint.
+	v0 := h.BoundsVersion()
+	for p := 0; p < flushed; p++ {
+		if err := h.UpdateCol(int64(p*h.RowsPerPage()), 0, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.BoundsVersion() == v0 {
+		t.Fatal("widening flushed pages did not advance the bounds version")
+	}
+	probe(false)
+}
+
+// TestBulkBoundsUnderWriter reads the bulk face from several goroutines
+// while a writer flushes pages and widens bounds (run under -race). A
+// read bracketed by two equal BoundsVersion readings saw one synopsis,
+// so there it must agree with the per-cell face exactly.
+func TestBulkBoundsUnderWriter(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 2)
+	for i := 0; i < 3*h.RowsPerPage(); i++ {
+		h.Append([]int64{int64(i), 1})
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(9))
+		for i := int64(3 * h.RowsPerPage()); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Append([]int64{i, 1})
+			if i%64 == 0 {
+				if err := h.UpdateCol(rng.Int63n(i), 1, rng.Int63n(9)-4); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			checked := 0
+			dst := make([]int64, 2*64)
+			for iter := 0; iter < 200000 && checked < 200; iter++ {
+				col, first, stride := iter%2, iter%5, 1+g
+				v := h.BoundsVersion()
+				n := h.ColBoundsRun(col, first, stride, dst)
+				// Every page of column 1 holds a 1 (widening only widens);
+				// on column 0 only page 0 does.
+				all := h.AllPagesIntersect(col, 1, 1)
+				type cell struct{ min, max int64 }
+				cells := make([]cell, n)
+				disjoint := false
+				for i := range cells {
+					cells[i].min, cells[i].max, _ = h.PageColBounds(first+i*stride, col)
+				}
+				for p := 0; p < h.FlushedPages(); p++ {
+					if min, max, ok := h.PageColBounds(p, col); ok && (max < 1 || min > 1) {
+						disjoint = true
+					}
+				}
+				if h.BoundsVersion() != v {
+					continue // the synopsis moved under this read
+				}
+				checked++
+				for i, c := range cells {
+					if dst[2*i] != c.min || dst[2*i+1] != c.max {
+						t.Errorf("col %d page %d: run [%d,%d], cell [%d,%d] at one version", col, first+i*stride, dst[2*i], dst[2*i+1], c.min, c.max)
+						return
+					}
+				}
+				if all == disjoint {
+					t.Errorf("col %d: AllPagesIntersect(1,1)=%v, a page is disjoint=%v at one version", col, all, disjoint)
+					return
+				}
+			}
+			if checked == 0 {
+				t.Errorf("reader %d never got a stable read", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
 }

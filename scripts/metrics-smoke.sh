@@ -56,6 +56,7 @@ for fam in \
   cjoin_scan_pruned_pages_total \
   cjoin_scan_zonemap_skipped_pages_total \
   cjoin_scan_cycle_seconds_count \
+  cjoin_register_stall_seconds_count \
   cjoin_filter_batch_seconds_count \
   cjoin_shard_up \
   cjoin_go_goroutines \
@@ -75,6 +76,9 @@ awk '$1=="cjoin_dimplane_snapshot_publish_total" && $2+0 > 0 {found=1} END{exit 
 # counter (cause="zonemap") records the difference across the shards.
 awk '/^cjoin_scan_pruned_pages_total\{cause="zonemap"/ {sum += $NF+0} END{exit !(sum > 0)}' /tmp/metrics-smoke.txt \
   || { echo "no zone-map page pruning recorded for the narrow window"; exit 1; }
+# Every admitted query paused each shard's scan exactly once.
+awk '/^cjoin_register_stall_seconds_count\{/ {sum += $NF+0} END{exit !(sum == 14)}' /tmp/metrics-smoke.txt \
+  || { echo "register-stall histogram did not record 7 queries x 2 shards"; exit 1; }
 # Per-shard labeling: both shard pipelines must report.
 for s in 0 1; do
   grep -q "cjoin_scan_pages_total{shard=\"$s\"}" /tmp/metrics-smoke.txt \
