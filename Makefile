@@ -5,8 +5,9 @@
 GO        ?= go
 BENCH_N   ?= 1
 BENCHTIME ?= 1s
+COUNT     ?= 20
 
-.PHONY: all build test race race-core bench bench-smoke vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+.PHONY: all build test race race-core flake-census bench bench-smoke vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
 
 all: build test
 
@@ -74,13 +75,21 @@ test:
 race:
 	$(GO) test -race -timeout 900s ./...
 
+# go vet plus formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# Flake census (ROADMAP 5(e)): the cancel-race, chaos and churn suites
+# COUNT times over under the race detector. A failure here that a single
+# race-core pass misses is a flaky test or a real race; record its output.
+flake-census:
+	$(GO) test -race -count=$(COUNT) -timeout 3600s ./internal/core ./internal/shard ./internal/server ./internal/admission ./internal/dimplane
 
 # Filter/pipeline hot-path microbenchmarks plus the sharded-tier scan
 # benchmark, snapshotted as JSON. Run the paper-scale experiment
 # benchmarks separately: go test -bench . -v .
 bench:
-	$(GO) test -run '^$$' -bench 'FilterProbe|ShardScan|AndPair' -benchtime $(BENCHTIME) -count 3 \
-		./internal/core ./internal/shard ./internal/bitvec \
+	$(GO) test -run '^$$' -bench 'FilterProbe|ShardScan' -benchtime $(BENCHTIME) -count 3 \
+		./internal/core ./internal/shard \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_N).json

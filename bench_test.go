@@ -195,20 +195,6 @@ func BenchmarkAblationProbeSkip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFilterTable compares the lock-free dimht Filter store
-// against the legacy map + RWMutex baseline end to end.
-func BenchmarkAblationFilterTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := harness.RunAblationFilterTable(benchConfig(), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportSeries(b, fig, "qph_dimht")
-		}
-	}
-}
-
 // BenchmarkAblationBatchSize sweeps the §4 batched queue hand-off size.
 func BenchmarkAblationBatchSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {

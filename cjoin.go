@@ -294,8 +294,6 @@ type PipelineOptions struct {
 	Layout string
 	// Stages is the stage count for the hybrid layout.
 	Stages int
-	// SortAggregation selects sort-based aggregation operators.
-	SortAggregation bool
 	// OptimizeEvery is the interval of run-time filter reordering;
 	// 0 uses 100ms.
 	OptimizeEvery time.Duration
@@ -313,7 +311,6 @@ func (o PipelineOptions) toCore() (core.Config, error) {
 		Workers:          o.Workers,
 		BatchRows:        o.BatchRows,
 		Stages:           o.Stages,
-		SortAgg:          o.SortAggregation,
 		OptimizeInterval: o.OptimizeEvery,
 	}
 	if cfg.OptimizeInterval == 0 {

@@ -62,7 +62,7 @@ func main() {
 		batch    = flag.Int("batch", 0, "pipeline batch rows (0 = default)")
 		queueLen = flag.Int("queue", 0, "admission queue bound (0 = 8*maxconc)")
 		maxWait  = flag.Duration("max-wait", 0, "default queue-wait deadline (0 = unlimited)")
-		admBatch = flag.Int("admit-batch", 16, "queries drained per admission batch — one dimension-plane round per batch (<=1 = per-query admission)")
+		admBatch = flag.Int("admit-batch", 16, "queries drained per admission batch — one dimension-plane round per batch (<=1 = batches of one)")
 		predCach = flag.Int("predcache", 0, "dimension predicate-scan cache entries (0 = default, negative = off)")
 		diskMBs  = flag.Float64("disk-mbps", 0, "simulated sequential bandwidth in MB/s (0 = unthrottled)")
 		seekMs   = flag.Duration("disk-seek", 0, "simulated seek penalty")

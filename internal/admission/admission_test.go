@@ -173,7 +173,11 @@ func TestCancelWhileQueued(t *testing.T) {
 // TestCancelWhileRunning: cancel propagates to the pipeline and the slot
 // is reused by the next waiter.
 func TestCancelWhileRunning(t *testing.T) {
-	ds, p := envDisk(t, 2500, 1, disk.Config{SeqBytesPerSec: 25 << 20})
+	// Zone maps off so the first query pays the whole ~15 ms cycle:
+	// pruned to a few pages it can finish between two polls of its state
+	// and never be seen running.
+	ds, p := envDisk(t, 2500, 1, disk.Config{SeqBytesPerSec: 25 << 20},
+		func(c *core.Config) { c.DisableZoneMaps = true })
 	q := admission.NewQueue(p, admission.Config{MaxQueue: 16})
 	bounds := bind(t, ds, 2)
 

@@ -171,8 +171,10 @@ func (h *Hash) Results() []Result {
 }
 
 // Sorted is a sort-based aggregator: it buffers (group, arg) rows and
-// aggregates after sorting. Results are identical to Hash; the paper's
-// Distributor may pipe into "either sort-based or hash-based" operators.
+// aggregates after sorting. Results are identical to Hash. The pipeline
+// always aggregates with Hash; Sorted stays because the reference
+// executor (internal/ref) is built on it, so the oracle shares no
+// aggregation state machine with the operator it judges.
 type Sorted struct {
 	specs   []Spec
 	groupBy []expr.Node

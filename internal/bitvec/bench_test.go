@@ -93,19 +93,4 @@ func benchIsZero(b *testing.B, nbits int) {
 func BenchmarkIsZero256(b *testing.B) { benchIsZero(b, 256) }
 func BenchmarkIsZero512(b *testing.B) { benchIsZero(b, 512) }
 
-// AndPair vs the 4-word And at the widths the multi-word Filter path
-// actually sees (maxConc = 256 → 4 words; 512 → 8; 1024 → 16). Both
-// operands pre-sliced, as filterBatchVec supplies them.
-func benchAndPair(b *testing.B, nbits int) {
-	x, y := New(nbits), New(nbits)
-	y.Fill(nbits * 3 / 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AndPair(x, y)
-	}
-}
-
-func BenchmarkAndPair256(b *testing.B)  { benchAndPair(b, 256) }
-func BenchmarkAndPair512(b *testing.B)  { benchAndPair(b, 512) }
-func BenchmarkAndPair1024(b *testing.B) { benchAndPair(b, 1024) }
-func BenchmarkAnd1024(b *testing.B)     { benchAnd(b, 1024) }
+func BenchmarkAnd1024(b *testing.B) { benchAnd(b, 1024) }

@@ -100,48 +100,6 @@ func (v Vec) Or(o Vec) {
 	}
 }
 
-// AndPair computes dst[i] &= src[i] over two pre-sliced word slices of
-// equal length — the SIMD-friendly AND for wide vectors: the caller
-// pre-slices both operands to the same length, the explicit three-index
-// re-slices below let the compiler drop every bounds check inside the
-// 8-word blocks, and the blocks are independent straight-line ANDs the
-// hardware can retire in parallel (or auto-vectorize).
-//
-// It deliberately does NOT replace Vec.And in the per-tuple Filter
-// probe: AndPair's body is past the inlining budget, and the measured
-// A/B at maxConc = 256 (4 words) showed the per-tuple call overhead
-// costs more than the wider unroll saves (PERFORMANCE.md PR 3) —
-// consistent with PR 2's finding that inlinability dominates at Filter
-// widths. Its measured break-even is ~16 words (maxConc >= 1024); its
-// profitable regime is such very wide vectors and bulk passes that AND
-// many pairs per call.
-func AndPair(dst, src []uint64) {
-	n := len(dst)
-	src = src[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] &= s[0]
-		d[1] &= s[1]
-		d[2] &= s[2]
-		d[3] &= s[3]
-		d[4] &= s[4]
-		d[5] &= s[5]
-		d[6] &= s[6]
-		d[7] &= s[7]
-	}
-	for ; i+4 <= n; i += 4 {
-		dst[i] &= src[i]
-		dst[i+1] &= src[i+1]
-		dst[i+2] &= src[i+2]
-		dst[i+3] &= src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] &= src[i]
-	}
-}
-
 // AndIsZero reports whether (v AND o) == 0 without modifying v. Unlike
 // the write ops above it is deliberately not unrolled: in the Filter the
 // first word usually decides, so the early exit is worth more than

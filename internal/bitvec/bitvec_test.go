@@ -354,23 +354,3 @@ func TestUnrolledTailWidths(t *testing.T) {
 		}
 	}
 }
-
-func TestAndPairMatchesAnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, nbits := range []int{64, 128, 192, 256, 320, 512, 576, 1024} {
-		for trial := 0; trial < 20; trial++ {
-			a, b := New(nbits), New(nbits)
-			for i := range a {
-				a[i] = rng.Uint64()
-				b[i] = rng.Uint64()
-			}
-			want := a.Clone()
-			want.And(b)
-			got := a.Clone()
-			AndPair(got, b)
-			if !got.Equal(want) {
-				t.Fatalf("nbits=%d: AndPair %v, And %v", nbits, got, want)
-			}
-		}
-	}
-}

@@ -81,9 +81,6 @@ type Config struct {
 	Layout Layout
 	// Stages is the number of Stages for the Hybrid layout. Default 2.
 	Stages int
-	// SortAgg selects sort-based instead of hash-based aggregation
-	// operators.
-	SortAgg bool
 	// OptimizeInterval is how often the pipeline manager re-optimizes
 	// the Filter order from run-time selectivity statistics (§3.4).
 	// Zero disables periodic optimization (ReorderFilters can still be
@@ -98,10 +95,6 @@ type Config struct {
 	// only whole partitions, restoring the §5 partition-granular
 	// behavior. The zero value (zone maps on) is the default.
 	DisableZoneMaps bool
-	// LegacyMapFilter swaps the Filters' lock-free copy-on-write dimht
-	// tables for the original map[int64]*dimEntry + RWMutex store. For
-	// ablation benchmarks only.
-	LegacyMapFilter bool
 	// PredCacheSize bounds the dimension plane's predicate-scan cache
 	// (memoized SelectRows results keyed by canonical predicate
 	// fingerprint). 0 selects dimplane.DefaultPredCacheSize; negative
@@ -122,7 +115,7 @@ type Config struct {
 	// Plane is the shared dimension plane this pipeline probes. Nil
 	// means the pipeline constructs and owns a private plane (the
 	// single-pipeline, N=1 case). internal/shard.Group builds one plane
-	// for all its shards and drives it via Plane.Admit +
+	// for all its shards and drives it via Plane.AdmitBatch +
 	// Pipeline.Activate, so dimension admission runs once per logical
 	// query regardless of shard count. A non-nil plane must be built
 	// over the same star with the same MaxConcurrent.

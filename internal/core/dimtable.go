@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"cjoin/internal/catalog"
@@ -16,9 +15,8 @@ import (
 //
 // The write side — admission, removal, slot lifecycle — lives entirely in
 // dimplane.Plane and runs exactly once per logical query no matter how
-// many pipelines probe the store. This dimState only reads: on the
-// default path it pins an immutable dimht snapshot per batch (lock-free),
-// on the legacy ablation path it holds the MapStore read lock per batch.
+// many pipelines probe the store. This dimState only reads: it pins an
+// immutable dimht snapshot per batch (lock-free).
 type dimState struct {
 	index  int // dimension position within the star
 	table  *catalog.Table
@@ -27,37 +25,21 @@ type dimState struct {
 
 	noSkip bool // ablation: disable the probe-skip optimization
 
-	store dimplane.Store
-	// Exactly one of cow/mp is non-nil, binding the probe loop at
-	// construction instead of type-switching per batch.
-	cow *dimplane.CowStore
-	mp  *dimplane.MapStore
+	store *dimplane.CowStore
 
 	tuplesIn atomic.Int64
 	probes   atomic.Int64
 	drops    atomic.Int64
 }
 
-func newDimState(star *catalog.Star, index int, store dimplane.Store) *dimState {
-	d := &dimState{
+func newDimState(star *catalog.Star, index int, store *dimplane.CowStore) *dimState {
+	return &dimState{
 		index:  index,
 		table:  star.Dims[index],
 		fkCol:  star.FKCol[index],
 		keyCol: star.KeyCol[index],
 		store:  store,
 	}
-	switch st := store.(type) {
-	case *dimplane.CowStore:
-		d.cow = st
-	case *dimplane.MapStore:
-		d.mp = st
-	default:
-		// Fail at construction, not with a nil-pointer panic inside a
-		// Stage worker: the probe loops are bound to the two concrete
-		// store layouts.
-		panic(fmt.Sprintf("core: unsupported dimension store %T", store))
-	}
-	return d
 }
 
 // refCount returns the number of active queries referencing the
@@ -67,15 +49,6 @@ func (d *dimState) refCount() int { return d.store.RefCount() }
 // size returns the number of stored dimension tuples.
 func (d *dimState) size() int { return d.store.Len() }
 
-// filterBatch runs the Filter over one batch.
-func (d *dimState) filterBatch(b *batch) {
-	if d.cow != nil {
-		d.filterBatchCow(b)
-	} else {
-		d.filterBatchMap(b)
-	}
-}
-
 // slot markers for the two-pass probe. Table slots are >= 0; miss and
 // skip ride in the same scratch array.
 const (
@@ -83,17 +56,17 @@ const (
 	slotSkip = int32(-2)
 )
 
-// filterBatchCow is the CJOIN hot loop. One atomic load pins a consistent
-// (table, b_Dj, refs) snapshot for the whole batch; no lock is taken, and
-// the snapshot stays valid however many queries the plane admits or
-// retires meanwhile.
+// filterBatch runs the Filter over one batch: the CJOIN hot loop. One
+// atomic load pins a consistent (table, b_Dj, refs) snapshot for the
+// whole batch; no lock is taken, and the snapshot stays valid however
+// many queries the plane admits or retires meanwhile.
 //
 // The loop is split into two passes over the batch — hash/probe first,
 // then AND/compact — so the probe pass issues its independent memory
 // loads back to back (the hardware can overlap the misses) instead of
 // interleaving them with the branchy compaction logic.
-func (d *dimState) filterBatchCow(b *batch) {
-	s := d.cow.Snapshot()
+func (d *dimState) filterBatch(b *batch) {
+	s := d.store.Snapshot()
 	if s.Refs() == 0 {
 		// No active query references this dimension: b_Dj covers every
 		// relevant bit, the AND is a no-op, and probing is pointless.
@@ -191,10 +164,9 @@ func filterBatchVec(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops int
 		probes++
 		t := &rows[i]
 		if sl >= 0 {
-			// Deliberately Vec.And, not bitvec.AndPair: And inlines into
-			// this loop while AndPair (8-word blocks) does not, and the
-			// A/B at mc=256 showed the per-tuple call overhead costs more
-			// than the wider unroll saves (see PERFORMANCE.md PR 3).
+			// Deliberately the inlinable Vec.And: an 8-word-block variant
+			// that does not inline lost the A/B at mc=256 to its per-tuple
+			// call overhead (see PERFORMANCE.md PR 3).
 			t.bv.And(s.Bits(sl))
 			t.dims[dim] = s.Row(sl)
 		} else {
@@ -209,46 +181,6 @@ func filterBatchVec(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops int
 	}
 	b.rows = rows[:n]
 	return
-}
-
-// filterBatchMap is the legacy ablation probe path: one read lock per
-// batch over the shared MapStore.
-func (d *dimState) filterBatchMap(b *batch) {
-	v := d.mp.View()
-	if v.Refs() == 0 {
-		v.Release()
-		return
-	}
-	mask := v.Mask()
-	in := int64(len(b.rows))
-	n := 0
-	var probes, drops int64
-	for i := range b.rows {
-		t := &b.rows[i]
-		if !d.noSkip && t.bv.AndNotIsZero(mask) {
-			b.rows[n] = b.rows[i]
-			n++
-			continue
-		}
-		probes++
-		if e := v.Lookup(t.row[d.fkCol]); e != nil {
-			t.bv.And(e.BV)
-			t.dims[d.index] = e.Row
-		} else {
-			t.bv.And(mask)
-		}
-		if t.bv.IsZero() {
-			drops++
-			continue
-		}
-		b.rows[n] = b.rows[i]
-		n++
-	}
-	b.rows = b.rows[:n]
-	v.Release()
-	d.tuplesIn.Add(in)
-	d.probes.Add(probes)
-	d.drops.Add(drops)
 }
 
 // FilterStats is a snapshot of one Filter's run-time counters.

@@ -7,12 +7,80 @@ import (
 	"cjoin/internal/bitvec"
 )
 
+// specFilter is the §3.2.1 specification of one dimension's Filter
+// state, independent of any store layout: each active slot is either
+// non-referencing (nil key set) or holds the key set its predicate
+// selected.
+type specFilter map[int]map[int64]bool
+
+// shape returns the dimension's reference count and the set of keys an
+// entry must exist for: exactly those some referencing slot selects.
+func (m specFilter) shape() (refs int, stored map[int64]bool) {
+	stored = map[int64]bool{}
+	for _, sel := range m {
+		if sel != nil {
+			refs++
+		}
+		for k := range sel {
+			stored[k] = true
+		}
+	}
+	return refs, stored
+}
+
+// bits is b_δ for the dimension tuple with the given key: bit i is set
+// iff slot i does not reference the dimension or selects the key. For a
+// key no referencing slot selects this is b_Dj, the miss vector.
+func (m specFilter) bits(key int64, maxConc int) bitvec.Vec {
+	bv := bitvec.New(maxConc)
+	for slot, sel := range m {
+		if sel == nil || sel[key] {
+			bv.Set(slot)
+		}
+	}
+	return bv
+}
+
+// specTuple is one fact tuple as the Filter sees it: foreign key, bτ, and
+// whether a dimension row was attached by the probe.
+type specTuple struct {
+	key      int64
+	bv       bitvec.Vec
+	attached bool
+}
+
+// filter applies §3.2.2 to a batch: the survivors in order with their
+// expected bit-vectors and attachments, plus the probe and drop counts.
+func (m specFilter) filter(in []specTuple, maxConc int) (out []specTuple, probes, drops int64) {
+	refs, stored := m.shape()
+	if refs == 0 {
+		return in, 0, 0 // no query references D_j: the Filter is inactive
+	}
+	bDj := m.bits(-1, maxConc)
+	for _, tp := range in {
+		if tp.bv.AndNotIsZero(bDj) { // probe-skip: bτ AND NOT b_Dj == 0
+			out = append(out, tp)
+			continue
+		}
+		probes++
+		tp.bv = tp.bv.Clone()
+		tp.bv.And(m.bits(tp.key, maxConc))
+		tp.attached = stored[tp.key]
+		if tp.bv.IsZero() {
+			drops++
+			continue
+		}
+		out = append(out, tp)
+	}
+	return out, probes, drops
+}
+
 // TestDimTableParity is the property test for the dimht Filter store: a
 // random interleaving of admissions, removals, and batch filters is
-// applied to a dimht-backed dimState and a map-backed one in lockstep,
-// and every observable — table size, reference count, surviving tuples,
-// their bit-vectors, attached dimension rows, and probe/drop statistics
-// — must agree between the two implementations.
+// applied to a dimht-backed dimState and to the spec-level model above
+// in lockstep, and every observable — table size, reference count,
+// surviving tuples, their bit-vectors, attached dimension rows, and
+// probe/drop statistics — must agree with the specification.
 func TestDimTableParity(t *testing.T) {
 	const (
 		maxConc = 96 // multi-word vectors: covers the general path
@@ -20,112 +88,107 @@ func TestDimTableParity(t *testing.T) {
 		rounds  = 400
 	)
 	star := miniStar(t, dimRows)
-	cow := newTestDimState(star, 0, maxConc, false)
-	leg := newTestDimState(star, 0, maxConc, true)
+	cow := newTestDimState(star, 0, maxConc)
+	spec := specFilter{}
+	var wantIn, wantProbes, wantDrops int64
 
 	rng := rand.New(rand.NewSource(20090824))
-	type admitted struct{ referenced bool }
-	active := map[int]admitted{}
 
 	filterPair := func() {
-		mkBatch := func() *batch {
-			b := newBatch(32, 2, bitvec.Words(maxConc), 1)
-			rng2 := rand.New(rand.NewSource(int64(len(active))*1000 + rng.Int63n(1000)))
-			for i := 0; i < 32; i++ {
-				tp := b.alloc()
-				tp.row[0] = rng2.Int63n(dimRows + 20) // some keys miss the table
-				for slot := range active {
-					if rng2.Intn(2) == 0 {
-						tp.bv.Set(slot)
-					}
-				}
-				if tp.bv.IsZero() {
-					b.unalloc()
+		b := newBatch(32, 2, bitvec.Words(maxConc), 1)
+		var in []specTuple
+		for i := 0; i < 32; i++ {
+			tp := b.alloc()
+			tp.row[0] = rng.Int63n(dimRows + 20) // some keys miss the table
+			for slot := range spec {
+				if rng.Intn(2) == 0 {
+					tp.bv.Set(slot)
 				}
 			}
-			return b
+			if tp.bv.IsZero() {
+				b.unalloc()
+				continue
+			}
+			in = append(in, specTuple{key: tp.row[0], bv: tp.bv.Clone()})
 		}
-		b1 := mkBatch()
-		b2 := &batch{rows: append([]tuple(nil), b1.rows...), slots: make([]int32, len(b1.rows))}
-		// Deep-copy tuples so the two filters do not share bit-vectors.
-		for i := range b2.rows {
-			b2.rows[i].bv = b1.rows[i].bv.Clone()
-			b2.rows[i].dims = make([][]int64, 1)
+		want, probes, drops := spec.filter(in, maxConc)
+		if refs, _ := spec.shape(); refs > 0 {
+			wantIn += int64(len(in))
 		}
+		wantProbes += probes
+		wantDrops += drops
 
-		cow.filterBatch(b1)
-		leg.filterBatch(b2)
+		cow.filterBatch(b)
 
-		if len(b1.rows) != len(b2.rows) {
-			t.Fatalf("survivor count dimht=%d map=%d", len(b1.rows), len(b2.rows))
+		if len(b.rows) != len(want) {
+			t.Fatalf("survivor count dimht=%d spec=%d", len(b.rows), len(want))
 		}
-		for i := range b1.rows {
-			t1, t2 := &b1.rows[i], &b2.rows[i]
-			if t1.row[0] != t2.row[0] {
-				t.Fatalf("row order diverged at %d: %d vs %d", i, t1.row[0], t2.row[0])
+		for i := range b.rows {
+			got, w := &b.rows[i], want[i]
+			if got.row[0] != w.key {
+				t.Fatalf("row order diverged at %d: %d vs %d", i, got.row[0], w.key)
 			}
-			if !t1.bv.Equal(t2.bv) {
-				t.Fatalf("bits diverged for key %d: %v vs %v", t1.row[0], t1.bv, t2.bv)
+			if !got.bv.Equal(w.bv) {
+				t.Fatalf("bits diverged for key %d: %v vs %v", w.key, got.bv, w.bv)
 			}
-			d1, d2 := t1.dims[0], t2.dims[0]
-			if (d1 == nil) != (d2 == nil) {
-				t.Fatalf("attachment diverged for key %d: %v vs %v", t1.row[0], d1, d2)
+			d := got.dims[0]
+			if (d != nil) != w.attached {
+				t.Fatalf("attachment diverged for key %d: %v, spec attached=%v", w.key, d, w.attached)
 			}
-			if d1 != nil && (d1[0] != d2[0] || d1[1] != d2[1]) {
-				t.Fatalf("attached rows diverged for key %d: %v vs %v", t1.row[0], d1, d2)
+			if d != nil && (d[0] != w.key || d[1] != w.key%5) {
+				t.Fatalf("attached row for key %d is %v, want (%d, %d)", w.key, d, w.key, w.key%5)
 			}
 		}
 	}
 
 	check := func() {
-		if cow.size() != leg.size() {
-			t.Fatalf("size dimht=%d map=%d", cow.size(), leg.size())
+		refs, stored := spec.shape()
+		if got := cow.size(); got != len(stored) {
+			t.Fatalf("size dimht=%d spec=%d", got, len(stored))
 		}
-		if cow.refCount() != leg.refCount() {
-			t.Fatalf("refs dimht=%d map=%d", cow.refCount(), leg.refCount())
+		if got := cow.refCount(); got != refs {
+			t.Fatalf("refs dimht=%d spec=%d", got, refs)
 		}
-		s1, s2 := cow.stats(), leg.stats()
-		if s1.Probes != s2.Probes || s1.Drops != s2.Drops || s1.TuplesIn != s2.TuplesIn {
-			t.Fatalf("stats diverged: dimht=%+v map=%+v", s1, s2)
+		if s := cow.stats(); s.Probes != wantProbes || s.Drops != wantDrops || s.TuplesIn != wantIn {
+			t.Fatalf("stats diverged: dimht=%+v spec in=%d probes=%d drops=%d", s, wantIn, wantProbes, wantDrops)
 		}
 	}
 
 	for round := 0; round < rounds; round++ {
 		switch op := rng.Intn(3); {
-		case op == 0 && len(active) < maxConc/2:
+		case op == 0 && len(spec) < maxConc/2:
 			// Admit a fresh slot: referencing with random selectivity, or
 			// non-referencing.
 			slot := rng.Intn(maxConc)
-			if _, used := active[slot]; used {
+			if _, used := spec[slot]; used {
 				continue
 			}
 			if rng.Intn(3) == 0 {
 				if err := cow.admit(slot, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := leg.admit(slot, nil); err != nil {
-					t.Fatal(err)
-				}
-				active[slot] = admitted{referenced: false}
+				spec[slot] = nil
 			} else {
-				pred := predLt(rng.Int63n(6))
-				if err := cow.admit(slot, pred); err != nil {
+				x := rng.Int63n(6)
+				if err := cow.admit(slot, predLt(x)); err != nil {
 					t.Fatal(err)
 				}
-				if err := leg.admit(slot, pred); err != nil {
-					t.Fatal(err)
+				sel := map[int64]bool{}
+				for k := int64(0); k < dimRows; k++ {
+					if k%5 < x { // miniStar's v column is k%5
+						sel[k] = true
+					}
 				}
-				active[slot] = admitted{referenced: true}
+				spec[slot] = sel
 			}
-		case op == 1 && len(active) > 0:
+		case op == 1 && len(spec) > 0:
 			// Remove a random active slot.
-			for slot, a := range active {
-				e1 := cow.remove(slot, a.referenced)
-				e2 := leg.remove(slot, a.referenced)
-				if e1 != e2 {
-					t.Fatalf("emptied diverged for slot %d: %v vs %v", slot, e1, e2)
+			for slot, sel := range spec {
+				emptied := cow.remove(slot, sel != nil)
+				delete(spec, slot)
+				if refs, stored := spec.shape(); emptied != (refs == 0 && len(stored) == 0) {
+					t.Fatalf("emptied=%v for slot %d, spec has refs=%d stored=%d", emptied, slot, refs, len(stored))
 				}
-				delete(active, slot)
 				break
 			}
 		default:

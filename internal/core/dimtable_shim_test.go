@@ -15,31 +15,27 @@ import (
 	"cjoin/internal/expr"
 )
 
-// newTestDimState builds a probe-side dimState over a fresh store of the
-// requested implementation — the old per-pipeline constructor's shape.
-func newTestDimState(star *catalog.Star, index, maxConc int, legacyMap bool) *dimState {
-	var store dimplane.Store
-	if legacyMap {
-		store = dimplane.NewMapStore(maxConc)
-	} else {
-		store = dimplane.NewCowStore(bitvec.Words(maxConc), star.Dims[index].Heap.NumCols())
-	}
+// newTestDimState builds a probe-side dimState over a fresh store — the
+// old per-pipeline constructor's shape.
+func newTestDimState(star *catalog.Star, index, maxConc int) *dimState {
+	store := dimplane.NewCowStore(bitvec.Words(maxConc), star.Dims[index].Heap.NumCols())
 	return newDimState(star, index, store)
 }
 
-// admit mirrors the plane's per-dimension half of Algorithm 1: evaluate
-// pred over the dimension heap and install the selection under slot, or
-// mark the slot active-but-non-referencing when pred is nil.
+// admit mirrors the plane's per-dimension half of Algorithm 1 as a batch
+// of one: evaluate pred over the dimension heap and install the
+// selection under slot, or mark the slot active-but-non-referencing when
+// pred is nil.
 func (d *dimState) admit(slot int, pred expr.Node) error {
-	if pred == nil {
-		d.store.AdmitNonRef(slot)
-		return nil
+	ins := dimplane.Install{Slot: slot}
+	if pred != nil {
+		rows, err := dimplane.SelectRows(d.table, pred)
+		if err != nil {
+			return err
+		}
+		ins = dimplane.Install{Slot: slot, Ref: true, KeyCol: d.keyCol, Rows: rows}
 	}
-	rows, err := dimplane.SelectRows(d.table, pred)
-	if err != nil {
-		return err
-	}
-	d.store.AdmitRef(slot, d.keyCol, rows)
+	d.store.AdmitBatch([]dimplane.Install{ins})
 	return nil
 }
 

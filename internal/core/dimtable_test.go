@@ -31,11 +31,11 @@ func predLt(x int64) expr.Node {
 	return expr.Bin{Op: expr.Lt, L: expr.Col{Slot: 0, Idx: 1, Name: "v"}, R: expr.Const{V: x}}
 }
 
-// forEachImpl runs the test body against both Filter stores: the default
-// lock-free dimht table and the legacy map baseline.
-func forEachImpl(t *testing.T, fn func(t *testing.T, legacyMap bool)) {
-	t.Run("dimht", func(t *testing.T) { fn(t, false) })
-	t.Run("map", func(t *testing.T) { fn(t, true) })
+// forEachImpl runs the test body against the one Filter store, the
+// lock-free dimht table; the sub-test name keeps test IDs stable for
+// tooling that tracks them.
+func forEachImpl(t *testing.T, fn func(t *testing.T)) {
+	t.Run("dimht", fn)
 }
 
 // checkEntries asserts pred over every stored entry's bit-vector.
@@ -50,9 +50,9 @@ func checkEntries(t *testing.T, ds *dimState, what string, pred func(bv bitvec.V
 }
 
 func TestDimStateAdmitReferenced(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		// Query slot 3 selects v < 2 (k%5 in {0,1}): 8 of 20 rows.
 		if err := ds.admit(3, predLt(2)); err != nil {
 			t.Fatal(err)
@@ -70,9 +70,9 @@ func TestDimStateAdmitReferenced(t *testing.T) {
 }
 
 func TestDimStateAdmitNonReferencing(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 10)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		if err := ds.admit(1, predLt(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +88,9 @@ func TestDimStateAdmitNonReferencing(t *testing.T) {
 }
 
 func TestDimStateRemoveGC(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		if err := ds.admit(0, predLt(2)); err != nil { // 8 entries
 			t.Fatal(err)
 		}
@@ -117,11 +117,11 @@ func TestDimStateRemoveGC(t *testing.T) {
 }
 
 func TestDimStateSlotReuseInvariant(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		// After remove, the slot's bit must be clear everywhere so the
 		// next admission with the same slot starts clean.
 		star := miniStar(t, 10)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		if err := ds.admit(4, predLt(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -143,9 +143,9 @@ func TestDimStateSlotReuseInvariant(t *testing.T) {
 }
 
 func TestFilterBatchSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 10)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		if err := ds.admit(0, predLt(1)); err != nil { // selects k%5==0: keys 0,5
 			t.Fatal(err)
 		}
@@ -200,10 +200,10 @@ func TestFilterBatchSemantics(t *testing.T) {
 // TestFilterBatchWidePath exercises the multi-word bit-vector path
 // (maxConc > 64), which the single-word fast path bypasses.
 func TestFilterBatchWidePath(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		const maxConc = 192
 		star := miniStar(t, 10)
-		ds := newTestDimState(star, 0, maxConc, legacyMap)
+		ds := newTestDimState(star, 0, maxConc)
 		hi := maxConc - 1                               // slot in the third word
 		if err := ds.admit(hi, predLt(1)); err != nil { // keys 0, 5
 			t.Fatal(err)
@@ -242,9 +242,9 @@ func TestFilterBatchWidePath(t *testing.T) {
 }
 
 func TestFilterBatchNoRefsPassthrough(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacyMap bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 5)
-		ds := newTestDimState(star, 0, 8, legacyMap)
+		ds := newTestDimState(star, 0, 8)
 		b := newBatch(2, 2, bitvec.Words(8), 1)
 		x := b.alloc()
 		x.row[0] = 1
@@ -261,7 +261,7 @@ func TestFilterBatchNoRefsPassthrough(t *testing.T) {
 
 func TestDecayStats(t *testing.T) {
 	star := miniStar(t, 5)
-	ds := newTestDimState(star, 0, 8, false)
+	ds := newTestDimState(star, 0, 8)
 	ds.tuplesIn.Store(100)
 	ds.drops.Store(50)
 	ds.probes.Store(80)

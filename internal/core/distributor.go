@@ -90,11 +90,7 @@ func (d *distributor) control(c *control) {
 		// route tuples to their fact-to-fact join operator instead (§5).
 		rq := c.rq
 		if rq.sink == nil {
-			if d.p.cfg.SortAgg {
-				rq.aggr = agg.NewSorted(rq.q.Aggs, rq.q.GroupBy)
-			} else {
-				rq.aggr = agg.NewHash(rq.q.Aggs, rq.q.GroupBy)
-			}
+			rq.aggr = agg.NewHash(rq.q.Aggs, rq.q.GroupBy)
 		}
 		d.queries[rq.slot] = rq
 	case ctrlEnd:

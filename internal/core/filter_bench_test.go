@@ -13,10 +13,11 @@ import (
 
 // The FilterProbe benchmarks isolate the CJOIN hot loop — one hash probe
 // and one bitwise AND per fact tuple per dimension (§3.2.2) — outside
-// the pipeline, comparing the lock-free dimht store against the legacy
-// map baseline across the bit-vector width sweep. Setup admits a query mix where
-// every probe hits (select-all predicates), so the batch is a fixed
-// point of filterBatch and each iteration measures the pure probe path.
+// the pipeline, across the bit-vector width sweep. Setup admits a query
+// mix where every probe hits (select-all predicates), so the batch is a
+// fixed point of filterBatch and each iteration measures the pure probe
+// path. Sub-benchmark names keep the table=dimht label so BENCH_*.json
+// snapshots stay comparable across PRs.
 
 const (
 	benchDimRows  = 1 << 15 // 32768 stored entries: larger than L2, probe misses cache
@@ -31,7 +32,7 @@ func predTrue() expr.Node {
 // benchDimState builds a dimension Filter with benchDimRows stored
 // entries and an admitted mix of 12 referencing and 4 non-referencing
 // queries.
-func benchDimState(b *testing.B, maxConc int, legacyMap bool) *dimState {
+func benchDimState(b *testing.B, maxConc int) *dimState {
 	b.Helper()
 	dev := disk.NewMem()
 	fact := catalog.NewTable(dev, "f", 0, []catalog.Column{{Name: "fk"}, {Name: "m"}})
@@ -43,7 +44,7 @@ func benchDimState(b *testing.B, maxConc int, legacyMap bool) *dimState {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds := newTestDimState(star, 0, maxConc, legacyMap)
+	ds := newTestDimState(star, 0, maxConc)
 	for slot := 0; slot < 12; slot++ {
 		if err := ds.admit(slot, predTrue()); err != nil {
 			b.Fatal(err)
@@ -72,73 +73,57 @@ func benchBatch(maxConc int) *batch {
 
 func BenchmarkFilterProbe(b *testing.B) {
 	for _, maxConc := range []int{64, 128, 256} {
-		for _, impl := range []struct {
-			name   string
-			legacy bool
-		}{{"dimht", false}, {"map", true}} {
-			b.Run(fmt.Sprintf("mc=%d/table=%s", maxConc, impl.name), func(b *testing.B) {
-				ds := benchDimState(b, maxConc, impl.legacy)
-				bt := benchBatch(maxConc)
-				b.SetBytes(benchBatchLen) // throughput in tuples: 1 "byte" = 1 tuple
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ds.filterBatch(bt)
-				}
-				if len(bt.rows) != benchBatchLen {
-					b.Fatalf("batch not a fixed point: %d rows", len(bt.rows))
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("mc=%d/table=dimht", maxConc), func(b *testing.B) {
+			ds := benchDimState(b, maxConc)
+			bt := benchBatch(maxConc)
+			b.SetBytes(benchBatchLen) // throughput in tuples: 1 "byte" = 1 tuple
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ds.filterBatch(bt)
+			}
+			if len(bt.rows) != benchBatchLen {
+				b.Fatalf("batch not a fixed point: %d rows", len(bt.rows))
+			}
+		})
 	}
 }
 
 // BenchmarkFilterProbeParallel runs the same probe loop from concurrent
-// Stage workers sharing one Filter — the configuration where the legacy
-// baseline additionally pays RWMutex cache-line traffic per batch.
+// Stage workers sharing one Filter.
 func BenchmarkFilterProbeParallel(b *testing.B) {
-	for _, impl := range []struct {
-		name   string
-		legacy bool
-	}{{"dimht", false}, {"map", true}} {
-		b.Run("table="+impl.name, func(b *testing.B) {
-			ds := benchDimState(b, 64, impl.legacy)
-			b.SetBytes(benchBatchLen)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				bt := benchBatch(64)
-				for pb.Next() {
-					ds.filterBatch(bt)
-				}
-			})
+	b.Run("table=dimht", func(b *testing.B) {
+		ds := benchDimState(b, 64)
+		b.SetBytes(benchBatchLen)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			bt := benchBatch(64)
+			for pb.Next() {
+				ds.filterBatch(bt)
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkFilterProbeSkip measures the probe-skip path (§3.2.2): tuples
 // relevant only to non-referencing queries bypass the hash probe. On the
 // single-word fast path this is one AND-NOT and one compare per tuple.
 func BenchmarkFilterProbeSkip(b *testing.B) {
-	for _, impl := range []struct {
-		name   string
-		legacy bool
-	}{{"dimht", false}, {"map", true}} {
-		b.Run("table="+impl.name, func(b *testing.B) {
-			ds := benchDimState(b, 64, impl.legacy)
-			bt := newBatch(benchBatchLen, 2, bitvec.Words(64), 1)
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < benchBatchLen; i++ {
-				tp := bt.alloc()
-				tp.row[0] = rng.Int63n(benchDimRows)
-				tp.bv.Set(12 + i%4) // non-referencing slots only
-			}
-			b.SetBytes(benchBatchLen)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds.filterBatch(bt)
-			}
-			if st := ds.stats(); st.Probes != 0 {
-				b.Fatalf("skip path probed %d times", st.Probes)
-			}
-		})
-	}
+	b.Run("table=dimht", func(b *testing.B) {
+		ds := benchDimState(b, 64)
+		bt := newBatch(benchBatchLen, 2, bitvec.Words(64), 1)
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < benchBatchLen; i++ {
+			tp := bt.alloc()
+			tp.row[0] = rng.Int63n(benchDimRows)
+			tp.bv.Set(12 + i%4) // non-referencing slots only
+		}
+		b.SetBytes(benchBatchLen)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ds.filterBatch(bt)
+		}
+		if st := ds.stats(); st.Probes != 0 {
+			b.Fatalf("skip path probed %d times", st.Probes)
+		}
+	})
 }

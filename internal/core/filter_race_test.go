@@ -16,7 +16,7 @@ import (
 // checks that workers never observe a torn snapshot.
 func TestFilterLockFreeUnderChurn(t *testing.T) {
 	star := miniStar(t, 64)
-	ds := newTestDimState(star, 0, 64, false)
+	ds := newTestDimState(star, 0, 64)
 
 	const workers = 3
 	stop := make(chan struct{})
@@ -84,7 +84,7 @@ func TestFilterLockFreeUnderChurn(t *testing.T) {
 // half the settled total must remain.
 func TestDecayStatsConcurrentAdds(t *testing.T) {
 	star := miniStar(t, 5)
-	ds := newTestDimState(star, 0, 8, false)
+	ds := newTestDimState(star, 0, 8)
 
 	const adders = 4
 	const perAdder = 5000

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"cjoin/internal/expr"
@@ -27,11 +28,7 @@ func (p *Pipeline) SubmitWithSink(q *query.Bound, sink TupleSink) (Handle, error
 	if sink == nil {
 		return nil, fmt.Errorf("core: nil sink")
 	}
-	h, err := p.submit(q, sink)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
+	return p.submitOne(context.Background(), q, sink)
 }
 
 // galaxySideA collects the star results of the first sub-query into a

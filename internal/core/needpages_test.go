@@ -286,10 +286,11 @@ func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 	}
 	run := func(q *query.Bound) *pipeHandle {
 		t.Helper()
-		h, err := p.submit(q, nil)
+		sub, err := p.Submit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h := sub.(*pipeHandle)
 		res := h.Wait()
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -369,14 +370,14 @@ func TestDeliveredHandleRetainsNoAggregator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.submit(q, nil)
+	h, err := p.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := h.Wait(); res.Err != nil || len(res.Rows) == 0 {
 		t.Fatalf("query failed or empty: %v", res.Err)
 	}
-	if h.rq.aggr != nil {
+	if h.(*pipeHandle).rq.aggr != nil {
 		t.Fatal("delivered query still holds its aggregator")
 	}
 }

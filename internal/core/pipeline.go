@@ -21,6 +21,10 @@ import (
 // already in use.
 var ErrTooManyQueries = errors.New("core: maximum concurrent queries reached")
 
+// ErrSchemaMismatch is returned when a query was bound against a star
+// schema other than the executor's.
+var ErrSchemaMismatch = errors.New("core: query bound against a different star schema")
+
 // ErrQueryCanceled is delivered to a query abandoned via Handle.Cancel.
 var ErrQueryCanceled = errors.New("core: query canceled")
 
@@ -35,7 +39,7 @@ type runningQuery struct {
 	p    *Pipeline
 	slot int
 	q    *query.Bound
-	aggr agg.Aggregator
+	aggr *agg.Hash
 	sink TupleSink // non-nil: tuples route here instead of aggr (§5)
 
 	resultCh  chan QueryResult
@@ -326,7 +330,6 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 	if owns {
 		pcfg := dimplane.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
-			LegacyMap:     cfg.LegacyMapFilter,
 			Obs:           cfg.Obs,
 			PredCacheSize: cfg.PredCacheSize,
 		}
@@ -495,77 +498,25 @@ func (p *Pipeline) managerLoop() {
 // Submit registers a bound star query with the operator (Algorithm 1) and
 // returns a handle delivering its results after one full scan cycle.
 func (p *Pipeline) Submit(q *query.Bound) (Handle, error) {
-	h, err := p.submitCtx(context.Background(), q, nil)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
+	return p.submitOne(context.Background(), q, nil)
 }
 
 // SubmitCtx is Submit with a context: a context canceled before the query
-// is installed aborts the admission (rolling back dimension-table updates
-// and the slot), and one canceled during the short installation stall
-// cancels the freshly admitted query. Either way the error is ctx.Err().
+// is installed aborts the admission (no store is touched, the slot is
+// freed), and one canceled during the short installation stall cancels
+// the freshly admitted query. Either way the error is ctx.Err().
 func (p *Pipeline) SubmitCtx(ctx context.Context, q *query.Bound) (Handle, error) {
-	h, err := p.submitCtx(ctx, q, nil)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
+	return p.submitOne(ctx, q, nil)
 }
 
-func (p *Pipeline) submit(q *query.Bound, sink TupleSink) (*pipeHandle, error) {
-	return p.submitCtx(context.Background(), q, sink)
-}
-
-func (p *Pipeline) submitCtx(ctx context.Context, q *query.Bound, sink TupleSink) (*pipeHandle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if f := p.failure.Load(); f != nil {
-		return nil, f
-	}
-	if p.stopped.Load() {
-		return nil, ErrPipelineStopped
-	}
-	if q.Schema != p.star {
-		return nil, fmt.Errorf("core: query bound against a different star schema")
-	}
-	start := time.Now()
-
-	// Algorithm 1, lines 1–16 run on the shared dimension plane, outside
-	// the manager lock: the store updates serialize per dimension
-	// (Filters keep probing the previous snapshot), so independent
-	// admissions proceed in parallel and submission time stays flat as
-	// concurrency grows (§6.2.2, Table 1).
-	slot, err := p.plane.Admit(ctx, q)
+// submitOne is single-query admission: a batch of one, optionally routed
+// to a sink (galaxy.go).
+func (p *Pipeline) submitOne(ctx context.Context, q *query.Bound, sink TupleSink) (Handle, error) {
+	handles, errs, err := p.submitBatch(ctx, []*query.Bound{q}, []TupleSink{sink})
 	if err != nil {
-		if errors.Is(err, dimplane.ErrSlotsExhausted) {
-			return nil, ErrTooManyQueries
-		}
 		return nil, err
 	}
-	h, err := p.activate(ctx, q, slot, sink, start)
-	if err != nil {
-		// activate never retires the plane slot on failure (see its
-		// contract); release this pipeline's hold here — the sole hold,
-		// since submitCtx is the single-pipeline entry point. The
-		// stopped case is the exception: the query may already be
-		// registered and the shutdown sweep owns its delivery, so the
-		// plane slot is abandoned with the plane.
-		if !errors.Is(err, ErrPipelineStopped) {
-			p.plane.Retire(slot)
-		}
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		// Canceled during the short installation stall: the freshly
-		// admitted query cancels through the normal path, which retires
-		// the slot at the next page boundary.
-		h.Cancel()
-		return nil, err
-	}
-	return h, nil
+	return handles[0], errs[0]
 }
 
 // SubmitBatch registers K bound queries through one dimension-plane
@@ -576,6 +527,13 @@ func (p *Pipeline) submitCtx(ctx context.Context, q *query.Bound, sink TupleSink
 // and surfaces in errs without disturbing its batchmates. See
 // BatchSubmitter for the return contract.
 func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle, []error, error) {
+	return p.submitBatch(ctx, qs, nil)
+}
+
+// submitBatch is the pipeline's one admission body. sinks, when non-nil,
+// is parallel to qs: a non-nil sinks[i] receives qs[i]'s joined tuples
+// instead of an aggregation operator (§5).
+func (p *Pipeline) submitBatch(ctx context.Context, qs []*query.Bound, sinks []TupleSink) ([]Handle, []error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -587,10 +545,16 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle
 	}
 	for _, q := range qs {
 		if q.Schema != p.star {
-			return nil, nil, fmt.Errorf("core: query bound against a different star schema")
+			return nil, nil, ErrSchemaMismatch
 		}
 	}
 	start := time.Now()
+
+	// Algorithm 1, lines 1–16 run on the shared dimension plane, outside
+	// the manager lock: the store updates serialize per dimension
+	// (Filters keep probing the previous snapshot), so independent
+	// admissions proceed in parallel and submission time stays flat as
+	// concurrency grows (§6.2.2, Table 1).
 	slots, err := p.plane.AdmitBatch(ctx, qs)
 	if err != nil {
 		if errors.Is(err, dimplane.ErrSlotsExhausted) {
@@ -601,11 +565,18 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle
 	handles := make([]Handle, len(qs))
 	errs := make([]error, len(qs))
 	for i, q := range qs {
-		h, aerr := p.activate(ctx, q, slots[i], nil, start)
+		var sink TupleSink
+		if sinks != nil {
+			sink = sinks[i]
+		}
+		h, aerr := p.activate(ctx, q, slots[i], sink, start)
 		if aerr != nil {
-			// Same compensation as submitCtx: this pipeline's hold is the
-			// sole hold, except under ErrPipelineStopped where the
-			// shutdown sweep owns delivery.
+			// activate never retires the plane slot on failure (see its
+			// contract); release this pipeline's hold here — the sole
+			// hold, since this is the single-pipeline entry point. The
+			// stopped case is the exception: the query may already be
+			// registered and the shutdown sweep owns its delivery, so the
+			// plane slot is abandoned with the plane.
 			if !errors.Is(aerr, ErrPipelineStopped) {
 				p.plane.Retire(slots[i])
 			}
@@ -613,6 +584,9 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle
 			continue
 		}
 		if cerr := ctx.Err(); cerr != nil {
+			// Canceled during the short installation stall: the freshly
+			// admitted query cancels through the normal path, which
+			// retires the slot at the next page boundary.
 			h.Cancel()
 			errs[i] = cerr
 			continue
@@ -623,7 +597,7 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle
 }
 
 // Activate registers a query that the shared dimension plane has already
-// admitted (slot from dimplane.Plane.Admit) with this pipeline's
+// admitted (slot from dimplane.Plane.AdmitBatch) with this pipeline's
 // Preprocessor — Algorithm 1, lines 17–22 — and returns its handle.
 // internal/shard.Group calls this once per shard after one plane
 // admission, which is the whole point of the plane: admit once, probe
@@ -647,7 +621,7 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int) (Hand
 		return nil, ErrPipelineStopped
 	}
 	if q.Schema != p.star {
-		return nil, fmt.Errorf("core: query bound against a different star schema")
+		return nil, ErrSchemaMismatch
 	}
 	h, err := p.activate(ctx, q, slot, nil, time.Now())
 	if err != nil {
@@ -895,8 +869,8 @@ type Stats struct {
 	PlaneCacheHits    int64 // predicate scans skipped via the scan cache / batch reuse
 	PlaneCacheMisses  int64 // cache-enabled resolutions that scanned the heap
 	PlanePublishes    int64 // dimension-store COW snapshot publications
-	PlaneBatchAdmits  int64 // AdmitBatch rounds
-	PlaneBatchQueries int64 // queries admitted through AdmitBatch
+	PlaneBatchAdmits  int64 // plane admission rounds (a lone query is a round of one)
+	PlaneBatchQueries int64 // queries those rounds admitted (== DimAdmits)
 }
 
 // Stats snapshots the pipeline counters and per-filter statistics. It is

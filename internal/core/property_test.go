@@ -26,7 +26,6 @@ func TestRandomStarEquivalence(t *testing.T) {
 			Workers:       rng.Intn(4) + 1,
 			BatchRows:     []int{1, 7, 64, 256}[rng.Intn(4)],
 			Layout:        []core.Layout{core.Horizontal, core.Vertical, core.Hybrid}[rng.Intn(3)],
-			SortAgg:       rng.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)

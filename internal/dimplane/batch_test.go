@@ -43,7 +43,7 @@ func randBound(star *catalog.Star, rng *rand.Rand) *query.Bound {
 }
 
 // slotKeys collects the key set carrying a slot's bit in one store.
-func slotKeys(st Store, slot int) map[int64]bool {
+func slotKeys(st *CowStore, slot int) map[int64]bool {
 	out := make(map[int64]bool)
 	st.ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
 		if bv.Get(slot) {
@@ -67,12 +67,13 @@ func sameKeys(a, b map[int64]bool) bool {
 }
 
 // TestAdmitBatchParity is the batch-admission exactness property: for
-// randomized query batches — mixed refs, repeated templates, every
-// store implementation, cache on and off — AdmitBatch must leave every
-// store bit-for-bit identical to one-at-a-time Admit of the same
-// queries, and interleaved retires must not perturb survivors.
+// randomized query batches — mixed refs, repeated templates, cache on
+// and off — a batch of K must leave every store bit-for-bit identical
+// to K batches of one (Admit) of the same queries, in one publication
+// per store instead of K, and interleaved retires must not perturb
+// survivors.
 func TestAdmitBatchParity(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		for _, cacheSize := range []int{-1, 0} {
 			t.Run(fmt.Sprintf("cache=%d", cacheSize), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(99))
@@ -87,7 +88,7 @@ func TestAdmitBatchParity(t *testing.T) {
 							qs[i] = qs[rng.Intn(i)] // repeated template
 						}
 					}
-					cfg := Config{MaxConcurrent: 16, LegacyMap: legacy, PredCacheSize: cacheSize}
+					cfg := Config{MaxConcurrent: 16, PredCacheSize: cacheSize}
 					batched := New(star, 1, cfg)
 					seq := New(star, 1, cfg)
 					bs, err := batched.AdmitBatch(ctx, qs)
@@ -117,6 +118,12 @@ func TestAdmitBatchParity(t *testing.T) {
 						}
 					}
 					check("admitted")
+					bst, sst := batched.Stats(), seq.Stats()
+					if bst.BatchAdmits != 1 || bst.SnapshotPublishes != 2 ||
+						sst.BatchAdmits != int64(k) || sst.SnapshotPublishes != int64(2*k) {
+						t.Fatalf("trial %d: rounds/publishes batched=%d/%d sequential=%d/%d, want 1/2 and %d/%d",
+							trial, bst.BatchAdmits, bst.SnapshotPublishes, sst.BatchAdmits, sst.SnapshotPublishes, k, 2*k)
+					}
 					// Retire a random strict subset on both planes; the
 					// survivors must still match exactly.
 					if k > 1 {
@@ -138,9 +145,9 @@ func TestAdmitBatchParity(t *testing.T) {
 // and leaves no trace, and the failure does not disturb queries already
 // admitted.
 func TestAdmitBatchAllOrNothing(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		pl := New(star, 1, Config{MaxConcurrent: 4, LegacyMap: legacy})
+		pl := New(star, 1, Config{MaxConcurrent: 4})
 		ctx := context.Background()
 		held, err := pl.Admit(ctx, boundRef(star, 2))
 		if err != nil {
@@ -161,9 +168,9 @@ func TestAdmitBatchAllOrNothing(t *testing.T) {
 		if !sameKeys(slotKeys(pl.Store(0), held), before) {
 			t.Fatal("failed batch disturbed an admitted query")
 		}
-		// The held query published once per store; the failed batch must
-		// add nothing.
-		if st := pl.Stats(); st.BatchAdmits != 0 || st.SnapshotPublishes != 2 {
+		// The held query was one round publishing once per store; the
+		// failed batch must add nothing.
+		if st := pl.Stats(); st.BatchAdmits != 1 || st.SnapshotPublishes != 2 {
 			t.Fatalf("failed batch moved counters: %+v", st)
 		}
 		// The freed slots admit a fitting batch.

@@ -16,13 +16,14 @@
 // applied inside one operator: one writer, N concurrent readers, with
 // atomic snapshot publication as the only coupling.
 //
-// Lifecycle: Admit allocates a query slot and installs the query's
-// dimension selections; each attached pipeline calls Retire(slot) when
-// its portion of the query has fully drained (Algorithm 2 cleanup), and
-// the last of the plane's probers to retire performs the actual bit
-// clearing, garbage collection, and slot recycling. Until then the slot
-// cannot be reused, so no pipeline ever probes a bit that has been
-// reassigned while its tuples are still in flight.
+// Lifecycle: AdmitBatch allocates query slots and installs the queries'
+// dimension selections (Admit is a batch of one); each attached pipeline
+// calls Retire(slot) when its portion of the query has fully drained
+// (Algorithm 2 cleanup), and the last of the plane's probers to retire
+// performs the actual bit clearing, garbage collection, and slot
+// recycling. Until then the slot cannot be reused, so no pipeline ever
+// probes a bit that has been reassigned while its tuples are still in
+// flight.
 package dimplane
 
 import (
@@ -49,13 +50,10 @@ type Config struct {
 	// MaxConcurrent is the paper's maxConc: the bound on simultaneously
 	// admitted queries and the width of every bit-vector. Default 64.
 	MaxConcurrent int
-	// LegacyMap swaps the lock-free copy-on-write dimht stores for the
-	// original map + RWMutex baseline. For ablation benchmarks only.
-	LegacyMap bool
-	// AdmitFault, when non-nil, is consulted at the top of every Admit;
-	// a non-nil return fails the admission with that error (the slot is
-	// rolled back). Fault-injection hook (internal/fault); nil in
-	// production.
+	// AdmitFault, when non-nil, is consulted once per query at the top of
+	// every admission round; a non-nil return fails the round with that
+	// error (its slots are freed, no store is touched). Fault-injection
+	// hook (internal/fault); nil in production.
 	AdmitFault func() error
 	// Obs, when non-nil, registers the plane's metric families
 	// (cjoin_dimplane_*) with the telemetry plane; nil disables
@@ -70,7 +68,7 @@ type Config struct {
 
 // Plane owns the dimension state shared by every pipeline of one logical
 // executor. Admission and removal serialize per dimension inside each
-// Store (so independent admissions of different queries proceed in
+// CowStore (so independent admissions of different queries proceed in
 // parallel, keeping submission time flat as concurrency grows, §6.2.2);
 // probers never block.
 type Plane struct {
@@ -83,18 +81,17 @@ type Plane struct {
 	// fan-out width matches the value it read here.
 	probers atomic.Int32
 	ids     *bitvec.Allocator
-	stores  []Store
+	stores  []*CowStore
 	slots   []slotState
 	cache   *predCache // nil when PredCacheSize < 0
 
-	admits       atomic.Int64
-	admitNanos   atomic.Int64
-	peakBytes    atomic.Int64
-	publishes    atomic.Int64 // store version transitions (COW snapshot publications)
-	batchAdmits  atomic.Int64 // AdmitBatch rounds
-	batchQueries atomic.Int64 // queries admitted through AdmitBatch
-	cacheHits    atomic.Int64 // predicate scans skipped (shared cache or batch-local reuse)
-	cacheMisses  atomic.Int64 // cache-enabled resolutions that scanned the heap
+	admits      atomic.Int64
+	admitNanos  atomic.Int64
+	peakBytes   atomic.Int64
+	publishes   atomic.Int64 // store version transitions (COW snapshot publications)
+	batchAdmits atomic.Int64 // admission rounds (a lone Admit is a round of one)
+	cacheHits   atomic.Int64 // predicate scans skipped (shared cache or batch-local reuse)
+	cacheMisses atomic.Int64 // cache-enabled resolutions that scanned the heap
 
 	om planeMetrics
 }
@@ -126,7 +123,7 @@ func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
 		predScan: r.DurationHistogram("cjoin_dimplane_predicate_scan_seconds",
 			"Wall time evaluating one dimension predicate against its heap."),
 		batchSize: r.Histogram("cjoin_dimplane_admit_batch_size",
-			"Queries admitted per AdmitBatch round (one COW publication per store per round).",
+			"Queries admitted per plane round, a lone query observing 1 (one COW publication per store per round).",
 			obs.ExpBuckets(1, 2, 9), 1),
 		admits:       r.Counter("cjoin_dimplane_admits_total", "Successful admissions."),
 		retires:      r.Counter("cjoin_dimplane_retires_total", "Per-pipeline slot releases."),
@@ -171,11 +168,7 @@ func New(star *catalog.Star, probers int, cfg Config) *Plane {
 	}
 	pl.probers.Store(int32(probers))
 	for i := range star.Dims {
-		if cfg.LegacyMap {
-			pl.stores = append(pl.stores, NewMapStore(cfg.MaxConcurrent))
-		} else {
-			pl.stores = append(pl.stores, NewCowStore(words, star.Dims[i].Heap.NumCols()))
-		}
+		pl.stores = append(pl.stores, NewCowStore(words, star.Dims[i].Heap.NumCols()))
 	}
 	for i := range pl.slots {
 		pl.slots[i].refs = make([]bool, len(star.Dims))
@@ -222,7 +215,7 @@ func (pl *Plane) InvalidateCache() { pl.cache.invalidateAll() }
 func (pl *Plane) NumDims() int { return len(pl.stores) }
 
 // Store returns dimension i's shared store (probe side for Filters).
-func (pl *Plane) Store(i int) Store { return pl.stores[i] }
+func (pl *Plane) Store(i int) *CowStore { return pl.stores[i] }
 
 // InUse returns the number of currently admitted query slots.
 func (pl *Plane) InUse() int { return pl.ids.InUse() }
@@ -247,72 +240,20 @@ func SelectRows(tab *catalog.Table, pred expr.Node) ([][]int64, error) {
 	return selected, nil
 }
 
-// Admit runs the dimension half of Algorithm 1 exactly once for q: it
-// allocates a query slot, evaluates each referenced dimension's
-// predicate, installs the selected rows tagged with the slot's bit, and
-// marks the slot active-but-non-referencing in every other dimension. A
-// context canceled mid-admission (or a dimension scan error) rolls every
-// store back and frees the slot; the returned error is then ctx.Err()
-// (or the scan error).
-//
-// Invariant on entry (established by the final Retire): bit `slot` is
-// clear in every store's b_Dj and every stored entry.
+// Admit is AdmitBatch for a lone query: a batch of one.
 func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error) {
-	start := time.Now()
-	slot, ok := pl.ids.Alloc()
-	if !ok {
-		return -1, ErrSlotsExhausted
+	slots, err := pl.AdmitBatch(ctx, []*query.Bound{q})
+	if err != nil {
+		return -1, err
 	}
-	if pl.cfg.AdmitFault != nil {
-		if err := pl.cfg.AdmitFault(); err != nil {
-			pl.ids.Free(slot)
-			return -1, err
-		}
-	}
-	ss := &pl.slots[slot]
-	copy(ss.refs, q.DimRefs)
-	for i, st := range pl.stores {
-		err := ctx.Err()
-		if err == nil && q.DimRefs[i] {
-			var rows [][]int64
-			rows, err = pl.selectRowsCached(i, q.DimPreds[i])
-			if err == nil {
-				st.AdmitRef(slot, pl.star.KeyCol[i], rows)
-				pl.notePublish(1)
-			}
-		} else if err == nil {
-			st.AdmitNonRef(slot)
-			pl.notePublish(1)
-		}
-		if err != nil {
-			// Dimension i itself saw no successful Admit*, so it rolls
-			// back as unreferenced; the ones before roll back with the
-			// reference counts they took.
-			for j := 0; j < i; j++ {
-				pl.stores[j].Remove(slot, q.DimRefs[j])
-			}
-			st.Remove(slot, false)
-			pl.notePublish(int64(i + 1))
-			pl.ids.Free(slot)
-			return -1, err
-		}
-	}
-	ss.remain.Store(pl.probers.Load())
-	pl.admits.Add(1)
-	pl.admitNanos.Add(time.Since(start).Nanoseconds())
-	pl.om.admits.Inc()
-	pl.om.admit.ObserveSince(start)
-	pl.notePeak()
-	return slot, nil
+	return slots[0], nil
 }
 
-// selectRowsCached resolves one dimension predicate, consulting the
-// predicate-scan cache first. A miss (or a disabled cache) scans the
-// heap and memoizes the result.
-func (pl *Plane) selectRowsCached(dim int, pred expr.Node) ([][]int64, error) {
-	var fp uint64
+// selectRowsCached resolves one dimension predicate (fp is its canonical
+// fingerprint), consulting the predicate-scan cache first. A miss (or a
+// disabled cache) scans the heap and memoizes the result.
+func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) ([][]int64, error) {
 	if pl.cache != nil {
-		fp = query.Fingerprint(pred)
 		if rows, ok := pl.cache.lookup(dim, fp, pl.star.Dims[dim].Heap); ok {
 			pl.cacheHits.Add(1)
 			pl.om.cacheHits.Inc()
@@ -334,9 +275,9 @@ func (pl *Plane) selectRowsCached(dim int, pred expr.Node) ([][]int64, error) {
 }
 
 // notePublish counts store version transitions — each CowStore write
-// (Admit*, AdmitBatch, Remove) publishes exactly one COW snapshot, so
-// the counter makes the batch path's one-publication-per-store claim
-// directly observable next to the per-query path's one-per-query.
+// (AdmitBatch, Remove) publishes exactly one COW snapshot, so the
+// counter makes the one-publication-per-store-per-round claim directly
+// observable.
 func (pl *Plane) notePublish(n int64) {
 	pl.publishes.Add(n)
 	if pl.om.publishes != nil {
@@ -344,21 +285,27 @@ func (pl *Plane) notePublish(n int64) {
 	}
 }
 
-// AdmitBatch runs the dimension half of Algorithm 1 for K queries in
-// one plane round. Compared with K sequential Admits it saves twice:
-// each distinct dimension predicate (by canonical fingerprint) is
-// evaluated once for the whole batch — and not at all on a cache hit —
-// and each dimension store publishes ONE copy-on-write snapshot
-// carrying all K bit-tags instead of K.
+// AdmitBatch is the plane's one admission body: it runs the dimension
+// half of Algorithm 1 for K queries in one plane round — allocate a slot
+// per query, evaluate each referenced dimension's predicate, install the
+// selected rows tagged with the slot's bit, and mark the slot
+// active-but-non-referencing in every other dimension. Compared with K
+// rounds of one it saves twice: each distinct dimension predicate (by
+// canonical fingerprint) is evaluated once for the whole batch — and not
+// at all on a cache hit — and each dimension store publishes ONE
+// copy-on-write snapshot carrying all K bit-tags instead of K.
 //
 // The batch is all-or-nothing: any failure (slot exhaustion, fault
 // injection, context cancellation, scan error) occurs before any store
 // is touched, so the rollback is simply freeing the allocated slots and
 // the error return means "nothing was admitted". Callers that want
-// partial progress fall back to per-query Admit.
+// partial progress fall back to batches of one.
 //
-// The returned slice maps qs[i] to its slot. As with Admit, each slot
-// expects Probers() Retires.
+// Invariant on entry (established by the final Retire): every free
+// slot's bit is clear in every store's b_Dj and every stored entry.
+//
+// The returned slice maps qs[i] to its slot; each slot expects
+// Probers() Retires.
 func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -383,7 +330,7 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	}
 	if pl.cfg.AdmitFault != nil {
 		// One consultation per query keeps injected fault rates
-		// comparable with the per-query path.
+		// independent of how queries are grouped into rounds.
 		for range qs {
 			if err := pl.cfg.AdmitFault(); err != nil {
 				return fail(err)
@@ -414,7 +361,7 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 				pl.om.cacheHits.Inc()
 			} else {
 				var err error
-				rows, err = pl.selectRowsCached(i, q.DimPreds[i])
+				rows, err = pl.selectRowsCached(i, fp, q.DimPreds[i])
 				if err != nil {
 					return fail(err)
 				}
@@ -444,7 +391,6 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	pl.admits.Add(n)
 	pl.admitNanos.Add(time.Since(start).Nanoseconds())
 	pl.batchAdmits.Add(1)
-	pl.batchQueries.Add(n)
 	pl.om.admits.Add(n)
 	pl.om.batchSize.Observe(n)
 	pl.om.admit.ObserveSince(start)
@@ -458,7 +404,7 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 // no remaining referencing query — and recycles the slot. It reports
 // whether this call performed that final removal.
 //
-// Exactly `probers` Retire calls must follow every successful Admit; a
+// Exactly `probers` Retire calls must follow every admitted slot; a
 // surplus call panics, because it means two lifecycles believed they
 // owned the same release and a reused slot could be corrupted.
 func (pl *Plane) Retire(slot int) (final bool) {
@@ -539,9 +485,9 @@ func (pl *Plane) notePeak() {
 
 // Stats is a point-in-time snapshot of the plane's counters.
 type Stats struct {
-	// Admits counts successful Admit calls (one per logical query).
+	// Admits counts admitted queries (one per logical query).
 	Admits int64
-	// AdmitNanos is the total wall time spent in Admit — the paper's
+	// AdmitNanos is the total wall time spent in admission — the paper's
 	// "admission cost" term, now paid once per query instead of once per
 	// shard.
 	AdmitNanos int64
@@ -565,8 +511,10 @@ type Stats struct {
 	// saving shows up here directly: K queries cost NumDims
 	// publications instead of K*NumDims.
 	SnapshotPublishes int64
-	// BatchAdmits / BatchQueries count AdmitBatch rounds and the
-	// queries admitted through them; their ratio is the mean batch size.
+	// BatchAdmits counts admission rounds — every successful AdmitBatch,
+	// a lone Admit being a round of one. BatchQueries is the queries
+	// those rounds admitted, which is Admits by construction (kept as a
+	// field for /stats consumers); their ratio is the mean batch size.
 	BatchAdmits  int64
 	BatchQueries int64
 }
@@ -574,8 +522,9 @@ type Stats struct {
 // Stats snapshots the plane counters.
 func (pl *Plane) Stats() Stats {
 	hits, misses := pl.cacheHits.Load(), pl.cacheMisses.Load()
+	admits := pl.admits.Load()
 	return Stats{
-		Admits:            pl.admits.Load(),
+		Admits:            admits,
 		AdmitNanos:        pl.admitNanos.Load(),
 		MemBytes:          pl.MemBytes(),
 		PeakMemBytes:      pl.peakBytes.Load(),
@@ -585,6 +534,6 @@ func (pl *Plane) Stats() Stats {
 		CacheMisses:       misses,
 		SnapshotPublishes: pl.publishes.Load(),
 		BatchAdmits:       pl.batchAdmits.Load(),
-		BatchQueries:      pl.batchQueries.Load(),
+		BatchQueries:      admits,
 	}
 }

@@ -47,15 +47,16 @@ func boundRef(star *catalog.Star, x int64) *query.Bound {
 	}
 }
 
-func forEachImpl(t *testing.T, fn func(t *testing.T, legacy bool)) {
-	t.Run("cow", func(t *testing.T) { fn(t, false) })
-	t.Run("map", func(t *testing.T) { fn(t, true) })
+// forEachImpl runs the test body against the plane's one store; the
+// sub-test name keeps test IDs stable for tooling that tracks them.
+func forEachImpl(t *testing.T, fn func(t *testing.T)) {
+	t.Run("cow", fn)
 }
 
 func TestAdmitOnceInstallsEverywhere(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		pl := New(star, 3, Config{MaxConcurrent: 8, LegacyMap: legacy})
+		pl := New(star, 3, Config{MaxConcurrent: 8})
 		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -98,10 +99,10 @@ func TestAdmitOnceInstallsEverywhere(t *testing.T) {
 // one extra retire panics (a double release would corrupt a reused
 // slot).
 func TestRetireCountsProbers(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		const probers = 3
 		star := miniStar(t, 20)
-		pl := New(star, probers, Config{MaxConcurrent: 8, LegacyMap: legacy})
+		pl := New(star, probers, Config{MaxConcurrent: 8})
 		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -177,9 +178,9 @@ func TestSlotsExhausted(t *testing.T) {
 // retire/readmit cycle: a recycled slot starts with its bit clear in
 // every store, so a new query's selection is exact.
 func TestSlotReuseInvariant(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		pl := New(star, 1, Config{MaxConcurrent: 8, LegacyMap: legacy})
+		pl := New(star, 1, Config{MaxConcurrent: 8})
 		ctx := context.Background()
 		a, err := pl.Admit(ctx, boundRef(star, 5)) // broad selection
 		if err != nil {
@@ -323,9 +324,9 @@ func TestDetachShrinksRetirement(t *testing.T) {
 // path: a slot admitted but never handed to any pipeline is fully
 // released by one Abort, whatever the prober count.
 func TestAbortReleasesUnactivatedSlot(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, legacy bool) {
+	forEachImpl(t, func(t *testing.T) {
 		star := miniStar(t, 20)
-		pl := New(star, 4, Config{MaxConcurrent: 8, LegacyMap: legacy})
+		pl := New(star, 4, Config{MaxConcurrent: 8})
 		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
 		if err != nil {
 			t.Fatal(err)

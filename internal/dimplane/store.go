@@ -1,63 +1,22 @@
 package dimplane
 
 import (
-	"sync"
-
 	"cjoin/internal/bitvec"
 	"cjoin/internal/dimht"
 )
 
-// Store is one dimension's shared Filter store: the hash table HD_j plus
-// the complement bitmap b_Dj (bit i set iff active query i does not
+// CowStore is one dimension's shared Filter store: the hash table HD_j
+// plus the complement bitmap b_Dj (bit i set iff active query i does not
 // reference D_j), which doubles as the filtering vector for fact tuples
 // whose dimension tuple is absent from the table and as the probe-skip
 // mask (§3.2.2).
 //
-// The write side (Admit*/Remove) belongs to the Plane and runs exactly
-// once per logical query; the read side is probed concurrently by every
-// pipeline attached to the plane. Two implementations exist: CowStore
-// (default) publishes copy-on-write dimht snapshots so the probe path is
-// lock-free, and MapStore keeps the original map[int64]*MapEntry under an
-// RWMutex as an ablation baseline (core.Config.LegacyMapFilter).
-type Store interface {
-	// RefCount returns the number of active queries referencing the
-	// dimension.
-	RefCount() int
-	// Len returns the number of stored dimension tuples.
-	Len() int
-	// MemBytes estimates the resident bytes of the store's current
-	// version (keys, bit-vectors, rows); shared by every prober, so it is
-	// reported once per plane, not once per pipeline.
-	MemBytes() int64
-	// AdmitNonRef marks query slot as active but non-referencing: set bit
-	// slot in b_Dj and in every stored entry (§3.2.1's implicit TRUE
-	// predicate).
-	AdmitNonRef(slot int)
-	// AdmitRef installs the rows selected by the query's dimension
-	// predicate and sets bit slot on each (Algorithm 1).
-	AdmitRef(slot, keyCol int, rows [][]int64)
-	// AdmitBatch installs K queries' tags in one version transition:
-	// the CowStore pays a single snapshot publication for the whole
-	// batch where the per-query path pays K. Non-referencing installs
-	// are applied before referencing ones so entries upserted by the
-	// batch inherit every batchmate's non-ref bit via b_Dj, exactly as
-	// sequential admission would have left them.
-	AdmitBatch(installs []Install)
-	// Remove clears bit slot everywhere and garbage-collects entries
-	// selected by no remaining referencing query (Algorithm 2). It
-	// reports whether the table emptied.
-	Remove(slot int, referenced bool) (emptied bool)
-	// ForEach visits every stored entry; the bit-vector aliases internal
-	// storage and must not be modified or retained.
-	ForEach(fn func(key int64, row []int64, bv bitvec.Vec) bool)
-	// ForceRefs overrides the reference count (test plumbing only).
-	ForceRefs(n int)
-}
-
-// CowStore is the default store: a dimht copy-on-write open-addressing
-// table. Probers load an immutable Snapshot per batch and therefore take
-// no lock; admission and finalization build the next snapshot off to the
-// side (writers serialize inside dimht.Table).
+// It is a dimht copy-on-write open-addressing table. The write side
+// (AdmitBatch/Remove) belongs to the Plane and runs exactly once per
+// logical query, building the next snapshot off to the side (writers
+// serialize inside dimht.Table); the read side is probed concurrently by
+// every pipeline attached to the plane, each loading an immutable
+// Snapshot per batch and therefore taking no lock.
 type CowStore struct {
 	t *dimht.Table
 }
@@ -72,26 +31,17 @@ func NewCowStore(words, ncols int) *CowStore {
 // Filter hot loop's one atomic load per batch.
 func (c *CowStore) Snapshot() *dimht.Snapshot { return c.t.Load() }
 
+// RefCount returns the number of active queries referencing the
+// dimension.
 func (c *CowStore) RefCount() int { return c.t.Load().Refs() }
-func (c *CowStore) Len() int      { return c.t.Load().Len() }
 
+// Len returns the number of stored dimension tuples.
+func (c *CowStore) Len() int { return c.t.Load().Len() }
+
+// MemBytes estimates the resident bytes of the store's current version
+// (keys, bit-vectors, rows); shared by every prober, so it is reported
+// once per plane, not once per pipeline.
 func (c *CowStore) MemBytes() int64 { return c.t.Load().MemBytes() }
-
-func (c *CowStore) AdmitNonRef(slot int) {
-	c.t.Update(func(b *dimht.Builder) {
-		b.SetMaskBit(slot)
-		b.SetBitAll(slot)
-	})
-}
-
-func (c *CowStore) AdmitRef(slot, keyCol int, rows [][]int64) {
-	c.t.Update(func(b *dimht.Builder) {
-		b.AddRef()
-		for _, row := range rows {
-			b.Upsert(row[keyCol], row).Set(slot)
-		}
-	})
-}
 
 // Install is one query's contribution to an AdmitBatch on one
 // dimension: either a non-referencing tag (Ref false) or the rows its
@@ -105,6 +55,9 @@ type Install struct {
 	Rows   [][]int64 // selected rows; meaningful when Ref
 }
 
+// AdmitBatch is the store's one write entry (Algorithm 1): it installs K
+// queries' tags in one version transition, so the whole batch — a lone
+// query is a batch of one — costs a single snapshot publication.
 func (c *CowStore) AdmitBatch(installs []Install) {
 	c.t.Update(func(b *dimht.Builder) {
 		// Phase 1: all non-referencing slots — K mask bits, then ONE
@@ -132,6 +85,9 @@ func (c *CowStore) AdmitBatch(installs []Install) {
 	})
 }
 
+// Remove clears bit slot everywhere and garbage-collects entries
+// selected by no remaining referencing query (Algorithm 2). It reports
+// whether the table emptied.
 func (c *CowStore) Remove(slot int, referenced bool) (emptied bool) {
 	s := c.t.Update(func(b *dimht.Builder) {
 		b.ClearMaskBit(slot)
@@ -145,174 +101,13 @@ func (c *CowStore) Remove(slot int, referenced bool) (emptied bool) {
 	return s.Len() == 0 && s.Refs() == 0
 }
 
+// ForEach visits every stored entry; the bit-vector aliases internal
+// storage and must not be modified or retained.
 func (c *CowStore) ForEach(fn func(key int64, row []int64, bv bitvec.Vec) bool) {
 	c.t.Load().ForEach(fn)
 }
 
+// ForceRefs overrides the reference count (test plumbing only).
 func (c *CowStore) ForceRefs(n int) {
 	c.t.Update(func(b *dimht.Builder) { b.SetRefs(n) })
-}
-
-// MapEntry is one stored dimension tuple δ with its bit-vector b_δ:
-// bit i is 1 iff query i references this dimension and selects δ, or
-// query i is active and does not reference this dimension (§3.2.1).
-// Only the MapStore baseline allocates these; CowStore keeps rows and
-// bit-vectors inline in dimht arenas.
-type MapEntry struct {
-	Row []int64
-	BV  bitvec.Vec
-}
-
-// MapStore is the original Filter store, kept as the ablation baseline:
-// a built-in map of heap-allocated entries behind a per-batch RWMutex.
-// Every probe costs three dependent cache misses (map bucket, entry,
-// bit-vector) plus read-lock traffic that grows with Stage workers —
-// exactly the overhead CowStore removes.
-type MapStore struct {
-	mu   sync.RWMutex
-	ht   map[int64]*MapEntry
-	bDj  bitvec.Vec
-	refs int
-}
-
-// NewMapStore returns an empty map-backed store for maxConc query slots.
-func NewMapStore(maxConc int) *MapStore {
-	return &MapStore{
-		ht:  make(map[int64]*MapEntry),
-		bDj: bitvec.New(maxConc),
-	}
-}
-
-// View pins a read-consistent view of the store for one batch of probes;
-// the caller must Release it.
-func (m *MapStore) View() MapView {
-	m.mu.RLock()
-	return MapView{m: m}
-}
-
-// MapView is a read-locked window over a MapStore.
-type MapView struct {
-	m *MapStore
-}
-
-// Refs returns the dimension reference count under the view's lock.
-func (v MapView) Refs() int { return v.m.refs }
-
-// Mask returns the complement bitmap b_Dj; it aliases store state and
-// must not be modified or retained past Release.
-func (v MapView) Mask() bitvec.Vec { return v.m.bDj }
-
-// Lookup returns the entry stored for key, or nil.
-func (v MapView) Lookup(key int64) *MapEntry { return v.m.ht[key] }
-
-// Release drops the view's read lock.
-func (v MapView) Release() { v.m.mu.RUnlock() }
-
-func (m *MapStore) RefCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.refs
-}
-
-func (m *MapStore) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.ht)
-}
-
-func (m *MapStore) MemBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var b int64
-	for _, e := range m.ht {
-		// Row and bit-vector payloads plus a rough per-entry overhead for
-		// the map bucket slot, the entry header, and two slice headers.
-		b += int64(len(e.Row))*8 + int64(len(e.BV))*8 + 64
-	}
-	return b + int64(len(m.bDj))*8
-}
-
-func (m *MapStore) AdmitNonRef(slot int) {
-	m.mu.Lock()
-	m.bDj.Set(slot)
-	for _, e := range m.ht {
-		e.BV.Set(slot)
-	}
-	m.mu.Unlock()
-}
-
-func (m *MapStore) AdmitRef(slot, keyCol int, rows [][]int64) {
-	m.mu.Lock()
-	m.refs++
-	for _, row := range rows {
-		key := row[keyCol]
-		e, ok := m.ht[key]
-		if !ok {
-			e = &MapEntry{Row: row, BV: m.bDj.Clone()}
-			m.ht[key] = e
-		}
-		e.BV.Set(slot)
-	}
-	m.mu.Unlock()
-}
-
-func (m *MapStore) AdmitBatch(installs []Install) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ins := range installs {
-		if ins.Ref {
-			continue
-		}
-		m.bDj.Set(ins.Slot)
-		for _, e := range m.ht {
-			e.BV.Set(ins.Slot)
-		}
-	}
-	for _, ins := range installs {
-		if !ins.Ref {
-			continue
-		}
-		m.refs++
-		for _, row := range ins.Rows {
-			key := row[ins.KeyCol]
-			e, ok := m.ht[key]
-			if !ok {
-				e = &MapEntry{Row: row, BV: m.bDj.Clone()}
-				m.ht[key] = e
-			}
-			e.BV.Set(ins.Slot)
-		}
-	}
-}
-
-func (m *MapStore) Remove(slot int, referenced bool) (emptied bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bDj.Clear(slot)
-	if referenced {
-		m.refs--
-	}
-	for key, e := range m.ht {
-		e.BV.Clear(slot)
-		if e.BV.AndNotIsZero(m.bDj) {
-			delete(m.ht, key)
-		}
-	}
-	return len(m.ht) == 0 && m.refs == 0
-}
-
-func (m *MapStore) ForEach(fn func(key int64, row []int64, bv bitvec.Vec) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for key, e := range m.ht {
-		if !fn(key, e.Row, e.BV) {
-			return
-		}
-	}
-}
-
-func (m *MapStore) ForceRefs(n int) {
-	m.mu.Lock()
-	m.refs = n
-	m.mu.Unlock()
 }

@@ -45,39 +45,6 @@ func RunAblationProbeSkip(cfg Config, n int) (Figure, error) {
 	return fig, nil
 }
 
-// RunAblationFilterTable compares the lock-free copy-on-write dimht
-// Filter store against the legacy map + RWMutex baseline under a full
-// workload, isolating the §4 claim that the Filter's specialized
-// read-mostly data structures are what keep the probe path at memory
-// speed.
-func RunAblationFilterTable(cfg Config, n int) (Figure, error) {
-	cfg = cfg.withDefaults()
-	if n <= 0 {
-		n = 16
-	}
-	fig := Figure{
-		ID:     "ablation-filtertable",
-		Title:  "Ablation: lock-free dimht vs map Filter store (§4)",
-		XLabel: "dimht enabled (1=yes)",
-		YLabel: "throughput (queries/hour)",
-		X:      []float64{0, 1},
-	}
-	env, err := NewEnv(cfg)
-	if err != nil {
-		return fig, err
-	}
-	s := Series{Name: "CJOIN"}
-	for _, enabled := range []bool{false, true} {
-		m, err := env.RunCJoin(n, core.Config{MaxConcurrent: cfg.MaxConcurrent, LegacyMapFilter: !enabled}, "")
-		if err != nil {
-			return fig, err
-		}
-		s.Y = append(s.Y, m.Throughput)
-	}
-	fig.Series = []Series{s}
-	return fig, nil
-}
-
 // RunAblationBatchSize sweeps the pipeline batch size (§4: "reduce the
 // overhead of queue synchronization by having each thread retrieve or
 // deposit tuples in batches").

@@ -13,17 +13,6 @@ func TestAblationProbeSkip(t *testing.T) {
 	}
 }
 
-func TestAblationFilterTable(t *testing.T) {
-	fig, err := RunAblationFilterTable(tinyConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fig.Series[0]
-	if len(s.Y) != 2 || s.Y[0] <= 0 || s.Y[1] <= 0 {
-		t.Fatalf("series %v", s)
-	}
-}
-
 func TestAblationBatchSize(t *testing.T) {
 	fig, err := RunAblationBatchSize(tinyConfig(), []int{8, 128}, 2)
 	if err != nil {

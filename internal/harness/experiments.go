@@ -379,7 +379,7 @@ func RunTable3(cfg Config, sfs []int, n int) (Figure, error) {
 //
 // The figure additionally prices the batch-admission fast path: a
 // repeated-template admission storm driven straight at a standalone
-// plane — per-query Admit with the predicate cache disabled (the
+// plane — batches of one (Admit) with the predicate cache disabled (the
 // pre-batching behavior) versus AdmitBatch in rounds of
 // admitBenchBatch with the cache on — reporting admitted queries/sec
 // for both, the speedup, the cache hit ratio, and the mean batch size.
@@ -495,7 +495,7 @@ func (e *Env) admitThroughput(probers int) (admitBench, error) {
 	}
 
 	var b admitBench
-	// Baseline: the pre-batching path — one Admit per query, every
+	// Baseline: the pre-batching behavior — one round per query, every
 	// admission re-scans its dimension predicates.
 	base := dimplane.New(star, probers, dimplane.Config{MaxConcurrent: mc, PredCacheSize: -1})
 	var dur time.Duration

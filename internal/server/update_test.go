@@ -24,15 +24,15 @@ func factRow(ds *ssb.Dataset, i int) []any {
 		int64(i%int(ds.NumParts) + 1),
 		int64(i%int(ds.NumSuppliers) + 1),
 		ds.DateKeys[i%len(ds.DateKeys)],
-		"1-URGENT",    // lo_orderpriority
-		int64(0),      // lo_shippriority
-		int64(10),     // lo_quantity
-		int64(1000),   // lo_extendedprice
-		int64(10000),  // lo_ordtotalprice
-		int64(3),      // lo_discount
-		int64(970),    // lo_revenue
-		int64(600),    // lo_supplycost
-		int64(4),      // lo_tax
+		"1-URGENT",   // lo_orderpriority
+		int64(0),     // lo_shippriority
+		int64(10),    // lo_quantity
+		int64(1000),  // lo_extendedprice
+		int64(10000), // lo_ordtotalprice
+		int64(3),     // lo_discount
+		int64(970),   // lo_revenue
+		int64(600),   // lo_supplycost
+		int64(4),     // lo_tax
 		ds.DateKeys[i%len(ds.DateKeys)],
 		"AIR", // lo_shipmode
 	}

@@ -185,7 +185,9 @@ type PipelineStats struct {
 	// cache (or batch-local template reuse), publishes count dimension
 	// store COW snapshot publications — the quantity batching amortizes
 	// (K queries per batch cost one publication per store instead of K),
-	// and batch_admits/batch_queries give the realized batch-size mean.
+	// and batch_queries ÷ batch_admits is the realized batch-size mean
+	// (batch_admits counts every plane round, a lone query being a round
+	// of one; batch_queries therefore equals dim_admits).
 	PlaneCacheHits    int64 `json:"plane_cache_hits,omitempty"`
 	PlaneCacheMisses  int64 `json:"plane_cache_misses,omitempty"`
 	PlanePublishes    int64 `json:"plane_snapshot_publishes,omitempty"`

@@ -287,7 +287,6 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 	norm := cfg.Core.Normalized()
 	plcfg := dimplane.Config{
 		MaxConcurrent: norm.MaxConcurrent,
-		LegacyMap:     norm.LegacyMapFilter,
 		Obs:           cfg.Obs,
 		PredCacheSize: norm.PredCacheSize,
 	}
@@ -429,59 +428,21 @@ func (g *Group) Submit(q *query.Bound) (core.Handle, error) {
 	return g.SubmitCtx(context.Background(), q)
 }
 
-// SubmitCtx is Submit with a context governing admission. The dimension
-// half of Algorithm 1 runs exactly once, on the group's shared plane;
-// only the per-shard Preprocessor installation (lines 17–22) fans out.
+// SubmitCtx is Submit with a context governing admission: SubmitBatch
+// with a batch of one.
 func (g *Group) SubmitCtx(ctx context.Context, q *query.Bound) (core.Handle, error) {
-	if len(g.pipes) == 1 {
-		return g.pipes[0].SubmitCtx(ctx, q)
-	}
-	start := time.Now()
-
-	// The read side of the supervision lock is held across the whole
-	// admit + fan-out span: quarantine (which detaches a prober and so
-	// changes the number of retires a slot expects) cannot land in the
-	// middle, so the activation width below always matches what Admit
-	// charged the slot with.
-	g.supLock.RLock()
-	if g.nFailed == len(g.pipes) {
-		dead := g.firstFailedLocked()
-		cause := g.failed[dead]
-		g.supLock.RUnlock()
-		g.om.degradedRejects.Inc()
-		return nil, &ShardFailedError{Shard: -1, Cause: cause}
-	}
-
-	// Admit once: allocate the query slot and load the dimension
-	// predicate selections into the shared stores.
-	slot, err := g.plane.Admit(ctx, q)
-	if err != nil {
-		g.supLock.RUnlock()
-		if errors.Is(err, dimplane.ErrSlotsExhausted) {
-			return nil, core.ErrTooManyQueries
-		}
-		return nil, err
-	}
-	h, err := g.activateAdmittedLocked(ctx, q, slot, start)
-	g.supLock.RUnlock()
+	handles, errs, err := g.SubmitBatch(ctx, []*query.Bound{q})
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		// Canceled during the installation stall after every shard
-		// accepted: abort the admission cleanly, as the single-pipeline
-		// path does — every shard retires through the cancel lifecycle.
-		h.Cancel()
-		return nil, err
-	}
-	return h, nil
+	return handles[0], errs[0]
 }
 
 // activateAdmittedLocked fans one plane-admitted query out to every
 // healthy shard and returns its merged handle. The caller holds the
 // supervision read lock across the plane admission AND this call, so
 // quarantine (which changes the number of retires a slot expects)
-// cannot land between them; both SubmitCtx and SubmitBatch build on it.
+// cannot land between them.
 // On error the slot has been fully released (Abort, compensating
 // Retires, or the cancel lifecycle) — the caller only reports.
 func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot int, start time.Time) (*groupHandle, error) {
@@ -558,17 +519,37 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 	return h, nil
 }
 
-// SubmitBatch admits K queries in one shared-plane round and fans each
-// out to the healthy shards, all under one hold of the supervision
-// read lock — the batch counterpart of SubmitCtx with identical
-// quarantine-safety. A whole-batch failure (slot exhaustion, scan
-// error, all shards down) admits nothing and returns err; per-query
-// activation failures land in errs. See core.BatchSubmitter.
+// SubmitBatch is the group's one admission body: it admits K queries in
+// one shared-plane round — the dimension half of Algorithm 1 runs
+// exactly once, on the group's plane — and fans only the per-shard
+// Preprocessor installation (lines 17–22) out to the healthy shards. A
+// whole-batch failure (slot exhaustion, scan error, all shards down)
+// admits nothing and returns err; per-query activation failures land in
+// errs. See core.BatchSubmitter.
 func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Handle, []error, error) {
 	if len(g.pipes) == 1 {
 		return g.pipes[0].SubmitBatch(ctx, qs)
 	}
+	// Reject up front what no shard would activate, before the shared
+	// plane spends dimension scans and snapshot publications on it.
+	g.mu.Lock()
+	stopped := g.stopped
+	g.mu.Unlock()
+	if stopped {
+		return nil, nil, core.ErrPipelineStopped
+	}
+	for _, q := range qs {
+		if q.Schema != g.star {
+			return nil, nil, core.ErrSchemaMismatch
+		}
+	}
 	start := time.Now()
+
+	// The read side of the supervision lock is held across the whole
+	// admit + fan-out span: quarantine (which detaches a prober and so
+	// changes the number of retires a slot expects) cannot land in the
+	// middle, so the activation width below always matches what
+	// AdmitBatch charged the slots with.
 	g.supLock.RLock()
 	if g.nFailed == len(g.pipes) {
 		dead := g.firstFailedLocked()
@@ -596,6 +577,9 @@ func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Hand
 	}
 	g.supLock.RUnlock()
 	if cerr := ctx.Err(); cerr != nil {
+		// Canceled during the installation stall after every shard
+		// accepted: abort the admission cleanly, as the single-pipeline
+		// path does — every shard retires through the cancel lifecycle.
 		for i, h := range handles {
 			if h != nil {
 				h.Cancel()
