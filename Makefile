@@ -7,7 +7,7 @@ BENCH_N   ?= 1
 BENCHTIME ?= 1s
 COUNT     ?= 20
 
-.PHONY: all build test race race-core flake-census bench bench-smoke vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+.PHONY: all build test race race-core flake-census bench bench-smoke bench-pprof vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
 
 all: build test
 
@@ -61,6 +61,14 @@ updates-smoke:
 bench-smoke:
 	bash bench/run.sh -smoke && (cd bench && $(GO) test ./...)
 
+# The "pprof share" step of a performance claim (PERFORMANCE.md): an 8 s
+# CPU profile of cjoind taken mid-window while the benchmark drives one
+# workload at it. make bench-pprof WORKLOAD=htap_mixed OUT=/tmp/cpu.pb.gz
+WORKLOAD ?= shared_scan
+OUT      ?= cjoind-$(WORKLOAD).pb.gz
+bench-pprof:
+	./scripts/bench-pprof.sh $(WORKLOAD) $(OUT)
+
 race-core:
 	$(GO) test -race -timeout 900s ./internal/core ./internal/admission ./internal/server ./internal/bitvec ./internal/dimht ./internal/dimplane ./internal/query ./internal/shard ./internal/obs ./internal/storage ./internal/txn
 
@@ -86,10 +94,11 @@ vet:
 flake-census:
 	$(GO) test -race -count=$(COUNT) -timeout 3600s ./internal/core ./internal/shard ./internal/server ./internal/admission ./internal/dimplane
 
-# Filter/pipeline hot-path microbenchmarks plus the sharded-tier scan
-# benchmark, snapshotted as JSON. Run the paper-scale experiment
+# Filter/pipeline hot-path microbenchmarks (the Filter probe loop, one
+# page from emitPage to route) plus the sharded-tier scan benchmark,
+# snapshotted as JSON. Run the paper-scale experiment
 # benchmarks separately: go test -bench . -v .
 bench:
-	$(GO) test -run '^$$' -bench 'FilterProbe|ShardScan' -benchtime $(BENCHTIME) -count 3 \
+	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan' -benchtime $(BENCHTIME) -count 3 \
 		./internal/core ./internal/shard \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_N).json

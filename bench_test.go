@@ -195,19 +195,6 @@ func BenchmarkAblationProbeSkip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchSize sweeps the §4 batched queue hand-off size.
-func BenchmarkAblationBatchSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := harness.RunAblationBatchSize(benchConfig(), []int{1, 32, 256}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportSeries(b, fig, "qph_at_256rows")
-		}
-	}
-}
-
 // BenchmarkAblationMaxConc isolates the bit-vector width cost the paper
 // blames for the sub-linear tail at n=256 (§6.2.2).
 func BenchmarkAblationMaxConc(b *testing.B) {

@@ -288,8 +288,6 @@ type PipelineOptions struct {
 	MaxConcurrent int
 	// Workers is the number of Stage threads.
 	Workers int
-	// BatchRows is the pipeline batch size.
-	BatchRows int
 	// Layout is "horizontal" (default), "vertical" or "hybrid".
 	Layout string
 	// Stages is the stage count for the hybrid layout.
@@ -309,7 +307,6 @@ func (o PipelineOptions) toCore() (core.Config, error) {
 	cfg := core.Config{
 		MaxConcurrent:    o.MaxConcurrent,
 		Workers:          o.Workers,
-		BatchRows:        o.BatchRows,
 		Stages:           o.Stages,
 		OptimizeInterval: o.OptimizeEvery,
 	}

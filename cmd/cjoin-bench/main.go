@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		exp = flag.String("exp", "all", "experiment: all, ablations, figure4..figure8, table1..table3, "+
-			"overload, shardscale, dimadmit, obsoverhead, zonemap, updates, ablation-{probeskip,batchsize,maxconc,filterorder,compression}")
+			"overload, shardscale, dimadmit, obsoverhead, zonemap, updates, ablation-{probeskip,maxconc,filterorder,compression}")
 		sf      = flag.Int("sf", 1, "SSB scale factor")
 		rows    = flag.Int("rows", 5000, "fact rows per scale-factor unit")
 		sel     = flag.Float64("s", 0.01, "predicate selectivity")
@@ -96,7 +96,6 @@ func main() {
 	}
 	ablations := []runner{
 		{"probeskip", func() (harness.Figure, error) { return harness.RunAblationProbeSkip(cfg, *n) }},
-		{"batchsize", func() (harness.Figure, error) { return harness.RunAblationBatchSize(cfg, nil, *n) }},
 		{"maxconc", func() (harness.Figure, error) { return harness.RunAblationMaxConc(cfg, nil, *n) }},
 		{"filterorder", func() (harness.Figure, error) { return harness.RunAblationFilterOrder(cfg, *n) }},
 		{"compression", func() (harness.Figure, error) { return harness.RunAblationCompression(cfg, *n) }},

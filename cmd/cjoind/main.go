@@ -59,7 +59,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "CJOIN pipelines behind one admission queue (1 = single pipeline; unpartitioned facts are page-strided, range-partitioned facts have whole partitions dealt)")
 		maxConc  = flag.Int("maxconc", 64, "pipeline query slots (maxConc)")
 		workers  = flag.Int("workers", 0, "stage worker threads (0 = NumCPU/2)")
-		batch    = flag.Int("batch", 0, "pipeline batch rows (0 = default)")
 		queueLen = flag.Int("queue", 0, "admission queue bound (0 = 8*maxconc)")
 		maxWait  = flag.Duration("max-wait", 0, "default queue-wait deadline (0 = unlimited)")
 		admBatch = flag.Int("admit-batch", 16, "queries drained per admission batch — one dimension-plane round per batch (<=1 = batches of one)")
@@ -119,7 +118,6 @@ func main() {
 	coreCfg := core.Config{
 		MaxConcurrent:    *maxConc,
 		Workers:          *workers,
-		BatchRows:        *batch,
 		PredCacheSize:    *predCach,
 		OptimizeInterval: 100 * time.Millisecond,
 		DisableZoneMaps:  !*zoneMaps,

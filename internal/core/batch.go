@@ -2,6 +2,7 @@ package core
 
 import (
 	"cjoin/internal/bitvec"
+	"cjoin/internal/dimht"
 )
 
 // ctrlKind distinguishes the paper's control tuples (§3.3).
@@ -28,36 +29,43 @@ type control struct {
 	err  error
 }
 
-// tuple is one in-flight fact tuple: the copied fact row, the
-// query-relevance bit-vector bτ, and the joining dimension rows attached
-// during probing (§3.2.2) so aggregation operators can read dimension
-// attributes without re-probing. Each attached row is a slice into an
-// immutable dimht snapshot arena (or a mapTable entry row), so no entry
-// pointer is chased downstream.
-type tuple struct {
-	row  []int64
-	bv   bitvec.Vec
-	dims [][]int64
-}
-
 // batch is the unit of flow through the pipeline: either one control
-// tuple or up to Config.BatchRows data tuples. Batches are sequenced by
-// the Preprocessor; the Distributor restores sequence order, which
-// preserves the control/data tuple ordering property of §3.3.3 under
-// multi-threaded Stages.
+// tuple or one decoded fact page. A data batch is flat — an in-flight
+// fact tuple is a row index i into the batch's arenas, never a struct:
+//
+//   - rowArena[i*ncols : (i+1)*ncols] is the fact row, decoded there
+//     directly by the source's ReadPage;
+//   - bvArena[i*words : (i+1)*words] is the query-relevance bit-vector bτ;
+//   - dimSlot[i*ndims+d] names the dimension row the Filter of dimension
+//     d attached during probing (§3.2.2) as a dimht table slot plus one
+//     (0 = nothing attached), resolved through snaps[d], the snapshot
+//     that Filter pinned for this batch;
+//   - sel lists the live row indices in increasing order. Filters rewrite
+//     sel in place and never move a tuple.
+//
+// The only pointers a pooled batch holds are its arenas and ndims
+// snapshot pointers, so creating, dropping and recycling a tuple touches
+// no pointerful memory. Batches are sequenced by the Preprocessor; the
+// Distributor restores sequence order, which preserves the control/data
+// tuple ordering property of §3.3.3 under multi-threaded Stages.
 type batch struct {
 	seq    uint64
 	ctrl   *control
-	rows   []tuple
 	pooled bool
+
+	sel []int32
 
 	// backing arenas, preallocated once per pooled batch
 	rowArena []int64
 	bvArena  []uint64
-	dimArena [][]int64
-	// slots is the scratch array for the Filter's two-pass probe: pass 1
-	// records each tuple's resolved table slot (or skip/miss marker),
-	// pass 2 applies the bit-vector AND and compacts.
+	dimSlot  []int32
+	// snaps[d] keeps dimension d's snapshot alive while dimSlot refers
+	// into it: a COW snapshot lives exactly as long as a batch holds it.
+	snaps []*dimht.Snapshot
+	// slots is the scratch array for the Filter's two-pass probe, indexed
+	// by position in sel: pass 1 records each tuple's resolved table slot
+	// (or skip/miss marker), pass 2 applies the bit-vector AND and
+	// rewrites sel.
 	slots []int32
 	ncols int
 	words int
@@ -67,10 +75,11 @@ type batch struct {
 func newBatch(capRows, ncols, words, ndims int) *batch {
 	return &batch{
 		pooled:   true,
-		rows:     make([]tuple, 0, capRows),
+		sel:      make([]int32, 0, capRows),
 		rowArena: make([]int64, capRows*ncols),
 		bvArena:  make([]uint64, capRows*words),
-		dimArena: make([][]int64, capRows*ndims),
+		dimSlot:  make([]int32, capRows*ndims),
+		snaps:    make([]*dimht.Snapshot, ndims),
 		slots:    make([]int32, capRows),
 		ncols:    ncols,
 		words:    words,
@@ -78,36 +87,28 @@ func newBatch(capRows, ncols, words, ndims int) *batch {
 	}
 }
 
-// reset prepares a pooled batch for reuse.
-func (b *batch) reset() {
-	b.rows = b.rows[:0]
-	b.ctrl = nil
+// reset empties the selection for a new page; the arenas are overwritten
+// by the next page's decode (rowArena) and emitPage (bvArena, dimSlot).
+func (b *batch) reset() { b.sel = b.sel[:0] }
+
+// row returns the fact row at arena index i.
+func (b *batch) row(i int32) []int64 {
+	return b.rowArena[int(i)*b.ncols : (int(i)+1)*b.ncols]
 }
 
-// full reports whether the batch reached its row capacity.
-func (b *batch) full() bool { return len(b.rows) == cap(b.rows) }
+// bv returns the bit-vector at arena index i.
+func (b *batch) bv(i int32) bitvec.Vec {
+	return bitvec.Vec(b.bvArena[int(i)*b.words : (int(i)+1)*b.words])
+}
 
-// alloc appends a fresh tuple backed by the batch arenas and returns it.
-// The tuple's bit-vector is zeroed; dims are nil.
-func (b *batch) alloc() *tuple {
-	i := len(b.rows)
-	bv := bitvec.Vec(b.bvArena[i*b.words : (i+1)*b.words])
-	bv.Reset()
-	dims := b.dimArena[i*b.ndims : (i+1)*b.ndims]
-	for j := range dims {
-		dims[j] = nil
+// dimRow returns the row of dimension d attached to arena index i, or
+// nil when that Filter attached nothing (probe skipped, or a miss).
+func (b *batch) dimRow(i int32, d int) []int64 {
+	if sl := b.dimSlot[int(i)*b.ndims+d]; sl != 0 {
+		return b.snaps[d].Row(sl - 1)
 	}
-	b.rows = append(b.rows, tuple{
-		row:  b.rowArena[i*b.ncols : (i+1)*b.ncols],
-		bv:   bv,
-		dims: dims,
-	})
-	return &b.rows[len(b.rows)-1]
+	return nil
 }
-
-// unalloc drops the most recently allocated tuple (used when the
-// Preprocessor decides the tuple is relevant to no query).
-func (b *batch) unalloc() { b.rows = b.rows[:len(b.rows)-1] }
 
 func ctrlBatch(seq uint64, kind ctrlKind, rq *runningQuery, err error) *batch {
 	return &batch{seq: seq, ctrl: &control{kind: kind, rq: rq, err: err}}

@@ -20,9 +20,13 @@
 // own one goroutine; Filters are boxed into Stages with a configurable
 // layout (horizontal, vertical, hybrid) and thread count; tuples move
 // between threads in batches; tuple memory comes from a preallocated
-// pool. Control tuples are kept ordered relative to data tuples (§3.3.3)
-// by sequencing batches at the Preprocessor and restoring order in the
-// Distributor.
+// pool. A batch is one fact page, decoded by the source straight into
+// the batch's row arena, plus a selection vector: a tuple is a row index,
+// its bit-vector a cell of a flat arena, a joined dimension row an int32
+// table slot — Filters shrink the selection and never move or allocate a
+// tuple (batch.go). Control tuples are kept ordered relative to data
+// tuples (§3.3.3) by sequencing batches at the Preprocessor and restoring
+// order in the Distributor.
 package core
 
 import (
@@ -68,9 +72,6 @@ type Config struct {
 	// MaxConcurrent is the paper's maxConc: the bound on simultaneously
 	// registered queries and the width of every bit-vector. Default 64.
 	MaxConcurrent int
-	// BatchRows is the number of fact tuples per pipeline batch.
-	// Default 256.
-	BatchRows int
 	// QueueLen is the buffer length of inter-stage channels. Default 8.
 	QueueLen int
 	// Workers is the number of Stage threads (horizontal: all in the
@@ -152,9 +153,6 @@ type Config struct {
 func (c Config) Normalized() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 64
-	}
-	if c.BatchRows <= 0 {
-		c.BatchRows = 256
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 8

@@ -59,12 +59,15 @@ const (
 // filterBatch runs the Filter over one batch: the CJOIN hot loop. One
 // atomic load pins a consistent (table, b_Dj, refs) snapshot for the
 // whole batch; no lock is taken, and the snapshot stays valid however
-// many queries the plane admits or retires meanwhile.
+// many queries the plane admits or retires meanwhile. The batch records
+// the snapshot (b.snaps) because the slots this Filter attaches are
+// indices into it.
 //
-// The loop is split into two passes over the batch — hash/probe first,
-// then AND/compact — so the probe pass issues its independent memory
-// loads back to back (the hardware can overlap the misses) instead of
-// interleaving them with the branchy compaction logic.
+// The loop is split into two passes over the selection — hash/probe
+// first, then AND/select — so the probe pass issues its independent
+// memory loads back to back (the hardware can overlap the misses) instead
+// of interleaving them with the branchy selection logic. Neither pass
+// moves a tuple: survivors are the indices kept in b.sel.
 func (d *dimState) filterBatch(b *batch) {
 	s := d.store.Snapshot()
 	if s.Refs() == 0 {
@@ -72,7 +75,8 @@ func (d *dimState) filterBatch(b *batch) {
 		// relevant bit, the AND is a no-op, and probing is pointless.
 		return
 	}
-	in := int64(len(b.rows))
+	b.snaps[d.index] = s
+	in := int64(len(b.sel))
 	var probes, drops int64
 	if s.Words() == 1 {
 		probes, drops = filterBatchWord(d, b, s)
@@ -89,37 +93,39 @@ func (d *dimState) filterBatch(b *batch) {
 // zero-check are plain register operations with no slice iteration.
 func filterBatchWord(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops int64) {
 	mask := s.MaskWord()
-	rows := b.rows
-	slots := b.slots[:len(rows)]
+	sel := b.sel
+	slots := b.slots[:len(sel)]
+	bvs, rows := b.bvArena, b.rowArena
+	ncols, fk := b.ncols, d.fkCol
 	noSkip := d.noSkip
-	fk := d.fkCol
 
 	// Pass 1: classify every tuple and resolve its probe.
-	for i := range rows {
-		if !noSkip && rows[i].bv.Uint64()&^mask == 0 {
+	for k, i := range sel {
+		if !noSkip && bvs[i]&^mask == 0 {
 			// Probe-skip optimization (§3.2.2): τ is relevant only to
 			// queries that do not reference D_j.
-			slots[i] = slotSkip
+			slots[k] = slotSkip
 			continue
 		}
-		slots[i] = s.Lookup(rows[i].row[fk])
+		slots[k] = s.Lookup(rows[int(i)*ncols+fk])
 	}
 
-	// Pass 2: AND, attach, compact.
+	// Pass 2: AND, attach, select.
 	n := 0
-	dim := d.index
-	for i := range rows {
-		sl := slots[i]
+	attach := b.dimSlot[d.index:]
+	ndims := b.ndims
+	for k, i := range sel {
+		sl := slots[k]
 		if sl == slotSkip {
-			rows[n] = rows[i]
+			sel[n] = i
 			n++
 			continue
 		}
 		probes++
-		w := rows[i].bv.Uint64()
+		w := bvs[i]
 		if sl >= 0 {
 			w &= s.Word(sl)
-			rows[i].dims[dim] = s.Row(sl)
+			attach[int(i)*ndims] = sl + 1
 		} else {
 			w &= mask
 		}
@@ -127,11 +133,11 @@ func filterBatchWord(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops in
 			drops++
 			continue
 		}
-		rows[i].bv.SetUint64(w)
-		rows[n] = rows[i]
+		bvs[i] = w
+		sel[n] = i
 		n++
 	}
-	b.rows = rows[:n]
+	b.sel = sel[:n]
 	return
 }
 
@@ -139,47 +145,49 @@ func filterBatchWord(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops in
 // structure, multi-word bit-vector operations.
 func filterBatchVec(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops int64) {
 	bDj := s.Mask()
-	rows := b.rows
-	slots := b.slots[:len(rows)]
+	sel := b.sel
+	slots := b.slots[:len(sel)]
+	rows := b.rowArena
+	ncols, fk := b.ncols, d.fkCol
 	noSkip := d.noSkip
-	fk := d.fkCol
 
-	for i := range rows {
-		if !noSkip && rows[i].bv.AndNotIsZero(bDj) {
-			slots[i] = slotSkip
+	for k, i := range sel {
+		if !noSkip && b.bv(i).AndNotIsZero(bDj) {
+			slots[k] = slotSkip
 			continue
 		}
-		slots[i] = s.Lookup(rows[i].row[fk])
+		slots[k] = s.Lookup(rows[int(i)*ncols+fk])
 	}
 
 	n := 0
-	dim := d.index
-	for i := range rows {
-		sl := slots[i]
+	attach := b.dimSlot[d.index:]
+	ndims := b.ndims
+	for k, i := range sel {
+		sl := slots[k]
 		if sl == slotSkip {
-			rows[n] = rows[i]
+			sel[n] = i
 			n++
 			continue
 		}
 		probes++
-		t := &rows[i]
+		bv := b.bv(i)
 		if sl >= 0 {
 			// Deliberately the inlinable Vec.And: an 8-word-block variant
 			// that does not inline lost the A/B at mc=256 to its per-tuple
 			// call overhead (see PERFORMANCE.md PR 3).
-			t.bv.And(s.Bits(sl))
-			t.dims[dim] = s.Row(sl)
+			bv.And(s.Bits(sl))
+			attach[int(i)*ndims] = sl + 1
 		} else {
-			t.bv.And(bDj)
+			bv.And(bDj)
 		}
-		if t.bv.IsZero() {
+		if bv.IsZero() {
 			drops++
 			continue
 		}
-		rows[n] = rows[i]
+		sel[n] = i
 		n++
 	}
-	b.rows = rows[:n]
+	b.sel = sel[:n]
 	return
 }
 

@@ -98,18 +98,20 @@ func TestDimTableParity(t *testing.T) {
 		b := newBatch(32, 2, bitvec.Words(maxConc), 1)
 		var in []specTuple
 		for i := 0; i < 32; i++ {
-			tp := b.alloc()
-			tp.row[0] = rng.Int63n(dimRows + 20) // some keys miss the table
+			key := rng.Int63n(dimRows + 20) // some keys miss the table
+			want := bitvec.New(maxConc)
 			for slot := range spec {
 				if rng.Intn(2) == 0 {
-					tp.bv.Set(slot)
+					want.Set(slot)
 				}
 			}
-			if tp.bv.IsZero() {
-				b.unalloc()
-				continue
+			if want.IsZero() {
+				continue // relevant to no query: the Preprocessor drops it
 			}
-			in = append(in, specTuple{key: tp.row[0], bv: tp.bv.Clone()})
+			row, bv := b.push()
+			row[0] = key
+			bv.CopyFrom(want)
+			in = append(in, specTuple{key: key, bv: want})
 		}
 		want, probes, drops := spec.filter(in, maxConc)
 		if refs, _ := spec.shape(); refs > 0 {
@@ -120,18 +122,18 @@ func TestDimTableParity(t *testing.T) {
 
 		cow.filterBatch(b)
 
-		if len(b.rows) != len(want) {
-			t.Fatalf("survivor count dimht=%d spec=%d", len(b.rows), len(want))
+		if len(b.sel) != len(want) {
+			t.Fatalf("survivor count dimht=%d spec=%d", len(b.sel), len(want))
 		}
-		for i := range b.rows {
-			got, w := &b.rows[i], want[i]
-			if got.row[0] != w.key {
-				t.Fatalf("row order diverged at %d: %d vs %d", i, got.row[0], w.key)
+		for i, w := range want {
+			row, bv, dims := b.survivor(i)
+			if row[0] != w.key {
+				t.Fatalf("row order diverged at %d: %d vs %d", i, row[0], w.key)
 			}
-			if !got.bv.Equal(w.bv) {
-				t.Fatalf("bits diverged for key %d: %v vs %v", w.key, got.bv, w.bv)
+			if !bv.Equal(w.bv) {
+				t.Fatalf("bits diverged for key %d: %v vs %v", w.key, bv, w.bv)
 			}
-			d := got.dims[0]
+			d := dims[0]
 			if (d != nil) != w.attached {
 				t.Fatalf("attachment diverged for key %d: %v, spec attached=%v", w.key, d, w.attached)
 			}

@@ -155,39 +155,40 @@ func TestFilterBatchSemantics(t *testing.T) {
 
 		b := newBatch(4, 2, bitvec.Words(8), 1)
 		// Tuple A: fk joins selected entry 5 → both queries keep it.
-		a := b.alloc()
-		a.row[0] = 5
-		a.bv.Set(0)
-		a.bv.Set(1)
+		row, bv := b.push()
+		row[0] = 5
+		bv.Set(0)
+		bv.Set(1)
 		// Tuple B: fk joins unselected key 3 → only query 1 keeps it.
-		tb := b.alloc()
-		tb.row[0] = 3
-		tb.bv.Set(0)
-		tb.bv.Set(1)
+		row, bv = b.push()
+		row[0] = 3
+		bv.Set(0)
+		bv.Set(1)
 		// Tuple C: relevant only to query 0, joins unselected key → dropped.
-		tc := b.alloc()
-		tc.row[0] = 3
-		tc.bv.Set(0)
+		row, bv = b.push()
+		row[0] = 3
+		bv.Set(0)
 		// Tuple D: relevant only to non-referencing query 1 → probe skipped,
 		// forwarded untouched.
-		td := b.alloc()
-		td.row[0] = 99 // key that does not even exist
-		td.bv.Set(1)
+		row, bv = b.push()
+		row[0] = 99 // key that does not even exist
+		bv.Set(1)
 
 		ds.filterBatch(b)
-		if len(b.rows) != 3 {
-			t.Fatalf("survivors %d, want 3", len(b.rows))
+		if len(b.sel) != 3 {
+			t.Fatalf("survivors %d, want 3", len(b.sel))
 		}
-		if !b.rows[0].bv.Get(0) || !b.rows[0].bv.Get(1) {
+		_, bvA, dimsA := b.survivor(0)
+		if !bvA.Get(0) || !bvA.Get(1) {
 			t.Fatal("tuple A bits wrong")
 		}
-		if b.rows[0].dims[0] == nil || b.rows[0].dims[0][0] != 5 {
+		if dimsA[0] == nil || dimsA[0][0] != 5 {
 			t.Fatal("tuple A dimension row not attached")
 		}
-		if b.rows[1].bv.Get(0) || !b.rows[1].bv.Get(1) {
+		if _, bvB, _ := b.survivor(1); bvB.Get(0) || !bvB.Get(1) {
 			t.Fatal("tuple B bits wrong")
 		}
-		if b.rows[2].dims[0] != nil {
+		if _, _, dimsD := b.survivor(2); dimsD[0] != nil {
 			t.Fatal("skip-path tuple must not have a row attached")
 		}
 		st := ds.stats()
@@ -213,29 +214,30 @@ func TestFilterBatchWidePath(t *testing.T) {
 		}
 
 		b := newBatch(3, 2, bitvec.Words(maxConc), 1)
-		a := b.alloc() // joins selected key → both bits survive
-		a.row[0] = 5
-		a.bv.Set(hi)
-		a.bv.Set(70)
-		tb := b.alloc() // misses → only the non-referencing bit survives
-		tb.row[0] = 3
-		tb.bv.Set(hi)
-		tb.bv.Set(70)
-		tc := b.alloc() // relevant only to hi, misses → dropped
-		tc.row[0] = 3
-		tc.bv.Set(hi)
+		row, bv := b.push() // joins selected key → both bits survive
+		row[0] = 5
+		bv.Set(hi)
+		bv.Set(70)
+		row, bv = b.push() // misses → only the non-referencing bit survives
+		row[0] = 3
+		bv.Set(hi)
+		bv.Set(70)
+		row, bv = b.push() // relevant only to hi, misses → dropped
+		row[0] = 3
+		bv.Set(hi)
 
 		ds.filterBatch(b)
-		if len(b.rows) != 2 {
-			t.Fatalf("survivors %d, want 2", len(b.rows))
+		if len(b.sel) != 2 {
+			t.Fatalf("survivors %d, want 2", len(b.sel))
 		}
-		if !b.rows[0].bv.Get(hi) || !b.rows[0].bv.Get(70) {
+		_, bvA, dimsA := b.survivor(0)
+		if !bvA.Get(hi) || !bvA.Get(70) {
 			t.Fatal("tuple A bits wrong")
 		}
-		if b.rows[0].dims[0] == nil || b.rows[0].dims[0][0] != 5 {
+		if dimsA[0] == nil || dimsA[0][0] != 5 {
 			t.Fatal("tuple A dimension row not attached")
 		}
-		if b.rows[1].bv.Get(hi) || !b.rows[1].bv.Get(70) {
+		if _, bvB, _ := b.survivor(1); bvB.Get(hi) || !bvB.Get(70) {
 			t.Fatal("tuple B bits wrong")
 		}
 	})
@@ -246,11 +248,11 @@ func TestFilterBatchNoRefsPassthrough(t *testing.T) {
 		star := miniStar(t, 5)
 		ds := newTestDimState(star, 0, 8)
 		b := newBatch(2, 2, bitvec.Words(8), 1)
-		x := b.alloc()
-		x.row[0] = 1
-		x.bv.Set(0)
+		row, bv := b.push()
+		row[0] = 1
+		bv.Set(0)
 		ds.filterBatch(b)
-		if len(b.rows) != 1 || !b.rows[0].bv.Get(0) {
+		if len(b.sel) != 1 || !bv.Get(0) {
 			t.Fatal("unreferenced filter must pass tuples through")
 		}
 		if ds.stats().Probes != 0 {

@@ -76,8 +76,8 @@ func (d *distributor) process(b *batch) {
 		d.control(b.ctrl)
 		return
 	}
-	for i := range b.rows {
-		d.route(&b.rows[i])
+	for _, i := range b.sel {
+		d.route(b, i)
 	}
 	d.p.pool.put(b)
 }
@@ -117,13 +117,17 @@ func (d *distributor) control(c *control) {
 	}
 }
 
-// route feeds one surviving tuple to every query whose bit is set,
-// reading dimension attributes through the snapshot rows attached by the
-// Filters.
-func (d *distributor) route(t *tuple) {
-	d.scratch.Fact = t.row
-	copy(d.scratch.Dims, t.dims)
-	t.bv.ForEach(func(slot int) bool {
+// route feeds the surviving tuple at arena index i to every query whose
+// bit is set. The expr.Joined view aggregation operators and sinks read
+// is rebuilt here, for survivors only: the fact row in place in the batch
+// arena, and per dimension the snapshot row behind the slot its Filter
+// attached.
+func (d *distributor) route(b *batch, i int32) {
+	d.scratch.Fact = b.row(i)
+	for dim := range d.scratch.Dims {
+		d.scratch.Dims[dim] = b.dimRow(i, dim)
+	}
+	b.bv(i).ForEach(func(slot int) bool {
 		if rq := d.queries[slot]; rq != nil {
 			if rq.sink != nil {
 				rq.sink.Consume(&d.scratch)

@@ -33,9 +33,9 @@ func TestDistributorRestoresSequenceOrder(t *testing.T) {
 		b.pooled = false // hand-made: must not enter the pipeline's pool
 		b.seq = seq
 		for i := 0; i < rows; i++ {
-			tp := b.alloc()
-			tp.row[0] = int64(i)
-			tp.bv.Set(3)
+			row, bv := b.push()
+			row[0] = int64(i)
+			bv.Set(3)
 		}
 		return b
 	}

@@ -62,10 +62,10 @@ func benchBatch(maxConc int) *batch {
 	rng := rand.New(rand.NewSource(42))
 	bt := newBatch(benchBatchLen, 2, bitvec.Words(maxConc), 1)
 	for i := 0; i < benchBatchLen; i++ {
-		tp := bt.alloc()
-		tp.row[0] = rng.Int63n(benchDimRows)
+		row, bv := bt.push()
+		row[0] = rng.Int63n(benchDimRows)
 		for slot := 0; slot < 16; slot++ {
-			tp.bv.Set(slot)
+			bv.Set(slot)
 		}
 	}
 	return bt
@@ -81,8 +81,8 @@ func BenchmarkFilterProbe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ds.filterBatch(bt)
 			}
-			if len(bt.rows) != benchBatchLen {
-				b.Fatalf("batch not a fixed point: %d rows", len(bt.rows))
+			if len(bt.sel) != benchBatchLen {
+				b.Fatalf("batch not a fixed point: %d rows", len(bt.sel))
 			}
 		})
 	}
@@ -113,9 +113,9 @@ func BenchmarkFilterProbeSkip(b *testing.B) {
 		bt := newBatch(benchBatchLen, 2, bitvec.Words(64), 1)
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < benchBatchLen; i++ {
-			tp := bt.alloc()
-			tp.row[0] = rng.Int63n(benchDimRows)
-			tp.bv.Set(12 + i%4) // non-referencing slots only
+			row, bv := bt.push()
+			row[0] = rng.Int63n(benchDimRows)
+			bv.Set(12 + i%4) // non-referencing slots only
 		}
 		b.SetBytes(benchBatchLen)
 		b.ResetTimer()

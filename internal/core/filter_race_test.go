@@ -33,16 +33,16 @@ func TestFilterLockFreeUnderChurn(t *testing.T) {
 				}
 				b := newBatch(64, 2, bitvec.Words(64), 1)
 				for i := 0; i < 64; i++ {
-					tp := b.alloc()
-					tp.row[0] = (seed + int64(i)) % 80 // some keys miss
+					row, bv := b.push()
+					row[0] = (seed + int64(i)) % 80 // some keys miss
 					for s := 0; s < 8; s++ {
-						tp.bv.Set(s)
+						bv.Set(s)
 					}
 				}
 				ds.filterBatch(b)
-				for i := range b.rows {
-					tp := &b.rows[i]
-					if tp.dims[0] != nil && tp.dims[0][0] != tp.row[0] {
+				for k := range b.sel {
+					row, _, dims := b.survivor(k)
+					if dims[0] != nil && dims[0][0] != row[0] {
 						panic("attached dimension row does not match the probed key")
 					}
 				}

@@ -52,9 +52,10 @@ type runningQuery struct {
 	released atomic.Bool
 
 	// Preprocessor-owned scan bookkeeping.
-	startPos  int64
-	sawStart  bool
-	pagesLeft int64 // -1: wrap-detected; >= 0: partitioned countdown
+	startPos     int64
+	sawStart     bool
+	sawFirstPage bool  // the StageFirstPage trace mark is set
+	pagesLeft    int64 // -1: wrap-detected; >= 0: partitioned countdown
 	// needParts marks the partitions this query scans, indexed by the
 	// star's GLOBAL partition order (partition-dealt shards translate
 	// through factScan.globalOf). Nil means every partition.
@@ -73,9 +74,17 @@ type runningQuery struct {
 	needPages []pageSet
 
 	// Progress accounting (§3.2.3: "the current point in the continuous
-	// scan can serve as a reliable progress indicator").
+	// scan can serve as a reliable progress indicator"). While every page
+	// the scan delivers is charged to the query — the common case — its
+	// page count is the scan's page clock minus startClock and costs the
+	// Preprocessor nothing per query. ownPages >= 0 means the query has
+	// left the clock and ownPages is its count: before registration
+	// (zero), from the first page delivered only for other queries, and
+	// from finish on, which freezes the final value. See pagesScanned.
 	pagesTotal atomic.Int64
-	pagesDone  atomic.Int64
+	clock      *atomic.Int64
+	startClock int64
+	ownPages   atomic.Int64
 
 	submitted time.Time
 	// cleaned closes once the slot is recycled. Closed via markCleaned
@@ -100,6 +109,30 @@ func (rq *runningQuery) pageNeeded(part, page int) bool {
 	}
 	bits := rq.needPages[part].bits
 	return page < len(bits) && bits[page]
+}
+
+// pagesScanned returns the number of fact pages charged to the query so
+// far; safe from any goroutine. The Preprocessor detaches a query
+// (ownPages.Store) before the clock tick of the first page that is not
+// charged to it, so a reader that still sees ownPages < 0 after loading
+// the clock loaded a clock value made of charged pages only.
+func (rq *runningQuery) pagesScanned() int64 {
+	if own := rq.ownPages.Load(); own >= 0 {
+		return own
+	}
+	c := rq.clock.Load()
+	if own := rq.ownPages.Load(); own >= 0 {
+		return own
+	}
+	return c - rq.startClock
+}
+
+// detachClock moves the query's page count off the scan's clock into
+// ownPages. Preprocessor-only; idempotent.
+func (rq *runningQuery) detachClock() {
+	if rq.ownPages.Load() < 0 {
+		rq.ownPages.Store(rq.clock.Load() - rq.startClock)
+	}
 }
 
 func (rq *runningQuery) markCleaned() {
@@ -179,14 +212,14 @@ func (h *pipeHandle) Cancel() bool {
 
 // PagesScanned returns the number of fact pages the continuous scan has
 // charged to this query so far.
-func (h *pipeHandle) PagesScanned() int64 { return h.rq.pagesDone.Load() }
+func (h *pipeHandle) PagesScanned() int64 { return h.rq.pagesScanned() }
 
 // ETA estimates the time to completion from the current processing rate —
 // the paper's §3.2.3 "estimated time of completion based on the current
 // processing rate of the pipeline". It returns 0 once the query is done
 // and false while no progress has been made yet.
 func (h *pipeHandle) ETA() (time.Duration, bool) {
-	done := h.rq.pagesDone.Load()
+	done := h.rq.pagesScanned()
 	total := h.rq.pagesTotal.Load()
 	if h.rq.delivered.Load() || (total > 0 && done >= total) {
 		return 0, true
@@ -205,7 +238,7 @@ func (h *pipeHandle) Progress() float64 {
 	if total <= 0 {
 		return 1
 	}
-	f := float64(h.rq.pagesDone.Load()) / float64(total)
+	f := float64(h.rq.pagesScanned()) / float64(total)
 	if f > 1 {
 		f = 1
 	}
@@ -367,9 +400,11 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 	order := []int{}
 	p.filterOrder.Store(&order)
 
-	ncols := star.Fact.Heap.NumCols()
+	// Page geometry of the continuous scan: a pooled batch holds exactly
+	// one decoded page of it.
+	ncols, rpp := star.Fact.Heap.NumCols(), star.Fact.Heap.RowsPerPage()
 	if parts := star.Partitions(); parts[0].Heap != nil {
-		ncols = parts[0].Heap.NumCols()
+		ncols, rpp = parts[0].Heap.NumCols(), parts[0].Heap.RowsPerPage()
 	}
 	if cfg.FactSource != nil {
 		if star.PartCol >= 0 {
@@ -378,6 +413,7 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 		if cfg.FactSource.NumCols() != ncols {
 			return nil, fmt.Errorf("core: FactSource has %d columns, fact schema has %d", cfg.FactSource.NumCols(), ncols)
 		}
+		rpp = cfg.FactSource.RowsPerPage()
 	}
 	if cfg.PartSubset != nil {
 		if star.PartCol < 0 {
@@ -402,9 +438,13 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 		}
 	}
 	words := bitvec.Words(cfg.MaxConcurrent)
-	// Enough batches for every queue slot plus one in hand per thread.
-	nBatches := cfg.QueueLen*(len(star.Dims)+2) + cfg.Workers + 4
-	p.pool = newTuplePool(nBatches, cfg.BatchRows, ncols, words, len(star.Dims))
+	// Enough batches for every slot of the queues this layout creates
+	// (the Preprocessor's output plus one per Stage) and one in hand per
+	// thread, with the Preprocessor, the Distributor and two spare. A
+	// batch holds one fact page.
+	stages, workers := stageLayout(cfg, len(star.Dims))
+	nBatches := cfg.QueueLen*(len(stages)+1) + len(stages)*workers + 4
+	p.pool = newTuplePool(nBatches, rpp, ncols, words, len(star.Dims))
 	return p, nil
 }
 

@@ -3,10 +3,12 @@ package core
 // tuplePool is the paper's specialized allocator (§4): it "preallocates
 // data structures for all in-flight tuples, whose number is determined
 // based on the upper bound on the length of a tuple queue and the upper
-// bound on the number of threads". Batches are recycled through a
-// buffered channel, which makes reserve and release single atomic
-// operations and gives the Preprocessor natural backpressure when the
-// pipeline is saturated.
+// bound on the number of threads". The unit it hands out is a batch — the
+// flat arenas for one decoded fact page (batch.go) — so creating a tuple
+// is an index append and nothing is allocated, zeroed or write-barriered
+// per tuple. Batches are recycled through a buffered channel, which makes
+// reserve and release single atomic operations and gives the Preprocessor
+// natural backpressure when the pipeline is saturated.
 type tuplePool struct {
 	free chan *batch
 }
@@ -31,12 +33,14 @@ func (p *tuplePool) get(stop <-chan struct{}) *batch {
 	}
 }
 
-// put returns a pooled batch to the free list. Control batches are not
-// pooled and are dropped here.
+// put returns a pooled batch to the free list, dropping the dimension
+// snapshots it pinned: an idle batch must not keep a retired query's
+// table alive. Control batches are not pooled and are dropped here.
 func (p *tuplePool) put(b *batch) {
 	if b == nil || !b.pooled {
 		return
 	}
+	clear(b.snaps)
 	p.free <- b
 }
 

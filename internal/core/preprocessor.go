@@ -69,6 +69,12 @@ type preprocessor struct {
 	cycleStart time.Time
 	cyclePages int64
 
+	// pageClock counts pages delivered downstream. It is the one atomic
+	// the scan writes per page for progress reporting (§3.2.3): a query
+	// every delivered page is charged to reads its progress as the clock
+	// minus its registration stamp (runningQuery.pagesScanned).
+	pageClock atomic.Int64
+
 	tuplesIn    atomic.Int64
 	tuplesOut   atomic.Int64
 	pagesRead   atomic.Int64
@@ -140,12 +146,19 @@ func (pp *preprocessor) run() {
 		default:
 		}
 
-		vals, n, pos, part, page, wrapped, err := pp.nextPageRetry()
+		// The batch is taken before the read so the page decodes straight
+		// into its row arena; every path that emits nothing hands it back.
+		b := pp.p.pool.get(pp.stop)
+		if b == nil {
+			return
+		}
+		n, pos, part, page, wrapped, err := pp.nextPageRetry(b.rowArena)
 		if k := pp.scan.takeSkipped(); k > 0 {
 			pp.zmSkippedPages.Add(k)
 			pp.p.om.zmSkipped.Add(k)
 		}
 		if err != nil {
+			pp.p.pool.put(b)
 			select {
 			case <-pp.stop:
 				// Shutdown raced the error; a clean stop wins.
@@ -162,6 +175,7 @@ func (pp *preprocessor) run() {
 		}
 		if n == 0 {
 			// Nothing scannable; only control work remains.
+			pp.p.pool.put(b)
 			continue
 		}
 		pp.pagesRead.Add(1)
@@ -185,10 +199,11 @@ func (pp *preprocessor) run() {
 		// query's start position is emitted a second time (§3.3.2).
 		pp.checkWrapEnds(pos)
 		if len(pp.active) == 0 {
+			pp.p.pool.put(b)
 			continue
 		}
 
-		if !pp.emitPage(vals, n) {
+		if !pp.emitPage(b, n) {
 			return
 		}
 		pp.afterPage(part, page)
@@ -198,14 +213,15 @@ func (pp *preprocessor) run() {
 // nextPageRetry wraps factScan.nextPage with capped exponential backoff
 // for transient errors (fault.Error and any source error implementing
 // Transient() bool). nextPage does not advance past a failed read, so
-// every retry re-reads the same page. Hard errors and exhausted retries
-// return to the caller for escalation; a pipeline stop during backoff
-// returns the pending error, which the caller's stop check supersedes.
-func (pp *preprocessor) nextPageRetry() (vals []int64, n int, pos int64, part, page int, wrapped bool, err error) {
+// every retry re-decodes the same page into the same dst. Hard errors
+// and exhausted retries return to the caller for escalation; a pipeline
+// stop during backoff returns the pending error, which the caller's stop
+// check supersedes.
+func (pp *preprocessor) nextPageRetry(dst []int64) (n int, pos int64, part, page int, wrapped bool, err error) {
 	const maxBackoff = 100 * time.Millisecond
 	backoff := pp.p.cfg.ScanRetryBackoff
 	for attempt := 0; ; attempt++ {
-		vals, n, pos, part, page, wrapped, err = pp.scan.nextPage(pp.skipPart, pp.skipPage)
+		n, pos, part, page, wrapped, err = pp.scan.nextPage(dst, pp.skipPart, pp.skipPage)
 		if err == nil || !transientErr(err) || attempt >= pp.p.cfg.ScanRetries {
 			return
 		}
@@ -254,6 +270,9 @@ func (pp *preprocessor) register(cmd ppCmd) {
 	rq := cmd.rq
 	rq.startPos = pp.scan.position()
 	rq.sawStart = false
+	rq.startClock = pp.pageClock.Load()
+	rq.clock = &pp.pageClock
+	rq.ownPages.Store(-1) // ride the clock; publishes the two fields above
 	if pp.scan.static || rq.pruneEmpty || rq.needPages != nil {
 		// Pruning countdown over the partitions and pages this scan
 		// covers: a shard's scan may hold only a dealt subset, so the
@@ -368,6 +387,7 @@ func (pp *preprocessor) retire(rq *runningQuery) {
 // finish emits the end-of-query control tuple and removes the query from
 // the Preprocessor's state (§3.3.2).
 func (pp *preprocessor) finish(rq *runningQuery) {
+	rq.detachClock() // freeze the final page count
 	pp.baseMask.Clear(rq.slot)
 	for i, q := range pp.active {
 		if q == rq {
@@ -407,27 +427,39 @@ func (pp *preprocessor) checkWrapEnds(pos int64) {
 // query's needed set are charged: partition-pruned partitions and
 // zone-mapped-away pages pass through (the scan may still read them for
 // other queries) without advancing the countdown.
+//
+// Progress is published with one atomic per page — the clock tick at the
+// end — as long as every resident query is charged. A query this page
+// passes over leaves the clock before the tick (detachClock) and from
+// then on pays its own atomic per charged page.
 func (pp *preprocessor) afterPage(part, page int) {
 	for i := 0; i < len(pp.active); i++ {
 		rq := pp.active[i]
-		if rq.pagesLeft < 0 {
-			if rq.pagesDone.Add(1) == 1 {
-				rq.q.Trace.Mark(obs.StageFirstPage)
+		if rq.pagesLeft >= 0 {
+			if !rq.needsPart(pp.scan.globalOf(part)) || !rq.pageNeeded(part, page) {
+				rq.detachClock()
+				continue
 			}
-			continue
+			rq.pagesLeft--
 		}
-		if !rq.needsPart(pp.scan.globalOf(part)) || !rq.pageNeeded(part, page) {
-			continue
-		}
-		rq.pagesLeft--
-		if rq.pagesDone.Add(1) == 1 {
+		if !rq.sawFirstPage {
+			rq.sawFirstPage = true
 			rq.q.Trace.Mark(obs.StageFirstPage)
+		}
+		if rq.pagesLeft == 0 {
+			// Finishing ahead of this page's tick: leave the clock first
+			// so the frozen count includes the page.
+			rq.detachClock()
+		}
+		if rq.ownPages.Load() >= 0 {
+			rq.ownPages.Add(1)
 		}
 		if rq.pagesLeft == 0 {
 			pp.finish(rq)
 			i--
 		}
 	}
+	pp.pageClock.Add(1)
 }
 
 // skipPart reports whether no active query needs scan-local partition i
@@ -448,61 +480,76 @@ func (pp *preprocessor) skipPage(part, page int) bool {
 	return pr[page] == 0
 }
 
-// emitPage turns one fact page into data batches, initializing every
-// tuple's bit-vector. It returns false when the pipeline is stopping.
-func (pp *preprocessor) emitPage(vals []int64, n int) bool {
-	ncols := pp.scan.ncols
-	b := pp.p.pool.get(pp.stop)
-	if b == nil {
-		return false
-	}
+// emitPage turns the n rows ReadPage decoded into b's row arena into one
+// data batch: it initializes every tuple's bit-vector and selects the
+// tuples relevant to at least one query. It returns false when the
+// pipeline is stopping.
+func (pp *preprocessor) emitPage(b *batch, n int) bool {
 	pp.tuplesIn.Add(int64(n))
 	pp.p.om.tuplesIn.Add(int64(n))
-	for r := 0; r < n; r++ {
-		row := vals[r*ncols : (r+1)*ncols]
-		if b.full() {
-			b.seq = pp.nextSeq()
-			pp.tuplesOut.Add(int64(len(b.rows)))
-			pp.p.om.tuplesOut.Add(int64(len(b.rows)))
-			if !pp.emit(b) {
-				return false
-			}
-			if b = pp.p.pool.get(pp.stop); b == nil {
-				return false
+	clear(b.dimSlot[:n*b.ndims])
+	sel := b.sel[:0]
+	if b.words == 1 && len(pp.predQ) == 0 && !pp.pageDirty(b, n) {
+		// Fast path: every tuple is visible to every resident query and
+		// none has a fact predicate, so bτ is the same word for all rows.
+		if w := pp.baseMask[0]; w != 0 {
+			sel = sel[:n]
+			bvs := b.bvArena[:n]
+			for r := range sel {
+				bvs[r] = w
+				sel[r] = int32(r)
 			}
 		}
-		t := b.alloc()
-		copy(t.row, row)
-		t.bv.CopyFrom(pp.baseMask)
+	} else {
+		for r := 0; r < n; r++ {
+			row := b.row(int32(r))
+			bv := b.bv(int32(r))
+			bv.CopyFrom(pp.baseMask)
 
-		mvccRow := pp.mvcc && (row[0] != 0 || row[1] != 0)
-		if mvccRow {
-			// Slow path: per-query snapshot visibility (§3.5).
-			for _, rq := range pp.active {
-				if !rq.q.HasFactPred() && !txn.Visible(row[0], row[1], rq.q.Snapshot) {
-					t.bv.Clear(rq.slot)
+			mvccRow := pp.mvcc && (row[0] != 0 || row[1] != 0)
+			if mvccRow {
+				// Slow path: per-query snapshot visibility (§3.5).
+				for _, rq := range pp.active {
+					if !rq.q.HasFactPred() && !txn.Visible(row[0], row[1], rq.q.Snapshot) {
+						bv.Clear(rq.slot)
+					}
 				}
 			}
-		}
-		for _, rq := range pp.predQ {
-			if mvccRow && !txn.Visible(row[0], row[1], rq.q.Snapshot) {
-				continue
+			for _, rq := range pp.predQ {
+				if mvccRow && !txn.Visible(row[0], row[1], rq.q.Snapshot) {
+					continue
+				}
+				pp.scratch.Fact = row
+				if rq.q.FactPred.Eval(&pp.scratch) != 0 {
+					bv.Set(rq.slot)
+				}
 			}
-			pp.scratch.Fact = t.row
-			if rq.q.FactPred.Eval(&pp.scratch) != 0 {
-				t.bv.Set(rq.slot)
+			if !bv.IsZero() {
+				sel = append(sel, int32(r))
 			}
-		}
-		if t.bv.IsZero() {
-			b.unalloc()
 		}
 	}
-	if len(b.rows) == 0 {
+	b.sel = sel
+	if len(sel) == 0 {
 		pp.p.pool.put(b)
 		return true
 	}
 	b.seq = pp.nextSeq()
-	pp.tuplesOut.Add(int64(len(b.rows)))
-	pp.p.om.tuplesOut.Add(int64(len(b.rows)))
+	pp.tuplesOut.Add(int64(len(sel)))
+	pp.p.om.tuplesOut.Add(int64(len(sel)))
 	return pp.emit(b)
+}
+
+// pageDirty reports whether any of the page's n rows carries a non-zero
+// xmin or xmax, i.e. needs the per-query visibility check (§3.5).
+func (pp *preprocessor) pageDirty(b *batch, n int) bool {
+	if !pp.mvcc {
+		return false
+	}
+	var dirty int64
+	rows, ncols := b.rowArena, b.ncols
+	for r := 0; r < n; r++ {
+		dirty |= rows[r*ncols] | rows[r*ncols+1]
+	}
+	return dirty != 0
 }

@@ -16,17 +16,21 @@ import (
 // for randomized star schemas, data, and query batches, CJOIN's results
 // must equal the naive reference executor's for every query. It fuzzes
 // schema width, data skew, predicate shape, grouping, and concurrency in
-// one loop.
+// one loop. A batch is one fact page, so the narrow-vs-wide fact schema
+// draw is also the batch-capacity draw (about 200 rows per page against
+// about 20).
 func TestRandomStarEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		star := randomStar(rng)
-		p, err := core.NewPipeline(star, core.Config{
+		pad := []int{0, 40}[rng.Intn(2)]
+		star := randomStar(rng, pad)
+		cfg := core.Config{
 			MaxConcurrent: 16,
 			Workers:       rng.Intn(4) + 1,
-			BatchRows:     []int{1, 7, 64, 256}[rng.Intn(4)],
 			Layout:        []core.Layout{core.Horizontal, core.Vertical, core.Hybrid}[rng.Intn(3)],
-		})
+		}
+		t.Logf("trial %d: %d rows/page, %d workers, %s", trial, star.Fact.Heap.RowsPerPage(), cfg.Workers, cfg.Layout)
+		p, err := core.NewPipeline(star, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,8 +71,9 @@ func TestRandomStarEquivalence(t *testing.T) {
 }
 
 // randomStar builds a star with 1-3 dimensions, random cardinalities and
-// skewed fact data.
-func randomStar(rng *rand.Rand) *catalog.Star {
+// skewed fact data; pad widens the fact schema by that many columns no
+// query reads, shrinking the rows a page (and so a batch) holds.
+func randomStar(rng *rand.Rand, pad int) *catalog.Star {
 	dev := disk.NewMem()
 	ndims := rng.Intn(3) + 1
 	var dims []*catalog.Table
@@ -90,6 +95,9 @@ func randomStar(rng *rand.Rand) *catalog.Star {
 		fks = append(fks, 2+d)
 		keys = append(keys, 0)
 	}
+	for c := 0; c < pad; c++ {
+		factCols = append(factCols, catalog.Column{Name: fmt.Sprintf("pad%d", c)})
+	}
 	factCols = append(factCols, catalog.Column{Name: "m"})
 	fact := catalog.NewTable(dev, "f", 2, factCols)
 	nrows := rng.Int63n(3000) + 100
@@ -100,6 +108,9 @@ func randomStar(rng *rand.Rand) *catalog.Star {
 			// Skew: sometimes reference keys outside the dimension to
 			// exercise probe misses on the key/foreign-key contract.
 			row[2+d] = rng.Int63n(card + card/3 + 1)
+		}
+		for c := 0; c < pad; c++ {
+			row[2+ndims+c] = rng.Int63()
 		}
 		row[len(factCols)-1] = rng.Int63n(1000) - 500
 		fact.Heap.Append(row)

@@ -32,7 +32,6 @@ type factScan struct {
 
 	partIdx int
 	page    int
-	vals    []int64
 	scratch []byte
 
 	// zmSkipped counts pages the scan hopped over because no resident
@@ -73,7 +72,6 @@ func newFactScan(star *catalog.Star, override PageSource, subset []int, wrap fun
 		static:  override == nil && star.PartCol >= 0,
 		rpp:     first.RowsPerPage(),
 		ncols:   first.NumCols(),
-		vals:    make([]int64, first.RowsPerPage()*first.NumCols()),
 		scratch: make([]byte, storage.PageSize),
 	}
 	if s.static {
@@ -158,35 +156,36 @@ func (s *factScan) advance(skipPart func(part int) bool, skipPage func(part, pag
 	return wrapped
 }
 
-// nextPage delivers the next page in the cycle. skipPart, if non-nil,
-// lets the caller omit partitions no active query needs (§5: "a
+// nextPage delivers the next page in the cycle, decoded into dst (the
+// caller's batch row arena: RowsPerPage()*NumCols() values). skipPart, if
+// non-nil, lets the caller omit partitions no active query needs (§5: "a
 // sequential scan of the union of identified partitions"); skipPage
 // likewise omits individual pages whose zone maps no resident query
-// intersects. It returns the decoded values (aliasing an internal
-// buffer), row count, absolute position, partition and page index, and
-// whether the scan wrapped past the end to produce this page. n == 0
-// with err == nil means nothing is scannable (empty or fully skipped
-// fact table).
-func (s *factScan) nextPage(skipPart func(part int) bool, skipPage func(part, page int) bool) (vals []int64, n int, pos int64, part, page int, wrapped bool, err error) {
+// intersects. It returns the row count, absolute position, partition and
+// page index, and whether the scan wrapped past the end to produce this
+// page. n == 0 with err == nil means nothing is scannable (empty or fully
+// skipped fact table). A failed read does not advance the cursor, so a
+// retry re-decodes the same page into the same dst.
+func (s *factScan) nextPage(dst []int64, skipPart func(part int) bool, skipPage func(part, page int) bool) (n int, pos int64, part, page int, wrapped bool, err error) {
 	wrapped = s.advance(skipPart, skipPage)
 	if s.partIdx >= len(s.parts) {
 		// Everything is empty or skipped.
-		return nil, 0, 0, 0, 0, wrapped, nil
+		return 0, 0, 0, 0, wrapped, nil
 	}
 	p := s.parts[s.partIdx]
 	if s.page >= p.src.NumPages() || (skipPart != nil && skipPart(s.partIdx)) ||
 		(skipPage != nil && skipPage(s.partIdx, s.page)) {
-		return nil, 0, 0, s.partIdx, 0, wrapped, nil
+		return 0, 0, s.partIdx, 0, wrapped, nil
 	}
 	pos = s.posOf(s.partIdx, s.page)
-	n, err = p.src.ReadPage(s.page, s.vals, s.scratch)
+	n, err = p.src.ReadPage(s.page, dst, s.scratch)
 	if err != nil {
-		return nil, 0, 0, s.partIdx, s.page, wrapped, err
+		return 0, 0, s.partIdx, s.page, wrapped, err
 	}
 	part, page = s.partIdx, s.page
 	// Advance by one page only; partition hand-off happens lazily in
 	// advance so a single growing heap picks up appended tail pages
 	// before wrapping.
 	s.page++
-	return s.vals, n, pos, part, page, wrapped, nil
+	return n, pos, part, page, wrapped, nil
 }

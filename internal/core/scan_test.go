@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"cjoin/internal/bitvec"
 	"cjoin/internal/catalog"
 	"cjoin/internal/disk"
 	"cjoin/internal/storage"
@@ -37,6 +39,7 @@ func partStar(t *testing.T, rowsPerPart []int64) *catalog.Star {
 func TestFactScanCyclesOverPartitions(t *testing.T) {
 	star := partStar(t, []int64{700, 300, 500}) // 511 rows/page → 2+1+1 pages
 	s := newFactScan(star, nil, nil, nil)
+	vals := make([]int64, s.rpp*s.ncols)
 	// Two full cycles are consumed: the wrap flag arrives with the first
 	// page of the next cycle.
 	total := int64(2 * 1500)
@@ -44,7 +47,7 @@ func TestFactScanCyclesOverPartitions(t *testing.T) {
 	var prev int64 = -1
 	wraps := 0
 	for wraps < 2 {
-		vals, n, pos, _, _, wrapped, err := s.nextPage(nil, nil)
+		n, pos, _, _, wrapped, err := s.nextPage(vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +76,11 @@ func TestFactScanCyclesOverPartitions(t *testing.T) {
 func TestFactScanSkipsPartitions(t *testing.T) {
 	star := partStar(t, []int64{400, 400, 400})
 	s := newFactScan(star, nil, nil, nil)
+	vals := make([]int64, s.rpp*s.ncols)
 	skipMiddle := func(p int) bool { return p == 1 }
 	seenParts := map[int]bool{}
 	for i := 0; i < 10; i++ {
-		vals, n, _, part, _, _, err := s.nextPage(skipMiddle, nil)
+		n, _, part, _, _, err := s.nextPage(vals, skipMiddle, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +100,7 @@ func TestFactScanSkipsPartitions(t *testing.T) {
 func TestFactScanAllSkipped(t *testing.T) {
 	star := partStar(t, []int64{100})
 	s := newFactScan(star, nil, nil, nil)
-	_, n, _, _, _, _, err := s.nextPage(func(int) bool { return true }, nil)
+	n, _, _, _, _, err := s.nextPage(make([]int64, s.rpp*s.ncols), func(int) bool { return true }, nil)
 	if err != nil || n != 0 {
 		t.Fatalf("fully skipped scan must return n=0: n=%d err=%v", n, err)
 	}
@@ -105,9 +109,10 @@ func TestFactScanAllSkipped(t *testing.T) {
 func TestFactScanPositionsStable(t *testing.T) {
 	star := partStar(t, []int64{700, 300})
 	s := newFactScan(star, nil, nil, nil)
+	vals := make([]int64, s.rpp*s.ncols)
 	var firstCycle, secondCycle []int64
 	for {
-		_, _, pos, _, _, wrapped, err := s.nextPage(nil, nil)
+		_, pos, _, _, wrapped, err := s.nextPage(vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +124,7 @@ func TestFactScanPositionsStable(t *testing.T) {
 		firstCycle = append(firstCycle, pos)
 	}
 	for len(secondCycle) < len(firstCycle) {
-		_, _, pos, _, _, _, err := s.nextPage(nil, nil)
+		_, pos, _, _, _, err := s.nextPage(vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,32 +208,64 @@ func TestTuplePoolBackpressure(t *testing.T) {
 	}
 }
 
-func TestBatchAllocUnalloc(t *testing.T) {
-	b := newBatch(3, 2, 1, 2)
-	x := b.alloc()
-	x.row[0] = 7
-	x.bv.Set(0)
-	y := b.alloc()
-	y.bv.Set(1)
-	b.unalloc()
-	if len(b.rows) != 1 || b.rows[0].row[0] != 7 {
-		t.Fatalf("unalloc broke batch: %v", b.rows)
-	}
-	if b.full() {
-		t.Fatal("batch with 1/3 rows is not full")
-	}
-	b.alloc()
-	b.alloc()
-	if !b.full() {
-		t.Fatal("batch must be full at capacity")
-	}
-	b.reset()
-	if len(b.rows) != 0 {
-		t.Fatal("reset must clear rows")
-	}
-	// A reused arena slot must come back zeroed.
-	z := b.alloc()
-	if !z.bv.IsZero() || z.dims[0] != nil || z.dims[1] != nil {
-		t.Fatal("reused tuple not cleaned")
+// TestBatchSelectionInvariants pins what a flat batch promises across
+// Filters (batch.go): tuples are arena indices, a Filter only rewrites
+// the selection, and recycling a batch zeroes nothing per tuple.
+func TestBatchSelectionInvariants(t *testing.T) {
+	for _, maxConc := range []int{8, 192} { // word path, vector path
+		star := miniStar(t, 10)
+		ds := newTestDimState(star, 0, maxConc)
+		if err := ds.admit(0, predLt(1)); err != nil { // selects keys 0, 5
+			t.Fatal(err)
+		}
+		if err := ds.admit(1, nil); err != nil { // does not reference d
+			t.Fatal(err)
+		}
+		b := newBatch(16, 2, bitvec.Words(maxConc), 1)
+		rng := rand.New(rand.NewSource(int64(maxConc)))
+		for i := 0; i < 16; i++ {
+			row, bv := b.push()
+			row[0], row[1] = rng.Int63n(12), int64(1000+i)
+			bv.Set(rng.Intn(2)) // query 0 only, or query 1 only (skip path)
+		}
+		in := append([]int32(nil), b.sel...)
+		rowsBefore := append([]int64(nil), b.rowArena...)
+
+		ds.filterBatch(b)
+
+		// sel is a strictly increasing subsequence of its input.
+		if len(b.sel) == 0 || len(b.sel) == len(in) {
+			t.Fatalf("mc=%d: want some but not all tuples dropped, %d of %d survive", maxConc, len(b.sel), len(in))
+		}
+		k := 0
+		for _, i := range b.sel {
+			for k < len(in) && in[k] != i {
+				k++
+			}
+			if k == len(in) {
+				t.Fatalf("mc=%d: sel %v is not an ordered subsequence of %v", maxConc, b.sel, in)
+			}
+			k++
+		}
+		// No tuple moved: every arena row, dropped or not, is untouched.
+		for j, v := range b.rowArena {
+			if v != rowsBefore[j] {
+				t.Fatalf("mc=%d: row arena cell %d changed %d -> %d", maxConc, j, rowsBefore[j], v)
+			}
+		}
+		// Skip-path tuples have no row attached; probed hits do.
+		for k := range b.sel {
+			row, bv, dims := b.survivor(k)
+			if bv.Get(1) && dims[0] != nil {
+				t.Fatalf("mc=%d: skip-path tuple fk=%d has a row attached", maxConc, row[0])
+			}
+			if bv.Get(0) && (dims[0] == nil || dims[0][0] != row[0]) {
+				t.Fatalf("mc=%d: probed tuple fk=%d attached %v", maxConc, row[0], dims[0])
+			}
+		}
+		b.reset()
+		if len(b.sel) != 0 {
+			t.Fatalf("mc=%d: reset left %d selected", maxConc, len(b.sel))
+		}
 	}
 }

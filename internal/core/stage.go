@@ -5,6 +5,35 @@ import (
 	"time"
 )
 
+// stageLayout returns the Stages the configured layout creates (§4) —
+// for each, the Filters it applies in order, nil meaning "the pipeline's
+// current optimized filter order" — and the worker threads every Stage
+// runs.
+func stageLayout(cfg Config, ndims int) (stages [][]int, workers int) {
+	switch cfg.Layout {
+	case Vertical:
+		// One single-threaded Stage per Filter, chained.
+		for d := 0; d < ndims; d++ {
+			stages = append(stages, []int{d})
+		}
+		return stages, 1
+	case Hybrid:
+		// Config.Stages chained Stages, Filters split round-robin in
+		// dimension order, Workers divided among Stages.
+		nStages := max(min(cfg.Stages, ndims), 1)
+		stages = make([][]int, nStages)
+		for d := 0; d < ndims; d++ {
+			g := d * nStages / ndims
+			stages[g] = append(stages[g], d)
+		}
+		return stages, max(cfg.Workers/nStages, 1)
+	default: // Horizontal
+		// One Stage running the whole (dynamically ordered) Filter
+		// sequence on Workers threads.
+		return [][]int{nil}, cfg.Workers
+	}
+}
+
 // startStages wires the Filter sequence between the Preprocessor output
 // and the Distributor input according to the configured layout (§4) and
 // returns the channel the Distributor should consume.
@@ -13,43 +42,12 @@ import (
 // let the Distributor restore global order, so Stages are free to process
 // batches concurrently.
 func (p *Pipeline) startStages(in chan *batch) chan *batch {
-	switch p.cfg.Layout {
-	case Vertical:
-		// One single-threaded Stage per Filter, chained.
-		cur := in
-		for d := range p.dimStates {
-			cur = p.startStage(cur, []int{d}, 1)
-		}
-		return cur
-	case Hybrid:
-		// Config.Stages chained Stages, Filters split round-robin in
-		// dimension order, Workers divided among Stages.
-		nStages := p.cfg.Stages
-		if nStages > len(p.dimStates) {
-			nStages = len(p.dimStates)
-		}
-		if nStages < 1 {
-			nStages = 1
-		}
-		groups := make([][]int, nStages)
-		for d := range p.dimStates {
-			g := d * nStages / len(p.dimStates)
-			groups[g] = append(groups[g], d)
-		}
-		perStage := p.cfg.Workers / nStages
-		if perStage < 1 {
-			perStage = 1
-		}
-		cur := in
-		for _, g := range groups {
-			cur = p.startStage(cur, g, perStage)
-		}
-		return cur
-	default: // Horizontal
-		// One Stage running the whole (dynamically ordered) Filter
-		// sequence on Workers threads.
-		return p.startStage(in, nil, p.cfg.Workers)
+	stages, workers := stageLayout(p.cfg, len(p.dimStates))
+	cur := in
+	for _, dims := range stages {
+		cur = p.startStage(cur, dims, workers)
 	}
+	return cur
 }
 
 // startStage launches workers consuming in and producing a new output
@@ -83,7 +81,7 @@ func (p *Pipeline) startStage(in chan *batch, dims []int, workers int) chan *bat
 						probeStart = time.Now()
 					}
 					for _, d := range order {
-						if len(b.rows) == 0 {
+						if len(b.sel) == 0 {
 							break
 						}
 						p.dimStates[d].filterBatch(b)
@@ -91,13 +89,9 @@ func (p *Pipeline) startStage(in chan *batch, dims []int, workers int) chan *bat
 					if timed {
 						p.om.filterBatch.ObserveSince(probeStart)
 					}
-					if len(b.rows) == 0 {
-						// Fully filtered: recycle here, but the batch
-						// must still reach the Distributor to keep the
-						// sequence contiguous.
-						b.rows = b.rows[:0]
-					}
 				}
+				// An emptied batch still travels to the Distributor: seq
+				// must stay contiguous.
 				select {
 				case out <- b:
 				case <-p.stopCh:

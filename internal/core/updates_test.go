@@ -136,3 +136,58 @@ func TestQueriesMatchReferenceWhileUpdating(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDirtyLastRowTakesSlowPath is the boundary case of the
+// Preprocessor's clean-page fast path (emitPage stamps one shared
+// bit-vector on every row of a page no row of which carries xmin/xmax):
+// a page whose ONLY versioned row is its last must still get per-query
+// visibility. The appended row fills the last slot of the last page; a
+// snapshot taken before its xmin must not count it, one taken after
+// must, and both must match the reference executor.
+func TestDirtyLastRowTakesSlowPath(t *testing.T) {
+	rpp := dataset(t, 1).Lineorder.Heap.RowsPerPage()
+	ds := dataset(t, 3*rpp-1) // two clean pages and a page one row short
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 8})
+
+	qBefore := countAll(t, ds)
+	if _, err := ds.AppendFact(1, rand.New(rand.NewSource(5))); err != nil {
+		t.Fatal(err)
+	}
+	qAfter := countAll(t, ds)
+	if ds.Lineorder.Heap.NumRows() != int64(3*rpp) {
+		t.Fatalf("fact table has %d rows, want %d full pages", ds.Lineorder.Heap.NumRows(), 3)
+	}
+
+	hBefore, err := p.Submit(qBefore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hAfter, err := p.Submit(qAfter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    *query.Bound
+		h    core.Handle
+		want int64
+	}{
+		{"before xmin", qBefore, hBefore, int64(3*rpp - 1)},
+		{"after xmin", qAfter, hAfter, int64(3 * rpp)},
+	} {
+		res := c.h.Wait()
+		if res.Err != nil {
+			t.Fatal(c.name, res.Err)
+		}
+		want, err := ref.Execute(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.ResultsEqual(res.Rows, want) {
+			t.Fatalf("snapshot %s diverges from the reference: %v vs %v", c.name, res.Rows, want)
+		}
+		if got := res.Rows[0].Ints[0]; got != c.want {
+			t.Fatalf("snapshot %s counts %d rows, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -83,8 +83,9 @@ func TestFactScanSkipsPages(t *testing.T) {
 	star := partStar(t, []int64{1022}) // 511 rows/page → exactly 2 flushed pages
 	s := newFactScan(star, nil, nil, nil)
 	skipFirst := func(part, page int) bool { return page == 0 }
+	vals := make([]int64, s.rpp*s.ncols)
 	for i := 0; i < 4; i++ {
-		vals, n, _, part, page, _, err := s.nextPage(nil, skipFirst)
+		n, _, part, page, _, err := s.nextPage(vals, nil, skipFirst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,11 @@ import (
 )
 
 // Ablation experiments isolate CJOIN design choices the paper calls out:
-// the probe-skip test of §3.2.2, on-line filter reordering (§3.4), batch
-// sizes in inter-thread hand-off (§4), the bit-vector width implied by
-// maxConc (§6.2.2 blames bitmap ops for the sub-linear tail), and
-// compressed fact pages (§5).
+// the probe-skip test of §3.2.2, on-line filter reordering (§3.4), the
+// bit-vector width implied by maxConc (§6.2.2 blames bitmap ops for the
+// sub-linear tail), and compressed fact pages (§5). The §4 batch-size
+// sweep is retired with its knob: a batch is one fact page, and the
+// sweep's verdict is recorded in PERFORMANCE.md "PR 22".
 
 // RunAblationProbeSkip compares throughput with and without the §3.2.2
 // probe-skip optimization under a mixed workload where queries leave
@@ -36,40 +37,6 @@ func RunAblationProbeSkip(cfg Config, n int) (Figure, error) {
 	s := Series{Name: "CJOIN"}
 	for _, enabled := range []bool{false, true} {
 		m, err := env.RunCJoin(n, core.Config{MaxConcurrent: cfg.MaxConcurrent, DisableProbeSkip: !enabled}, "")
-		if err != nil {
-			return fig, err
-		}
-		s.Y = append(s.Y, m.Throughput)
-	}
-	fig.Series = []Series{s}
-	return fig, nil
-}
-
-// RunAblationBatchSize sweeps the pipeline batch size (§4: "reduce the
-// overhead of queue synchronization by having each thread retrieve or
-// deposit tuples in batches").
-func RunAblationBatchSize(cfg Config, sizes []int, n int) (Figure, error) {
-	cfg = cfg.withDefaults()
-	if len(sizes) == 0 {
-		sizes = []int{1, 16, 64, 256, 1024}
-	}
-	if n <= 0 {
-		n = 16
-	}
-	fig := Figure{
-		ID:     "ablation-batch",
-		Title:  "Ablation: pipeline batch size (§4)",
-		XLabel: "rows per batch",
-		YLabel: "throughput (queries/hour)",
-	}
-	env, err := NewEnv(cfg)
-	if err != nil {
-		return fig, err
-	}
-	s := Series{Name: "CJOIN"}
-	for _, size := range sizes {
-		fig.X = append(fig.X, float64(size))
-		m, err := env.RunCJoin(n, core.Config{MaxConcurrent: cfg.MaxConcurrent, BatchRows: size}, "")
 		if err != nil {
 			return fig, err
 		}

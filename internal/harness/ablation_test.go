@@ -13,16 +13,6 @@ func TestAblationProbeSkip(t *testing.T) {
 	}
 }
 
-func TestAblationBatchSize(t *testing.T) {
-	fig, err := RunAblationBatchSize(tinyConfig(), []int{8, 128}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.X) != 2 || fig.Series[0].Y[1] <= 0 {
-		t.Fatalf("fig %v", fig)
-	}
-}
-
 func TestAblationMaxConc(t *testing.T) {
 	fig, err := RunAblationMaxConc(tinyConfig(), []int{16, 512}, 4)
 	if err != nil {
