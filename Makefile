@@ -39,11 +39,13 @@ shardparts-smoke:
 chaos-smoke:
 	./scripts/chaos-smoke.sh
 
-# End-to-end telemetry plane: cjoind -shards 2 -pprof must serve every
-# stage family on /metrics, a complete per-query trace timeline, and the
-# pprof index (scripts/metrics-smoke.sh).
+# End-to-end telemetry plane: cjoind -pprof must serve every stage family
+# on /metrics, a complete per-query trace timeline, the pprof index, and a
+# per-shard /healthz and /stats breakdown (scripts/metrics-smoke.sh) — at
+# -shards 2 and at cjoind's default -shards 1, a one-shard group.
 metrics-smoke:
-	./scripts/metrics-smoke.sh
+	SHARDS=2 ./scripts/metrics-smoke.sh
+	SHARDS=1 ./scripts/metrics-smoke.sh
 
 # End-to-end HTAP write plane: POST /update commits (append, delete,
 # dimension rewrite) against cjoind -shards 2, snapshot contiguity past

@@ -299,7 +299,7 @@ type PipelineOptions struct {
 	// submission surface: an unpartitioned fact table is page-strided
 	// across shards, a range-partitioned one has whole partitions dealt
 	// to shards (balanced by page count, pruning intact). Results are
-	// merged exactly. 0 or 1 keeps the paper's single pipeline.
+	// merged exactly. 0 or 1 runs the paper's single pipeline.
 	Shards int
 }
 
@@ -326,9 +326,8 @@ func (o PipelineOptions) toCore() (core.Config, error) {
 	return cfg, nil
 }
 
-// OpenPipeline starts the warehouse's always-on CJOIN operator: the
-// paper's single pipeline, or a sharded group of them when
-// opts.Shards > 1.
+// OpenPipeline starts the warehouse's always-on CJOIN operator: a group
+// of opts.Shards pipelines, one unless asked for more.
 func (w *Warehouse) OpenPipeline(opts PipelineOptions) (*Pipeline, error) {
 	star, err := w.starSchema()
 	if err != nil {
@@ -338,28 +337,19 @@ func (w *Warehouse) OpenPipeline(opts PipelineOptions) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 {
-		g, err := shard.New(star, shard.Config{Shards: opts.Shards, Core: cfg})
-		if err != nil {
-			return nil, err
-		}
-		g.Start()
-		return &Pipeline{w: w, p: g}, nil
-	}
-	p, err := core.NewPipeline(star, cfg)
+	g, err := shard.New(star, shard.Config{Shards: opts.Shards, Core: cfg})
 	if err != nil {
 		return nil, err
 	}
-	p.Start()
-	return &Pipeline{w: w, p: p}, nil
+	g.Start()
+	return &Pipeline{w: w, p: g}, nil
 }
 
 // Pipeline is a running CJOIN operator accepting concurrent star
-// queries — a single pipeline or a sharded group behind the same
-// executor surface.
+// queries.
 type Pipeline struct {
 	w *Warehouse
-	p core.Executor
+	p *shard.Group
 }
 
 // Close shuts the pipeline down; in-flight queries fail.

@@ -56,7 +56,7 @@ func main() {
 		rows     = flag.Int("rows", 20000, "fact rows per scale-factor unit")
 		seed     = flag.Int64("seed", 42, "dataset generation seed")
 		parts    = flag.Int("partitions", 0, "range-partition lineorder into N heaps (0 = off)")
-		shards   = flag.Int("shards", 1, "CJOIN pipelines behind one admission queue (1 = single pipeline; unpartitioned facts are page-strided, range-partitioned facts have whole partitions dealt)")
+		shards   = flag.Int("shards", 1, "CJOIN pipelines behind one admission queue (1 = the paper's single pipeline; unpartitioned facts are page-strided, range-partitioned facts have whole partitions dealt)")
 		maxConc  = flag.Int("maxconc", 64, "pipeline query slots (maxConc)")
 		workers  = flag.Int("workers", 0, "stage worker threads (0 = NumCPU/2)")
 		queueLen = flag.Int("queue", 0, "admission queue bound (0 = 8*maxconc)")
@@ -67,7 +67,7 @@ func main() {
 		seekMs   = flag.Duration("disk-seek", 0, "simulated seek penalty")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		chaos    = flag.String("chaos", "", "fault-injection spec, e.g. 'seed=7;shard=1;scan-err=0.02;scan-fail=40' (see internal/fault)")
-		stallTO  = flag.Duration("stall-timeout", 0, "declare a shard dead after this long without scan progress (0 = off; sharded only)")
+		stallTO  = flag.Duration("stall-timeout", 0, "declare a shard dead after this long without scan progress (0 = off)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ and Go runtime gauges on /metrics")
 		zoneMaps = flag.Bool("zonemaps", true, "page-level zone-map pruning: skip fact pages whose per-page min/max synopses no resident query can match (false = §5 partition-granular pruning only)")
 	)
@@ -127,41 +127,26 @@ func main() {
 		chaosSpec.Obs = metrics
 		log.Printf("CHAOS ARMED: %s", chaosSpec)
 	}
-	var exec core.Executor
-	if *shards > 1 {
-		group, err := shard.New(ds.Star, shard.Config{
-			Shards:       *shards,
-			Core:         coreCfg,
-			Fault:        chaosSpec,
-			StallTimeout: *stallTO,
-			Logf:         log.Printf,
-			Obs:          metrics,
-		})
-		if err != nil {
-			log.Fatalf("shard group: %v", err)
-		}
-		group.Start()
-		exec = group
-		if subs := group.ShardPartitions(); subs != nil {
-			log.Printf("sharded execution started: %d pipelines, maxconc=%d, %d range partitions dealt %v",
-				group.NumShards(), *maxConc, len(ds.Star.Partitions()), subs)
-		} else {
-			log.Printf("sharded execution started: %d page-strided pipelines, maxconc=%d", group.NumShards(), *maxConc)
-		}
+	group, err := shard.New(ds.Star, shard.Config{
+		Shards:       *shards,
+		Core:         coreCfg,
+		Fault:        chaosSpec,
+		StallTimeout: *stallTO,
+		Logf:         log.Printf,
+		Obs:          metrics,
+	})
+	if err != nil {
+		log.Fatalf("shard group: %v", err)
+	}
+	group.Start()
+	if subs := group.ShardPartitions(); subs != nil {
+		log.Printf("execution started: %d pipelines, maxconc=%d, %d range partitions dealt %v",
+			group.NumShards(), *maxConc, len(ds.Star.Partitions()), subs)
 	} else {
-		// Single pipeline: derive the (sole) shard's injector directly.
-		coreCfg.Fault = chaosSpec.ForShard(0)
-		coreCfg.Obs = metrics
-		pipe, err := core.NewPipeline(ds.Star, coreCfg)
-		if err != nil {
-			log.Fatalf("pipeline: %v", err)
-		}
-		pipe.Start()
-		exec = pipe
-		log.Printf("pipeline started: maxconc=%d", *maxConc)
+		log.Printf("execution started: %d page-strided pipeline(s), maxconc=%d", group.NumShards(), *maxConc)
 	}
 
-	srv := server.New(ds.Star, ds.Txn, exec, server.Config{
+	srv := server.New(ds.Star, ds.Txn, group, server.Config{
 		Admission: admission.Config{MaxQueue: *queueLen, MaxWait: *maxWait, BatchAdmit: *admBatch},
 		Metrics:   metrics,
 	})
@@ -194,7 +179,7 @@ func main() {
 	case sig := <-sigCh:
 		log.Printf("received %v; draining (budget %v)", sig, *drainTO)
 	case err := <-errCh:
-		exec.Stop()
+		group.Stop()
 		log.Fatalf("http server: %v", err)
 	}
 
@@ -209,7 +194,7 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	// Stop fans out to every shard pipeline.
-	exec.Stop()
+	group.Stop()
 
 	st := srv.Queue().Stats()
 	fmt.Fprintf(os.Stderr,

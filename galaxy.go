@@ -3,9 +3,9 @@ package cjoin
 import (
 	"fmt"
 
-	"cjoin/internal/core"
 	"cjoin/internal/expr"
 	"cjoin/internal/query"
+	"cjoin/internal/shard"
 )
 
 // FactRow is one fact tuple delivered by a galaxy join, with dictionary
@@ -35,8 +35,9 @@ func (r FactRow) Col(name string) (Value, error) {
 // sub-queries joined on a fact-to-fact equi-join pivot. Each side's star
 // portion is evaluated by the CJOIN pipeline (and therefore shared with
 // all concurrent star queries); the pivot join runs build/probe on the
-// star results. emit is called once per joined pair of fact tuples; the
-// second argument aliases pipeline buffers and must not be retained.
+// star results. It runs at any PipelineOptions.Shards. emit is called
+// once per joined pair of fact tuples, one call at a time; the second
+// argument aliases pipeline buffers and must not be retained.
 func (p *Pipeline) GalaxyJoin(sqlA, sqlB, pivotA, pivotB string, emit func(a, b FactRow)) error {
 	star, err := p.w.starSchema()
 	if err != nil {
@@ -58,14 +59,7 @@ func (p *Pipeline) GalaxyJoin(sqlA, sqlB, pivotA, pivotB string, emit func(a, b 
 	snap := p.w.Begin()
 	qa.Snapshot = snap
 	qb.Snapshot = snap
-	cp, ok := p.p.(*core.Pipeline)
-	if !ok {
-		// Galaxy joins route fact tuples through per-query sinks, a
-		// concrete single-pipeline capability the sharded group does not
-		// broadcast (its handles gather aggregates, not tuples).
-		return fmt.Errorf("cjoin: GalaxyJoin requires an unsharded pipeline (PipelineOptions.Shards <= 1)")
-	}
-	return core.ExecuteGalaxy(cp, cp, qa, qb, colA, colB, func(fa, fb *expr.Joined) {
+	return shard.ExecuteGalaxy(p.p, p.p, qa, qb, colA, colB, func(fa, fb *expr.Joined) {
 		emit(FactRow{w: p.w, row: fa.Fact}, FactRow{w: p.w, row: fb.Fact})
 	})
 }

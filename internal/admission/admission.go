@@ -98,7 +98,7 @@ type State int32
 const (
 	// StateQueued: waiting for a pipeline slot.
 	StateQueued State = iota
-	// StateAdmitting: popped from the queue, Pipeline.Submit in flight.
+	// StateAdmitting: popped from the queue, Executor.Submit in flight.
 	StateAdmitting
 	// StateRunning: registered with the pipeline (Handle available).
 	StateRunning
@@ -176,8 +176,8 @@ type Ticket struct {
 	done chan struct{}
 }
 
-// Queue is the admission tier over one executor — a single pipeline or
-// a sharded group, anything implementing core.Executor.
+// Queue is the admission tier over one executor — a shard.Group, or
+// anything else implementing core.Executor.
 type Queue struct {
 	ex  core.Executor
 	cfg Config

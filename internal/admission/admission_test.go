@@ -12,16 +12,17 @@ import (
 	"cjoin/internal/disk"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 )
 
-func env(t testing.TB, rows, maxConc int) (*ssb.Dataset, *core.Pipeline) {
+func env(t testing.TB, rows, maxConc int) (*ssb.Dataset, *shard.Group) {
 	return envDisk(t, rows, maxConc, disk.Config{})
 }
 
 // envDisk generates a dataset on a throttled device, for tests that need
 // the continuous scan to take a predictable, nontrivial time.
-func envDisk(t testing.TB, rows, maxConc int, dc disk.Config, tweaks ...func(*core.Config)) (*ssb.Dataset, *core.Pipeline) {
+func envDisk(t testing.TB, rows, maxConc int, dc disk.Config, tweaks ...func(*core.Config)) (*ssb.Dataset, *shard.Group) {
 	t.Helper()
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: rows, Seed: 7, Disk: dc})
 	if err != nil {
@@ -31,7 +32,7 @@ func envDisk(t testing.TB, rows, maxConc int, dc disk.Config, tweaks ...func(*co
 	for _, tw := range tweaks {
 		tw(&ccfg)
 	}
-	p, err := core.NewPipeline(ds.Star, ccfg)
+	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"cjoin/internal/core"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 )
 
@@ -38,9 +39,9 @@ func (g *gatedSource) ReadPage(page int, dst []int64, _ []byte) (int, error) {
 	return g.rows, nil
 }
 
-// gatedPipeline builds an SSB-schema pipeline whose continuous scan is
-// fed by a gated source of `pages` pages.
-func gatedPipeline(t *testing.T, maxConc, pages int) (*core.Pipeline, *ssb.Dataset, *gatedSource) {
+// gatedPipeline starts a one-shard group over an SSB schema whose
+// continuous scan is fed by a gated source of `pages` pages.
+func gatedPipeline(t *testing.T, maxConc, pages int) (*shard.Group, *ssb.Dataset, *gatedSource) {
 	t.Helper()
 	ds := dataset(t, 100)
 	gs := &gatedSource{
@@ -49,16 +50,11 @@ func gatedPipeline(t *testing.T, maxConc, pages int) (*core.Pipeline, *ssb.Datas
 		pages: pages,
 		gate:  make(chan struct{}, 1024),
 	}
-	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: maxConc, Workers: 2, FactSource: gs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	t.Cleanup(func() {
-		close(gs.gate) // release any blocked read so Stop can finish
-		p.Stop()
-	})
-	return p, ds, gs
+	g := startGroup(t, ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: maxConc, Workers: 2, FactSource: gs}})
+	// Cleanups run last-in first-out: release any blocked read before
+	// startGroup's Stop.
+	t.Cleanup(func() { close(gs.gate) })
+	return g, ds, gs
 }
 
 func countStar(t *testing.T, ds *ssb.Dataset) *query.Bound {
@@ -70,7 +66,7 @@ func countStar(t *testing.T, ds *ssb.Dataset) *query.Bound {
 	return b
 }
 
-func waitActive(t *testing.T, p *core.Pipeline, want int) {
+func waitActive(t *testing.T, p *shard.Group, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for p.ActiveQueries() != want {

@@ -7,6 +7,7 @@ import (
 	"cjoin/internal/core"
 	"cjoin/internal/disk"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 	"cjoin/internal/storage"
 )
@@ -42,12 +43,7 @@ func TestColumnStoreScanMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: 16, FactSource: merger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	defer p.Stop()
+	p := startGroup(t, ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: 16, FactSource: merger}})
 
 	colDev.ResetStats()
 	for _, q := range bindWorkload(t, ds, 8, 0.1, 29) {
@@ -85,7 +81,7 @@ func TestFactSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewPipeline(ds.Star, core.Config{FactSource: m}); err == nil {
+	if _, err := shard.New(ds.Star, shard.Config{Core: core.Config{FactSource: m}}); err == nil {
 		t.Fatal("mismatched FactSource width must be rejected")
 	}
 
@@ -99,7 +95,7 @@ func TestFactSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewPipeline(part.Star, core.Config{FactSource: fm}); err == nil {
+	if _, err := shard.New(part.Star, shard.Config{Core: core.Config{FactSource: fm}}); err == nil {
 		t.Fatal("FactSource with a partitioned star must be rejected")
 	}
 }

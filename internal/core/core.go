@@ -27,6 +27,11 @@
 // tuple (batch.go). Control tuples are kept ordered relative to data
 // tuples (§3.3.3) by sequencing batches at the Preprocessor and restoring
 // order in the Distributor.
+//
+// A Pipeline is a shard, not an executor: internal/shard.Group is the
+// only Executor. It owns the dimension plane, admits each query to it
+// once, and enters the query into each of its pipelines through
+// Pipeline.Activate — at one shard as at N.
 package core
 
 import (
@@ -99,33 +104,12 @@ type Config struct {
 	// PredCacheSize bounds the dimension plane's predicate-scan cache
 	// (memoized SelectRows results keyed by canonical predicate
 	// fingerprint). 0 selects dimplane.DefaultPredCacheSize; negative
-	// disables caching. Ignored when Plane is supplied — the plane
-	// owner configured it.
+	// disables caching. The plane's owner (internal/shard) reads it.
 	PredCacheSize int
 	// FactSource overrides the physical source of the continuous scan —
 	// e.g. a column-store scan/merge (§5). Row width must match the
 	// star's fact schema. Incompatible with partitioned stars.
 	FactSource PageSource
-	// PartSubset restricts the continuous scan to the given global
-	// partition indices of a range-partitioned star (§5), in scan order.
-	// Nil scans every partition. internal/shard.Group deals whole
-	// partitions across its shards with this, so each shard cycles over
-	// its own partition subset with pruning intact. Requires a
-	// partitioned star; incompatible with FactSource.
-	PartSubset []int
-	// Plane is the shared dimension plane this pipeline probes. Nil
-	// means the pipeline constructs and owns a private plane (the
-	// single-pipeline, N=1 case). internal/shard.Group builds one plane
-	// for all its shards and drives it via Plane.AdmitBatch +
-	// Pipeline.Activate, so dimension admission runs once per logical
-	// query regardless of shard count. A non-nil plane must be built
-	// over the same star with the same MaxConcurrent.
-	Plane *dimplane.Plane
-	// Fault is this pipeline's deterministic fault injector for chaos
-	// testing (internal/fault): scan faults, admission faults, and armed
-	// panic points in the pipeline goroutines. Nil — the production
-	// configuration — reduces every hook to a single nil test.
-	Fault *fault.Injector
 	// ScanRetries bounds how many times a transient fact-scan error is
 	// retried at the same page boundary before the pipeline escalates to
 	// the terminal Failed state. Default 4.
@@ -136,19 +120,41 @@ type Config struct {
 	// Logf, when non-nil, receives pipeline lifecycle warnings (failure
 	// transitions above all). The pipeline never logs on its own.
 	Logf func(format string, args ...any)
+}
+
+// ShardConfig is what a pipeline's owner, internal/shard.Group, hands
+// each of its shard pipelines beside Config: the shared plane, the
+// shard's part of the fact table, its fault injector and its telemetry
+// labels. Only shard.New builds one.
+type ShardConfig struct {
+	// Index is the shard's position in its group: the "shard" label of
+	// the pipeline's metric families, so N pipelines share each family.
+	Index int
+	// Plane is the group's dimension plane. The group admits each
+	// logical query to it once (Plane.AdmitBatch) and activates it on
+	// every shard (Pipeline.Activate); the shards' Filters probe its
+	// copy-on-write snapshots.
+	Plane *dimplane.Plane
+	// PartSubset restricts the continuous scan to the given global
+	// partition indices of a range-partitioned star (§5), in scan order:
+	// the shard's share of the group's partition deal. Nil scans every
+	// partition.
+	PartSubset []int
+	// Fault is this shard's deterministic fault injector for chaos
+	// testing (internal/fault): scan faults and armed panic points in the
+	// pipeline goroutines. Nil — the production configuration — reduces
+	// every hook to a single nil test.
+	Fault *fault.Injector
 	// Obs, when non-nil, registers the pipeline's metric families
-	// (cjoin_scan_*, cjoin_filter_*, cjoin_pipeline_*) with the
-	// telemetry plane, labeled by ObsShard. Nil — the default — disables
-	// instrumentation; the hot path then pays one nil test per event.
+	// (cjoin_scan_*, cjoin_filter_*, cjoin_pipeline_*) with the telemetry
+	// plane. Nil disables instrumentation; the hot path then pays one nil
+	// test per event.
 	Obs *obs.Registry
-	// ObsShard is the shard label value for this pipeline's metrics;
-	// internal/shard sets it so N pipelines share each family.
-	ObsShard int
 }
 
 // Normalized fills zero fields with the pipeline defaults. Exported so
-// executors composing pipelines (internal/shard) can size shared
-// structures — the dimension plane above all — from the same effective
+// internal/shard can size the structures it shares across its pipelines
+// — the dimension plane above all — from the same effective
 // configuration NewPipeline will use.
 func (c Config) Normalized() Config {
 	if c.MaxConcurrent <= 0 {

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"cjoin/internal/catalog"
 	"cjoin/internal/core"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 )
 
@@ -21,15 +23,22 @@ func dataset(t testing.TB, rows int) *ssb.Dataset {
 	return ds
 }
 
-func startPipeline(t testing.TB, ds *ssb.Dataset, cfg core.Config) *core.Pipeline {
+// startPipeline starts a one-shard group over ds: the executor every
+// end-to-end test here drives.
+func startPipeline(t testing.TB, ds *ssb.Dataset, cfg core.Config) *shard.Group {
 	t.Helper()
-	p, err := core.NewPipeline(ds.Star, cfg)
+	return startGroup(t, ds.Star, shard.Config{Shards: 1, Core: cfg})
+}
+
+func startGroup(t testing.TB, star *catalog.Star, cfg shard.Config) *shard.Group {
+	t.Helper()
+	g, err := shard.New(star, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
-	t.Cleanup(p.Stop)
-	return p
+	g.Start()
+	t.Cleanup(g.Stop)
+	return g
 }
 
 func bindWorkload(t testing.TB, ds *ssb.Dataset, n int, s float64, seed int64) []*query.Bound {
@@ -221,14 +230,16 @@ func TestTooManyQueries(t *testing.T) {
 
 func TestReorderFiltersDuringExecution(t *testing.T) {
 	ds := dataset(t, 2500)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 16, Workers: 3, OptimizeInterval: time.Millisecond})
+	// One pipeline, not a group: the test calls its ReorderFilters.
+	p := core.NewTestPipeline(t, ds.Star, core.Config{MaxConcurrent: 16, Workers: 3, OptimizeInterval: time.Millisecond}, core.ShardConfig{})
+	p.Start()
 	qs := bindWorkload(t, ds, 12, 0.1, 41)
 	var wg sync.WaitGroup
 	for _, q := range qs {
 		wg.Add(1)
 		go func(q *query.Bound) {
 			defer wg.Done()
-			h, err := p.Submit(q)
+			h, err := p.Admit(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -299,7 +310,7 @@ func TestProgressReaches1(t *testing.T) {
 func TestStopFailsInflightQueries(t *testing.T) {
 	ds := dataset(t, 50000)
 	// A full scan, so the query cannot complete ahead of Stop.
-	p, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: 4, DisableZoneMaps: true})
+	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: 4, DisableZoneMaps: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func (d *distributor) run() {
 	// owns delivery; the orphan sweep below is the clean-shutdown path.
 	defer d.p.guard("distributor")
 	for b := range d.in {
-		d.p.cfg.Fault.PanicPoint(fault.SiteDistributor)
+		d.p.fault.PanicPoint(fault.SiteDistributor)
 		d.pending[b.seq] = b
 		for {
 			nb, ok := d.pending[d.expect]

@@ -14,10 +14,7 @@ import (
 // batches.
 func TestDistributorRestoresSequenceOrder(t *testing.T) {
 	star := miniStar(t, 10)
-	p, err := NewPipeline(star, Config{MaxConcurrent: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewTestPipeline(t, star, Config{MaxConcurrent: 8}, ShardConfig{})
 	// Hand-drive a distributor without starting the pipeline goroutines.
 	in := make(chan *batch, 16)
 	d := newDistributor(p, in)
@@ -79,18 +76,14 @@ func TestIdleScanParks(t *testing.T) {
 	for i := int64(0); i < 2000; i++ {
 		star.Fact.Heap.Append([]int64{i % 5, i})
 	}
-	p, err := NewPipeline(star, Config{MaxConcurrent: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewTestPipeline(t, star, Config{MaxConcurrent: 4}, ShardConfig{})
 	p.Start()
-	defer p.Stop()
 
 	q, err := query.ParseBind("SELECT COUNT(*) FROM f, d WHERE fk = k", star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.Submit(q)
+	h, err := p.Admit(q)
 	if err != nil {
 		t.Fatal(err)
 	}

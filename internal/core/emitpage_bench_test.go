@@ -27,10 +27,7 @@ func newEmitRig(tb testing.TB) *emitRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := NewPipeline(ds.Star, Config{MaxConcurrent: 64})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	p := NewTestPipeline(tb, ds.Star, Config{MaxConcurrent: 64}, ShardConfig{})
 	r := &emitRig{p: p, pp: newPreprocessor(p), dist: newDistributor(p, nil)}
 	p.pp = r.pp
 

@@ -7,14 +7,14 @@ import (
 	"cjoin/internal/query"
 )
 
-// Handle tracks one submitted query independently of which executor runs
-// it: the single Pipeline implements it directly, and sharded executors
-// (internal/shard) implement it over a set of per-shard handles. The
-// observability methods expose the paper's §3.2.3 promise — progress and
-// completion estimates derived from the continuous scan position.
+// Handle tracks one submitted query: a Pipeline hands one back from
+// Activate for its shard, and the executor (internal/shard.Group)
+// implements it over its per-shard handles. The observability methods
+// expose the paper's §3.2.3 promise — progress and completion estimates
+// derived from the continuous scan position.
 type Handle interface {
-	// Slot returns the query's CJOIN identifier in [0, maxConc). Sharded
-	// executors report a representative shard's slot.
+	// Slot returns the query's CJOIN identifier in [0, maxConc): its
+	// slot on the group's dimension plane.
 	Slot() int
 	// Wait blocks until the query completes and returns its results. The
 	// result is delivered exactly once; Wait must have a single consumer.
@@ -44,10 +44,11 @@ type Handle interface {
 
 // Executor is the execution tier behind the admission queue and the HTTP
 // service layer: anything that can register bound star queries and run
-// them to completion. *Pipeline is the single-pipeline implementation;
-// internal/shard.Group fans one logical query out over N fact-partitioned
-// pipelines. Admission, serving, and the harness depend on this interface
-// only, so execution topology can change without touching those tiers.
+// them to completion. internal/shard.Group is the implementation: it
+// admits each query once to its dimension plane and runs it on N ≥ 1
+// fact-partitioned pipelines. Admission and serving depend on this
+// interface only — it is the seam where tests and the benchmark put
+// fakes and decorators.
 type Executor interface {
 	// Submit registers a bound query (Algorithm 1) and returns a handle
 	// delivering its results after one full scan cycle.
@@ -60,8 +61,7 @@ type Executor interface {
 	MaxConcurrent() int
 	// ActiveQueries returns the number of queries currently registered.
 	ActiveQueries() int
-	// Stats snapshots execution counters, aggregated across shards for
-	// sharded executors.
+	// Stats snapshots execution counters, summed across shards.
 	Stats() Stats
 	// Quiesce blocks until no queries are in flight.
 	Quiesce()
@@ -70,12 +70,13 @@ type Executor interface {
 	Stop()
 }
 
-// BatchSubmitter is the optional batch fast path an Executor may
-// implement: register K queries in one dimension-plane round, paying
-// one store snapshot publication per dimension for the whole batch
-// instead of one per query. The admission queue type-asserts for it
-// when draining a batch; executors without it are driven one query at
-// a time.
+// BatchSubmitter is the batch entry of an Executor: register K queries
+// in one dimension-plane round, paying one store snapshot publication
+// per dimension for the whole batch instead of one per query.
+// internal/shard.Group implements it (its Submit and SubmitCtx are
+// batches of one); the admission queue type-asserts for it when
+// draining a batch and drives an executor without it — a test fake —
+// one query at a time.
 //
 // The two slices are parallel to qs: for each i exactly one of
 // handles[i] (success) or errs[i] (per-query failure, e.g. activation

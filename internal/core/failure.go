@@ -3,14 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net/http"
 )
 
 // PipelineFailedError is the terminal failure state of a Pipeline,
 // delivered to every resident query when a pipeline goroutine panics, a
 // scan error exhausts its retries, or a supervisor declares the pipeline
-// dead (FailNow). The pipeline stops processing but the process — and,
-// under internal/shard.Group, the sibling shards — keep serving.
+// dead (FailNow). The pipeline stops processing; the process and the
+// group's sibling shards keep serving.
 type PipelineFailedError struct {
 	// Goroutine names where the failure originated: "preprocessor",
 	// "distributor", "manager", "stage", or "supervisor".
@@ -25,11 +24,6 @@ func (e *PipelineFailedError) Error() string {
 }
 
 func (e *PipelineFailedError) Unwrap() error { return e.Cause }
-
-// HTTPStatus maps a failed pipeline to 503 for the serving tier: with a
-// single pipeline the whole operator is gone; a shard group re-types the
-// error as shard.ShardFailedError before it reaches a client.
-func (e *PipelineFailedError) HTTPStatus() int { return http.StatusServiceUnavailable }
 
 // panicError boxes a recovered panic value so it can travel as an error.
 type panicError struct{ val any }
@@ -82,7 +76,7 @@ func (p *Pipeline) fail(goroutine string, cause error) {
 	if p.stopped.CompareAndSwap(false, true) {
 		close(p.stopCh)
 	}
-	// Sweep resident queries under the manager lock: activate registers
+	// Sweep resident queries under the manager lock: Activate registers
 	// under the same lock and re-checks the failure pointer first, so
 	// every query is either swept here (its plane hold is ours to
 	// release) or was never registered (the submitter compensates).
@@ -133,8 +127,7 @@ const (
 	ShardFailed  ShardState = "failed"
 )
 
-// ShardHealth describes one shard (or the one pipeline of an unsharded
-// executor).
+// ShardHealth describes one shard pipeline of the executor.
 type ShardHealth struct {
 	Shard int        `json:"shard"`
 	State ShardState `json:"state"`
@@ -152,19 +145,6 @@ type Health struct {
 
 // Degraded reports whether the executor lost capacity but still serves.
 func (h Health) Degraded() bool { return h.State == "degraded" }
-
-// Health reports the single pipeline's health: "ok", or "failed" with
-// the terminal cause.
-func (p *Pipeline) Health() Health {
-	sh := ShardHealth{Shard: 0, State: ShardHealthy}
-	state := "ok"
-	if f := p.failure.Load(); f != nil {
-		sh.State = ShardFailed
-		sh.Cause = f.Error()
-		state = "failed"
-	}
-	return Health{State: state, Shards: []ShardHealth{sh}}
-}
 
 // transientErr reports whether err models a recoverable condition worth
 // retrying at the page boundary (internal/fault.Error and any future

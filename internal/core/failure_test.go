@@ -6,20 +6,24 @@ import (
 	"time"
 
 	"cjoin/internal/core"
+	"cjoin/internal/dimplane"
 	"cjoin/internal/disk"
 	"cjoin/internal/fault"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 )
 
-func injector(t *testing.T, spec string) *fault.Injector {
+// startChaos starts a one-shard group with fault injection armed by
+// spec (internal/fault grammar).
+func startChaos(t *testing.T, ds *ssb.Dataset, cfg core.Config, spec string) *shard.Group {
 	t.Helper()
 	s, err := fault.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.ForShard(0)
+	return startGroup(t, ds.Star, shard.Config{Shards: 1, Core: cfg, Fault: s})
 }
 
 func slowDataset(t *testing.T, rows int) *ssb.Dataset {
@@ -32,11 +36,12 @@ func slowDataset(t *testing.T, rows int) *ssb.Dataset {
 	return ds
 }
 
-// expectFailed waits for the typed failure on a handle and checks the
-// pipeline's terminal surface: Failed channel closed, Health failed,
-// new submissions rejected with the same typed error, Done closing, and
-// — the accounting invariant — zero slots left admitted on the plane.
-func expectFailed(t *testing.T, p *core.Pipeline, ds *ssb.Dataset, hs []core.Handle) *core.PipelineFailedError {
+// expectFailed waits for the typed failure on each handle and checks the
+// executor's terminal surface once its one shard has failed: Done
+// closing, Health failed, new submissions rejected with the same typed
+// error, and — the accounting invariant — zero slots left admitted on
+// the plane.
+func expectFailed(t *testing.T, g *shard.Group, ds *ssb.Dataset, hs []core.Handle) *core.PipelineFailedError {
 	t.Helper()
 	var ferr *core.PipelineFailedError
 	for _, h := range hs {
@@ -50,28 +55,29 @@ func expectFailed(t *testing.T, p *core.Pipeline, ds *ssb.Dataset, hs []core.Han
 			t.Fatal("Done did not close for a failed query")
 		}
 	}
-	select {
-	case <-p.Failed():
-	case <-time.After(10 * time.Second):
-		t.Fatal("Failed channel did not close")
-	}
-	if p.FailureCause() == nil {
-		t.Fatal("FailureCause is nil after failure")
-	}
-	if h := p.Health(); h.State != "failed" || h.Shards[0].State != core.ShardFailed {
-		t.Fatalf("health after failure: %+v", h)
-	}
-	if _, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder")); !errors.As(err, &ferr) {
-		t.Fatalf("submit on failed pipeline: %v, want *PipelineFailedError", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Plane().InUse() != 0 && time.Now().Before(deadline) {
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Health().State != "failed" && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := p.Plane().InUse(); got != 0 {
+	if h := g.Health(); h.State != "failed" || h.Shards[0].State != core.ShardFailed {
+		t.Fatalf("health after failure: %+v", h)
+	}
+	if _, err := g.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder")); !errors.As(err, &ferr) {
+		t.Fatalf("submit on failed pipeline: %v, want *PipelineFailedError", err)
+	}
+	waitSlotsFree(t, g.Plane())
+	return ferr
+}
+
+func waitSlotsFree(t *testing.T, pl *dimplane.Plane) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for pl.InUse() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := pl.InUse(); got != 0 {
 		t.Fatalf("%d plane slots leaked through pipeline failure", got)
 	}
-	return p.FailureCause()
 }
 
 func bindOne(t *testing.T, ds *ssb.Dataset, sql string) *query.Bound {
@@ -91,8 +97,7 @@ func TestPanicContainedPerGoroutine(t *testing.T) {
 	for _, site := range []string{fault.SitePreprocessor, fault.SiteDistributor} {
 		t.Run(site, func(t *testing.T) {
 			ds := slowDataset(t, 2000)
-			p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-				Fault: injector(t, "seed=1;panic="+site+"@4")})
+			p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=1;panic="+site+"@4")
 			h, err := p.Submit(bindOne(t, ds, "SELECT SUM(lo_revenue) AS rev FROM lineorder, date WHERE lo_orderdate = d_datekey"))
 			if err != nil {
 				t.Fatal(err)
@@ -112,8 +117,7 @@ func TestPanicContainedPerGoroutine(t *testing.T) {
 // get the typed failure.
 func TestPanicInManagerGoroutine(t *testing.T) {
 	ds := dataset(t, 1000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-		Fault: injector(t, "seed=1;panic=mgr@1")})
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=1;panic=mgr@1")
 	h, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +136,7 @@ func TestPanicInManagerGoroutine(t *testing.T) {
 // reference answer and the retry counter records the absorbed faults.
 func TestTransientScanErrorsRetried(t *testing.T) {
 	ds := dataset(t, 2000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-		Fault: injector(t, "seed=7;scan-err=0.1")})
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=7;scan-err=0.1")
 	q := bindOne(t, ds, "SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year")
 	h, err := p.Submit(q)
 	if err != nil {
@@ -153,8 +156,8 @@ func TestTransientScanErrorsRetried(t *testing.T) {
 	if got := p.Stats().ScanRetries; got == 0 {
 		t.Fatal("no scan retries recorded despite scan-err=0.1")
 	}
-	if p.FailureCause() != nil {
-		t.Fatalf("pipeline failed: %v", p.FailureCause())
+	if h := p.Health(); h.State != "ok" {
+		t.Fatalf("pipeline failed: %+v", h)
 	}
 }
 
@@ -163,9 +166,8 @@ func TestTransientScanErrorsRetried(t *testing.T) {
 // the transient cause.
 func TestScanRetriesExhausted(t *testing.T) {
 	ds := dataset(t, 1000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-		ScanRetryBackoff: 50 * time.Microsecond,
-		Fault:            injector(t, "seed=1;scan-err=1")})
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
+		ScanRetryBackoff: 50 * time.Microsecond}, "seed=1;scan-err=1")
 	h, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +186,7 @@ func TestScanRetriesExhausted(t *testing.T) {
 // retry loop entirely.
 func TestScanHardFailureEscalatesImmediately(t *testing.T) {
 	ds := dataset(t, 1000)
-	in := injector(t, "seed=1;scan-fail=0")
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2, Fault: in})
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=1;scan-fail=0")
 	h, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	if err != nil {
 		t.Fatal(err)
@@ -201,36 +202,50 @@ func TestScanHardFailureEscalatesImmediately(t *testing.T) {
 }
 
 // TestFailNow is the supervisor's lever: an externally declared failure
-// (e.g. stall detection) tears the pipeline down with the given cause.
+// (e.g. stall detection) tears the pipeline down with the given cause —
+// the Failed channel closes, the resident query and later activations
+// get that cause, and the plane gets its slot back.
 func TestFailNow(t *testing.T) {
 	ds := slowDataset(t, 2000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2})
-	h, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
+	pl := dimplane.New(ds.Star, 1, dimplane.Config{MaxConcurrent: 4})
+	p := core.NewTestPipeline(t, ds.Star, core.Config{MaxConcurrent: 4, Workers: 2}, core.ShardConfig{Plane: pl})
+	p.Start()
+	h, err := p.Admit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cause := errors.New("declared dead by supervisor")
 	p.FailNow(cause)
 	p.FailNow(errors.New("second declaration must lose")) // idempotent
-	ferr := expectFailed(t, p, ds, []core.Handle{h})
-	if !errors.Is(ferr, cause) || ferr.Goroutine != "supervisor" {
-		t.Fatalf("failure = %v (origin %q), want the first declared cause", ferr, ferr.Goroutine)
+	select {
+	case <-p.Failed():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Failed channel did not close")
 	}
+	ferr := p.FailureCause()
+	if ferr == nil || !errors.Is(ferr, cause) || ferr.Goroutine != "supervisor" {
+		t.Fatalf("failure = %v, want the first declared cause from the supervisor", ferr)
+	}
+	if res := h.Wait(); !errors.Is(res.Err, ferr) {
+		t.Fatalf("resident query got %v, want %v", res.Err, ferr)
+	}
+	if _, err := p.Admit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder")); !errors.Is(err, ferr) {
+		t.Fatalf("activation on a failed pipeline: %v, want %v", err, ferr)
+	}
+	waitSlotsFree(t, pl)
 }
 
 // TestAdmitFaultRejectsCleanly: an injected admission error fails only
 // that submission — the pipeline stays healthy and the slot rolls back.
 func TestAdmitFaultRejectsCleanly(t *testing.T) {
 	ds := dataset(t, 1000)
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-		Fault: injector(t, "seed=1;admit-err=1")})
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=1;admit-err=1")
 	_, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	var fe *fault.Error
 	if !errors.As(err, &fe) || fe.Op != "admit" {
 		t.Fatalf("submit = %v, want injected admit *fault.Error", err)
 	}
-	if p.FailureCause() != nil || p.Plane().InUse() != 0 {
-		t.Fatalf("admission fault damaged the pipeline: cause=%v inUse=%d",
-			p.FailureCause(), p.Plane().InUse())
+	if h := p.Health(); h.State != "ok" || p.Plane().InUse() != 0 {
+		t.Fatalf("admission fault damaged the pipeline: health=%+v inUse=%d", h, p.Plane().InUse())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cjoin/internal/core"
 	"cjoin/internal/expr"
 	"cjoin/internal/query"
+	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
 )
 
@@ -71,7 +72,7 @@ func TestExecuteGalaxy(t *testing.T) {
 	}
 
 	var pairs int
-	err = core.ExecuteGalaxy(p, p, qa, qb, ssb.LoOrderdate, ssb.LoOrderdate,
+	err = shard.ExecuteGalaxy(p, p, qa, qb, ssb.LoOrderdate, ssb.LoOrderdate,
 		func(fa, fb *expr.Joined) {
 			if fa.Fact[ssb.LoOrderdate] != fb.Fact[ssb.LoOrderdate] {
 				t.Error("galaxy join key mismatch")

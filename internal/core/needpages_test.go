@@ -266,12 +266,8 @@ func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 	}
 	heap := ds.Lineorder.Heap
 	src := &cutHookSource{HeapFile: heap}
-	p, err := NewPipeline(ds.Star, Config{MaxConcurrent: 4, Workers: 2, FactSource: src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewTestPipeline(t, ds.Star, Config{MaxConcurrent: 4, Workers: 2, FactSource: src}, ShardConfig{})
 	p.Start()
-	t.Cleanup(p.Stop)
 
 	window := func(lo, hi int) *query.Bound {
 		t.Helper()
@@ -286,7 +282,7 @@ func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 	}
 	run := func(q *query.Bound) *pipeHandle {
 		t.Helper()
-		sub, err := p.Submit(q)
+		sub, err := p.Admit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,17 +356,13 @@ func TestDeliveredHandleRetainsNoAggregator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(ds.Star, Config{MaxConcurrent: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewTestPipeline(t, ds.Star, Config{MaxConcurrent: 4}, ShardConfig{})
 	p.Start()
-	t.Cleanup(p.Stop)
 	q, err := query.ParseBind("SELECT SUM(lo_revenue), d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year", ds.Star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.Submit(q)
+	h, err := p.Admit(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,8 @@ type runningQuery struct {
 
 	submitted time.Time
 	// cleaned closes once the slot is recycled. Closed via markCleaned
-	// only: Algorithm 2 cleanup, a SubmitCtx rollback, and the Stop
-	// sweep can race on shutdown.
+	// only: Algorithm 2 cleanup, an Activate rollback, and the Stop sweep
+	// can race on shutdown.
 	cleaned     chan struct{}
 	cleanedOnce sync.Once
 }
@@ -159,9 +159,9 @@ func (rq *runningQuery) deliver(rows []agg.Result, err error) {
 // registered query.
 type pipeHandle struct {
 	rq *runningQuery
-	// submission is the interval from Submit entry until the query-start
-	// control tuple entered the pipeline — the paper's "submission time"
-	// (§6.2.2, Table 1).
+	// submission is the interval from Activate entry until the
+	// query-start control tuple entered the pipeline — this shard's part
+	// of the paper's "submission time" (§6.2.2, Table 1).
 	submission time.Duration
 }
 
@@ -246,18 +246,19 @@ func (h *pipeHandle) Progress() float64 {
 }
 
 // Pipeline is the CJOIN operator: one always-on shared plan evaluating
-// every registered star query (§3.1). It is the single-pipeline Executor;
-// internal/shard.Group composes N of them behind the same interface.
+// every registered star query (§3.1) over its shard of the fact table.
+// It is not an executor: internal/shard.Group, the only one, admits a
+// query to the plane and enters it here through Activate.
 type Pipeline struct {
 	cfg  Config
 	star *catalog.Star
 
 	// plane owns the write side of the dimension state: slot allocation,
 	// admission, and removal happen there exactly once per logical query.
-	// A standalone pipeline constructs and owns a private plane (N=1);
-	// internal/shard.Group passes one shared plane to all its shards.
-	plane     *dimplane.Plane
-	ownsPlane bool
+	// The group owns it; every shard pipeline probes it.
+	plane      *dimplane.Plane
+	partSubset []int
+	fault      *fault.Injector
 
 	dimStates   []*dimState
 	filterOrder atomic.Pointer[[]int]
@@ -290,7 +291,7 @@ type Pipeline struct {
 	live map[int]*runningQuery
 
 	// om is this pipeline's slice of the telemetry plane, labeled with
-	// cfg.ObsShard; nil handles (cfg.Obs == nil) no-op every call.
+	// its shard index; nil handles (no registry) no-op every call.
 	om pipeMetrics
 }
 
@@ -351,49 +352,30 @@ func newPipeMetrics(r *obs.Registry, shard int) pipeMetrics {
 	}
 }
 
-// NewPipeline builds a CJOIN pipeline over the star schema. Call Start
-// before Submit.
-func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
+// NewPipeline builds one shard pipeline over the star schema and the
+// plane in sc. internal/shard.New is its only caller; call Start before
+// Activate.
+func NewPipeline(star *catalog.Star, cfg Config, sc ShardConfig) (*Pipeline, error) {
 	cfg = cfg.Normalized()
 	if len(star.Dims) == 0 {
 		return nil, fmt.Errorf("core: star schema has no dimensions")
 	}
-	plane := cfg.Plane
-	owns := plane == nil
-	if owns {
-		pcfg := dimplane.Config{
-			MaxConcurrent: cfg.MaxConcurrent,
-			Obs:           cfg.Obs,
-			PredCacheSize: cfg.PredCacheSize,
-		}
-		if cfg.Fault != nil {
-			pcfg.AdmitFault = cfg.Fault.AdmitErr
-		}
-		plane = dimplane.New(star, 1, pcfg)
-	} else {
-		if plane.Star() != star {
-			return nil, fmt.Errorf("core: dimension plane built over a different star schema")
-		}
-		if plane.MaxConcurrent() != cfg.MaxConcurrent {
-			return nil, fmt.Errorf("core: dimension plane has %d slots, pipeline wants %d",
-				plane.MaxConcurrent(), cfg.MaxConcurrent)
-		}
-	}
 	p := &Pipeline{
-		cfg:       cfg,
-		star:      star,
-		plane:     plane,
-		ownsPlane: owns,
-		cleanupCh: make(chan *runningQuery, cfg.MaxConcurrent+1),
-		stopCh:    make(chan struct{}),
-		failedCh:  make(chan struct{}),
-		logf:      cfg.Logf,
-		pmActive:  bitvec.New(cfg.MaxConcurrent),
-		live:      make(map[int]*runningQuery),
-		om:        newPipeMetrics(cfg.Obs, cfg.ObsShard),
+		cfg:        cfg,
+		star:       star,
+		plane:      sc.Plane,
+		partSubset: sc.PartSubset,
+		fault:      sc.Fault,
+		cleanupCh:  make(chan *runningQuery, cfg.MaxConcurrent+1),
+		stopCh:     make(chan struct{}),
+		failedCh:   make(chan struct{}),
+		logf:       cfg.Logf,
+		pmActive:   bitvec.New(cfg.MaxConcurrent),
+		live:       make(map[int]*runningQuery),
+		om:         newPipeMetrics(sc.Obs, sc.Index),
 	}
 	for i := range star.Dims {
-		ds := newDimState(star, i, plane.Store(i))
+		ds := newDimState(star, i, sc.Plane.Store(i))
 		ds.noSkip = cfg.DisableProbeSkip
 		p.dimStates = append(p.dimStates, ds)
 	}
@@ -415,28 +397,6 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 		}
 		rpp = cfg.FactSource.RowsPerPage()
 	}
-	if cfg.PartSubset != nil {
-		if star.PartCol < 0 {
-			return nil, fmt.Errorf("core: PartSubset requires a range-partitioned star")
-		}
-		if cfg.FactSource != nil {
-			return nil, fmt.Errorf("core: PartSubset is incompatible with a FactSource override")
-		}
-		if len(cfg.PartSubset) == 0 {
-			return nil, fmt.Errorf("core: PartSubset must name at least one partition")
-		}
-		nparts := len(star.Partitions())
-		seen := make(map[int]bool, len(cfg.PartSubset))
-		for _, g := range cfg.PartSubset {
-			if g < 0 || g >= nparts {
-				return nil, fmt.Errorf("core: PartSubset index %d out of range [0,%d)", g, nparts)
-			}
-			if seen[g] {
-				return nil, fmt.Errorf("core: PartSubset repeats partition %d", g)
-			}
-			seen[g] = true
-		}
-	}
 	words := bitvec.Words(cfg.MaxConcurrent)
 	// Enough batches for every slot of the queues this layout creates
 	// (the Preprocessor's output plus one per Stage) and one in hand per
@@ -447,11 +407,6 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 	p.pool = newTuplePool(nBatches, rpp, ncols, words, len(star.Dims))
 	return p, nil
 }
-
-var (
-	_ Executor       = (*Pipeline)(nil)
-	_ BatchSubmitter = (*Pipeline)(nil)
-)
 
 // Start launches the pipeline goroutines.
 func (p *Pipeline) Start() {
@@ -517,7 +472,7 @@ func (p *Pipeline) managerLoop() {
 	for {
 		select {
 		case rq := <-p.cleanupCh:
-			p.cfg.Fault.PanicPoint(fault.SiteManager)
+			p.fault.PanicPoint(fault.SiteManager)
 			p.cleanup(rq)
 		case <-tick:
 			p.ReorderFilters()
@@ -535,113 +490,14 @@ func (p *Pipeline) managerLoop() {
 	}
 }
 
-// Submit registers a bound star query with the operator (Algorithm 1) and
-// returns a handle delivering its results after one full scan cycle.
-func (p *Pipeline) Submit(q *query.Bound) (Handle, error) {
-	return p.submitOne(context.Background(), q, nil)
-}
-
-// SubmitCtx is Submit with a context: a context canceled before the query
-// is installed aborts the admission (no store is touched, the slot is
-// freed), and one canceled during the short installation stall cancels
-// the freshly admitted query. Either way the error is ctx.Err().
-func (p *Pipeline) SubmitCtx(ctx context.Context, q *query.Bound) (Handle, error) {
-	return p.submitOne(ctx, q, nil)
-}
-
-// submitOne is single-query admission: a batch of one, optionally routed
-// to a sink (galaxy.go).
-func (p *Pipeline) submitOne(ctx context.Context, q *query.Bound, sink TupleSink) (Handle, error) {
-	handles, errs, err := p.submitBatch(ctx, []*query.Bound{q}, []TupleSink{sink})
-	if err != nil {
-		return nil, err
-	}
-	return handles[0], errs[0]
-}
-
-// SubmitBatch registers K bound queries through one dimension-plane
-// round (Plane.AdmitBatch): each distinct dimension predicate is
-// evaluated once for the batch and each store publishes one COW
-// snapshot carrying all K bit-tags. Activation then proceeds per
-// query; an individual activation failure retires that query's slot
-// and surfaces in errs without disturbing its batchmates. See
-// BatchSubmitter for the return contract.
-func (p *Pipeline) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]Handle, []error, error) {
-	return p.submitBatch(ctx, qs, nil)
-}
-
-// submitBatch is the pipeline's one admission body. sinks, when non-nil,
-// is parallel to qs: a non-nil sinks[i] receives qs[i]'s joined tuples
-// instead of an aggregation operator (§5).
-func (p *Pipeline) submitBatch(ctx context.Context, qs []*query.Bound, sinks []TupleSink) ([]Handle, []error, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if f := p.failure.Load(); f != nil {
-		return nil, nil, f
-	}
-	if p.stopped.Load() {
-		return nil, nil, ErrPipelineStopped
-	}
-	for _, q := range qs {
-		if q.Schema != p.star {
-			return nil, nil, ErrSchemaMismatch
-		}
-	}
-	start := time.Now()
-
-	// Algorithm 1, lines 1–16 run on the shared dimension plane, outside
-	// the manager lock: the store updates serialize per dimension
-	// (Filters keep probing the previous snapshot), so independent
-	// admissions proceed in parallel and submission time stays flat as
-	// concurrency grows (§6.2.2, Table 1).
-	slots, err := p.plane.AdmitBatch(ctx, qs)
-	if err != nil {
-		if errors.Is(err, dimplane.ErrSlotsExhausted) {
-			return nil, nil, ErrTooManyQueries
-		}
-		return nil, nil, err
-	}
-	handles := make([]Handle, len(qs))
-	errs := make([]error, len(qs))
-	for i, q := range qs {
-		var sink TupleSink
-		if sinks != nil {
-			sink = sinks[i]
-		}
-		h, aerr := p.activate(ctx, q, slots[i], sink, start)
-		if aerr != nil {
-			// activate never retires the plane slot on failure (see its
-			// contract); release this pipeline's hold here — the sole
-			// hold, since this is the single-pipeline entry point. The
-			// stopped case is the exception: the query may already be
-			// registered and the shutdown sweep owns its delivery, so the
-			// plane slot is abandoned with the plane.
-			if !errors.Is(aerr, ErrPipelineStopped) {
-				p.plane.Retire(slots[i])
-			}
-			errs[i] = aerr
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Canceled during the short installation stall: the freshly
-			// admitted query cancels through the normal path, which
-			// retires the slot at the next page boundary.
-			h.Cancel()
-			errs[i] = cerr
-			continue
-		}
-		handles[i] = h
-	}
-	return handles, errs, nil
-}
-
-// Activate registers a query that the shared dimension plane has already
-// admitted (slot from dimplane.Plane.AdmitBatch) with this pipeline's
-// Preprocessor — Algorithm 1, lines 17–22 — and returns its handle.
-// internal/shard.Group calls this once per shard after one plane
-// admission, which is the whole point of the plane: admit once, probe
-// everywhere.
+// Activate registers a query that the group's dimension plane has
+// already admitted (slot from dimplane.Plane.AdmitBatch) with this
+// pipeline's Preprocessor — Algorithm 1, lines 17–22 — and returns its
+// handle. It is the one way a query enters a pipeline: internal/shard.Group
+// calls it once per shard after one plane admission, which is the whole
+// point of the plane — admit once, probe everywhere. A non-nil sink
+// receives the query's joined tuples instead of an aggregation operator
+// (§5, galaxy joins).
 //
 // Retirement contract: on success, this pipeline retires the slot
 // exactly once through its normal lifecycle (Algorithm 2 cleanup). On
@@ -653,7 +509,7 @@ func (p *Pipeline) submitBatch(ctx context.Context, qs []*query.Bound, sinks []T
 // ErrPipelineStopped), and the caller compensates: the failure sweep
 // releases the holds of queries it swept, and a query rejected here was
 // never registered, so its hold is still the caller's.
-func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int) (Handle, error) {
+func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink TupleSink) (Handle, error) {
 	if f := p.failure.Load(); f != nil {
 		return nil, f
 	}
@@ -663,20 +519,10 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int) (Hand
 	if q.Schema != p.star {
 		return nil, ErrSchemaMismatch
 	}
-	h, err := p.activate(ctx, q, slot, nil, time.Now())
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// activate installs an admitted query in the Preprocessor between two
-// pages (the stall window) and appends the query-start control tuple.
-// See Activate for the slot-retirement contract.
-func (p *Pipeline) activate(ctx context.Context, q *query.Bound, slot int, sink TupleSink, start time.Time) (*pipeHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	rq := &runningQuery{
 		p:         p,
 		slot:      slot,
@@ -895,10 +741,9 @@ type Stats struct {
 	FailureCause string
 
 	// Dimension-plane figures. Admission runs once per logical query on
-	// the shared plane and the stores are shared by every prober, so
-	// these are reported once per plane: a standalone pipeline fills them
-	// (it owns its plane), a shard pipeline leaves them zero and the
-	// group reports the plane's figures on the merged snapshot.
+	// the group's plane and the stores are shared by every prober, so
+	// these are reported once per plane: a shard pipeline leaves them
+	// zero and the group fills them on its merged snapshot.
 	DimAdmits      int64 // queries admitted to the plane
 	DimAdmitNanos  int64 // total wall time spent in plane admission
 	PlaneBytes     int64 // resident dimension-store bytes
@@ -942,21 +787,5 @@ func (p *Pipeline) Stats() Stats {
 	for _, d := range *p.filterOrder.Load() {
 		s.FilterOrder = append(s.FilterOrder, p.dimStates[d].table.Name)
 	}
-	if p.ownsPlane {
-		ps := p.plane.Stats()
-		s.DimAdmits = ps.Admits
-		s.DimAdmitNanos = ps.AdmitNanos
-		s.PlaneBytes = ps.MemBytes
-		s.PlanePeakBytes = ps.PeakMemBytes
-		s.PlanePipelines = ps.Probers
-		s.PlaneCacheHits = ps.CacheHits
-		s.PlaneCacheMisses = ps.CacheMisses
-		s.PlanePublishes = ps.SnapshotPublishes
-		s.PlaneBatchAdmits = ps.BatchAdmits
-		s.PlaneBatchQueries = ps.BatchQueries
-	}
 	return s
 }
-
-// Plane returns the dimension plane this pipeline probes.
-func (p *Pipeline) Plane() *dimplane.Plane { return p.plane }

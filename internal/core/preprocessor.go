@@ -89,14 +89,14 @@ type preprocessor struct {
 
 func newPreprocessor(p *Pipeline) *preprocessor {
 	var wrap func(PageSource) PageSource
-	if p.cfg.Fault != nil {
+	if p.fault != nil {
 		wrap = func(s PageSource) PageSource {
 			// core.PageSource and fault.PageSource are structurally
 			// identical; the interface-to-interface assignments convert.
-			return p.cfg.Fault.WrapSource(s, p.stopCh)
+			return p.fault.WrapSource(s, p.stopCh)
 		}
 	}
-	scan := newFactScan(p.star, p.cfg.FactSource, p.cfg.PartSubset, wrap)
+	scan := newFactScan(p.star, p.cfg.FactSource, p.partSubset, wrap)
 	return &preprocessor{
 		p:           p,
 		scan:        scan,
@@ -119,7 +119,7 @@ func (pp *preprocessor) run() {
 	defer close(pp.out)
 	defer pp.p.guard("preprocessor")
 	for {
-		pp.p.cfg.Fault.PanicPoint(fault.SitePreprocessor)
+		pp.p.fault.PanicPoint(fault.SitePreprocessor)
 		if len(pp.active) == 0 {
 			// Idle: the always-on pipeline parks instead of spinning
 			// the scan.

@@ -10,6 +10,7 @@ import (
 	"cjoin/internal/disk"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
+	"cjoin/internal/shard"
 )
 
 // TestRandomStarEquivalence is the repository's broadest property test:
@@ -30,11 +31,7 @@ func TestRandomStarEquivalence(t *testing.T) {
 			Layout:        []core.Layout{core.Horizontal, core.Vertical, core.Hybrid}[rng.Intn(3)],
 		}
 		t.Logf("trial %d: %d rows/page, %d workers, %s", trial, star.Fact.Heap.RowsPerPage(), cfg.Workers, cfg.Layout)
-		p, err := core.NewPipeline(star, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start()
+		p := startGroup(t, star, shard.Config{Shards: 1, Core: cfg})
 
 		nq := rng.Intn(6) + 2
 		type pending struct {

@@ -18,9 +18,9 @@ type scanPart struct {
 // sequence of fact partitions — forever, in a stable order, reporting the
 // absolute row position of every page so queries can be started and
 // finalized at exact positions (§3.3.3). For a partition-dealt shard the
-// sequence is a subset of the star's partitions (Config.PartSubset), and
-// global maps each scan-local partition back to its star-wide index so
-// pruning metadata (runningQuery.needParts) stays in one coordinate
+// sequence is a subset of the star's partitions (ShardConfig.PartSubset),
+// and global maps each scan-local partition back to its star-wide index
+// so pruning metadata (runningQuery.needParts) stays in one coordinate
 // system however the partitions were dealt.
 type factScan struct {
 	parts   []scanPart

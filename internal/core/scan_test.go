@@ -150,10 +150,7 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(star, Config{MaxConcurrent: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewTestPipeline(t, star, Config{MaxConcurrent: 4}, ShardConfig{})
 	// Fake both filters active with measured drop rates: d2 drops more.
 	p.dimStates[0].store.ForceRefs(1)
 	p.dimStates[1].store.ForceRefs(1)

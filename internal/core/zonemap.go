@@ -24,7 +24,7 @@ import (
 // when no resident query needs it, physically skipped by — the
 // continuous scan.
 //
-// The bitmap is cut on the submitting goroutine (Pipeline.activate), not
+// The bitmap is cut on the submitting goroutine (Pipeline.Activate), not
 // in the Preprocessor's stall window: §3.3.1 keeps everything expensive
 // ahead of the pause, and the synopses are read through BoundsSource's
 // bulk face — an O(1) "can this range prune at all?" per column, then

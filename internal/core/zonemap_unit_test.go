@@ -143,12 +143,8 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := NewPipeline(ds.Star, Config{MaxConcurrent: 8, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := NewTestPipeline(t, ds.Star, Config{MaxConcurrent: 8, Workers: 2}, ShardConfig{})
 			p.Start()
-			t.Cleanup(p.Stop)
 
 			w := ssb.NewWorkload(ds, 0.05, 17)
 			rng := rand.New(rand.NewSource(23))
@@ -180,7 +176,7 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 				if tc.churn && i%2 == 1 {
 					q.Snapshot = snapshots[rng.Intn(len(snapshots))]
 				}
-				h, err := p.Submit(q)
+				h, err := p.Admit(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"cjoin/internal/core"
 	"cjoin/internal/query"
+	"cjoin/internal/shard"
 )
 
 // Ablation experiments isolate CJOIN design choices the paper calls out:
@@ -121,7 +122,7 @@ func RunAblationFilterOrder(cfg Config, n int) (Figure, error) {
 		if enabled {
 			coreCfg.OptimizeInterval = 5 * time.Millisecond
 		} // zero leaves the optimizer off: the admission order sticks
-		p, err := core.NewPipeline(ds.Star, coreCfg)
+		p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: coreCfg})
 		if err != nil {
 			return fig, err
 		}

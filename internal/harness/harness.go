@@ -288,38 +288,23 @@ func (e *Env) normalizeCore(coreCfg core.Config) core.Config {
 }
 
 // NewExecutor builds the execution tier the experiment config asks for:
-// a single pipeline, or a shard.Group when cfg.Shards > 1. The executor
-// is started; the caller owns Stop.
-func (e *Env) NewExecutor(coreCfg core.Config) (core.Executor, error) {
-	coreCfg = e.normalizeCore(coreCfg)
+// a shard.Group of cfg.Shards pipelines (one when Shards <= 1). The
+// executor is started; the caller owns Stop.
+func (e *Env) NewExecutor(coreCfg core.Config) (*shard.Group, error) {
 	spec, err := fault.Parse(e.Cfg.Chaos)
 	if err != nil {
 		return nil, fmt.Errorf("harness: chaos spec: %v", err)
 	}
-	if e.Cfg.Shards > 1 {
-		g, err := shard.New(e.Dataset.Star, shard.Config{Shards: e.Cfg.Shards, Core: coreCfg, Fault: spec, Obs: e.Cfg.Obs})
-		if err != nil {
-			return nil, err
-		}
-		g.Start()
-		return g, nil
-	}
-	if spec != nil {
-		spec.Obs = e.Cfg.Obs
-	}
-	coreCfg.Fault = spec.ForShard(0)
-	coreCfg.Obs = e.Cfg.Obs
-	p, err := core.NewPipeline(e.Dataset.Star, coreCfg)
+	g, err := shard.New(e.Dataset.Star, shard.Config{Shards: e.Cfg.Shards, Core: e.normalizeCore(coreCfg), Fault: spec, Obs: e.Cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
-	p.Start()
-	return p, nil
+	g.Start()
+	return g, nil
 }
 
 // RunCJoin measures CJOIN at concurrency n with the given pipeline
-// configuration (zero value: defaults). With Config.Shards > 1 the
-// execution tier is a sharded group behind the same closed loop.
+// configuration (zero value: defaults), on Config.Shards shards.
 func (e *Env) RunCJoin(n int, coreCfg core.Config, onlyTpl string) (Metrics, error) {
 	m, _, err := e.runExecutor("CJOIN", n, coreCfg, onlyTpl)
 	return m, err

@@ -54,7 +54,7 @@ func RunOverload(cfg Config, ns []int) ([]OverloadMetrics, error) {
 }
 
 // RunOverloadCell runs one offered-load point on a fresh execution tier
-// (a single pipeline, or a sharded group when Config.Shards > 1).
+// of Config.Shards shards.
 func (e *Env) RunOverloadCell(n int) (OverloadMetrics, error) {
 	exec, err := e.NewExecutor(core.Config{})
 	if err != nil {

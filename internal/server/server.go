@@ -143,8 +143,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// healther is implemented by executors that expose a serving-state
-// breakdown (core.Pipeline, shard.Group). The server depends on the
+// healther is implemented by executors that expose a per-shard
+// serving-state breakdown (shard.Group). The server depends on the
 // interface only.
 type healther interface{ Health() core.Health }
 

@@ -30,9 +30,8 @@ import (
 //	                the cache's own epoch/geometry check cannot catch
 //	                them.
 
-// planer is implemented by executors that expose their shared dimension
-// plane (core.Pipeline, shard.Group); the server depends on the
-// interface only.
+// planer is implemented by executors that expose their dimension plane
+// (shard.Group); the server depends on the interface only.
 type planer interface{ Plane() *dimplane.Plane }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

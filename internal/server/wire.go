@@ -216,8 +216,9 @@ type StatsResponse struct {
 	Degraded  bool           `json:"degraded,omitempty"`
 	Pipeline  PipelineStats  `json:"pipeline"`
 	Admission AdmissionStats `json:"admission"`
-	// Shards breaks Pipeline down per shard when the executor is a
-	// sharded group (cjoind -shards > 1); absent on a single pipeline.
+	// Shards breaks Pipeline down per shard of the executor's group — one
+	// entry at cjoind -shards 1. Plane figures are zero per shard and
+	// filled on Pipeline.
 	Shards []PipelineStats `json:"shards,omitempty"`
 	// Queries counts tracked queries by state.
 	Queries map[string]int `json:"queries"`
@@ -263,7 +264,7 @@ type ErrorResponse struct {
 //	state "failed"   — 503, no serving capacity left
 type HealthResponse struct {
 	State string `json:"state"`
-	// Shards is the per-shard breakdown for sharded executors.
+	// Shards is the executor's per-shard breakdown (one entry at -shards 1).
 	Shards []ShardHealth `json:"shards,omitempty"`
 }
 

@@ -101,12 +101,7 @@ func TestBatchSubmitParityRandomSSB(t *testing.T) {
 	ccfg := core.Config{MaxConcurrent: 16, Workers: 2}
 	texts := batchTexts(rand.New(rand.NewSource(23)), ssb.NewWorkload(ds, 0.05, 19), 20)
 
-	single, err := core.NewPipeline(ds.Star, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Start()
-	t.Cleanup(single.Stop)
+	single := openGroup(t, ds, 1, ccfg)
 	runBatchParity(t, "single", single, ds, texts, 5)
 
 	for _, n := range []int{2, 3} {

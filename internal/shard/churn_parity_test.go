@@ -30,12 +30,7 @@ func TestShardParityUnderChurn(t *testing.T) {
 	}
 	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
 
-	single, err := core.NewPipeline(ds.Star, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Start()
-	t.Cleanup(single.Stop)
+	single := openGroup(t, ds, 1, ccfg)
 
 	groups := make(map[int]*shard.Group)
 	for _, n := range []int{2, 3} {
@@ -151,12 +146,7 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
-	single, err := core.NewPipeline(ds.Star, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Start()
-	t.Cleanup(single.Stop)
+	single := openGroup(t, ds, 1, ccfg)
 	groups := make(map[int]*shard.Group)
 	for _, n := range []int{2, 3} {
 		g, err := shard.New(ds.Star, shard.Config{Shards: n, Core: ccfg})

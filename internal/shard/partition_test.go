@@ -192,20 +192,10 @@ func TestShardedPruningPreserved(t *testing.T) {
 	ds := genPartitionedDataset(t, 4000, 6, disk.Config{})
 	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
 
-	single, err := core.NewPipeline(ds.Star, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Start()
-	t.Cleanup(single.Stop)
+	single := openGroup(t, ds, 1, ccfg)
 
 	// Partition-granular baseline: §5 pruning only, zone maps off.
-	partOnly, err := core.NewPipeline(ds.Star, core.Config{MaxConcurrent: 8, Workers: 2, DisableZoneMaps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partOnly.Start()
-	t.Cleanup(partOnly.Stop)
+	partOnly := openGroup(t, ds, 1, core.Config{MaxConcurrent: 8, Workers: 2, DisableZoneMaps: true})
 
 	queries := []string{
 		// Narrow: first eighth of the date span — a strict partition subset.

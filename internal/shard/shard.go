@@ -1,6 +1,6 @@
-// Package shard runs N fact-partitioned CJOIN pipelines behind one
-// core.Executor — the horizontal scaling tier over the single-pipeline
-// operator.
+// Package shard is CJOIN's executor: Group runs N ≥ 1 fact-partitioned
+// CJOIN pipelines behind one core.Executor. One shard is the paper's
+// single pipeline; more are the horizontal scaling tier.
 //
 // The paper's CJOIN bounds throughput at one pipeline's continuous scan
 // rate: every registered query rides the same scan, so adding cores past
@@ -85,16 +85,14 @@ func (e *RangePartitionedError) HTTPStatus() int { return 422 }
 
 // Config tunes a Group.
 type Config struct {
-	// Shards is the number of inner pipelines. <= 1 means a single
-	// pipeline (no page striding).
+	// Shards is the number of inner pipelines. <= 1 means one pipeline
+	// over the whole fact table.
 	Shards int
 	// Core configures each inner pipeline. Workers is the total Stage
 	// thread budget for the whole group and is divided evenly across
 	// shards (minimum 1 per shard); FactSource, if set, is the base
 	// source the pages of which are strided across shards (unpartitioned
-	// stars only). PartSubset must be nil: the group computes the
-	// partition deal itself. Fault must be nil: per-shard injectors are
-	// derived from the group-level Fault spec below.
+	// stars only).
 	Core core.Config
 	// Fault, when set, arms deterministic fault injection: each shard
 	// pipeline gets Fault.ForShard(i), and admission faults (plane
@@ -114,8 +112,7 @@ type Config struct {
 	// Obs, when non-nil, wires the telemetry plane through the whole
 	// group: per-shard pipeline metrics (labeled by shard index), the
 	// shared dimension plane's families, group supervision metrics
-	// (cjoin_shard_*), and fault-injection counters. Core.Obs must stay
-	// nil — the group threads this registry itself.
+	// (cjoin_shard_*), and fault-injection counters.
 	Obs *obs.Registry
 }
 
@@ -162,8 +159,9 @@ func DealPartitions(pages []int, shards int) [][]int {
 	return subsets
 }
 
-// Group is a sharded executor: one logical CJOIN operator composed of N
-// fact-partitioned pipelines. It implements core.Executor.
+// Group is the executor: one logical CJOIN operator composed of N ≥ 1
+// fact-partitioned pipelines. It implements core.Executor, and it is the
+// only owner of a dimension plane.
 type Group struct {
 	star *catalog.Star
 	// plane is the group-owned dimension plane: admission and removal
@@ -249,27 +247,6 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 		}
 		subsets = DealPartitions(star.PartitionPages(), n)
 	}
-	if cfg.Core.Plane != nil {
-		// The group is the plane's owner: it sizes the prober count to
-		// the shard topology and drives the admit/retire lifecycle.
-		// Honoring a foreign plane here would silently split admission
-		// state between two owners.
-		return nil, fmt.Errorf("shard: Config.Core.Plane must be nil; the group constructs and owns the shared dimension plane")
-	}
-	if cfg.Core.PartSubset != nil {
-		// The deal is the group's planning step; a caller-chosen subset
-		// would be silently replicated to every shard.
-		return nil, fmt.Errorf("shard: Config.Core.PartSubset must be nil; the group deals partitions to shards itself")
-	}
-	if cfg.Core.Fault != nil {
-		// One injector shared across shards would interleave its
-		// deterministic schedule nondeterministically; the group derives
-		// an independent per-shard injector from the spec instead.
-		return nil, fmt.Errorf("shard: Config.Core.Fault must be nil; set Config.Fault and the group derives per-shard injectors")
-	}
-	if cfg.Core.Obs != nil {
-		return nil, fmt.Errorf("shard: Config.Core.Obs must be nil; set Config.Obs and the group threads the registry with per-shard labels")
-	}
 	workers := cfg.Core.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU() / 2
@@ -316,21 +293,18 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 		cc := cfg.Core
 		cc.MaxConcurrent = norm.MaxConcurrent
 		cc.Workers = perShard
-		cc.Plane = plane
-		cc.Fault = fspec.ForShard(i)
-		cc.Obs = cfg.Obs
-		cc.ObsShard = i
 		if cc.Logf == nil {
 			cc.Logf = cfg.Logf
 		}
+		sc := core.ShardConfig{Index: i, Plane: plane, Fault: fspec.ForShard(i), Obs: cfg.Obs}
 		if n > 1 {
 			if subsets != nil {
-				cc.PartSubset = subsets[i]
+				sc.PartSubset = subsets[i]
 			} else {
 				cc.FactSource = &stridedSource{src: base, offset: i, stride: n}
 			}
 		}
-		p, err := core.NewPipeline(star, cc)
+		p, err := core.NewPipeline(star, cc, sc)
 		if err != nil {
 			for _, built := range g.pipes {
 				built.Stop()
@@ -422,16 +396,37 @@ func (g *Group) Quiesce() {
 	}
 }
 
-// Submit broadcasts the query to every shard (Algorithm 1 per shard) and
-// returns a handle that gathers and merges the per-shard partials.
+// Submit registers the query (Algorithm 1: admitted once to the plane,
+// activated on every shard) and returns a handle that gathers and merges
+// the per-shard partials.
 func (g *Group) Submit(q *query.Bound) (core.Handle, error) {
 	return g.SubmitCtx(context.Background(), q)
 }
 
-// SubmitCtx is Submit with a context governing admission: SubmitBatch
-// with a batch of one.
+// SubmitCtx is Submit with a context governing admission: a context
+// canceled before the query is installed aborts the admission (no store
+// is touched, the slot is freed), and one canceled during the short
+// installation stall cancels the freshly admitted query. Either way the
+// error is ctx.Err().
 func (g *Group) SubmitCtx(ctx context.Context, q *query.Bound) (core.Handle, error) {
-	handles, errs, err := g.SubmitBatch(ctx, []*query.Bound{q})
+	return g.submitOne(ctx, q, nil)
+}
+
+// SubmitWithSink registers q like Submit but routes its joined tuples to
+// sink instead of an aggregation operator (§5, galaxy joins). Every shard
+// feeds sink through one fan-in: Consume calls are serialized, and
+// Finalize runs once, after the last shard's, with the first error. The
+// handle's Wait still reports completion, with no rows on success.
+func (g *Group) SubmitWithSink(q *query.Bound, sink core.TupleSink) (core.Handle, error) {
+	if sink == nil {
+		return nil, fmt.Errorf("shard: nil sink")
+	}
+	return g.submitOne(context.Background(), q, sink)
+}
+
+// submitOne is single-query admission: a batch of one.
+func (g *Group) submitOne(ctx context.Context, q *query.Bound, sink core.TupleSink) (core.Handle, error) {
+	handles, errs, err := g.submitBatch(ctx, []*query.Bound{q}, []core.TupleSink{sink})
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +440,7 @@ func (g *Group) SubmitCtx(ctx context.Context, q *query.Bound) (core.Handle, err
 // cannot land between them.
 // On error the slot has been fully released (Abort, compensating
 // Retires, or the cancel lifecycle) — the caller only reports.
-func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot int, start time.Time) (*groupHandle, error) {
+func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot int, sink core.TupleSink, start time.Time) (*groupHandle, error) {
 	// Degraded mode: accept only queries the survivors can answer
 	// exactly. Infeasible ones abort the admission they just made and
 	// fail fast with the typed, retryable shard error.
@@ -469,6 +464,9 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 	pq := *q
 	pq.OrderBy = nil
 	pq.Limit = -1
+	if sink != nil {
+		sink = &fanIn{sink: sink, pending: len(healthy)}
+	}
 
 	subs := make([]core.Handle, len(healthy))
 	errs := make([]error, len(healthy))
@@ -477,7 +475,7 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 		wg.Add(1)
 		go func(j, i int) {
 			defer wg.Done()
-			subs[j], errs[j] = g.pipes[i].Activate(ctx, &pq, slot)
+			subs[j], errs[j] = g.pipes[i].Activate(ctx, &pq, slot, sink)
 		}(j, i)
 	}
 	wg.Wait()
@@ -519,17 +517,20 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 	return h, nil
 }
 
-// SubmitBatch is the group's one admission body: it admits K queries in
-// one shared-plane round — the dimension half of Algorithm 1 runs
-// exactly once, on the group's plane — and fans only the per-shard
-// Preprocessor installation (lines 17–22) out to the healthy shards. A
-// whole-batch failure (slot exhaustion, scan error, all shards down)
-// admits nothing and returns err; per-query activation failures land in
-// errs. See core.BatchSubmitter.
+// SubmitBatch admits K queries in one shared-plane round — the
+// dimension half of Algorithm 1 runs exactly once, on the group's plane
+// — and fans only the per-shard Preprocessor installation (lines 17–22)
+// out to the healthy shards. A whole-batch failure (slot exhaustion,
+// scan error, all shards down) admits nothing and returns err;
+// per-query activation failures land in errs. See core.BatchSubmitter.
 func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Handle, []error, error) {
-	if len(g.pipes) == 1 {
-		return g.pipes[0].SubmitBatch(ctx, qs)
-	}
+	return g.submitBatch(ctx, qs, nil)
+}
+
+// submitBatch is the group's one admission body, at every shard count.
+// sinks, when non-nil, is parallel to qs: a non-nil sinks[i] receives
+// qs[i]'s joined tuples instead of an aggregation operator.
+func (g *Group) submitBatch(ctx context.Context, qs []*query.Bound, sinks []core.TupleSink) ([]core.Handle, []error, error) {
 	// Reject up front what no shard would activate, before the shared
 	// plane spends dimension scans and snapshot publications on it.
 	g.mu.Lock()
@@ -569,8 +570,12 @@ func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Hand
 	handles := make([]core.Handle, len(qs))
 	errs := make([]error, len(qs))
 	for i, q := range qs {
+		var sink core.TupleSink
+		if sinks != nil {
+			sink = sinks[i]
+		}
 		var h *groupHandle
-		h, errs[i] = g.activateAdmittedLocked(ctx, q, slots[i], start)
+		h, errs[i] = g.activateAdmittedLocked(ctx, q, slots[i], sink, start)
 		if errs[i] == nil {
 			handles[i] = h
 		}
@@ -578,8 +583,8 @@ func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Hand
 	g.supLock.RUnlock()
 	if cerr := ctx.Err(); cerr != nil {
 		// Canceled during the installation stall after every shard
-		// accepted: abort the admission cleanly, as the single-pipeline
-		// path does — every shard retires through the cancel lifecycle.
+		// accepted: abort the admission cleanly — every shard retires
+		// through the cancel lifecycle.
 		for i, h := range handles {
 			if h != nil {
 				h.Cancel()
@@ -742,8 +747,8 @@ func (h *groupHandle) gather() {
 	close(h.done)
 }
 
-// Slot returns shard 0's query identifier (slots are per-shard; shard 0
-// is the representative).
+// Slot returns the query's slot on the group's plane (every shard holds
+// the same one).
 func (h *groupHandle) Slot() int { return h.subs[0].Slot() }
 
 // Wait blocks until every shard completes and returns the merged result.

@@ -26,7 +26,14 @@ func genDataset(t testing.TB, rows int, dc disk.Config) *ssb.Dataset {
 
 func startGroup(t testing.TB, ds *ssb.Dataset, shards int) *shard.Group {
 	t.Helper()
-	g, err := shard.New(ds.Star, shard.Config{Shards: shards, Core: core.Config{MaxConcurrent: 8, Workers: 2}})
+	return openGroup(t, ds, shards, core.Config{MaxConcurrent: 8, Workers: 2})
+}
+
+// openGroup starts a group of the given shard count; one shard is the
+// single-pipeline reference the parity suites compare against.
+func openGroup(t testing.TB, ds *ssb.Dataset, shards int, ccfg core.Config) *shard.Group {
+	t.Helper()
+	g, err := shard.New(ds.Star, shard.Config{Shards: shards, Core: ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

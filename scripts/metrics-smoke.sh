@@ -1,22 +1,27 @@
 #!/usr/bin/env bash
 # metrics-smoke: prove the telemetry plane end to end over the live HTTP
-# API.
+# API, at SHARDS shard pipelines (default 2; make metrics-smoke also runs
+# SHARDS=1, cjoind's default topology — a one-shard group).
 #
-#   - cjoind -shards 2 -pprof, a batch of queries through completion;
+#   - cjoind -shards $SHARDS -pprof, a batch of queries through completion;
 #   - /metrics serves Prometheus text covering every stage family
 #     (admission, dimension plane, scan, filter, shard supervision) with
 #     per-shard labels on the pipeline families;
+#   - /healthz lists every shard, and /stats carries one per-shard entry
+#     each, with the plane figures zero per shard and filled on the
+#     merged entry (the plane is admitted to once, whatever the count);
 #   - a completed query's /query/{id}/trace carries the full
 #     enqueued→admitted→first_page→cycle_complete→delivered timeline;
 #   - /debug/pprof/ answers behind -pprof;
 #   - SIGTERM still drains cleanly.
 set -euo pipefail
 
+SHARDS=${SHARDS:-2}
 ADDR=${ADDR:-127.0.0.1:8096}
 BASE="http://$ADDR"
 
 go build -o /tmp/cjoind-metrics ./cmd/cjoind
-/tmp/cjoind-metrics -addr "$ADDR" -rows 3000 -shards 2 -maxconc 8 -queue 64 -pprof &
+/tmp/cjoind-metrics -addr "$ADDR" -rows 3000 -shards "$SHARDS" -maxconc 8 -queue 64 -pprof &
 CJOIND=$!
 trap 'kill $CJOIND 2>/dev/null || true' EXIT
 
@@ -77,15 +82,39 @@ awk '$1=="cjoin_dimplane_snapshot_publish_total" && $2+0 > 0 {found=1} END{exit 
 awk '/^cjoin_scan_pruned_pages_total\{cause="zonemap"/ {sum += $NF+0} END{exit !(sum > 0)}' /tmp/metrics-smoke.txt \
   || { echo "no zone-map page pruning recorded for the narrow window"; exit 1; }
 # Every admitted query paused each shard's scan exactly once.
-awk '/^cjoin_register_stall_seconds_count\{/ {sum += $NF+0} END{exit !(sum == 14)}' /tmp/metrics-smoke.txt \
-  || { echo "register-stall histogram did not record 7 queries x 2 shards"; exit 1; }
-# Per-shard labeling: both shard pipelines must report.
-for s in 0 1; do
+awk -v want=$((7 * SHARDS)) '/^cjoin_register_stall_seconds_count\{/ {sum += $NF+0} END{exit !(sum == want)}' /tmp/metrics-smoke.txt \
+  || { echo "register-stall histogram did not record 7 queries x $SHARDS shards"; exit 1; }
+# Per-shard labeling: every shard pipeline must report.
+for s in $(seq 0 $((SHARDS - 1))); do
   grep -q "cjoin_scan_pages_total{shard=\"$s\"}" /tmp/metrics-smoke.txt \
     || { echo "no scan pages for shard $s"; exit 1; }
   grep -q "cjoin_shard_up{shard=\"$s\"} 1" /tmp/metrics-smoke.txt \
     || { echo "shard $s not reporting up"; exit 1; }
 done
+
+# /healthz lists every shard; /stats has one per-shard entry each, and
+# the plane figures are reported once — zero per shard, filled merged.
+curl -sf "$BASE/healthz" | SHARDS=$SHARDS python3 -c '
+import json, os, sys
+h = json.load(sys.stdin)
+n = int(os.environ["SHARDS"])
+assert h["state"] == "ok", h
+assert [s["shard"] for s in h["shards"]] == list(range(n)), h
+assert all(s["state"] == "healthy" for s in h["shards"]), h
+'
+curl -sf "$BASE/stats" | SHARDS=$SHARDS python3 -c '
+import json, os, sys
+st = json.load(sys.stdin)
+n = int(os.environ["SHARDS"])
+plane = ["dim_admits", "plane_bytes", "plane_pipelines", "plane_snapshot_publishes", "plane_batch_admits"]
+assert len(st["shards"]) == n, st["shards"]
+for sh in st["shards"]:
+    assert sh["pages_read"] > 0, sh
+    assert all(sh.get(k, 0) == 0 for k in plane), sh
+merged = st["pipeline"]
+assert all(merged.get(k, 0) > 0 for k in plane), merged
+assert merged["dim_admits"] == 7 and merged["plane_pipelines"] == n, merged
+'
 
 # A delivered query's trace is the complete ordered timeline.
 curl -sf "$BASE/query/q-000001/trace" | python3 -c '
@@ -103,4 +132,4 @@ curl -sf "$BASE/debug/pprof/" >/dev/null || { echo "pprof index not served"; exi
 
 kill -TERM $CJOIND
 wait $CJOIND
-echo "metrics-smoke: OK"
+echo "metrics-smoke (shards=$SHARDS): OK"
