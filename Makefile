@@ -97,10 +97,11 @@ flake-census:
 	$(GO) test -race -count=$(COUNT) -timeout 3600s ./internal/core ./internal/shard ./internal/server ./internal/admission ./internal/dimplane
 
 # Filter/pipeline hot-path microbenchmarks (the Filter probe loop, one
-# page from emitPage to route) plus the sharded-tier scan benchmark,
-# snapshotted as JSON. Run the paper-scale experiment
+# page from emitPage to route), the aggregation operator (new and
+# existing groups, finalizing, the shard merge) plus the sharded-tier
+# scan benchmark, snapshotted as JSON. Run the paper-scale experiment
 # benchmarks separately: go test -bench . -v .
 bench:
-	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan' -benchtime $(BENCHTIME) -count 3 \
-		./internal/core ./internal/shard \
+	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan|HashAdd|HashResults|Merge' -benchtime $(BENCHTIME) -count 3 \
+		./internal/core ./internal/shard ./internal/agg \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_N).json

@@ -1,11 +1,10 @@
-// Package agg implements the aggregation operators that terminate both
+// Package agg implements the aggregation operator that terminates both
 // the CJOIN pipeline (one per registered query, fed by the Distributor)
-// and conventional star-query plans: hash-based and sort-based GROUP BY
-// with SUM, COUNT, MIN, MAX and AVG.
+// and conventional star-query plans: hash-based GROUP BY with SUM,
+// COUNT, MIN, MAX and AVG, and the merge of per-shard partial results.
 package agg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -73,29 +72,28 @@ func (r Result) Value(i int, spec Spec) float64 {
 	return float64(r.Ints[i])
 }
 
-// Aggregator consumes joined rows and produces grouped results.
-type Aggregator interface {
-	// Add folds one joined row into the aggregate state.
-	Add(j *expr.Joined)
-	// Results returns the groups sorted by group key. It may be called
-	// once, after the last Add.
-	Results() []Result
-}
+// minTable is the table length a Hash starts with, at its first group.
+const minTable = 16
 
-type bucket struct {
-	group  []int64
-	ints   []int64
-	counts []int64
-}
-
-// Hash is a hash-based aggregator.
+// Hash is a hash-based aggregator. Its state is three flat arenas —
+// keys (ng words per group), ints and counts (ns words per group, one
+// per spec) — indexed by group number, beside an open-addressed table of
+// group number + 1 (0 = empty) with linear probing. The table length is
+// a power of two and doubles at load 3/4; the arenas are grown to the
+// new table's group limit at the same time, so adding a group between
+// doublings allocates nothing. With no GROUP BY every row has the empty
+// key, which is the one group.
 type Hash struct {
 	specs   []Spec
 	groupBy []expr.Node
-	m       map[string]*bucket
-	keyBuf  []byte
-	valBuf  []int64
-	rows    int64
+	ng, ns  int
+	n       int // groups
+	limit   int // groups the table holds before it doubles
+	keys    []int64
+	ints    []int64
+	counts  []int64
+	table   []int32
+	key     []int64 // the current row's group key
 }
 
 // NewHash returns a hash aggregator for the given output specs and
@@ -104,151 +102,171 @@ func NewHash(specs []Spec, groupBy []expr.Node) *Hash {
 	return &Hash{
 		specs:   specs,
 		groupBy: groupBy,
-		m:       make(map[string]*bucket),
-		keyBuf:  make([]byte, 8*len(groupBy)),
-		valBuf:  make([]int64, len(groupBy)),
+		ng:      len(groupBy),
+		ns:      len(specs),
+		key:     make([]int64, len(groupBy)),
 	}
 }
 
-// Add implements Aggregator.
+// Add folds one joined row into its group.
 func (h *Hash) Add(j *expr.Joined) {
-	h.rows++
 	for i, g := range h.groupBy {
-		v := g.Eval(j)
-		h.valBuf[i] = v
-		binary.LittleEndian.PutUint64(h.keyBuf[8*i:], uint64(v))
+		h.key[i] = g.Eval(j)
 	}
-	b, ok := h.m[string(h.keyBuf)]
-	if !ok {
-		b = &bucket{
-			group:  append([]int64(nil), h.valBuf...),
-			ints:   make([]int64, len(h.specs)),
-			counts: make([]int64, len(h.specs)),
-		}
-		h.m[string(h.keyBuf)] = b
-	}
-	fold(b, h.specs, j, ok)
+	g, existed := h.group(h.key)
+	h.fold(g, j, existed)
 }
 
-func fold(b *bucket, specs []Spec, j *expr.Joined, existed bool) {
-	for i, s := range specs {
+// group returns the number of key's group, appending a new one if key
+// has none yet. Only a new group can make the table double, so a row
+// that hits an existing group never allocates.
+func (h *Hash) group(key []int64) (g int, existed bool) {
+	if h.table == nil {
+		h.grow()
+	}
+	ng := h.ng
+	mask := len(h.table) - 1
+	i := int(hashKey(key)) & mask
+	for e := h.table[i]; e != 0; e = h.table[i] {
+		g = int(e - 1)
+		if slices.Equal(h.keys[g*ng:g*ng+ng], key) {
+			return g, true
+		}
+		i = (i + 1) & mask
+	}
+	if h.n == h.limit {
+		h.grow()
+		i = h.free(key)
+	}
+	g = h.n
+	h.n++
+	h.table[i] = int32(h.n)
+	// grow reserved the room, so these reslices stay within capacity;
+	// what the room holds is unspecified, hence the clears.
+	k, s := g*ng, g*h.ns
+	h.keys = h.keys[:k+ng]
+	copy(h.keys[k:], key)
+	h.ints = h.ints[:s+h.ns]
+	h.counts = h.counts[:s+h.ns]
+	clear(h.ints[s:])
+	clear(h.counts[s:])
+	return g, false
+}
+
+// grow doubles the table, re-inserts every group, and reserves arena
+// room for every group the new table holds.
+func (h *Hash) grow() {
+	size := max(2*len(h.table), minTable)
+	h.table = make([]int32, size)
+	ng := h.ng
+	for g := range h.n {
+		h.table[h.free(h.keys[g*ng:g*ng+ng])] = int32(g + 1)
+	}
+	h.limit = size / 4 * 3
+	room := h.limit - h.n
+	h.keys = slices.Grow(h.keys, room*ng)
+	h.ints = slices.Grow(h.ints, room*h.ns)
+	h.counts = slices.Grow(h.counts, room*h.ns)
+}
+
+// free returns the first empty slot on key's probe sequence.
+func (h *Hash) free(key []int64) int {
+	mask := len(h.table) - 1
+	i := int(hashKey(key)) & mask
+	for h.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// hashKey mixes a group key into 64 bits: each word is folded in by a
+// multiply-xorshift round and the sum finished with splitmix64's
+// avalanche, so keys that differ only in their high bits still spread
+// over the table's low index bits.
+func hashKey(key []int64) uint64 {
+	x := uint64(0x9e3779b97f4a7c15)
+	for _, k := range key {
+		x = (x ^ uint64(k)) * 0xbf58476d1ce4e5b9
+		x ^= x >> 32
+	}
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+func (h *Hash) fold(g int, j *expr.Joined, existed bool) {
+	ns := h.ns
+	ints := h.ints[g*ns : g*ns+ns]
+	counts := h.counts[g*ns : g*ns+ns]
+	for i, s := range h.specs {
 		var v int64
 		if s.Arg != nil {
 			v = s.Arg.Eval(j)
 		}
 		switch s.Fn {
 		case Sum, Avg:
-			b.ints[i] += v
+			ints[i] += v
 		case Count:
-			b.ints[i]++
+			ints[i]++
 		case Min:
-			if !existed || v < b.ints[i] {
-				b.ints[i] = v
+			if !existed || v < ints[i] {
+				ints[i] = v
 			}
 		case Max:
-			if !existed || v > b.ints[i] {
-				b.ints[i] = v
+			if !existed || v > ints[i] {
+				ints[i] = v
 			}
 		}
-		b.counts[i]++
+		counts[i]++
 	}
 }
 
-// Rows returns the number of input rows consumed.
-func (h *Hash) Rows() int64 { return h.rows }
-
-// Results implements Aggregator.
+// Results returns the groups sorted by group key, nil if there are
+// none. It is called once, after the last Add: it sorts a permutation of
+// group numbers, copies the groups in key order into a new result set,
+// and drops the Hash's own state.
 func (h *Hash) Results() []Result {
-	if len(h.m) == 0 {
+	n, ng, ns := h.n, h.ng, h.ns
+	if n == 0 {
 		return nil
 	}
-	out := make([]Result, 0, len(h.m))
-	for _, b := range h.m {
-		out = append(out, Result{Group: b.group, Ints: b.ints, Counts: b.counts})
+	keys := h.keys
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	sortResults(out)
-	return out
-}
-
-// Sorted is a sort-based aggregator: it buffers (group, arg) rows and
-// aggregates after sorting. Results are identical to Hash. The pipeline
-// always aggregates with Hash; Sorted stays because the reference
-// executor (internal/ref) is built on it, so the oracle shares no
-// aggregation state machine with the operator it judges.
-type Sorted struct {
-	specs   []Spec
-	groupBy []expr.Node
-	rows    [][]int64 // group values followed by arg values
-}
-
-// NewSorted returns a sort-based aggregator.
-func NewSorted(specs []Spec, groupBy []expr.Node) *Sorted {
-	return &Sorted{specs: specs, groupBy: groupBy}
-}
-
-// Add implements Aggregator.
-func (s *Sorted) Add(j *expr.Joined) {
-	row := make([]int64, len(s.groupBy)+len(s.specs))
-	for i, g := range s.groupBy {
-		row[i] = g.Eval(j)
-	}
-	for i, sp := range s.specs {
-		if sp.Arg != nil {
-			row[len(s.groupBy)+i] = sp.Arg.Eval(j)
-		}
-	}
-	s.rows = append(s.rows, row)
-}
-
-// Results implements Aggregator.
-func (s *Sorted) Results() []Result {
-	ng := len(s.groupBy)
-	slices.SortFunc(s.rows, func(a, b []int64) int {
-		return slices.Compare(a[:ng], b[:ng])
+	slices.SortFunc(perm, func(a, b int32) int {
+		x, y := int(a)*ng, int(b)*ng
+		return slices.Compare(keys[x:x+ng], keys[y:y+ng])
 	})
-	var out []Result
-	var cur *bucket
-	for _, row := range s.rows {
-		if cur == nil || !slices.Equal(cur.group, row[:ng]) {
-			if cur != nil {
-				out = append(out, Result{Group: cur.group, Ints: cur.ints, Counts: cur.counts})
-			}
-			cur = &bucket{
-				group:  append([]int64(nil), row[:ng]...),
-				ints:   make([]int64, len(s.specs)),
-				counts: make([]int64, len(s.specs)),
-			}
-			s.foldRow(cur, row, false)
-			continue
-		}
-		s.foldRow(cur, row, true)
+	out := newResults(n, ng, ns)
+	for o, g := range perm {
+		copy(out[o].Group, keys[int(g)*ng:])
+		copy(out[o].Ints, h.ints[int(g)*ns:])
+		copy(out[o].Counts, h.counts[int(g)*ns:])
 	}
-	if cur != nil {
-		out = append(out, Result{Group: cur.group, Ints: cur.ints, Counts: cur.counts})
-	}
+	h.n, h.limit = 0, 0
+	h.keys, h.ints, h.counts, h.table = nil, nil, nil, nil
 	return out
 }
 
-func (s *Sorted) foldRow(b *bucket, row []int64, existed bool) {
-	ng := len(s.groupBy)
-	for i, sp := range s.specs {
-		v := row[ng+i]
-		switch sp.Fn {
-		case Sum, Avg:
-			b.ints[i] += v
-		case Count:
-			b.ints[i]++
-		case Min:
-			if !existed || v < b.ints[i] {
-				b.ints[i] = v
-			}
-		case Max:
-			if !existed || v > b.ints[i] {
-				b.ints[i] = v
-			}
-		}
-		b.counts[i]++
+// newResults allocates a zeroed set of n results with ng group columns
+// and ns aggregates: three exact-size arenas that every Result's slices
+// are cut from, capacity-clipped so that appending to one result cannot
+// write into the next.
+func newResults(n, ng, ns int) []Result {
+	out := make([]Result, n)
+	group := make([]int64, n*ng)
+	ints := make([]int64, n*ns)
+	counts := make([]int64, n*ns)
+	for o := range out {
+		k, s := o*ng, o*ns
+		out[o] = Result{Group: group[k : k+ng : k+ng], Ints: ints[s : s+ns : s+ns], Counts: counts[s : s+ns : s+ns]}
 	}
+	return out
 }
 
 // Merge folds partial result sets — each sorted by group key, as
@@ -264,45 +282,42 @@ func (s *Sorted) foldRow(b *bucket, row []int64, existed bool) {
 // partial bucket counted its own input rows. Integer addition over int64
 // is associative and commutative, so merge order cannot change results.
 //
-// The merge is one linear k-way pass over the already sorted partials.
-// The partials are never modified, but a group present in only one of
-// them is passed through without copying, so the output shares that
-// group's slices with its partial; only groups that combine are copied.
+// Exactly one partial is returned as it is. Otherwise a counting pass
+// over the sorted partials sizes the output, and one linear k-way pass
+// writes every group into a new result set laid out as Results lays
+// one out. The partials are never modified and no output slice
+// aliases one, so they can be dropped as soon as Merge returns.
 func Merge(specs []Spec, parts ...[]Result) []Result {
-	longest := 0
-	for _, p := range parts {
-		longest = max(longest, len(p))
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	if longest == 0 {
+	pos := make([]int, len(parts)) // cursor into each partial
+	n, ng := 0, 0
+	var last []int64
+	for p := nextHead(parts, pos); p >= 0; p = nextHead(parts, pos) {
+		g := parts[p][pos[p]].Group
+		pos[p]++
+		if n == 0 || !slices.Equal(last, g) {
+			n, ng, last = n+1, len(g), g
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	out := make([]Result, 0, longest)
-	pos := make([]int, len(parts)) // cursor into each partial
-	owned := false                 // out's last group is Merge's own copy
-	for {
-		// The next group is the smallest head; ties go to the earliest
-		// partial, and the equal heads follow in the next rounds.
-		next := -1
-		for i, p := range parts {
-			if pos[i] < len(p) && (next < 0 || slices.Compare(p[pos[i]].Group, parts[next][pos[next]].Group) < 0) {
-				next = i
-			}
-		}
-		if next < 0 {
-			return out
-		}
-		r := parts[next][pos[next]]
-		pos[next]++
-		if len(out) == 0 || !slices.Equal(out[len(out)-1].Group, r.Group) {
-			out = append(out, r)
-			owned = false
+	out := newResults(n, ng, len(specs))
+	o := -1 // the output group being written
+	clear(pos)
+	for p := nextHead(parts, pos); p >= 0; p = nextHead(parts, pos) {
+		r := parts[p][pos[p]]
+		pos[p]++
+		if o < 0 || !slices.Equal(out[o].Group, r.Group) {
+			o++
+			copy(out[o].Group, r.Group)
+			copy(out[o].Ints, r.Ints)
+			copy(out[o].Counts, r.Counts)
 			continue
 		}
-		cur := &out[len(out)-1]
-		if !owned {
-			cur.Ints, cur.Counts = slices.Clone(cur.Ints), slices.Clone(cur.Counts)
-			owned = true
-		}
+		cur := out[o]
 		for i, s := range specs {
 			switch s.Fn {
 			case Sum, Count, Avg:
@@ -315,10 +330,20 @@ func Merge(specs []Spec, parts ...[]Result) []Result {
 			cur.Counts[i] += r.Counts[i]
 		}
 	}
+	return out
 }
 
-func sortResults(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int { return slices.Compare(a.Group, b.Group) })
+// nextHead returns the partial whose head group is the smallest, or -1
+// once every partial is consumed. Ties go to the earliest partial; the
+// equal heads follow in the next calls.
+func nextHead(parts [][]Result, pos []int) int {
+	next := -1
+	for i, p := range parts {
+		if pos[i] < len(p) && (next < 0 || slices.Compare(p[pos[i]].Group, parts[next][pos[next]].Group) < 0) {
+			next = i
+		}
+	}
+	return next
 }
 
 // FormatResults renders results as a compact debug table.

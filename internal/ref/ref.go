@@ -36,7 +36,7 @@ func Execute(q *query.Bound) ([]agg.Result, error) {
 		dims[i] = m
 	}
 
-	aggr := agg.NewSorted(q.Aggs, q.GroupBy)
+	aggr := NewSorted(q.Aggs, q.GroupBy)
 	hasMVCC := star.Fact.Hidden >= 2
 	for _, part := range star.Partitions() {
 		facts, err := readAll(part.Heap)

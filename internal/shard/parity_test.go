@@ -250,6 +250,78 @@ func TestShardParityPartitionedSSB(t *testing.T) {
 	}
 }
 
+// TestShardParityWideGroups extends the exactness property to wide
+// result sets: randomized queries grouping by three high-cardinality
+// dimension attributes, with no predicate, so every query has at least
+// 5 000 groups. That drives each shard's aggregation table through many
+// doublings and the gather through a multi-partial agg.Merge of large
+// partials; at every shard count the answer must equal internal/ref's.
+func TestShardParityWideGroups(t *testing.T) {
+	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 8000, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
+	groups := map[int]*shard.Group{}
+	for _, n := range []int{1, 2, 3} {
+		groups[n] = openGroup(t, ds, n, ccfg)
+	}
+
+	triples := []string{
+		"c_city, s_city, d_year",
+		"d_year, s_city, p_brand1",
+		"p_brand1, c_nation, d_yearmonthnum",
+		"s_city, c_city, p_category",
+	}
+	fns := []string{"SUM", "COUNT", "MIN", "MAX", "AVG"}
+	measures := []string{"lo_revenue", "lo_quantity", "lo_discount", "lo_supplycost", "lo_extendedprice"}
+	rng := rand.New(rand.NewSource(26))
+	for qi := 0; qi < 8; qi++ {
+		var sel []string
+		for a := rng.Intn(4); a >= 0; a-- {
+			fn, m := fns[rng.Intn(len(fns))], measures[rng.Intn(len(measures))]
+			if fn == "COUNT" {
+				m = "*"
+			}
+			sel = append(sel, fmt.Sprintf("%s(%s) AS a%d", fn, m, a))
+		}
+		group := triples[qi%len(triples)]
+		text := fmt.Sprintf(`SELECT %s, %s FROM lineorder, customer, supplier, part, date
+			WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey
+			  AND lo_partkey = p_partkey AND lo_orderdate = d_datekey
+			GROUP BY %s`, strings.Join(sel, ", "), group, group)
+		if rng.Intn(2) == 0 {
+			text += " ORDER BY a0 DESC"
+		}
+		b, err := query.ParseBind(text, ds.Star)
+		if err != nil {
+			t.Fatalf("query %d (%s): %v", qi, text, err)
+		}
+		b.Snapshot = ds.Txn.Begin()
+		want, err := ref.Execute(b)
+		if err != nil {
+			t.Fatalf("query %d ref: %v", qi, err)
+		}
+		if len(want) < 5000 {
+			t.Fatalf("query %d has %d groups, want >= 5000: %s", qi, len(want), text)
+		}
+		for _, n := range []int{1, 2, 3} {
+			h, err := groups[n].Submit(b)
+			if err != nil {
+				t.Fatalf("query %d group(%d) submit: %v", qi, n, err)
+			}
+			res := h.Wait()
+			if res.Err != nil {
+				t.Fatalf("query %d group(%d): %v", qi, n, res.Err)
+			}
+			if !ref.ResultsEqual(res.Rows, want) {
+				t.Fatalf("query %d: %d-shard group diverges from ref (%d vs %d groups)\nquery: %s",
+					qi, n, len(res.Rows), len(want), text)
+			}
+		}
+	}
+}
+
 func dump(rs []agg.Result) string {
 	var sb strings.Builder
 	for _, r := range rs {
