@@ -78,13 +78,12 @@ type Config struct {
 	// still waiting after MaxWait fails with ErrDeadlineExceeded.
 	// Zero means wait indefinitely.
 	MaxWait time.Duration
-	// BatchAdmit is the maximum number of queued queries the dispatcher
-	// drains into one executor batch when the executor implements
-	// core.BatchSubmitter — one dimension-plane round and one COW
+	// BatchAdmit caps how many queued queries the dispatcher drains into
+	// one executor batch — one dimension-plane round and one COW
 	// snapshot publication per store for the whole batch. The drain is
 	// opportunistic: only queries already waiting (and slots already
-	// free) are batched, so batching never delays a lone query. 0 or 1
-	// disables batching; values above maxConc are clamped.
+	// free) are batched, so batching never delays a lone query. Values
+	// <= 1 mean batches of one; values above maxConc are clamped.
 	BatchAdmit int
 	// Obs, when non-nil, registers the queue's metric families
 	// (cjoin_admission_*) with the telemetry plane; nil disables
@@ -98,7 +97,8 @@ type State int32
 const (
 	// StateQueued: waiting for a pipeline slot.
 	StateQueued State = iota
-	// StateAdmitting: popped from the queue, Executor.Submit in flight.
+	// StateAdmitting: popped from the queue into a batch whose
+	// Executor.SubmitBatch is in flight (or backing off to retry).
 	StateAdmitting
 	// StateRunning: registered with the pipeline (Handle available).
 	StateRunning
@@ -181,14 +181,10 @@ type Ticket struct {
 type Queue struct {
 	ex  core.Executor
 	cfg Config
-	// bex is non-nil when batching is enabled and the executor supports
-	// it; the dispatcher then drains up to cfg.BatchAdmit tickets per
-	// round through SubmitBatch.
-	bex core.BatchSubmitter
 
 	// tokens holds one entry per pipeline slot; the dispatcher takes one
-	// before Submit and a per-query watcher returns it once the slot is
-	// recycled (Handle.Done).
+	// per ticket it drains and a per-query watcher returns it once the
+	// slot is recycled (Handle.Done).
 	tokens   chan struct{}
 	wake     chan struct{}
 	stopCh   chan struct{}
@@ -296,9 +292,7 @@ func NewQueue(ex core.Executor, cfg Config) *Queue {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8 * ex.MaxConcurrent()
 	}
-	if cfg.BatchAdmit > ex.MaxConcurrent() {
-		cfg.BatchAdmit = ex.MaxConcurrent()
-	}
+	cfg.BatchAdmit = min(max(cfg.BatchAdmit, 1), ex.MaxConcurrent())
 	q := &Queue{
 		ex:        ex,
 		cfg:       cfg,
@@ -306,9 +300,6 @@ func NewQueue(ex core.Executor, cfg Config) *Queue {
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		perClient: make(map[string]*ClientStats),
-	}
-	if bex, ok := ex.(core.BatchSubmitter); ok && cfg.BatchAdmit > 1 {
-		q.bex = bex
 	}
 	for i := 0; i < ex.MaxConcurrent(); i++ {
 		q.tokens <- struct{}{}
@@ -424,9 +415,11 @@ func (q *Queue) popLocked(expired *[]expiredTicket) *Ticket {
 	return nil
 }
 
-// next pops the oldest still-queued ticket, blocking until one arrives.
-// It returns nil once the queue is closed and drained.
-func (q *Queue) next() *Ticket {
+// next pops the oldest still-queued ticket. With wait it blocks until
+// one arrives and returns nil only once the queue is closed and drained
+// or stopped; without, it returns nil when none is waiting right now,
+// so the batch drain never waits for queries that haven't arrived.
+func (q *Queue) next(wait bool) *Ticket {
 	for {
 		var expired []expiredTicket
 		q.mu.Lock()
@@ -436,11 +429,8 @@ func (q *Queue) next() *Ticket {
 		for _, e := range expired {
 			e.t.finishWaiting(e.timer, StateExpired)
 		}
-		if t != nil {
+		if t != nil || !wait || closed {
 			return t
-		}
-		if closed {
-			return nil
 		}
 		select {
 		case <-q.wake:
@@ -450,28 +440,14 @@ func (q *Queue) next() *Ticket {
 	}
 }
 
-// tryNext is next without the blocking: nil when no admittable ticket
-// is waiting right now. The batch drain uses it so batching never
-// waits for queries that haven't arrived.
-func (q *Queue) tryNext() *Ticket {
-	var expired []expiredTicket
-	q.mu.Lock()
-	t := q.popLocked(&expired)
-	q.mu.Unlock()
-	for _, e := range expired {
-		e.t.finishWaiting(e.timer, StateExpired)
-	}
-	return t
-}
-
 // dispatch is the admission loop: strict FIFO, one pipeline slot per
 // running query. The slot token is acquired before a ticket leaves the
 // queue, so a ticket waiting for capacity stays Queued — cancellable and
 // subject to its queue-wait deadline — until the moment it can actually
-// be admitted. With batching enabled (Config.BatchAdmit and a
-// core.BatchSubmitter executor), each round opportunistically drains
-// additional already-waiting tickets — one free slot token each — into
-// a single SubmitBatch, paying one dimension-plane round for the lot.
+// be admitted. Each round blocks for the first admittable ticket, then
+// drains further already-waiting tickets — one free slot token each, up
+// to Config.BatchAdmit — and admits the lot in one SubmitBatch, paying
+// one dimension-plane round for the batch.
 func (q *Queue) dispatch() {
 	// On exit, fail every ticket still waiting: the dispatcher is the
 	// only goroutine that can admit them. The normal drain path exits
@@ -500,144 +476,117 @@ func (q *Queue) dispatch() {
 		case <-q.stopCh:
 			return
 		}
-		t := q.next()
+		t := q.next(true)
 		if t == nil {
 			return
 		}
-		if q.bex == nil {
-			q.admitOne(t)
-			continue
-		}
-		// Batch drain: take (token, ticket) pairs without blocking —
-		// batching amortizes work that is already waiting, it never
-		// holds a query back hoping for company.
+		// Take (token, ticket) pairs without blocking: batching amortizes
+		// work that is already waiting, it never holds a query back
+		// hoping for company.
 		batch := append(make([]*Ticket, 0, q.cfg.BatchAdmit), t)
+	drain:
 		for len(batch) < q.cfg.BatchAdmit {
-			var tok bool
 			select {
 			case <-q.tokens:
-				tok = true
 			default:
+				break drain
 			}
-			if !tok {
-				break
-			}
-			nt := q.tryNext()
+			nt := q.next(false)
 			if nt == nil {
 				q.tokens <- struct{}{}
 				break
 			}
 			batch = append(batch, nt)
 		}
-		if len(batch) == 1 {
-			q.admitOne(t)
-			continue
-		}
-		q.admitBatch(batch)
+		q.admit(batch)
 	}
 }
 
-// admitOne submits one ticket to the executor — the per-query path. It
-// reports whether the ticket was requeued at the head of the line
-// (transient slot exhaustion), which the batch fallback uses to keep
-// FIFO order intact.
-func (q *Queue) admitOne(t *Ticket) (requeued bool) {
-	// Marked before the executor submit: the pipeline can deliver the
-	// first page mid-registration, and the timeline must show admitted
-	// before first_page. Latest-wins so a slot-exhaustion requeue
-	// refreshes the mark on the attempt that sticks.
-	t.bound.Trace.MarkLatest(obs.StageAdmitted)
-	h, err := q.ex.Submit(t.bound)
-	if err != nil {
-		q.tokens <- struct{}{}
-		if errors.Is(err, core.ErrTooManyQueries) {
-			// A submitter outside the queue holds slots; retry after
-			// a short pause without giving up FIFO order. Keep the
-			// ticket in hand during the backoff so a shutdown can
-			// finalize it instead of abandoning it non-terminal.
-			select {
-			case <-time.After(2 * time.Millisecond):
-				t.requeueFront()
-				return true
-			case <-q.stopCh:
-				t.fail(ErrClosed)
+// admit drives one drained batch through the executor. Each ticket
+// holds one slot token until it runs or leaves the dispatcher's hands.
+// A whole-batch error admitted nothing (dimplane.AdmitBatch is
+// all-or-nothing): slot exhaustion retries the batch as it is, and any
+// other error is re-driven one ticket at a time, so each query's own
+// error — or injected admit fault — lands on its own ticket.
+func (q *Queue) admit(batch []*Ticket) {
+	err := q.submit(batch)
+	switch {
+	case err == nil:
+	case errors.Is(err, core.ErrTooManyQueries):
+		q.retryLater(batch)
+	case len(batch) == 1:
+		q.reject(batch[0], err)
+	default:
+		for i, t := range batch {
+			err := q.submit(batch[i : i+1])
+			if errors.Is(err, core.ErrTooManyQueries) {
+				// t and its unprocessed batchmates go back together,
+				// in order.
+				q.retryLater(batch[i:])
+				return
 			}
-			return false
+			if err != nil {
+				q.reject(t, err)
+			}
 		}
-		t.fail(err)
-		return false
 	}
-	t.run(h)
-	go q.watch(t, h)
-	return false
 }
 
-// admitBatch drives one drained batch through the executor's batch fast
-// path. A whole-batch error admitted nothing (Plane.AdmitBatch is
-// all-or-nothing), so the fallback re-drives each ticket through
-// admitOne in order — per-query error attribution, fault injection, and
-// the slot-exhaustion retry then behave exactly as without batching.
-func (q *Queue) admitBatch(batch []*Ticket) {
+// submit makes one SubmitBatch call for batch. On success every ticket
+// runs or, on its own per-query error, fails; a whole-batch error is
+// returned with the tickets still Admitting and holding their tokens.
+func (q *Queue) submit(batch []*Ticket) error {
 	qs := make([]*query.Bound, len(batch))
 	for i, t := range batch {
+		// Marked before the executor submit: the pipeline can deliver
+		// the first page mid-registration, and the timeline must show
+		// admitted before first_page. Latest-wins so a retried batch
+		// refreshes the mark on the attempt that sticks.
 		t.bound.Trace.MarkLatest(obs.StageAdmitted)
 		qs[i] = t.bound
 	}
-	handles, errs, err := q.bex.SubmitBatch(context.Background(), qs)
+	handles, errs, err := q.ex.SubmitBatch(context.Background(), qs)
 	if err != nil {
-		for i, t := range batch {
-			if q.admitOne(t) {
-				// t went back to the head of the line; its unprocessed
-				// batchmates must line up right behind it, not be
-				// admitted over it.
-				q.requeueTailAfter(t, batch[i+1:])
-				return
-			}
-		}
-		return
+		return err
 	}
 	for i, t := range batch {
 		if errs[i] != nil {
-			q.tokens <- struct{}{}
-			t.fail(errs[i])
+			q.reject(t, errs[i])
 			continue
 		}
 		t.run(handles[i])
 		go q.watch(t, handles[i])
 	}
+	return nil
 }
 
-// requeueTailAfter returns the unprocessed tail of a broken-up batch to
-// the waiting line, directly behind head (which requeueFront just put
-// back), and returns their slot tokens. Tickets with a cancel or
-// deadline pending finalize instead, exactly as requeueFront would
-// have.
-func (q *Queue) requeueTailAfter(head *Ticket, tail []*Ticket) {
-	if len(tail) == 0 {
-		return
-	}
-	live := make([]*Ticket, 0, len(tail))
-	for _, t := range tail {
+// reject fails a ticket the executor refused and returns its token.
+func (q *Queue) reject(t *Ticket, err error) {
+	q.tokens <- struct{}{}
+	t.fail(err)
+}
+
+// retryPause is how long a batch refused for slot exhaustion waits
+// before it is retried. A variable so tests can hold a batch there.
+var retryPause = 2 * time.Millisecond
+
+// retryLater handles slot exhaustion — a submitter outside the queue
+// holds slots: it returns the batch's tokens and, after a short pause,
+// puts the batch back at the head of the line in order, giving up no
+// FIFO position. The tickets stay in hand during the pause so a
+// shutdown can finalize them instead of abandoning them non-terminal.
+func (q *Queue) retryLater(batch []*Ticket) {
+	for range batch {
 		q.tokens <- struct{}{}
-		if t.revertToQueued() {
-			live = append(live, t)
+	}
+	select {
+	case <-time.After(retryPause):
+		q.requeueFront(batch...)
+	case <-q.stopCh:
+		for _, t := range batch {
+			t.fail(ErrClosed)
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	q.mu.Lock()
-	pos := 0
-	if len(q.fifo) > 0 && q.fifo[0] == head {
-		// head may have terminalized (cancel/expire) and left the line
-		// between its requeue and now; the tail then simply takes the
-		// front — it is older than everything else waiting.
-		pos = 1
-	}
-	rest := append([]*Ticket(nil), q.fifo[pos:]...)
-	q.fifo = append(append(q.fifo[:pos:pos], live...), rest...)
-	q.mu.Unlock()
-	q.signal()
 }
 
 // watch delivers the ticket's result and returns the slot token once the
@@ -785,16 +734,23 @@ func (t *Ticket) revertToQueued() bool {
 	}
 }
 
-// requeueFront puts an Admitting ticket back at the head of the line
-// after a transient submission failure.
-func (t *Ticket) requeueFront() {
-	if !t.revertToQueued() {
+// requeueFront puts Admitting tickets back at the head of the line, in
+// order, after a transient submission failure. Tickets with a cancel or
+// deadline pending finalize instead (revertToQueued).
+func (q *Queue) requeueFront(ts ...*Ticket) {
+	live := make([]*Ticket, 0, len(ts))
+	for _, t := range ts {
+		if t.revertToQueued() {
+			live = append(live, t)
+		}
+	}
+	if len(live) == 0 {
 		return
 	}
-	t.q.mu.Lock()
-	t.q.fifo = append([]*Ticket{t}, t.q.fifo...)
-	t.q.mu.Unlock()
-	t.q.signal()
+	q.mu.Lock()
+	q.fifo = append(live, q.fifo...)
+	q.mu.Unlock()
+	q.signal()
 }
 
 // run records a successful admission.

@@ -3,11 +3,14 @@ package admission
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cjoin/internal/core"
+	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 	"cjoin/internal/ssb"
 )
@@ -32,21 +35,21 @@ func (h *fakeHandle) ETA() (time.Duration, bool) { return 0, false }
 func (h *fakeHandle) Progress() float64          { return 0 }
 func (h *fakeHandle) Submission() time.Duration  { return 0 }
 
-// fakeExec is a choreographed Executor+BatchSubmitter: every Submit and
-// SubmitBatch blocks until the test feeds the gate, so the dispatcher
-// can be held mid-admission while the waiting line is staged — batch
-// formation becomes deterministic instead of a scheduling race.
+// fakeExec is a choreographed Executor: every SubmitBatch blocks until
+// the test feeds the gate, so the dispatcher can be held mid-admission
+// while the waiting line is staged — batch formation becomes
+// deterministic instead of a scheduling race. Outcomes are scripted by
+// call number (0-based), and every call's queries are recorded.
 type fakeExec struct {
 	maxConc int
 	gate    chan struct{}
-	entered chan struct{} // one signal per Submit/SubmitBatch entry
+	entered chan struct{} // one signal per SubmitBatch entry
 
-	batchErr  error   // next SubmitBatch fails whole-batch with this
-	queryErrs []error // per-query errs for the next SubmitBatch
+	batchErr  map[int]error   // call n fails whole-batch with this
+	queryErrs map[int][]error // per-query errs for call n
 
 	mu      sync.Mutex
-	singles int
-	batches []int
+	calls   [][]*query.Bound
 	handles []*fakeHandle
 }
 
@@ -56,12 +59,6 @@ func newFakeExec(maxConc int) *fakeExec {
 		gate:    make(chan struct{}, 64),
 		entered: make(chan struct{}, 64),
 	}
-}
-
-func (f *fakeExec) newHandle() *fakeHandle {
-	h := newFakeHandle()
-	f.handles = append(f.handles, h)
-	return h
 }
 
 func (f *fakeExec) finishAll() {
@@ -74,53 +71,57 @@ func (f *fakeExec) finishAll() {
 	}
 }
 
-func (f *fakeExec) Submit(q *query.Bound) (core.Handle, error) {
-	f.entered <- struct{}{}
-	<-f.gate
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.singles++
-	return f.newHandle(), nil
-}
-
-func (f *fakeExec) SubmitCtx(ctx context.Context, q *query.Bound) (core.Handle, error) {
-	return f.Submit(q)
-}
-
 func (f *fakeExec) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Handle, []error, error) {
 	f.entered <- struct{}{}
 	<-f.gate
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.batchErr != nil {
-		err := f.batchErr
-		f.batchErr = nil
+	n := len(f.calls)
+	f.calls = append(f.calls, slices.Clone(qs))
+	if err := f.batchErr[n]; err != nil {
 		return nil, nil, err
 	}
-	f.batches = append(f.batches, len(qs))
 	handles := make([]core.Handle, len(qs))
 	errs := make([]error, len(qs))
 	for i := range qs {
-		if f.queryErrs != nil && f.queryErrs[i] != nil {
-			errs[i] = f.queryErrs[i]
+		if qe := f.queryErrs[n]; qe != nil && qe[i] != nil {
+			errs[i] = qe[i]
 			continue
 		}
-		handles[i] = f.newHandle()
+		h := newFakeHandle()
+		f.handles = append(f.handles, h)
+		handles[i] = h
 	}
-	f.queryErrs = nil
 	return handles, errs, nil
 }
 
-func (f *fakeExec) MaxConcurrent() int { return f.maxConc }
-func (f *fakeExec) ActiveQueries() int { return 0 }
-func (f *fakeExec) Stats() core.Stats  { return core.Stats{} }
-func (f *fakeExec) Quiesce()           {}
-func (f *fakeExec) Stop()              {}
+func (f *fakeExec) MaxConcurrent() int                          { return f.maxConc }
+func (f *fakeExec) ActiveQueries() int                          { return 0 }
+func (f *fakeExec) Quiesce()                                    {}
+func (f *fakeExec) Health() core.Health                         { return core.Health{State: "ok"} }
+func (f *fakeExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
+func (f *fakeExec) ShardPartitions() [][]int                    { return nil }
+func (f *fakeExec) Plane() *dimplane.Plane                      { return nil }
 
-var (
-	_ core.Executor       = (*fakeExec)(nil)
-	_ core.BatchSubmitter = (*fakeExec)(nil)
-)
+var _ core.Executor = (*fakeExec)(nil)
+
+// sizes returns the size of every SubmitBatch call so far.
+func (f *fakeExec) sizes() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]int, len(f.calls))
+	for i, c := range f.calls {
+		out[i] = len(c)
+	}
+	return out
+}
+
+// call returns the queries of SubmitBatch call n.
+func (f *fakeExec) call(n int) []*query.Bound {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls[n]
+}
 
 func testBounds(t *testing.T, n int) []*query.Bound {
 	t.Helper()
@@ -141,8 +142,8 @@ func testBounds(t *testing.T, n int) []*query.Bound {
 	return out
 }
 
-// awaitEntry fails the test unless the executor reports a
-// Submit/SubmitBatch entry soon.
+// awaitEntry fails the test unless the executor reports a SubmitBatch
+// entry soon.
 func awaitEntry(t *testing.T, f *fakeExec) {
 	t.Helper()
 	select {
@@ -150,6 +151,56 @@ func awaitEntry(t *testing.T, f *fakeExec) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("executor was not reached")
 	}
+}
+
+// step lets the executor call the dispatcher is about to make, or is
+// already held in, return.
+func step(t *testing.T, f *fakeExec) {
+	t.Helper()
+	awaitEntry(t, f)
+	f.gate <- struct{}{}
+}
+
+func submitAll(t *testing.T, q *Queue, bounds []*query.Bound) []*Ticket {
+	t.Helper()
+	out := make([]*Ticket, len(bounds))
+	for i, b := range bounds {
+		tk, err := q.Submit(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tk
+	}
+	return out
+}
+
+// awaitRunning waits for each ticket to be Running. Calls are recorded
+// when the executor call returns and Running follows it, so waiting for
+// Running makes the recorded calls stable.
+func awaitRunning(t *testing.T, ts ...*Ticket) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, tk := range ts {
+		for tk.State() != StateRunning {
+			if time.Now().After(deadline) {
+				t.Fatalf("ticket state %v, want running", tk.State())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// awaitResult waits for the ticket to reach a terminal state and
+// returns its result, so a wrong drain fails the test instead of hanging
+// it.
+func awaitResult(t *testing.T, tk *Ticket) core.QueryResult {
+	t.Helper()
+	select {
+	case <-tk.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("ticket stuck %v", tk.State())
+	}
+	return tk.Wait()
 }
 
 func closeQueue(t *testing.T, q *Queue) {
@@ -161,92 +212,92 @@ func closeQueue(t *testing.T, q *Queue) {
 	}
 }
 
-// TestBatchDrainFormsBatches choreographs the tentpole's queue half:
-// while the dispatcher is held inside the first query's Submit, three
-// more queries line up; the next dispatch round must drain all three
-// into one SubmitBatch instead of three pipeline rounds.
+// TestBatchDrainFormsBatches choreographs the one drain: while the
+// dispatcher is held inside the first query's batch of one, three more
+// queries line up; the next dispatch round must drain all three into one
+// SubmitBatch instead of three pipeline rounds. A BatchAdmit of 0 or 1
+// is a cap of one, not a different path: every ticket still reaches the
+// executor through SubmitBatch, alone.
 func TestBatchDrainFormsBatches(t *testing.T) {
-	f := newFakeExec(4)
-	q := NewQueue(f, Config{BatchAdmit: 8}) // clamped to maxConc=4
-	bounds := testBounds(t, 4)
+	for _, tc := range []struct {
+		batchAdmit int
+		want       []int
+	}{
+		{8, []int{1, 3}}, // clamped to maxConc=4
+		{1, []int{1, 1, 1, 1}},
+		{0, []int{1, 1, 1, 1}},
+	} {
+		t.Run(fmt.Sprintf("BatchAdmit=%d", tc.batchAdmit), func(t *testing.T) {
+			f := newFakeExec(4)
+			q := NewQueue(f, Config{BatchAdmit: tc.batchAdmit})
+			bounds := testBounds(t, 4)
 
-	t1, err := q.Submit(bounds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitEntry(t, f) // dispatcher blocked in Submit(q1)
-	var tail []*Ticket
-	for _, b := range bounds[1:] {
-		tk, err := q.Submit(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail = append(tail, tk)
-	}
-	f.gate <- struct{}{} // q1 admitted one-at-a-time
-	awaitEntry(t, f)     // dispatcher blocked in SubmitBatch(q2..q4)
-	f.gate <- struct{}{}
+			ts := submitAll(t, q, bounds[:1])
+			awaitEntry(t, f) // dispatcher held in SubmitBatch([q1])
+			ts = append(ts, submitAll(t, q, bounds[1:])...)
+			f.gate <- struct{}{}
+			for range tc.want[1:] {
+				step(t, f)
+			}
 
-	// Counts are recorded when the executor call returns; Running state
-	// follows it, so waiting for Running makes the counts stable.
-	for _, tk := range append([]*Ticket{t1}, tail...) {
-		for tk.State() != StateRunning {
-			time.Sleep(time.Millisecond)
-		}
+			awaitRunning(t, ts...)
+			if got := f.sizes(); !slices.Equal(got, tc.want) {
+				t.Fatalf("batch sizes %v, want %v", got, tc.want)
+			}
+			f.finishAll()
+			closeQueue(t, q)
+		})
 	}
-	f.mu.Lock()
-	singles, batches := f.singles, append([]int(nil), f.batches...)
-	f.mu.Unlock()
-	if singles != 1 || len(batches) != 1 || batches[0] != 3 {
-		t.Fatalf("singles=%d batches=%v, want 1 single and one batch of 3", singles, batches)
-	}
-	f.finishAll()
-	closeQueue(t, q)
 }
 
-// TestBatchWholeErrorFallsBackPerQuery: a whole-batch error means
-// nothing was admitted, so every drained ticket must be re-driven
-// through the per-query path — and still complete.
-func TestBatchWholeErrorFallsBackPerQuery(t *testing.T) {
-	f := newFakeExec(4)
-	f.batchErr = errors.New("plane unavailable")
-	q := NewQueue(f, Config{BatchAdmit: 4})
-	bounds := testBounds(t, 3)
+// TestBatchWholeError: a whole-batch error admitted nothing. Slot
+// exhaustion puts the batch of three back at the head of the line whole
+// and in FIFO order — ahead of q5, which arrived behind it — and the
+// next round admits it as one batch of three again, with no batch-of-one
+// round. Any other error re-drives each ticket as its own batch of one.
+// Either way every ticket runs, in arrival order.
+func TestBatchWholeError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want []int
+	}{
+		{"slot-exhaustion", core.ErrTooManyQueries, []int{1, 3, 3, 1}},
+		{"other", errors.New("plane unavailable"), []int{1, 3, 1, 1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeExec(8)
+			f.batchErr = map[int]error{1: tc.err}
+			q := NewQueue(f, Config{BatchAdmit: 3})
+			bounds := testBounds(t, 5)
 
-	t1, err := q.Submit(bounds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitEntry(t, f)
-	t2, err := q.Submit(bounds[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := q.Submit(bounds[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.gate <- struct{}{} // q1 via Submit
-	awaitEntry(t, f)     // SubmitBatch(q2,q3) -> whole-batch error
-	f.gate <- struct{}{}
-	awaitEntry(t, f) // fallback Submit(q2)
-	f.gate <- struct{}{}
-	awaitEntry(t, f) // fallback Submit(q3)
-	f.gate <- struct{}{}
+			ts := submitAll(t, q, bounds[:1])
+			awaitEntry(t, f)
+			ts = append(ts, submitAll(t, q, bounds[1:])...) // q5 waits behind the cap
+			f.gate <- struct{}{}                            // [q1]
+			for range tc.want[1:] {
+				step(t, f)
+			}
 
-	for _, tk := range []*Ticket{t1, t2, t3} {
-		for tk.State() != StateRunning {
-			time.Sleep(time.Millisecond)
-		}
+			awaitRunning(t, ts...)
+			if got := f.sizes(); !slices.Equal(got, tc.want) {
+				t.Fatalf("batch sizes %v, want %v", got, tc.want)
+			}
+			// Every call but the refused one admitted; end to end they
+			// are the arrival order.
+			var admitted []*query.Bound
+			for i := range tc.want {
+				if i != 1 {
+					admitted = append(admitted, f.call(i)...)
+				}
+			}
+			if !slices.Equal(admitted, bounds) {
+				t.Fatal("admission left FIFO order")
+			}
+			f.finishAll()
+			closeQueue(t, q)
+		})
 	}
-	f.mu.Lock()
-	singles, batches := f.singles, len(f.batches)
-	f.mu.Unlock()
-	if singles != 3 || batches != 0 {
-		t.Fatalf("singles=%d batches=%d, want 3 per-query submissions, no recorded batch", singles, batches)
-	}
-	f.finishAll()
-	closeQueue(t, q)
 }
 
 // TestBatchPerQueryError: a per-query error inside an otherwise
@@ -254,38 +305,94 @@ func TestBatchWholeErrorFallsBackPerQuery(t *testing.T) {
 func TestBatchPerQueryError(t *testing.T) {
 	f := newFakeExec(4)
 	boom := errors.New("schema mismatch")
+	f.queryErrs = map[int][]error{1: {boom, nil}} // t2 fails, t3 runs
 	q := NewQueue(f, Config{BatchAdmit: 4})
 	bounds := testBounds(t, 3)
 
-	t1, err := q.Submit(bounds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := submitAll(t, q, bounds[:1])[0]
 	awaitEntry(t, f)
-	t2, err := q.Submit(bounds[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := q.Submit(bounds[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.queryErrs = []error{errors.New("unused"), nil} // t2 fails, t3 runs
-	f.queryErrs[0] = boom
-	f.gate <- struct{}{} // q1
-	awaitEntry(t, f)     // SubmitBatch(q2,q3)
-	f.gate <- struct{}{}
+	tail := submitAll(t, q, bounds[1:])
+	f.gate <- struct{}{} // [q1]
+	step(t, f)           // [q2 q3]
 
-	if res := t2.Wait(); !errors.Is(res.Err, boom) {
+	if res := awaitResult(t, tail[0]); !errors.Is(res.Err, boom) {
 		t.Fatalf("t2 err = %v, want %v", res.Err, boom)
 	}
-	for _, tk := range []*Ticket{t1, t3} {
-		for tk.State() != StateRunning {
-			time.Sleep(time.Millisecond)
-		}
+	awaitRunning(t, t1, tail[1])
+	if got := f.sizes(); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("batch sizes %v, want [1 2]", got)
 	}
 	f.finishAll()
 	closeQueue(t, q)
+}
+
+// TestSlotExhaustionCancelWhileAdmitting: a cancel that lands while its
+// batch is Admitting, and the batch is then requeued, finalizes that
+// ticket Canceled; its batchmates keep their order.
+func TestSlotExhaustionCancelWhileAdmitting(t *testing.T) {
+	f := newFakeExec(4)
+	f.batchErr = map[int]error{1: core.ErrTooManyQueries}
+	q := NewQueue(f, Config{BatchAdmit: 4})
+	bounds := testBounds(t, 4)
+
+	t1 := submitAll(t, q, bounds[:1])[0]
+	awaitEntry(t, f)
+	tail := submitAll(t, q, bounds[1:])
+	f.gate <- struct{}{} // [q1]
+	awaitEntry(t, f)     // held in [q2 q3 q4]
+	if st := tail[1].State(); st != StateAdmitting {
+		t.Fatalf("t3 state %v, want admitting", st)
+	}
+	if !tail[1].Cancel() {
+		t.Fatal("cancel of an admitting ticket returned false")
+	}
+	f.gate <- struct{}{} // slot exhaustion: the batch goes back
+	step(t, f)           // [q2 q4]
+
+	if res := awaitResult(t, tail[1]); !errors.Is(res.Err, core.ErrQueryCanceled) || tail[1].State() != StateCanceled {
+		t.Fatalf("t3 = %v %v, want canceled", tail[1].State(), res.Err)
+	}
+	awaitRunning(t, t1, tail[0], tail[2])
+	if got := f.call(2); !slices.Equal(got, []*query.Bound{bounds[1], bounds[3]}) {
+		t.Fatalf("retried batch has %d queries, want q2, q4 in order", len(got))
+	}
+	f.finishAll()
+	closeQueue(t, q)
+}
+
+// TestSlotExhaustionCloseDuringBackoff: a Close whose ctx has expired,
+// landing while a batch refused for slot exhaustion is held for its
+// retry, leaves every ticket of the batch terminal — none stuck
+// Admitting.
+func TestSlotExhaustionCloseDuringBackoff(t *testing.T) {
+	// Hold the refused batch in its back-off for the whole test, so the
+	// Close below lands there and not on a retry.
+	defer func(p time.Duration) { retryPause = p }(retryPause)
+	retryPause = time.Hour
+
+	f := newFakeExec(4)
+	f.batchErr = map[int]error{1: core.ErrTooManyQueries}
+	q := NewQueue(f, Config{BatchAdmit: 4})
+	bounds := testBounds(t, 4)
+
+	t1 := submitAll(t, q, bounds[:1])[0]
+	awaitEntry(t, f)
+	tail := submitAll(t, q, bounds[1:])
+	f.gate <- struct{}{} // [q1]
+	step(t, f)           // [q2 q3 q4] -> slot exhaustion, back-off
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := q.Close(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("close = %v, want context.Canceled", err)
+	}
+	for _, tk := range tail {
+		if res := awaitResult(t, tk); !errors.Is(res.Err, ErrClosed) {
+			t.Fatalf("ticket ended %v: %v, want %v", tk.State(), res.Err, ErrClosed)
+		}
+	}
+	awaitRunning(t, t1)
+	f.finishAll()
+	awaitResult(t, t1)
 }
 
 // TestLateDeadlineCheckedAtBatchDispatch is the satellite's guarantee:
@@ -299,11 +406,8 @@ func TestLateDeadlineCheckedAtBatchDispatch(t *testing.T) {
 	q := NewQueue(f, Config{BatchAdmit: 4})
 	bounds := testBounds(t, 2)
 
-	t1, err := q.Submit(bounds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitEntry(t, f) // dispatcher held in Submit(q1)
+	t1 := submitAll(t, q, bounds[:1])[0]
+	awaitEntry(t, f) // dispatcher held in [q1]
 	t2, err := q.SubmitOpts(bounds[1], Options{MaxWait: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +417,7 @@ func TestLateDeadlineCheckedAtBatchDispatch(t *testing.T) {
 	t2.mu.Unlock()
 	f.gate <- struct{}{} // release q1; dispatcher pops q2 next
 
-	res := t2.Wait()
+	res := awaitResult(t, t2)
 	var de *DeadlineError
 	if !errors.As(res.Err, &de) {
 		t.Fatalf("t2 err = %v, want DeadlineError", res.Err)
@@ -321,14 +425,9 @@ func TestLateDeadlineCheckedAtBatchDispatch(t *testing.T) {
 	if t2.State() != StateExpired {
 		t.Fatalf("t2 state = %v, want StateExpired", t2.State())
 	}
-	f.mu.Lock()
-	singles, batches := f.singles, len(f.batches)
-	f.mu.Unlock()
-	if singles != 1 || batches != 0 {
-		t.Fatalf("singles=%d batches=%d: the expired ticket reached the executor", singles, batches)
-	}
-	for t1.State() != StateRunning {
-		time.Sleep(time.Millisecond)
+	awaitRunning(t, t1)
+	if got := f.sizes(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("batch sizes %v: the expired ticket reached the executor", got)
 	}
 	f.finishAll()
 	closeQueue(t, q)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 )
 
@@ -48,43 +49,40 @@ type Handle interface {
 // admits each query once to its dimension plane and runs it on N ≥ 1
 // fact-partitioned pipelines. Admission and serving depend on this
 // interface only — it is the seam where tests and the benchmark put
-// fakes and decorators.
+// fakes and decorators — and it holds exactly what they call.
 type Executor interface {
-	// Submit registers a bound query (Algorithm 1) and returns a handle
-	// delivering its results after one full scan cycle.
-	Submit(q *query.Bound) (Handle, error)
-	// SubmitCtx is Submit with a context: cancellation before or during
-	// installation aborts the admission cleanly.
-	SubmitCtx(ctx context.Context, q *query.Bound) (Handle, error)
+	// SubmitBatch registers K bound queries (Algorithm 1) in one
+	// dimension-plane round, paying one store snapshot publication per
+	// dimension for the whole batch; a lone query is a batch of one.
+	// Each handle delivers its query's results after one full scan
+	// cycle.
+	//
+	// The two slices are parallel to qs: for each i exactly one of
+	// handles[i] (success) or errs[i] (per-query failure, e.g.
+	// activation on a stopped shard) is non-nil. A non-nil error return
+	// means the whole batch failed up front — no query was admitted,
+	// handles and errs are nil. ErrTooManyQueries is such an error: the
+	// batch did not fit the free slots. Callers that want partial
+	// progress after any other whole-batch error retry in batches of
+	// one, which attributes the error to the query that causes it.
+	SubmitBatch(ctx context.Context, qs []*query.Bound) (handles []Handle, errs []error, err error)
 	// MaxConcurrent returns the executor's maxConc bound — the number of
 	// concurrent query slots.
 	MaxConcurrent() int
 	// ActiveQueries returns the number of queries currently registered.
 	ActiveQueries() int
-	// Stats snapshots execution counters, summed across shards.
-	Stats() Stats
 	// Quiesce blocks until no queries are in flight.
 	Quiesce()
-	// Stop shuts the executor down; in-flight queries receive
-	// ErrPipelineStopped.
-	Stop()
-}
-
-// BatchSubmitter is the batch entry of an Executor: register K queries
-// in one dimension-plane round, paying one store snapshot publication
-// per dimension for the whole batch instead of one per query.
-// internal/shard.Group implements it (its Submit and SubmitCtx are
-// batches of one); the admission queue type-asserts for it when
-// draining a batch and drives an executor without it — a test fake —
-// one query at a time.
-//
-// The two slices are parallel to qs: for each i exactly one of
-// handles[i] (success) or errs[i] (per-query failure, e.g. activation
-// on a stopped shard) is non-nil. A non-nil error return means the
-// whole batch failed up front — no query was admitted, handles and
-// errs are nil — and the caller should fall back to SubmitCtx per
-// query (which reproduces per-query errors like ErrTooManyQueries with
-// the usual semantics).
-type BatchSubmitter interface {
-	SubmitBatch(ctx context.Context, qs []*query.Bound) (handles []Handle, errs []error, err error)
+	// Health reports the per-shard serving state.
+	Health() Health
+	// StatsWithShards returns execution counters summed across shards
+	// and the per-shard breakdown, derived from one snapshot so the
+	// breakdown sums exactly to the totals.
+	StatsWithShards() (Stats, []Stats)
+	// ShardPartitions returns the global partition indices dealt to
+	// each shard, or nil when the fact table is not range-partitioned.
+	ShardPartitions() [][]int
+	// Plane returns the dimension plane the executor admits to, or nil
+	// for one without (a test fake).
+	Plane() *dimplane.Plane
 }

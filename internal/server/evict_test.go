@@ -42,13 +42,14 @@ func (h *gateHandle) ETA() (time.Duration, bool) { return 0, false }
 func (h *gateHandle) Progress() float64          { return 0 }
 func (h *gateHandle) Submission() time.Duration  { return 0 }
 
-func (e *gateExec) Submit(q *query.Bound) (core.Handle, error) {
-	return e.SubmitCtx(context.Background(), q)
-}
-func (e *gateExec) SubmitCtx(context.Context, *query.Bound) (core.Handle, error) {
-	h := &gateHandle{res: make(chan core.QueryResult, 1), done: make(chan struct{})}
-	e.handles <- h
-	return h, nil
+func (e *gateExec) SubmitBatch(_ context.Context, qs []*query.Bound) ([]core.Handle, []error, error) {
+	hs := make([]core.Handle, len(qs))
+	for i := range qs {
+		h := &gateHandle{res: make(chan core.QueryResult, 1), done: make(chan struct{})}
+		e.handles <- h
+		hs[i] = h
+	}
+	return hs, make([]error, len(qs)), nil
 }
 func (e *gateExec) MaxConcurrent() int { return 8 }
 

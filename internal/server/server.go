@@ -60,8 +60,8 @@ type Config struct {
 	MaxTraces int
 }
 
-// Server is the query service layer over one executor — a single
-// pipeline or a sharded group (internal/shard.Group).
+// Server is the query service layer over one executor
+// (internal/shard.Group, at any shard count).
 type Server struct {
 	star   *catalog.Star
 	txm    *txn.Manager
@@ -143,11 +143,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// healther is implemented by executors that expose a per-shard
-// serving-state breakdown (shard.Group). The server depends on the
-// interface only.
-type healther interface{ Health() core.Health }
-
 // handleHealth is the supervision-aware liveness probe:
 //
 //	200 {"state":"ok"}        every shard serving
@@ -167,10 +162,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, HealthResponse{State: "draining"})
 		return
 	}
-	h := core.Health{State: "ok"}
-	if he, ok := s.exec.(healther); ok {
-		h = he.Health()
-	}
+	h := s.exec.Health()
 	out := HealthResponse{State: h.State}
 	for _, sh := range h.Shards {
 		out.Shards = append(out.Shards, ShardHealth{
@@ -509,22 +501,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shardStatser is implemented by sharded executors (internal/shard.Group)
-// exposing per-shard pipeline counters alongside their merge, derived
-// from one snapshot so the breakdown sums exactly to the totals. The
-// server depends on the Executor interface only, so the extra capability
-// is an assertion.
-type shardStatser interface {
-	StatsWithShards() (core.Stats, []core.Stats)
-}
-
-// shardPartitioner is implemented by partition-dealt groups
-// (internal/shard.Group over a range-partitioned star) exposing which
-// global partitions each shard scans.
-type shardPartitioner interface {
-	ShardPartitions() [][]int
-}
-
 // wireStats converts a core.Stats snapshot to its wire form.
 func wireStats(ps core.Stats) PipelineStats {
 	out := PipelineStats{
@@ -571,16 +547,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Each of these snapshots is internally consistent: the executor and
 	// the admission queue take their counters under their own locks, so a
 	// /stats racing shard startup or drain sees either the old or the new
-	// state, never a torn one. For a sharded executor the merged totals
-	// and the per-shard breakdown come from the same snapshot, so the
-	// breakdown always sums exactly to the totals.
-	var ps core.Stats
-	var perShard []core.Stats
-	if ss, ok := s.exec.(shardStatser); ok {
-		ps, perShard = ss.StatsWithShards()
-	} else {
-		ps = s.exec.Stats()
-	}
+	// state, never a torn one. The merged totals and the per-shard
+	// breakdown come from the same snapshot, so the breakdown always sums
+	// exactly to the totals.
+	ps, perShard := s.exec.StatsWithShards()
 	as := s.adq.Stats()
 
 	pipeline := wireStats(ps)
@@ -612,20 +582,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		Queries: make(map[string]int),
 	}
-	if he, ok := s.exec.(healther); ok {
-		out.Degraded = he.Health().Degraded()
-	}
-	for _, st := range perShard {
-		out.Shards = append(out.Shards, wireStats(st))
-	}
-	if sp, ok := s.exec.(shardPartitioner); ok {
-		if subs := sp.ShardPartitions(); subs != nil {
-			for i := range out.Shards {
-				if i < len(subs) {
-					out.Shards[i].Partitions = len(subs[i])
-				}
-			}
+	out.Degraded = s.exec.Health().Degraded()
+	subs := s.exec.ShardPartitions()
+	for i, st := range perShard {
+		ws := wireStats(st)
+		if i < len(subs) {
+			ws.Partitions = len(subs[i])
 		}
+		out.Shards = append(out.Shards, ws)
 	}
 	for name, cs := range as.PerClient {
 		c := ClientStats{

@@ -12,6 +12,7 @@ import (
 
 	"cjoin/internal/admission"
 	"cjoin/internal/core"
+	"cjoin/internal/dimplane"
 	"cjoin/internal/disk"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
@@ -25,15 +26,16 @@ import (
 // error through the admission queue to the HTTP surface.
 type rejectingExec struct{ err error }
 
-func (e *rejectingExec) Submit(*query.Bound) (core.Handle, error) { return nil, e.err }
-func (e *rejectingExec) SubmitCtx(context.Context, *query.Bound) (core.Handle, error) {
-	return nil, e.err
+func (e *rejectingExec) SubmitBatch(context.Context, []*query.Bound) ([]core.Handle, []error, error) {
+	return nil, nil, e.err
 }
-func (e *rejectingExec) MaxConcurrent() int { return 4 }
-func (e *rejectingExec) ActiveQueries() int { return 0 }
-func (e *rejectingExec) Stats() core.Stats  { return core.Stats{} }
-func (e *rejectingExec) Quiesce()           {}
-func (e *rejectingExec) Stop()              {}
+func (e *rejectingExec) MaxConcurrent() int                          { return 4 }
+func (e *rejectingExec) ActiveQueries() int                          { return 0 }
+func (e *rejectingExec) Quiesce()                                    {}
+func (e *rejectingExec) Health() core.Health                         { return core.Health{State: "ok"} }
+func (e *rejectingExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
+func (e *rejectingExec) ShardPartitions() [][]int                    { return nil }
+func (e *rejectingExec) Plane() *dimplane.Plane                      { return nil }
 
 // TestUnprocessableQueryIs422 verifies the typed-error contract: an
 // executor error that knows its HTTP status (shard.RangePartitionedError

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cjoin/internal/catalog"
-	"cjoin/internal/dimplane"
 	"cjoin/internal/txn"
 )
 
@@ -29,10 +28,6 @@ import (
 //	                in-place updates leave heap geometry unchanged, so
 //	                the cache's own epoch/geometry check cannot catch
 //	                them.
-
-// planer is implemented by executors that expose their dimension plane
-// (shard.Group); the server depends on the interface only.
-type planer interface{ Plane() *dimplane.Plane }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
@@ -198,11 +193,9 @@ func (s *Server) applyDimUpdate(req *UpdateRequest) (txn.Snapshot, int, error) {
 	// time (the COW semantics of §4), queries admitted after this commit
 	// must re-scan the updated store rather than hit a stale memoized
 	// predicate scan.
-	if pe, ok := s.exec.(planer); ok {
-		if pl := pe.Plane(); pl != nil {
-			pl.InvalidateCache()
-			s.mCacheInval.Inc()
-		}
+	if pl := s.exec.Plane(); pl != nil {
+		pl.InvalidateCache()
+		s.mCacheInval.Inc()
 	}
 	return snap, 1, nil
 }

@@ -40,14 +40,10 @@ func batchTexts(rng *rand.Rand, w *ssb.Workload, n int) []string {
 }
 
 // runBatchParity binds texts fresh, submits them in batches of
-// batchSize through the executor's SubmitBatch fast path, and checks
-// every result bit-exact against the naive reference executor.
+// batchSize through the executor's SubmitBatch, and checks every result
+// bit-exact against the naive reference executor.
 func runBatchParity(t *testing.T, label string, ex core.Executor, ds *ssb.Dataset, texts []string, batchSize int) {
 	t.Helper()
-	bex, ok := ex.(core.BatchSubmitter)
-	if !ok {
-		t.Fatalf("%s: executor does not implement BatchSubmitter", label)
-	}
 	for lo := 0; lo < len(texts); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(texts) {
@@ -62,7 +58,7 @@ func runBatchParity(t *testing.T, label string, ex core.Executor, ds *ssb.Datase
 			b.Snapshot = ds.Txn.Begin()
 			qs = append(qs, b)
 		}
-		handles, errs, err := bex.SubmitBatch(context.Background(), qs)
+		handles, errs, err := ex.SubmitBatch(context.Background(), qs)
 		if err != nil {
 			t.Fatalf("%s: batch [%d,%d): %v", label, lo, hi, err)
 		}

@@ -226,10 +226,7 @@ func newGroupMetrics(r *obs.Registry, n int) groupMetrics {
 	return gm
 }
 
-var (
-	_ core.Executor       = (*Group)(nil)
-	_ core.BatchSubmitter = (*Group)(nil)
-)
+var _ core.Executor = (*Group)(nil)
 
 // New builds a Group of cfg.Shards pipelines over the star schema. Call
 // Start before Submit.
@@ -522,7 +519,7 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 // — and fans only the per-shard Preprocessor installation (lines 17–22)
 // out to the healthy shards. A whole-batch failure (slot exhaustion,
 // scan error, all shards down) admits nothing and returns err;
-// per-query activation failures land in errs. See core.BatchSubmitter.
+// per-query activation failures land in errs. See core.Executor.
 func (g *Group) SubmitBatch(ctx context.Context, qs []*query.Bound) ([]core.Handle, []error, error) {
 	return g.submitBatch(ctx, qs, nil)
 }

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -169,47 +170,47 @@ func TestGroupCancel(t *testing.T) {
 
 // TestGroupBehindAdmissionQueue runs the serving-tier composition: more
 // queries than maxConc through an admission.Queue over a 4-shard Group —
-// the exact wiring cjoind -shards uses. Nothing may be rejected and every
-// query must complete.
+// the exact wiring cjoind -shards uses — at every batch cap, including
+// the caps of one. Nothing may be rejected and every query must
+// complete.
 func TestGroupBehindAdmissionQueue(t *testing.T) {
 	ds := genDataset(t, 1500, disk.Config{})
-	g, err := shard.New(ds.Star, shard.Config{Shards: 4, Core: core.Config{MaxConcurrent: 4, Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	t.Cleanup(g.Stop)
-	q := admission.NewQueue(g, admission.Config{MaxQueue: 64})
+	for _, batch := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("BatchAdmit=%d", batch), func(t *testing.T) {
+			g := openGroup(t, ds, 4, core.Config{MaxConcurrent: 4, Workers: 2})
+			q := admission.NewQueue(g, admission.Config{MaxQueue: 64, BatchAdmit: batch})
 
-	const n = 16 // 4x capacity
-	w := ssb.NewWorkload(ds, 0.1, 9)
-	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
-		_, text := w.Next()
-		tk, err := q.Submit(bind(t, ds, text))
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if res := tk.Wait(); res.Err != nil {
-				errCh <- res.Err
+			const n = 16 // 4x capacity
+			w := ssb.NewWorkload(ds, 0.1, 9)
+			var wg sync.WaitGroup
+			errCh := make(chan error, n)
+			for i := 0; i < n; i++ {
+				_, text := w.Next()
+				tk, err := q.Submit(bind(t, ds, text))
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if res := tk.Wait(); res.Err != nil {
+						errCh <- res.Err
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	st := q.Stats()
-	if st.Rejected != 0 || st.Completed != n {
-		t.Fatalf("queue stats: %+v", st)
-	}
-	if err := q.Close(context.Background()); err != nil {
-		t.Fatal(err)
+			wg.Wait()
+			close(errCh)
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			st := q.Stats()
+			if st.Rejected != 0 || st.Completed != n {
+				t.Fatalf("queue stats: %+v", st)
+			}
+			if err := q.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
