@@ -49,8 +49,8 @@ metrics-smoke:
 
 # End-to-end HTAP write plane: POST /update commits (append, delete,
 # dimension rewrite) against cjoind -shards 2, snapshot contiguity past
-# a failed commit, predicate-cache invalidation, and the write-plane
-# metric families (scripts/updates-smoke.sh).
+# a failed commit, a dimension rewrite seen through the predicate
+# cache, and the write-plane metric families (scripts/updates-smoke.sh).
 updates-smoke:
 	./scripts/updates-smoke.sh
 
@@ -90,11 +90,12 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
-# Flake census (ROADMAP 5(e)): the cancel-race, chaos and churn suites
-# COUNT times over under the race detector. A failure here that a single
-# race-core pass misses is a flaky test or a real race; record its output.
+# Flake census: the cancel-race, chaos, churn and commit-vs-cache-fill
+# suites COUNT times over under the race detector. A failure here that a
+# single race-core pass misses is a flaky test or a real race; record
+# its output.
 flake-census:
-	$(GO) test -race -count=$(COUNT) -timeout 3600s ./internal/core ./internal/shard ./internal/server ./internal/admission ./internal/dimplane
+	$(GO) test -race -count=$(COUNT) -timeout 3600s ./internal/core ./internal/shard ./internal/server ./internal/admission ./internal/dimplane ./internal/txn
 
 # Filter/pipeline hot-path microbenchmarks (the Filter probe loop, one
 # page from emitPage to route), the aggregation operator (new and

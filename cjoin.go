@@ -146,7 +146,7 @@ func (t *Table) NumRows() int64 { return t.tab.Heap.NumRows() }
 // initial snapshot (visible to every query); use CommitFacts for
 // transactional appends.
 func (t *Table) Append(vals ...any) error {
-	row, err := t.encode(vals, 0)
+	row, err := t.encode(vals)
 	if err != nil {
 		return err
 	}
@@ -154,15 +154,14 @@ func (t *Table) Append(vals ...any) error {
 	return nil
 }
 
-func (t *Table) encode(vals []any, xmin int64) ([]int64, error) {
+// encode turns visible-column values into one stored row; a fact row's
+// xmin/xmax stay 0 (the initial snapshot) until a commit stamps them.
+func (t *Table) encode(vals []any) ([]int64, error) {
 	visible := t.tab.VisibleColumns()
 	if len(vals) != len(visible) {
 		return nil, fmt.Errorf("cjoin: %s has %d columns, got %d values", t.tab.Name, len(visible), len(vals))
 	}
 	row := make([]int64, len(t.tab.Columns))
-	if t.isFact {
-		row[0] = xmin
-	}
 	for i, v := range vals {
 		ci := i + t.tab.Hidden
 		switch x := v.(type) {
@@ -187,23 +186,21 @@ func (t *Table) encode(vals []any, xmin int64) ([]int64, error) {
 type Snapshot = txn.Snapshot
 
 // CommitFacts appends fact rows in one snapshot-isolated transaction and
-// returns the snapshot at which they become visible.
+// returns the snapshot at which they become visible. Every row is encoded
+// before the commit, so a bad value publishes nothing.
 func (w *Warehouse) CommitFacts(rows [][]any) (Snapshot, error) {
 	if w.fact == nil {
 		return 0, fmt.Errorf("cjoin: no fact table defined")
 	}
 	encoded := make([][]int64, 0, len(rows))
-	return w.txn.CommitErr(func(id uint64) error {
-		for _, vals := range rows {
-			row, err := w.fact.encode(vals, int64(id))
-			if err != nil {
-				return err
-			}
-			encoded = append(encoded, row)
+	for _, vals := range rows {
+		row, err := w.fact.encode(vals)
+		if err != nil {
+			return 0, err
 		}
-		w.fact.tab.Heap.AppendBatch(encoded)
-		return nil
-	})
+		encoded = append(encoded, row)
+	}
+	return w.txn.Append(w.fact.tab, encoded)
 }
 
 // DeleteFact marks the fact row at index idx deleted; the deletion is
@@ -213,16 +210,7 @@ func (w *Warehouse) DeleteFact(idx int64) (Snapshot, error) {
 	if w.fact == nil {
 		return 0, fmt.Errorf("cjoin: no fact table defined")
 	}
-	return w.txn.CommitErr(func(id uint64) error {
-		row, err := w.fact.tab.Heap.RowAt(idx)
-		if err != nil {
-			return err
-		}
-		if row[1] != 0 {
-			return fmt.Errorf("cjoin: fact row %d already deleted at commit %d", idx, row[1])
-		}
-		return w.fact.tab.Heap.UpdateCol(idx, 1, int64(id))
-	})
+	return w.txn.Delete(w.fact.tab, idx)
 }
 
 // DefineStar declares the star schema: the fact table plus its

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		exp = flag.String("exp", "all", "experiment: all, ablations, figure4..figure8, table1..table3, "+
-			"overload, shardscale, dimadmit, obsoverhead, zonemap, updates, ablation-{probeskip,maxconc,filterorder,compression}")
+			"overload, shardscale, dimadmit, obsoverhead, zonemap, ablation-{probeskip,maxconc,filterorder,compression}")
 		sf      = flag.Int("sf", 1, "SSB scale factor")
 		rows    = flag.Int("rows", 5000, "fact rows per scale-factor unit")
 		sel     = flag.Float64("s", 0.01, "predicate selectivity")
@@ -46,7 +46,6 @@ func main() {
 		threads = flag.Int("threads", 5, "max stage threads for figure4")
 		shards  = flag.String("shards", "", "comma-separated shard counts for shardscale (default 1,2,4,8)")
 		parts   = flag.Int("partitions", 0, "range-partition the fact table into N heaps; shardscale then deals whole partitions to shards (0 = unpartitioned, page-strided)")
-		rates   = flag.String("rates", "", "comma-separated sustained write rates (commits/s) for the updates experiment (default 0,50,200,1000; 0 = writer off)")
 		chaos   = flag.String("chaos", "", "fault-injection spec armed on every measured executor (internal/fault grammar)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
 		jsonOut = flag.Bool("json", false, "emit the selected figures as one JSON document on stdout")
@@ -71,8 +70,6 @@ func main() {
 	check(err)
 	shardNs, err := parseInts(*shards)
 	check(err)
-	writeRates, err := parseInts(*rates)
-	check(err)
 
 	type runner struct {
 		id  string
@@ -92,7 +89,6 @@ func main() {
 		{"dimadmit", func() (harness.Figure, error) { return harness.RunDimAdmit(cfg, shardNs, *n) }},
 		{"obsoverhead", func() (harness.Figure, error) { return harness.RunObsOverhead(cfg, shardNs, *n) }},
 		{"zonemap", func() (harness.Figure, error) { return harness.RunZoneMapSweep(cfg, sels, 0) }},
-		{"updates", func() (harness.Figure, error) { return harness.RunUpdates(cfg, writeRates, *n) }},
 	}
 	ablations := []runner{
 		{"probeskip", func() (harness.Figure, error) { return harness.RunAblationProbeSkip(cfg, *n) }},
@@ -112,7 +108,7 @@ func main() {
 		case *exp == r.id:
 		// "all" reproduces the paper's evaluation; the serving-tier and
 		// sharding experiments run only when asked for by name.
-		case *exp == "all" && !strings.HasPrefix(r.id, "ablation-") && r.id != "overload" && r.id != "shardscale" && r.id != "dimadmit" && r.id != "obsoverhead" && r.id != "zonemap" && r.id != "updates":
+		case *exp == "all" && !strings.HasPrefix(r.id, "ablation-") && r.id != "overload" && r.id != "shardscale" && r.id != "dimadmit" && r.id != "obsoverhead" && r.id != "zonemap":
 		case *exp == "ablations" && strings.HasPrefix(r.id, "ablation-"):
 		default:
 			continue

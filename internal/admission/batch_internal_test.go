@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cjoin/internal/core"
-	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 	"cjoin/internal/ssb"
 )
@@ -101,7 +100,6 @@ func (f *fakeExec) Quiesce()                                    {}
 func (f *fakeExec) Health() core.Health                         { return core.Health{State: "ok"} }
 func (f *fakeExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
 func (f *fakeExec) ShardPartitions() [][]int                    { return nil }
-func (f *fakeExec) Plane() *dimplane.Plane                      { return nil }
 
 var _ core.Executor = (*fakeExec)(nil)
 

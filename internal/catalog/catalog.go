@@ -11,6 +11,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -254,6 +255,24 @@ func (s *Star) PartitionPageBounds(col int) ([][]storage.PageBounds, error) {
 		out[i] = b
 	}
 	return out, nil
+}
+
+// ErrStaticStar is wrapped by every refusal of a fact write the star
+// cannot take by construction.
+var ErrStaticStar = errors.New("static star")
+
+// WritableFact returns the fact table if this star takes snapshot-
+// isolated fact writes (txn.Manager Append/Delete), else an error
+// wrapping ErrStaticStar: a range-partitioned star is load-then-query
+// (§5), and a fact table without xmin/xmax cannot version its rows.
+func (s *Star) WritableFact() (*Table, error) {
+	if s.PartCol >= 0 {
+		return nil, fmt.Errorf("%w: partitioned stars are static (load-then-query, §5); fact writes need an unpartitioned deployment", ErrStaticStar)
+	}
+	if s.Fact.Hidden < 2 {
+		return nil, fmt.Errorf("%w: fact table %s carries no xmin/xmax system columns; snapshot-isolated writes are unavailable", ErrStaticStar, s.Fact.Name)
+	}
+	return s.Fact, nil
 }
 
 // DimIndex returns the position of the named dimension, or -1.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 )
 
@@ -82,7 +81,4 @@ type Executor interface {
 	// ShardPartitions returns the global partition indices dealt to
 	// each shard, or nil when the fact table is not range-partitioned.
 	ShardPartitions() [][]int
-	// Plane returns the dimension plane the executor admits to, or nil
-	// for one without (a test fake).
-	Plane() *dimplane.Plane
 }

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cjoin/internal/bitvec"
 	"cjoin/internal/catalog"
+	"cjoin/internal/disk"
 	"cjoin/internal/expr"
 	"cjoin/internal/query"
+	"cjoin/internal/txn"
 )
 
 // randBound builds a random 2-dim query over miniStar: each dimension
@@ -288,9 +292,10 @@ func TestPredCacheHitsAndCounters(t *testing.T) {
 }
 
 // TestPredCacheInvalidation: results must never be served stale — a
-// dimension heap growing under the cached scan, a Detach (quarantine
-// reduces the plane's world), or an explicit invalidation all force a
-// re-scan.
+// dimension heap growing under the cached scan, an in-place rewrite of
+// one of its cells, or a Detach (quarantine reduces the plane's world)
+// all force a re-scan. A rewrite of one dimension leaves the other
+// dimensions' entries hitting.
 func TestPredCacheInvalidation(t *testing.T) {
 	star := miniStar(t, 10)
 	pl := New(star, 2, Config{MaxConcurrent: 16})
@@ -302,8 +307,8 @@ func TestPredCacheInvalidation(t *testing.T) {
 	}
 	base := len(slotKeys(pl.Store(0), s0))
 
-	// The heap grows: key 100 with v=1 matches v<2. The geometry check
-	// must reject the cached rows and re-scan.
+	// The heap grows: key 100 with v=1 matches v<2. The heap's version
+	// moved, so the cached rows are rejected and the heap re-scanned.
 	star.Dims[0].Heap.Append([]int64{100, 1})
 	s1, err := pl.Admit(ctx, boundRef(star, 2))
 	if err != nil {
@@ -314,8 +319,34 @@ func TestPredCacheInvalidation(t *testing.T) {
 		t.Fatalf("stale cache: new admission selected %d keys (want %d incl. key 100)", len(keys), base+1)
 	}
 
+	// An in-place rewrite leaves the heap's geometry unchanged, yet must
+	// be seen: key 3 (v=3) rewritten to v=0 joins v<2. A d2 template
+	// cached before the rewrite keeps hitting.
+	onD2 := &query.Bound{Schema: star, DimRefs: []bool{false, true}, DimPreds: []expr.Node{nil, predLt(1, 1)}}
+	if _, err := pl.Admit(ctx, onD2); err != nil {
+		t.Fatal(err)
+	}
+	if err := star.Dims[0].Heap.UpdateCol(3, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := pl.Stats()
+	s2, err := pl.Admit(ctx, boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := slotKeys(pl.Store(0), s2); len(keys) != base+2 || !keys[3] {
+		t.Fatalf("stale cache after in-place rewrite: selected %d keys (want %d incl. key 3)", len(keys), base+2)
+	}
+	if _, err := pl.Admit(ctx, onD2); err != nil {
+		t.Fatal(err)
+	}
+	if st := pl.Stats(); st.CacheMisses != before.CacheMisses+1 || st.CacheHits != before.CacheHits+1 {
+		t.Fatalf("after a d1 rewrite: misses %d→%d, hits %d→%d; want the d1 template to miss and the d2 one to hit",
+			before.CacheMisses, st.CacheMisses, before.CacheHits, st.CacheHits)
+	}
+
 	// Detach invalidates: the next resolution is a miss even though the
-	// fingerprint and geometry are unchanged.
+	// fingerprint and the heap are unchanged.
 	misses := pl.Stats().CacheMisses
 	pl.Detach()
 	if _, err := pl.Admit(ctx, boundRef(star, 2)); err != nil {
@@ -324,14 +355,62 @@ func TestPredCacheInvalidation(t *testing.T) {
 	if got := pl.Stats().CacheMisses; got != misses+1 {
 		t.Fatalf("misses after Detach = %d, want %d", got, misses+1)
 	}
+}
 
-	misses = pl.Stats().CacheMisses
-	pl.InvalidateCache()
-	if _, err := pl.Admit(ctx, boundRef(star, 2)); err != nil {
+// TestPredCacheStaleFill is the regression test for the fill-vs-write
+// race: a dimension rewrite that commits while an admission's cache-miss
+// scan is in flight, in a page that scan has already read, must not
+// leave the scan's pre-write rows behind as a hit. The fill carries the
+// heap version read before its scan, so the next admission of the same
+// template misses and selects the new row.
+func TestPredCacheStaleFill(t *testing.T) {
+	// Six flushed pages of d1 at 64 KB/s: the cache-miss scan takes
+	// ~0.75 s, one page per 125 ms.
+	dev := disk.New(disk.Config{SeqBytesPerSec: 64 << 10})
+	fact := catalog.NewTable(dev, "f", 0, []catalog.Column{{Name: "fk1"}, {Name: "fk2"}})
+	d1 := catalog.NewTable(dev, "d1", 0, []catalog.Column{{Name: "k"}, {Name: "v"}})
+	d2 := catalog.NewTable(dev, "d2", 0, []catalog.Column{{Name: "k"}, {Name: "w"}})
+	for k := int64(0); k < int64(6*d1.Heap.RowsPerPage()); k++ {
+		d1.Heap.Append([]int64{k, k % 5})
+	}
+	d2.Heap.Append([]int64{0, 0}) // the in-memory tail: no device reads
+	star, err := catalog.NewStar(fact, []*catalog.Table{d1, d2}, []int{0, 1}, []int{0, 0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.Stats().CacheMisses; got != misses+1 {
-		t.Fatalf("misses after InvalidateCache = %d, want %d", got, misses+1)
+	pl := New(star, 1, Config{MaxConcurrent: 4})
+	ctx := context.Background()
+	var txm txn.Manager
+
+	done := make(chan error, 1)
+	go func() {
+		slot, err := pl.Admit(ctx, boundRef(star, 2)) // v < 2: selects key 0
+		if err == nil {
+			pl.Retire(slot)
+		}
+		done <- err
+	}()
+	// The device has served page 0, which holds row 0.
+	for dev.Stats().Reads == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Skip("the scan finished before the rewrite; the race window was missed")
+	default:
+	}
+	if _, err := txm.Update(d1, 0, 1, 4); err != nil { // key 0 leaves v < 2
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	slot, err := pl.Admit(ctx, boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slotKeys(pl.Store(0), slot)[0] {
+		t.Fatal("stale fill: key 0 selected after its row was rewritten out of the predicate")
 	}
 }
 
@@ -351,13 +430,33 @@ func TestPredCacheEviction(t *testing.T) {
 }
 
 // TestPredCacheChurnRace churns batch and single admissions (repeated
-// templates, so the cache is hot), retires, and invalidations from many
-// goroutines; under -race this proves the cache needs no coordination
-// with the slot ledger beyond its own mutex.
+// templates, so the cache is hot) and retires from many goroutines while
+// a writer rewrites dimension cells in place; under -race this proves
+// the cache needs no coordination with the slot ledger or the writer
+// beyond its own mutex and the heap's version. Once the churn stops,
+// every template must select exactly what a fresh scan selects.
 func TestPredCacheChurnRace(t *testing.T) {
 	star := miniStar(t, 40)
 	pl := New(star, 2, Config{MaxConcurrent: 32, PredCacheSize: 4})
 	ctx := context.Background()
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := star.Dims[0].Heap.UpdateCol(rng.Int63n(40), 1, rng.Int63n(5)); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -394,15 +493,33 @@ func TestPredCacheChurnRace(t *testing.T) {
 					pl.Retire(slot)
 					pl.Retire(slot)
 				}
-				if i%17 == 0 {
-					pl.InvalidateCache()
-				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-writerDone
 	if pl.InUse() != 0 || pl.Store(0).Len() != 0 || pl.Store(0).RefCount() != 0 {
 		t.Fatalf("churn left inuse=%d len=%d refs=%d", pl.InUse(), pl.Store(0).Len(), pl.Store(0).RefCount())
+	}
+	for x := int64(1); x <= 5; x++ {
+		want, err := SelectRows(star.Dims[0], predLt(0, x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, err := pl.Admit(ctx, boundRef(star, x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKeys := make(map[int64]bool, len(want))
+		for _, row := range want {
+			wantKeys[row[0]] = true
+		}
+		if got := slotKeys(pl.Store(0), slot); !sameKeys(got, wantKeys) {
+			t.Fatalf("v<%d after churn: admission selects %d keys, a fresh scan %d (stale fill)", x, len(got), len(wantKeys))
+		}
+		pl.Retire(slot)
+		pl.Retire(slot)
 	}
 }
 

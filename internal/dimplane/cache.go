@@ -21,15 +21,16 @@ const DefaultPredCacheSize = 128
 // themselves.
 //
 // Correctness: a hit is only valid if the dimension heap is unchanged
-// since the fill. Two guards enforce that — an epoch counter bumped by
-// the plane on any event that could invalidate results wholesale
-// (prober Detach during quarantine, explicit InvalidateAll around
-// dimension updates), and the heap's (pages, rows) geometry captured at
-// fill time, which catches appends that grew the heap between fill and
-// lookup. Retire GC epochs touch only the *store* (bit clearing,
-// entry GC), never the dimension heap the scan reads, so slot churn
-// does not invalidate; Detach still does, per the plane's conservative
-// contract with the supervision tier.
+// since the fill began. An entry records the heap's mutation counter
+// (storage.HeapFile.Version), read *before* its scan, and hits only while
+// the counter still reads that value: any append or in-place rewrite of
+// that dimension — including one that lands while the scan is in flight —
+// makes exactly that dimension's entries stale, with no writer having to
+// know the cache exists. An epoch, also read before the scan, covers the
+// one plane-level event that drops everything: prober Detach during
+// quarantine. Retire GC touches only the *store* (bit clearing, entry
+// GC), never the dimension heap the scan reads, so slot churn does not
+// invalidate.
 type predCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -47,11 +48,13 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	rows  [][]int64
-	epoch uint64
-	pages int
-	nrows int64
+	rows [][]int64
+	at   fillStamp
 }
+
+// fillStamp is what a fill is valid against: the cache epoch and the
+// dimension heap's version, both read before the scan.
+type fillStamp struct{ epoch, version uint64 }
 
 func newPredCache(capacity int) *predCache {
 	if capacity == 0 {
@@ -64,30 +67,34 @@ func newPredCache(capacity int) *predCache {
 }
 
 // lookup returns the memoized scan result for (dim, fp) if it is still
-// valid against the heap's current geometry and the cache epoch.
-func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) ([][]int64, bool) {
+// current. On a miss it returns the stamp the caller's fill must carry;
+// it is read here, before the caller scans heap.
+func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) ([][]int64, fillStamp, bool) {
 	if c == nil {
-		return nil, false
+		return nil, fillStamp{}, false
 	}
+	ver := heap.Version()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey{dim, fp}]
-	if !ok || e.epoch != c.epoch || e.nrows != heap.NumRows() || e.pages != heap.NumPages() {
+	now := fillStamp{epoch: c.epoch, version: ver}
+	k := cacheKey{dim, fp}
+	e, ok := c.entries[k]
+	if !ok || e.at != now {
 		if ok {
-			// Stale under the current epoch/geometry: drop it now so the
-			// map doesn't accumulate dead generations.
-			c.deleteLocked(cacheKey{dim, fp})
+			// Stale: drop it now so the map doesn't accumulate dead
+			// generations.
+			c.deleteLocked(k)
 		}
 		c.misses++
-		return nil, false
+		return nil, now, false
 	}
 	c.hits++
-	return e.rows, true
+	return e.rows, now, true
 }
 
-// store memoizes a freshly scanned result. The caller must not mutate
-// rows after handing them over.
-func (c *predCache) store(dim int, fp uint64, rows [][]int64, heap *storage.HeapFile) {
+// store memoizes a scan result under the stamp lookup returned before
+// the scan. The caller must not mutate rows after handing them over.
+func (c *predCache) store(dim int, fp uint64, rows [][]int64, at fillStamp) {
 	if c == nil {
 		return
 	}
@@ -100,7 +107,7 @@ func (c *predCache) store(dim int, fp uint64, rows [][]int64, heap *storage.Heap
 		}
 		c.fifo = append(c.fifo, k)
 	}
-	c.entries[k] = &cacheEntry{rows: rows, epoch: c.epoch, pages: heap.NumPages(), nrows: heap.NumRows()}
+	c.entries[k] = &cacheEntry{rows: rows, at: at}
 }
 
 func (c *predCache) deleteLocked(k cacheKey) {

@@ -205,12 +205,6 @@ func (pl *Plane) Detach() {
 	pl.cache.invalidateAll()
 }
 
-// InvalidateCache drops every memoized predicate-scan result. Callers
-// that mutate a dimension heap outside the plane (update workloads)
-// must invalidate before the next admission; appends are additionally
-// caught by the cache's heap-geometry check.
-func (pl *Plane) InvalidateCache() { pl.cache.invalidateAll() }
-
 // NumDims returns the number of dimension stores.
 func (pl *Plane) NumDims() int { return len(pl.stores) }
 
@@ -253,12 +247,11 @@ func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error
 // fingerprint), consulting the predicate-scan cache first. A miss (or a
 // disabled cache) scans the heap and memoizes the result.
 func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) ([][]int64, error) {
-	if pl.cache != nil {
-		if rows, ok := pl.cache.lookup(dim, fp, pl.star.Dims[dim].Heap); ok {
-			pl.cacheHits.Add(1)
-			pl.om.cacheHits.Inc()
-			return rows, nil
-		}
+	rows, at, ok := pl.cache.lookup(dim, fp, pl.star.Dims[dim].Heap)
+	if ok {
+		pl.cacheHits.Add(1)
+		pl.om.cacheHits.Inc()
+		return rows, nil
 	}
 	scanStart := time.Now()
 	rows, err := SelectRows(pl.star.Dims[dim], pred)
@@ -269,7 +262,7 @@ func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) ([][]int64
 	if pl.cache != nil {
 		pl.cacheMisses.Add(1)
 		pl.om.cacheMisses.Inc()
-		pl.cache.store(dim, fp, rows, pl.star.Dims[dim].Heap)
+		pl.cache.store(dim, fp, rows, at)
 	}
 	return rows, nil
 }

@@ -121,7 +121,7 @@ func New(star *catalog.Star, txm *txn.Manager, exec core.Executor, cfg Config) *
 		mCommitDur: cfg.Metrics.DurationHistogram("cjoin_commit_seconds",
 			"Write-plane commit latency, apply through publish."),
 		mCacheInval: cfg.Metrics.Counter("cjoin_dimcache_invalidations_total",
-			"Dimension predicate-scan cache invalidations forced by dimension-value updates."),
+			"Committed dimension-cell rewrites; each makes that dimension's cached predicate scans stale."),
 	}
 }
 

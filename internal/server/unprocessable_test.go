@@ -12,7 +12,6 @@ import (
 
 	"cjoin/internal/admission"
 	"cjoin/internal/core"
-	"cjoin/internal/dimplane"
 	"cjoin/internal/disk"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
@@ -35,7 +34,6 @@ func (e *rejectingExec) Quiesce()                                    {}
 func (e *rejectingExec) Health() core.Health                         { return core.Health{State: "ok"} }
 func (e *rejectingExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
 func (e *rejectingExec) ShardPartitions() [][]int                    { return nil }
-func (e *rejectingExec) Plane() *dimplane.Plane                      { return nil }
 
 // TestUnprocessableQueryIs422 verifies the typed-error contract: an
 // executor error that knows its HTTP status (shard.RangePartitionedError

@@ -12,22 +12,24 @@ import (
 	"cjoin/internal/txn"
 )
 
-// The write plane (§3.5): POST /update routes snapshot-isolated commits
-// through the same txn.Manager that stamps read snapshots in
-// handleSubmit, so a query admitted before a commit keeps evaluating at
-// its submit-time snapshot while later submissions see the new state.
+// The write plane (§3.5): POST /update decodes the request into stored
+// cells and commits through the same txn.Manager that stamps read
+// snapshots in handleSubmit, so a query admitted before a commit keeps
+// evaluating at its submit-time snapshot while later submissions see the
+// new state. The server owns only what is HTTP-specific: JSON → cell
+// encoding, the join-key-immutable check, status codes and metrics.
 //
-//	op "append"     fact rows land on the heap tail with xmin = commit id;
-//	                the tail page has no zone-map synopsis yet, so the
-//	                continuous scan conservatively visits it for every
-//	                resident query.
-//	op "delete"     stamps one fact row's xmax; the widen-only zone-map
-//	                bounds update keeps pages needed by older snapshots.
-//	op "dim-update" rewrites one dimension cell in place and invalidates
-//	                the dimension plane's memoized predicate scans —
-//	                in-place updates leave heap geometry unchanged, so
-//	                the cache's own epoch/geometry check cannot catch
-//	                them.
+//	op "append"     txn.Manager.Append: fact rows land on the heap tail
+//	                with xmin = commit id; the tail page has no zone-map
+//	                synopsis yet, so the continuous scan conservatively
+//	                visits it for every resident query.
+//	op "delete"     txn.Manager.Delete stamps one fact row's xmax; the
+//	                widen-only zone-map bounds update keeps pages needed
+//	                by older snapshots.
+//	op "dim-update" txn.Manager.Update rewrites one dimension cell in
+//	                place. The heap's version moves, so the dimension
+//	                plane's memoized scans of that dimension go stale on
+//	                their own; the next admission re-scans.
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
@@ -66,37 +68,26 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		// The commit id was not published (txn.Manager.CommitErr): older
-		// snapshots and the next Begin are unaffected.
+		// snapshots and the next Begin are unaffected. A static star is a
+		// well-formed request the deployment cannot take: 422.
 		s.mCommitErrs.Inc()
-		writeErr(w, errStatus(err, http.StatusBadRequest), "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, catalog.ErrStaticStar) {
+			code = http.StatusUnprocessableEntity
+		}
+		writeErr(w, code, "%v", err)
 		return
+	}
+	if kind == "dim_update" {
+		s.mCacheInval.Inc()
 	}
 	s.mCommits.With(kind).Inc()
 	s.mCommitDur.ObserveSince(start)
 	writeJSON(w, http.StatusOK, UpdateResponse{Op: req.Op, Snapshot: uint64(snap), RowsAffected: affected})
 }
 
-// staticStarError maps "this topology cannot take writes" onto 422: the
-// request is well-formed, the deployment (partitioned star, §5) is
-// load-then-query by construction.
-type staticStarError struct{ msg string }
-
-func (e staticStarError) Error() string   { return e.msg }
-func (e staticStarError) HTTPStatus() int { return http.StatusUnprocessableEntity }
-
-func (s *Server) writableFact() (*catalog.Table, error) {
-	if s.star.PartCol >= 0 {
-		return nil, staticStarError{"partitioned stars are static (load-then-query, §5); fact writes need an unpartitioned deployment"}
-	}
-	fact := s.star.Fact
-	if fact.Hidden < 2 {
-		return nil, staticStarError{fmt.Sprintf("fact table %s carries no xmin/xmax system columns; snapshot-isolated writes are unavailable", fact.Name)}
-	}
-	return fact, nil
-}
-
 func (s *Server) applyAppend(req *UpdateRequest) (txn.Snapshot, int, error) {
-	fact, err := s.writableFact()
+	fact, err := s.star.WritableFact()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -122,44 +113,20 @@ func (s *Server) applyAppend(req *UpdateRequest) (txn.Snapshot, int, error) {
 	}
 	// Encoding happens before the commit so an undecodable row publishes
 	// nothing; inside the commit the batch is all-or-nothing.
-	snap, err := s.txm.CommitErr(func(id uint64) error {
-		for _, row := range encoded {
-			row[0] = int64(id) // xmin
-		}
-		fact.Heap.AppendBatch(encoded)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return snap, len(encoded), nil
+	snap, err := s.txm.Append(fact, encoded)
+	return snap, len(encoded), err
 }
 
 func (s *Server) applyDelete(req *UpdateRequest) (txn.Snapshot, int, error) {
-	fact, err := s.writableFact()
+	fact, err := s.star.WritableFact()
 	if err != nil {
 		return 0, 0, err
 	}
 	if req.Row == nil {
 		return 0, 0, errors.New(`op "delete" requires "row"`)
 	}
-	idx := *req.Row
-	snap, err := s.txm.CommitErr(func(id uint64) error {
-		row, err := fact.Heap.RowAt(idx)
-		if err != nil {
-			return err
-		}
-		// Overwriting a non-zero xmax with a later commit id would
-		// resurrect the row for snapshots between the two deletes.
-		if row[1] != 0 {
-			return fmt.Errorf("fact row %d already deleted at commit %d", idx, row[1])
-		}
-		return fact.Heap.UpdateCol(idx, 1, int64(id))
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return snap, 1, nil
+	snap, err := s.txm.Delete(fact, *req.Row)
+	return snap, 1, err
 }
 
 func (s *Server) applyDimUpdate(req *UpdateRequest) (txn.Snapshot, int, error) {
@@ -182,22 +149,8 @@ func (s *Server) applyDimUpdate(req *UpdateRequest) (txn.Snapshot, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	snap, err := s.txm.CommitErr(func(id uint64) error {
-		return dim.Heap.UpdateCol(*req.Row, ci, cell)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	// Republish the dimension state for future admissions: queries already
-	// resident keep the bit-vectors their predicates selected at admit
-	// time (the COW semantics of §4), queries admitted after this commit
-	// must re-scan the updated store rather than hit a stale memoized
-	// predicate scan.
-	if pl := s.exec.Plane(); pl != nil {
-		pl.InvalidateCache()
-		s.mCacheInval.Inc()
-	}
-	return snap, 1, nil
+	snap, err := s.txm.Update(dim, *req.Row, ci, cell)
+	return snap, 1, err
 }
 
 // encodeCell turns one JSON value into the column's stored int64:

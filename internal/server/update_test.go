@@ -129,32 +129,36 @@ func TestUpdateEndToEnd(t *testing.T) {
 	}
 }
 
+// date1992 returns the heap index and key of a date row from 1992.
+func date1992(t *testing.T, ds *ssb.Dataset) (row, key int64) {
+	t.Helper()
+	dyear := ds.Date.ColIndex("d_year")
+	dkey := ds.Date.ColIndex("d_datekey")
+	for i := int64(0); i < ds.Date.Heap.NumRows(); i++ {
+		r, err := ds.Date.Heap.RowAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r[dyear] == 1992 {
+			return i, r[dkey]
+		}
+	}
+	t.Fatal("no 1992 date row")
+	return 0, 0
+}
+
 // TestUpdateDimensionInvalidatesCache pins the COW republish: a
-// dimension-value update must invalidate the plane's memoized predicate
-// scans, or a repeated query template would be admitted with a stale
-// bit-vector (the cache's geometry check cannot see in-place updates).
+// dimension-value update must make the plane's memoized predicate scans
+// of that dimension stale, or a repeated query template would be
+// admitted with a stale bit-vector. The rewrite moves the heap's version,
+// which the cache checks; no writer touches the plane.
 func TestUpdateDimensionInvalidatesCache(t *testing.T) {
 	env := startServer(t, 900, 4, disk.Config{}, admission.Config{MaxQueue: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
 	// Find a date row from 1992 and measure how many fact rows cite it.
-	dyear := env.ds.Date.ColIndex("d_year")
-	dkey := env.ds.Date.ColIndex("d_datekey")
-	var row, key int64 = -1, 0
-	for i := int64(0); i < env.ds.Date.Heap.NumRows(); i++ {
-		r, err := env.ds.Date.Heap.RowAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r[dyear] == 1992 {
-			row, key = i, r[dkey]
-			break
-		}
-	}
-	if row < 0 {
-		t.Fatal("no 1992 date row")
-	}
+	row, key := date1992(t, env.ds)
 	count := func(sql string) int64 {
 		res, err := env.cl.Exec(ctx, sql)
 		if err != nil {
@@ -326,5 +330,92 @@ func TestBatchDispatchKeepsSubmitSnapshot(t *testing.T) {
 	// A query submitted now sees the commit: +5 appends, -1 delete.
 	if got := countAll(ctx, t, env); got != 1200+5-1 {
 		t.Fatalf("post-commit count = %d, want %d", got, 1200+5-1)
+	}
+}
+
+// TestDimensionWriteIsolation pins the isolation dimension writes get
+// (README, "Dimension-write isolation"). A dim-update rewrites the heap
+// in place and unversioned, so a query joins dimension values as of its
+// plane admission, not as of its snapshot: one submitted before the
+// rewrite but admitted after it sees the new value, while one already
+// resident keeps the bit-vectors it was admitted with. Fact visibility
+// stays at each query's snapshot either way.
+func TestDimensionWriteIsolation(t *testing.T) {
+	// The blockers of TestBatchDispatchKeepsSubmitSnapshot: a full scan
+	// cycle takes >1 s, so two resident queries hold both slots while a
+	// third queues and the commits land.
+	env := startServer(t, 1200, 2, disk.Config{SeqBytesPerSec: 128 << 10}, admission.Config{MaxQueue: 64, BatchAdmit: 4},
+		func(c *core.Config) { c.DisableZoneMaps = true })
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	row, key := date1992(t, env.ds)
+	sql93 := "SELECT COUNT(*) AS n FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_year = 1993"
+	submit := func(sql string) *client.Query {
+		q, err := env.cl.Submit(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return q
+	}
+	count := func(q *client.Query) int64 {
+		res, err := q.Result(ctx)
+		if err != nil || res.Error != "" {
+			t.Fatalf("result: %v %s", err, res.Error)
+		}
+		n, _ := res.Rows[0][0].(interface{ Int64() (int64, error) }).Int64()
+		return n
+	}
+	// One shared cycle measures the 1993 count and the moved key's rows.
+	q93 := submit(sql93)
+	qKey := submit(fmt.Sprintf("SELECT COUNT(*) AS n FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d", key, key))
+	before, onKey := count(q93), count(qKey)
+	if onKey == 0 {
+		t.Fatalf("datekey %d unreferenced; pick a bigger dataset", key)
+	}
+
+	// resident is admitted before the commits; queued waits behind it.
+	resident := submit(sql93)
+	blocker := submit("SELECT SUM(lo_revenue) AS rev FROM lineorder")
+	for _, q := range []*client.Query{resident, blocker} {
+		for {
+			st, err := q.Status(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == "running" {
+				break
+			}
+			if st.State != "queued" && st.State != "admitting" {
+				t.Fatalf("blocker state = %q before the commits, want running (finished too fast)", st.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	queued := submit(sql93)
+	if st, err := queued.Status(ctx); err != nil || st.State != "queued" {
+		t.Fatalf("queued state = %+v, %v before the commits, want queued", st, err)
+	}
+
+	// A fact row on the moved key (invisible to queued's snapshot), then
+	// the rewrite of that key's year into 1993.
+	fr := factRow(env.ds, 0)
+	fr[5] = key // lo_orderdate
+	if _, err := env.cl.AppendFacts(ctx, [][]any{fr}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if _, err := env.cl.UpdateDimension(ctx, "date", "d_year", row, 1993); err != nil {
+		t.Fatalf("dim-update: %v", err)
+	}
+
+	if got := count(resident); got != before {
+		t.Fatalf("resident query = %d, want %d (its admitted bit-vectors must not change)", got, before)
+	}
+	if got := count(queued); got != before+onKey {
+		t.Fatalf("queued query = %d, want %d (the dimension value as of admission, the facts as of its snapshot)", got, before+onKey)
+	}
+	count(blocker)
+	if got := count(submit(sql93)); got != before+onKey+1 {
+		t.Fatalf("post-commit query = %d, want %d", got, before+onKey+1)
 	}
 }

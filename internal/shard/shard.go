@@ -314,6 +314,7 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 }
 
 // Plane returns the group-owned dimension plane (shared by every shard).
+// Only tests read it: no executor caller reaches into the plane.
 func (g *Group) Plane() *dimplane.Plane { return g.plane }
 
 // NumShards returns the number of inner pipelines.

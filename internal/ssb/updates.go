@@ -1,7 +1,6 @@
 package ssb
 
 import (
-	"fmt"
 	"math/rand"
 
 	"cjoin/internal/txn"
@@ -12,17 +11,15 @@ import (
 // at which they become visible. Partitioned datasets are static and
 // reject appends.
 func (ds *Dataset) AppendFact(n int, rng *rand.Rand) (txn.Snapshot, error) {
-	if ds.Star.PartCol >= 0 {
-		return 0, fmt.Errorf("ssb: partitioned datasets are static")
+	fact, err := ds.Star.WritableFact()
+	if err != nil {
+		return 0, err
 	}
-	snap := ds.Txn.Commit(func(id uint64) {
-		for i := 0; i < n; i++ {
-			row := ds.randFactRow(rng)
-			row[LoXmin] = int64(id)
-			ds.Lineorder.Heap.Append(row)
-		}
-	})
-	return snap, nil
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = ds.randFactRow(rng)
+	}
+	return ds.Txn.Append(fact, rows)
 }
 
 // DeleteFact marks the fact row at index idx deleted in a new commit and
@@ -30,25 +27,15 @@ func (ds *Dataset) AppendFact(n int, rng *rand.Rand) (txn.Snapshot, error) {
 // (out-of-range index, already-deleted row, compressed page) does not
 // publish a commit id: Begin continues to return the previous snapshot.
 func (ds *Dataset) DeleteFact(idx int64) (txn.Snapshot, error) {
-	if ds.Star.PartCol >= 0 {
-		return 0, fmt.Errorf("ssb: partitioned datasets are static")
+	fact, err := ds.Star.WritableFact()
+	if err != nil {
+		return 0, err
 	}
-	return ds.Txn.CommitErr(func(id uint64) error {
-		row, err := ds.Lineorder.Heap.RowAt(idx)
-		if err != nil {
-			return err
-		}
-		// Overwriting a non-zero xmax with a later commit id would
-		// resurrect the row for snapshots between the two deletes.
-		if row[LoXmax] != 0 {
-			return fmt.Errorf("ssb: fact row %d already deleted at commit %d", idx, row[LoXmax])
-		}
-		return ds.Lineorder.Heap.UpdateCol(idx, LoXmax, int64(id))
-	})
+	return ds.Txn.Delete(fact, idx)
 }
 
-// randFactRow builds one fact row with xmin/xmax zeroed; callers stamp
-// the MVCC columns.
+// randFactRow builds one fact row with xmin/xmax zeroed; the commit
+// stamps the MVCC columns.
 func (ds *Dataset) randFactRow(rng *rand.Rand) []int64 {
 	t := ds.Lineorder
 	prio, _ := t.EncodeStr(LoOrderpriority, priorities[rng.Intn(len(priorities))])

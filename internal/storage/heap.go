@@ -40,6 +40,11 @@ type HeapFile struct {
 	tail       []byte  // partially filled page, not yet on the device
 	tailRows   int
 	nrows      int64
+	// version counts mutations: every appended row and every UpdateCol.
+	// Readers that memoize scan results (the dimension plane's predicate
+	// cache) read it before scanning and trust the result only while it
+	// is unchanged.
+	version uint64
 
 	// Zone-map synopsis (see zonemap.go): per flushed page, 2*ncols
 	// values (min then max for each column); tailMin/tailMax track the
@@ -137,6 +142,16 @@ func (h *HeapFile) NumPages() int {
 	return h.numPagesLocked()
 }
 
+// Version returns the heap's mutation counter. Any append or UpdateCol
+// that completes after a call returns v leaves Version() != v, so a
+// result computed from a scan that started after reading v is current
+// exactly while the counter still reads v.
+func (h *HeapFile) Version() uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.version
+}
+
 func (h *HeapFile) numPagesLocked() int {
 	n := len(h.pageOffs)
 	if h.tailRows > 0 {
@@ -176,6 +191,7 @@ func (h *HeapFile) appendLocked(row []int64) {
 	h.boundsAppendLocked(row)
 	h.tailRows++
 	h.nrows++
+	h.version++
 	binary.LittleEndian.PutUint32(h.tail, uint32(h.tailRows))
 	if h.tailRows == h.rowsPerPage {
 		h.boundsFlushLocked()
@@ -197,8 +213,9 @@ func (h *HeapFile) appendLocked(row []int64) {
 	}
 }
 
-// UpdateCol overwrites column col of the row at global index idx. It is
-// used by the snapshot manager to set xmax on deleted fact tuples.
+// UpdateCol overwrites column col of the row at global index idx. The
+// commit writer (txn.Manager) uses it to stamp xmax on deleted fact
+// tuples and to rewrite dimension cells.
 func (h *HeapFile) UpdateCol(idx int64, col int, v int64) error {
 	if col < 0 || col >= h.ncols {
 		return fmt.Errorf("storage: UpdateCol column %d out of range", col)
@@ -220,11 +237,11 @@ func (h *HeapFile) UpdateCol(idx int64, col int, v int64) error {
 		if err := h.dev.WriteAt(buf[:], off); err != nil {
 			return err
 		}
-		h.boundsWidenLocked(page, col, v)
-		return nil
+	} else {
+		binary.LittleEndian.PutUint64(h.tail[pageHeader+slot*h.width+8*col:], uint64(v))
 	}
-	binary.LittleEndian.PutUint64(h.tail[pageHeader+slot*h.width+8*col:], uint64(v))
 	h.boundsWidenLocked(page, col, v)
+	h.version++
 	return nil
 }
 

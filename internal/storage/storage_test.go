@@ -100,6 +100,32 @@ func TestUpdateCol(t *testing.T) {
 	}
 }
 
+// TestHeapVersion: every appended row and every UpdateCol — flushed page
+// or tail — moves the mutation counter; reads and refused writes do not.
+func TestHeapVersion(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 2)
+	step := func(what string, want uint64, do func()) {
+		t.Helper()
+		do()
+		if got := h.Version(); got != want {
+			t.Fatalf("after %s: Version = %d, want %d", what, got, want)
+		}
+	}
+	rpp := int64(h.RowsPerPage())
+	step("appends", uint64(rpp+1), func() {
+		for i := int64(0); i <= rpp; i++ {
+			h.Append([]int64{i, 0})
+		}
+	})
+	step("AppendBatch", uint64(rpp+3), func() { h.AppendBatch([][]int64{{1, 1}, {2, 2}}) })
+	step("flushed-page UpdateCol", uint64(rpp+4), func() { _ = h.UpdateCol(0, 1, 5) })
+	step("tail UpdateCol", uint64(rpp+5), func() { _ = h.UpdateCol(rpp+1, 1, 5) })
+	step("reads and a refused UpdateCol", uint64(rpp+5), func() {
+		_, _ = h.RowAt(0)
+		_ = h.UpdateCol(1<<40, 1, 5)
+	})
+}
+
 func TestContinuousScannerWraps(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 1)
 	const n = 2100

@@ -2,8 +2,12 @@ package txn
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+
+	"cjoin/internal/catalog"
+	"cjoin/internal/disk"
 )
 
 func TestVisibility(t *testing.T) {
@@ -134,5 +138,61 @@ func TestSnapshotStability(t *testing.T) {
 	}
 	if !Visible(1, 0, reader) {
 		t.Fatal("snapshot must see earlier commit")
+	}
+}
+
+// TestWriter pins the one write path's stamping rules: Append stamps
+// xmin and clears xmax, Delete stamps xmax once and refuses a second
+// delete, Update rewrites only non-system cells, and every refused write
+// publishes no commit id.
+func TestWriter(t *testing.T) {
+	fact := catalog.NewTable(disk.NewMem(), "f", 2, []catalog.Column{{Name: "xmin"}, {Name: "xmax"}, {Name: "v"}})
+	var m Manager
+	row := func(i int64) []int64 {
+		r, err := fact.Heap.RowAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	// A caller's stale xmax is overwritten, never stored.
+	s1, err := m.Append(fact, [][]int64{{0, 9, 10}, {0, 0, 11}})
+	if err != nil || s1 != 1 {
+		t.Fatalf("Append = (%d, %v), want (1, nil)", s1, err)
+	}
+	if r := row(0); r[0] != 1 || r[1] != 0 || r[2] != 10 {
+		t.Fatalf("appended row = %v, want [1 0 10]", r)
+	}
+	if _, err := m.Append(fact, [][]int64{{0, 0}}); err == nil {
+		t.Fatal("short row appended")
+	}
+	if fact.Heap.NumRows() != 2 {
+		t.Fatalf("refused append stored rows: %d", fact.Heap.NumRows())
+	}
+
+	s2, err := m.Delete(fact, 1)
+	if err != nil || s2 != 2 || row(1)[1] != 2 {
+		t.Fatalf("Delete = (%d, %v), xmax %d; want (2, nil), xmax 2", s2, err, row(1)[1])
+	}
+	if _, err := m.Delete(fact, 1); err == nil || !strings.Contains(err.Error(), "already deleted") {
+		t.Fatalf("second delete error = %v, want already deleted", err)
+	}
+	if row(1)[1] != 2 {
+		t.Fatalf("refused delete re-stamped xmax to %d", row(1)[1])
+	}
+	if _, err := m.Delete(fact, 99); err == nil {
+		t.Fatal("out-of-range delete succeeded")
+	}
+
+	if _, err := m.Update(fact, 0, 1, 5); err == nil {
+		t.Fatal("Update rewrote a system column")
+	}
+	s3, err := m.Update(fact, 0, 2, 42)
+	if err != nil || s3 != 3 || row(0)[2] != 42 {
+		t.Fatalf("Update = (%d, %v), cell %d; want (3, nil), cell 42", s3, err, row(0)[2])
+	}
+	if got := m.Begin(); got != 3 {
+		t.Fatalf("Begin = %d after 3 commits and 4 refusals, want 3", got)
 	}
 }

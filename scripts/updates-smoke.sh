@@ -7,9 +7,10 @@
 #     and an in-place dimension update;
 #   - published snapshots are contiguous, and a failed commit (double
 #     delete) provably does NOT advance the snapshot counter;
-#   - the dimension update invalidates the predicate-scan cache: the
-#     same SQL template re-submitted after the rewrite must see the new
-#     dimension values (a stale cache would keep answering 0);
+#   - the dimension update makes the cached predicate scan of that
+#     dimension stale: the same SQL template re-submitted after the
+#     rewrite must see the new dimension values (a stale cache would
+#     keep answering 0);
 #   - the write-plane metric families land on /metrics;
 #   - SIGTERM still drains cleanly.
 set -euo pipefail
@@ -74,7 +75,7 @@ grep -q 'already deleted' /tmp/updates-smoke-err.json \
 
 # In-place dimension rewrite: move ten date rows to year 3000. The
 # commit id must be exactly S2+1 — the failed delete burned nothing —
-# and the cached year-3000 predicate row-set must be invalidated, so the
+# and the cached year-3000 predicate row-set must go stale, so the
 # re-submitted template sees facts land under the new year.
 for r in 0 1 2 3 4 5 6 7 8 9; do
   S3=$(upd "{\"op\":\"dim-update\",\"table\":\"date\",\"column\":\"d_year\",\"row\":$r,\"value\":3000}")
