@@ -7,7 +7,7 @@ BENCH_N   ?= 1
 BENCHTIME ?= 1s
 COUNT     ?= 20
 
-.PHONY: all build test race race-core flake-census bench bench-smoke bench-pprof vet ci dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+.PHONY: all build test race race-core flake-census bench bench-smoke bench-pprof vet ci fuzz-smoke dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
 
 all: build test
 
@@ -15,9 +15,16 @@ all: build test
 # the concurrency-heavy packages under the race detector, smoke runs
 # of the shared-dimension-plane and partition-dealt experiments over
 # 2-shard groups, the shard-loss chaos smoke, the telemetry-plane
-# metrics smoke, the HTAP write-plane smoke, and the benchmark's own
-# build + smoke.
-ci: vet build test race-core dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke bench-smoke
+# metrics smoke, the HTAP write-plane smoke, a short fuzz budget, and
+# the benchmark's own build + smoke.
+ci: vet build test race-core fuzz-smoke dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke bench-smoke
+
+# The native fuzz targets on a short budget: FuzzResultEncoding checks
+# the streaming /result encoder against encoding/json of DecodeResults,
+# byte for byte. A failing input lands in internal/server/testdata/fuzz
+# and is replayed by every later go test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzResultEncoding$$' -fuzztime=10s ./internal/server
 
 # End-to-end smoke of the admit-once execution tier: the dimadmit
 # experiment exercises plane admission, fan-out activation, and merged

@@ -11,7 +11,7 @@
 //
 //	curl -s localhost:8077/query -d '{"sql":"SELECT COUNT(*) AS n FROM lineorder"}'
 //	curl -s localhost:8077/query/q-000001
-//	curl -s localhost:8077/query/q-000001/result
+//	curl -s localhost:8077/query/q-000001/result   # served once, then 410
 //	curl -s -X DELETE localhost:8077/query/q-000001
 //	curl -s localhost:8077/stats
 //	curl -s localhost:8077/metrics
@@ -25,6 +25,11 @@
 // resilience testing: a sharded daemon that loses a pipeline quarantines
 // it, keeps serving on the survivors, and reports "degraded" on
 // /healthz. -stall-timeout arms the scan-progress liveness check.
+//
+// A done query's rows are kept until its first /result delivers them in
+// full; later fetches answer 410 Gone while status and trace stay.
+// -result-mem bounds the rows nobody has fetched yet (oldest released
+// first). POST bodies are capped (1 MiB /query, 16 MiB /update; 413).
 package main
 
 import (
@@ -49,6 +54,14 @@ import (
 	"cjoin/internal/ssb"
 )
 
+// HTTP server timeouts. There is deliberately no WriteTimeout: GET
+// /query/{id}/result blocks until the query finishes, for as long as the
+// client's ?timeout= allows, and a write deadline would cut it off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8077", "HTTP listen address")
@@ -70,6 +83,7 @@ func main() {
 		stallTO  = flag.Duration("stall-timeout", 0, "declare a shard dead after this long without scan progress (0 = off)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ and Go runtime gauges on /metrics")
 		zoneMaps = flag.Bool("zonemaps", true, "page-level zone-map pruning: skip fact pages whose per-page min/max synopses no resident query can match (false = §5 partition-granular pruning only)")
+		resMem   = flag.Int64("result-mem", 256, "MiB of done queries' rows kept until fetched; past it the oldest is released and its fetch answers 410")
 	)
 	flag.Parse()
 
@@ -147,8 +161,9 @@ func main() {
 	}
 
 	srv := server.New(ds.Star, ds.Txn, group, server.Config{
-		Admission: admission.Config{MaxQueue: *queueLen, MaxWait: *maxWait, BatchAdmit: *admBatch},
-		Metrics:   metrics,
+		Admission:      admission.Config{MaxQueue: *queueLen, MaxWait: *maxWait, BatchAdmit: *admBatch},
+		Metrics:        metrics,
+		MaxResultBytes: *resMem << 20,
 	})
 	handler := srv.Handler()
 	if *pprofOn {
@@ -165,7 +180,12 @@ func main() {
 		handler = mux
 		log.Printf("pprof enabled on %s/debug/pprof/", *addr)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errCh := make(chan error, 1)
 	go func() {

@@ -149,6 +149,11 @@ type Options struct {
 	// MaxWait overrides Config.MaxWait for this query; negative disables
 	// the deadline.
 	MaxWait time.Duration
+	// OnComplete, when non-nil, is called once when the ticket reaches a
+	// terminal state, after Done is closed and outside the ticket's lock,
+	// so it may call Wait and Release. It runs on the goroutine that
+	// finished the ticket and must not block.
+	OnComplete func(*Ticket)
 }
 
 // Ticket tracks one query from enqueue to completion.
@@ -165,10 +170,13 @@ type Ticket struct {
 	deadline time.Time
 	timer    *time.Timer
 
+	onComplete func(*Ticket)
+
 	mu            sync.Mutex
 	state         State
 	handle        core.Handle
 	result        core.QueryResult
+	released      bool          // Release dropped result.Rows
 	waited        time.Duration // time spent queued, fixed at admission
 	cancelPending bool
 	expirePending bool
@@ -322,12 +330,13 @@ func (q *Queue) SubmitOpts(b *query.Bound, opts Options) (*Ticket, error) {
 		client = "default"
 	}
 	t := &Ticket{
-		q:        q,
-		bound:    b,
-		client:   client,
-		enqueued: time.Now(),
-		state:    StateQueued,
-		done:     make(chan struct{}),
+		q:          q,
+		bound:      b,
+		client:     client,
+		enqueued:   time.Now(),
+		onComplete: opts.OnComplete,
+		state:      StateQueued,
+		done:       make(chan struct{}),
 	}
 	maxWait := q.cfg.MaxWait
 	if opts.MaxWait != 0 {
@@ -807,8 +816,7 @@ func (t *Ticket) complete(res core.QueryResult) {
 	if state == StateDone {
 		t.bound.Trace.Mark(obs.StageDelivered)
 	}
-	t.q.settle(t, state)
-	close(t.done)
+	t.finish(state)
 }
 
 // fail terminates a never-admitted ticket.
@@ -825,8 +833,7 @@ func (t *Ticket) fail(err error) {
 	if timer != nil {
 		timer.Stop()
 	}
-	t.q.settle(t, StateFailed)
-	close(t.done)
+	t.finish(StateFailed)
 }
 
 // expire is the queue-wait deadline callback. The state decision happens
@@ -910,8 +917,17 @@ func (t *Ticket) finishWaiting(timer *time.Timer, st State) {
 		}
 	}
 	t.q.mu.Unlock()
+	t.finish(st)
+}
+
+// finish is every ticket's last step, run once per ticket outside t.mu:
+// settle the queue counters, wake the waiters, then call OnComplete.
+func (t *Ticket) finish(st State) {
 	t.q.settle(t, st)
 	close(t.done)
+	if t.onComplete != nil {
+		t.onComplete(t)
+	}
 }
 
 // settle updates queue counters for a ticket reaching a terminal state.
@@ -964,12 +980,35 @@ func (t *Ticket) Client() string { return t.client }
 // Done returns a channel closed when the ticket reaches a terminal state.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// Wait blocks until the ticket is terminal and returns the result.
+// Wait blocks until the ticket is terminal and returns the result. After
+// Release its Rows are nil.
 func (t *Ticket) Wait() core.QueryResult {
 	<-t.done
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.result
+}
+
+// Release drops a done ticket's result rows, so they are garbage once no
+// reader holds them; state, error and timings stay. It is idempotent and
+// reports whether this call released them (false when they already were,
+// or the ticket is not done).
+func (t *Ticket) Release() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != StateDone || t.released {
+		return false
+	}
+	t.result.Rows = nil
+	t.released = true
+	return true
+}
+
+// Released reports whether Release dropped the ticket's rows.
+func (t *Ticket) Released() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.released
 }
 
 // QueueWait returns how long the query has waited so far; once the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cjoin/internal/agg"
 	"cjoin/internal/core"
 	"cjoin/internal/query"
 	"cjoin/internal/ssb"
@@ -429,4 +430,72 @@ func TestLateDeadlineCheckedAtBatchDispatch(t *testing.T) {
 	}
 	f.finishAll()
 	closeQueue(t, q)
+}
+
+// TestOnCompleteAndRelease: OnComplete runs once per ticket on every
+// terminal path — done, failed, canceled while queued — after Done is
+// closed, so it may Wait; Release drops a done ticket's rows once and
+// refuses every other ticket.
+func TestOnCompleteAndRelease(t *testing.T) {
+	f := newFakeExec(4)
+	boom := errors.New("schema mismatch")
+	f.queryErrs = map[int][]error{1: {boom}}
+	q := NewQueue(f, Config{BatchAdmit: 4})
+	bounds := testBounds(t, 3)
+	completed := make(chan *Ticket, 4) // one per ticket, and room for a wrong fourth
+	opts := Options{OnComplete: func(tk *Ticket) {
+		tk.Wait()
+		completed <- tk
+	}}
+	submit := func(b *query.Bound) *Ticket {
+		tk, err := q.SubmitOpts(b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+
+	done := submit(bounds[0])
+	awaitEntry(t, f) // dispatcher held in [done]
+	failed := submit(bounds[1])
+	canceled := submit(bounds[2])
+	if !canceled.Cancel() {
+		t.Fatal("cancel of a queued ticket refused")
+	}
+	f.gate <- struct{}{} // [done] runs
+	step(t, f)           // [failed] fails on its own error
+	awaitRunning(t, done)
+	f.mu.Lock()
+	f.handles[0].res = core.QueryResult{Rows: []agg.Result{{Ints: []int64{7}, Counts: []int64{1}}}}
+	f.mu.Unlock()
+	f.finishAll()
+	closeQueue(t, q)
+
+	calls := map[*Ticket]int{}
+	for range 3 {
+		select {
+		case tk := <-completed:
+			calls[tk]++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("OnComplete calls so far: %v", calls)
+		}
+	}
+	if calls[done] != 1 || calls[failed] != 1 || calls[canceled] != 1 || len(completed) != 0 {
+		t.Fatalf("OnComplete calls %v (+%d more), want one per ticket", calls, len(completed))
+	}
+	if done.State() != StateDone || failed.State() != StateFailed || canceled.State() != StateCanceled {
+		t.Fatalf("states %v %v %v", done.State(), failed.State(), canceled.State())
+	}
+	if len(done.Wait().Rows) != 1 || done.Released() {
+		t.Fatal("done ticket lost its rows before Release")
+	}
+	if !done.Release() || done.Release() || !done.Released() || done.Wait().Rows != nil {
+		t.Fatal("Release must drop a done ticket's rows exactly once")
+	}
+	if done.State() != StateDone || done.Wait().Err != nil {
+		t.Fatal("Release changed the ticket's outcome")
+	}
+	if failed.Release() || canceled.Release() {
+		t.Fatal("Release accepted a ticket that is not done")
+	}
 }

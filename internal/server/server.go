@@ -8,7 +8,7 @@
 //	POST   /query             submit SQL; 202 + query id (queues under overload)
 //	POST   /update            snapshot-isolated write commit (§3.5 HTAP plane)
 //	GET    /query/{id}        progress / ETA / pages scanned (§3.2.3)
-//	GET    /query/{id}/result block for the decoded rows
+//	GET    /query/{id}/result block for the decoded rows (served once, then 410)
 //	GET    /query/{id}/trace  per-query lifecycle timeline (telemetry plane)
 //	DELETE /query/{id}        cancel a queued or running query
 //	GET    /stats             pipeline + admission counters
@@ -18,6 +18,11 @@
 // Submissions flow through an admission.Queue, so a full pipeline queues
 // instead of erroring; Drain performs a graceful shutdown (stop accepting,
 // let queued and running queries finish, quiesce the pipeline).
+//
+// A done query's rows live until they are delivered: the first /result
+// that writes them in full releases them, and rows nobody fetched are
+// bounded by Config.MaxResultBytes, oldest released first. Status, error
+// and trace outlive the rows; a later /result answers 410 Gone.
 package server
 
 import (
@@ -58,7 +63,27 @@ type Config struct {
 	// /query/{id}/trace; the oldest are evicted first. Default 1024.
 	// Tracing is always on — its cost is a few timestamps per query.
 	MaxTraces int
+	// MaxResultBytes bounds the rows of done queries that no /result has
+	// delivered yet, by the estimate resultBytes makes at completion.
+	// Past it the oldest undelivered result is released first; a later
+	// fetch answers 410 Gone. Default 256 MiB.
+	MaxResultBytes int64
 }
+
+// Request body caps: a larger POST body is refused with 413 before it is
+// decoded.
+const (
+	MaxQueryBodyBytes  = 1 << 20
+	MaxUpdateBodyBytes = 16 << 20
+)
+
+// Why a done query's rows were released — the cause label of
+// cjoin_results_released_total.
+const (
+	releaseDelivered = "delivered" // a /result wrote them in full
+	releaseBudget    = "budget"    // oldest undelivered past MaxResultBytes
+	releaseEvicted   = "evicted"   // the query left the MaxTracked history
+)
 
 // Server is the query service layer over one executor
 // (internal/shard.Group, at any shard count).
@@ -76,11 +101,20 @@ type Server struct {
 	mCommitDur  *obs.Histogram
 	mCacheInval *obs.Counter
 
+	// Result-retention telemetry.
+	mHeldBytes *obs.Gauge
+	mReleased  *obs.CounterVec
+
 	mu       sync.Mutex
 	queries  map[string]*served
 	order    []string // registration order, for eviction
 	seq      int64
 	draining bool
+
+	// held lists the done queries whose rows are retained, oldest
+	// completion first; heldBytes sums their estimates.
+	heldHead, heldTail *served
+	heldBytes          int64
 
 	started time.Time
 }
@@ -92,6 +126,15 @@ type served struct {
 	bound     *query.Bound
 	ticket    *admission.Ticket
 	submitted time.Time
+
+	// Result retention, guarded by Server.mu. held is the ticket while
+	// its rows are on the server's held list (set by retain, which can
+	// run before ticket is); gone names the release cause once they are
+	// released.
+	held       *admission.Ticket
+	bytes      int64
+	prev, next *served
+	gone       string
 }
 
 // New builds the service layer. The executor must already be started;
@@ -100,11 +143,14 @@ func New(star *catalog.Star, txm *txn.Manager, exec core.Executor, cfg Config) *
 	if cfg.MaxTracked <= 0 {
 		cfg.MaxTracked = 4096
 	}
+	if cfg.MaxResultBytes <= 0 {
+		cfg.MaxResultBytes = 256 << 20
+	}
 	// The admission queue records its stage metrics in the same registry
 	// /metrics serves.
 	acfg := cfg.Admission
 	acfg.Obs = cfg.Metrics
-	return &Server{
+	s := &Server{
 		star:    star,
 		txm:     txm,
 		exec:    exec,
@@ -122,7 +168,16 @@ func New(star *catalog.Star, txm *txn.Manager, exec core.Executor, cfg Config) *
 			"Write-plane commit latency, apply through publish."),
 		mCacheInval: cfg.Metrics.Counter("cjoin_dimcache_invalidations_total",
 			"Committed dimension-cell rewrites; each makes that dimension's cached predicate scans stale."),
+
+		mHeldBytes: cfg.Metrics.Gauge("cjoin_results_retained_bytes",
+			"Estimated bytes of done queries' rows not delivered yet, bounded by -result-mem."),
+		mReleased: cfg.Metrics.CounterVec("cjoin_results_released_total",
+			"Done queries' rows released, by cause (delivered|budget|evicted).", "cause"),
 	}
+	for _, cause := range []string{releaseDelivered, releaseBudget, releaseEvicted} {
+		s.mReleased.With(cause)
+	}
+	return s
 }
 
 // Queue returns the underlying admission queue.
@@ -204,6 +259,22 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it answers 413 (over the cap) or 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // statusCoder lets typed errors carry their own HTTP mapping — e.g.
 // shard.RangePartitionedError reports 422 Unprocessable Entity, since
 // the request is well-formed but the executor topology cannot run it.
@@ -242,8 +313,7 @@ func setRetryAfter(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, MaxQueryBodyBytes, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -274,9 +344,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	b.Trace = s.tracer.Start(id)
 
+	sv := &served{id: id, sql: req.SQL, bound: b, submitted: time.Now()}
 	ticket, err := s.adq.SubmitOpts(b, admission.Options{
-		Client:  req.Client,
-		MaxWait: time.Duration(req.MaxWaitMillis) * time.Millisecond,
+		Client:     req.Client,
+		MaxWait:    time.Duration(req.MaxWaitMillis) * time.Millisecond,
+		OnComplete: func(t *admission.Ticket) { s.retain(sv, t) },
 	})
 	if err != nil {
 		s.tracer.Drop(id)
@@ -296,14 +368,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sv := &served{
-		id:        id,
-		sql:       req.SQL,
-		bound:     b,
-		ticket:    ticket,
-		submitted: time.Now(),
-	}
 	s.mu.Lock()
+	sv.ticket = ticket
 	s.queries[sv.id] = sv
 	s.order = append(s.order, sv.id)
 	s.evictLocked()
@@ -328,7 +394,8 @@ func (s *Server) evictLocked() {
 	n, i := 0, 0
 	for ; over > 0 && i < len(s.order) && n < len(live); i++ {
 		id := s.order[i]
-		if s.queries[id].ticket.State().Terminal() {
+		if sv := s.queries[id]; sv.ticket.State().Terminal() {
+			s.releaseLocked(sv, sv.ticket, releaseEvicted)
 			delete(s.queries, id)
 			s.tracer.Drop(id)
 			over--
@@ -424,11 +491,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res := sv.ticket.Wait()
-	out := ResultResponse{
-		ID:            sv.id,
-		State:         sv.ticket.State().String(),
-		ElapsedMillis: time.Since(sv.submitted).Milliseconds(),
-	}
 	if res.Err != nil {
 		// Most failures (cancellation, expiry, pipeline stop) stay 200
 		// with the error in the body — the query was served, its outcome
@@ -436,15 +498,104 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// (e.g. an executor rejecting the query as unprocessable, 422)
 		// surface it here, since admission dispatch is asynchronous and
 		// the submit response has long been sent.
-		out.Error = res.Err.Error()
 		setRetryAfter(w, res.Err)
-		writeJSON(w, errStatus(res.Err, http.StatusOK), out)
+		writeJSON(w, errStatus(res.Err, http.StatusOK), ResultResponse{
+			ID:            sv.id,
+			State:         sv.ticket.State().String(),
+			ElapsedMillis: time.Since(sv.submitted).Milliseconds(),
+			Error:         res.Err.Error(),
+		})
 		return
 	}
-	out.Columns = append(append([]string{}, sv.bound.GroupNames...), sv.bound.AggNames...)
-	out.Rows = DecodeResults(sv.bound, res.Rows)
-	out.RowCount = len(out.Rows)
-	writeJSON(w, http.StatusOK, out)
+	if res.Rows == nil && sv.ticket.Released() {
+		s.mu.Lock()
+		cause := sv.gone
+		s.mu.Unlock()
+		writeErr(w, http.StatusGone, "result of query %s was released: %s", sv.id, goneReason[cause])
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	err := encodeResult(w, sv.id, sv.bound, res.Rows, time.Since(sv.submitted).Milliseconds())
+	// Only a body written in full, to a client still there, is a
+	// delivery; anything else keeps the rows for the next fetch. The
+	// last few KB may still sit in net/http's buffer: flushing them here
+	// would split every small response into a chunked body and a
+	// terminator, a second write the client waits for.
+	if err == nil && r.Context().Err() == nil {
+		s.mu.Lock()
+		s.releaseLocked(sv, sv.ticket, releaseDelivered)
+		s.mu.Unlock()
+	}
+}
+
+// goneReason is the 410 body's explanation, by release cause.
+var goneReason = map[string]string{
+	releaseDelivered: "it was already delivered, and results are served once",
+	releaseBudget:    "undelivered results exceeded the server's result memory budget (-result-mem)",
+	releaseEvicted:   "the query left the server's finished-query history",
+}
+
+// resultBytes estimates what n result rows of b hold: three slice
+// headers per agg.Result plus its group, int and count words.
+func resultBytes(b *query.Bound, n int) int64 {
+	return int64(n) * (3*24 + 8*int64(len(b.GroupBy)+2*len(b.Aggs)))
+}
+
+// retain is the tickets' OnComplete hook. A done query's rows join the
+// held list at their estimated size, and while the list is over
+// MaxResultBytes the oldest undelivered result is released. A query
+// already released (delivered or evicted before this ran) is skipped.
+func (s *Server) retain(sv *served, t *admission.Ticket) {
+	if t.State() != admission.StateDone {
+		return
+	}
+	n := resultBytes(sv.bound, len(t.Wait().Rows))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sv.gone != "" {
+		return
+	}
+	sv.held, sv.bytes, sv.prev = t, n, s.heldTail
+	if s.heldTail != nil {
+		s.heldTail.next = sv
+	} else {
+		s.heldHead = sv
+	}
+	s.heldTail = sv
+	s.heldBytes += n
+	for s.heldBytes > s.cfg.MaxResultBytes {
+		s.releaseLocked(s.heldHead, s.heldHead.held, releaseBudget)
+	}
+	s.mHeldBytes.Set(s.heldBytes)
+}
+
+// releaseLocked drops sv's rows for cause: it takes sv off the held list
+// and releases its ticket's rows. It is idempotent; the first cause is
+// the one a later 410 names and the only one counted. Callers hold s.mu.
+func (s *Server) releaseLocked(sv *served, t *admission.Ticket, cause string) {
+	if sv.gone != "" {
+		return
+	}
+	sv.gone = cause
+	if sv.held != nil {
+		if sv.prev != nil {
+			sv.prev.next = sv.next
+		} else {
+			s.heldHead = sv.next
+		}
+		if sv.next != nil {
+			sv.next.prev = sv.prev
+		} else {
+			s.heldTail = sv.prev
+		}
+		s.heldBytes -= sv.bytes
+		sv.held, sv.prev, sv.next = nil, nil, nil
+		s.mHeldBytes.Set(s.heldBytes)
+	}
+	if t.Release() {
+		s.mReleased.With(cause).Inc()
+	}
 }
 
 // handleTrace serves the query's lifecycle timeline: every stage mark
@@ -617,7 +768,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // DecodeResults converts raw aggregation output into JSON-friendly rows:
 // dictionary-encoded group columns decode to strings, AVG aggregates to
-// float64, everything else stays int64.
+// float64, everything else stays int64. /result no longer builds it (see
+// encodeResult); it is the boxed reference its tests compare against.
 func DecodeResults(b *query.Bound, rows []agg.Result) [][]any {
 	out := make([][]any, 0, len(rows))
 	for _, r := range rows {
@@ -639,18 +791,24 @@ func DecodeResults(b *query.Bound, rows []agg.Result) [][]any {
 }
 
 func decodeGroupValue(b *query.Bound, gi int, v int64) any {
-	col, ok := b.GroupBy[gi].(expr.Col)
-	if !ok {
-		return v
-	}
-	tab := b.Schema.Fact
-	if col.Slot > 0 {
-		tab = b.Schema.Dims[col.Slot-1]
-	}
-	if d := tab.Dicts[col.Idx]; d != nil {
+	if d := groupDict(b, gi); d != nil {
 		if s, ok := d.Decode(v); ok {
 			return s
 		}
 	}
 	return v
+}
+
+// groupDict returns the dictionary that decodes group column gi, or nil
+// when the column's values are plain integers.
+func groupDict(b *query.Bound, gi int) *catalog.Dict {
+	col, ok := b.GroupBy[gi].(expr.Col)
+	if !ok {
+		return nil
+	}
+	tab := b.Schema.Fact
+	if col.Slot > 0 {
+		tab = b.Schema.Dims[col.Slot-1]
+	}
+	return tab.Dicts[col.Idx]
 }

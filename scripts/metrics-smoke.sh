@@ -12,6 +12,8 @@
 #     merged entry (the plane is admitted to once, whatever the count);
 #   - a completed query's /query/{id}/trace carries the full
 #     enqueued→admitted→first_page→cycle_complete→delivered timeline;
+#   - a fetched result is released: the retention families are served,
+#     every fetch counts as delivered, and a re-fetch answers 410 Gone;
 #   - /debug/pprof/ answers behind -pprof;
 #   - SIGTERM still drains cleanly.
 set -euo pipefail
@@ -64,6 +66,8 @@ for fam in \
   cjoin_register_stall_seconds_count \
   cjoin_filter_batch_seconds_count \
   cjoin_shard_up \
+  cjoin_results_retained_bytes \
+  cjoin_results_released_total \
   cjoin_go_goroutines \
 ; do
   grep -q "^$fam" /tmp/metrics-smoke.txt || { echo "metrics missing family $fam"; exit 1; }
@@ -84,6 +88,13 @@ awk '/^cjoin_scan_pruned_pages_total\{cause="zonemap"/ {sum += $NF+0} END{exit !
 # Every admitted query paused each shard's scan exactly once.
 awk -v want=$((7 * SHARDS)) '/^cjoin_register_stall_seconds_count\{/ {sum += $NF+0} END{exit !(sum == want)}' /tmp/metrics-smoke.txt \
   || { echo "register-stall histogram did not record 7 queries x $SHARDS shards"; exit 1; }
+# Each of the 7 fetched results was released on delivery, and a second
+# fetch of one is 410 Gone.
+awk '$1=="cjoin_results_released_total{cause=\"delivered\"}" && $2+0 >= 7 {found=1} END{exit !found}' /tmp/metrics-smoke.txt \
+  || { echo "fewer than 7 results released on delivery"; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/query/q-000001/result")
+[ "$code" = "410" ] || { echo "re-fetch of a delivered result: HTTP $code, want 410"; exit 1; }
+
 # Per-shard labeling: every shard pipeline must report.
 for s in $(seq 0 $((SHARDS - 1))); do
   grep -q "cjoin_scan_pages_total{shard=\"$s\"}" /tmp/metrics-smoke.txt \
