@@ -106,10 +106,11 @@ flake-census:
 
 # Filter/pipeline hot-path microbenchmarks (the Filter probe loop, one
 # page from emitPage to route), the aggregation operator (new and
-# existing groups, finalizing, the shard merge) plus the sharded-tier
-# scan benchmark, snapshotted as JSON. Run the paper-scale experiment
-# benchmarks separately: go test -bench . -v .
+# existing groups, finalizing, the shard merge), the dimension plane's
+# predicate scan (a pruned key window and a full scan) plus the
+# sharded-tier scan benchmark, snapshotted as JSON. Run the paper-scale
+# experiment benchmarks separately: go test -bench . -v .
 bench:
-	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan|HashAdd|HashResults|Merge' -benchtime $(BENCHTIME) -count 3 \
-		./internal/core ./internal/shard ./internal/agg \
+	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan|HashAdd|HashResults|Merge|SelectRows' -benchtime $(BENCHTIME) -count 3 \
+		./internal/core ./internal/shard ./internal/agg ./internal/dimplane \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_N).json

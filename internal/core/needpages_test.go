@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cjoin/internal/disk"
+	"cjoin/internal/expr"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
 	"cjoin/internal/ssb"
@@ -39,7 +40,7 @@ func refNeedPages(s *factScan, rq *runningQuery, cell cellBounds) [][]bool {
 		for pg := 0; pg < n; pg++ {
 			bits[pg] = true
 			for _, r := range rq.pruneRanges {
-				if lo, hi, ok := cell(li, pg, r.col); ok && (hi < r.min || lo > r.max) {
+				if lo, hi, ok := cell(li, pg, r.Col); ok && (hi < r.Min || lo > r.Max) {
 					bits[pg] = false
 					pruned = true
 					break
@@ -123,33 +124,33 @@ func randomHeap(rng *rand.Rand, rows int) *storage.HeapFile {
 // randomRanges draws 1–3 constraints: narrow windows, open and covering
 // ranges (the summary must reject them), points on the constant column,
 // ranges outside all data, contradictory bounds, unknown columns.
-func randomRanges(rng *rand.Rand, rows int) []colRange {
+func randomRanges(rng *rand.Rand, rows int) []expr.Range {
 	span := int64(rows/7 + 1)
-	var rs []colRange
+	var rs []expr.Range
 	for k := rng.Intn(3) + 1; k > 0; k-- {
 		switch rng.Intn(9) {
 		case 0: // 5 % window on the ascending column
 			lo := rng.Int63n(span)
-			rs = append(rs, colRange{0, lo, lo + span/20})
+			rs = append(rs, colRange(0, lo, lo+span/20))
 		case 1: // open range: prunes nothing
-			rs = append(rs, colRange{0, math.MinInt64, math.MaxInt64})
+			rs = append(rs, colRange(0, math.MinInt64, math.MaxInt64))
 		case 2: // covers every noise value: "all intersect"
-			rs = append(rs, colRange{1, 0, 1000})
+			rs = append(rs, colRange(1, 0, 1000))
 		case 3: // narrow on noise: rarely prunes a full page
 			lo := rng.Int63n(1000)
-			rs = append(rs, colRange{1, lo, lo + 3})
+			rs = append(rs, colRange(1, lo, lo+3))
 		case 4: // the constant column's value, or its neighbour
 			v := int64(7 + rng.Intn(2))
-			rs = append(rs, colRange{2, v, v})
+			rs = append(rs, colRange(2, v, v))
 		case 5: // window on the descending column
 			lo := rng.Int63n(int64(rows) + 1)
-			rs = append(rs, colRange{3, lo, lo + int64(rows)/10})
+			rs = append(rs, colRange(3, lo, lo+int64(rows)/10))
 		case 6: // beyond all data: every frozen page is disjoint
-			rs = append(rs, colRange{0, 10 * span, 20 * span})
+			rs = append(rs, colRange(0, 10*span, 20*span))
 		case 7: // contradictory (pruneRanges would have said pruneEmpty)
-			rs = append(rs, colRange{0, span / 2, span/2 - 3})
+			rs = append(rs, colRange(0, span/2, span/2-3))
 		case 8: // a column the source does not have
-			rs = append(rs, colRange{9, 0, 0})
+			rs = append(rs, colRange(9, 0, 0))
 		}
 	}
 	return rs
@@ -217,9 +218,9 @@ func TestNeedPagesPartitionDealt(t *testing.T) {
 		for k := 0; k < 40; k++ {
 			lo := rng.Intn(len(ds.DateKeys))
 			hi := min(lo+rng.Intn(len(ds.DateKeys)/10+1), len(ds.DateKeys)-1)
-			rq := &runningQuery{pruneRanges: []colRange{{ssb.LoOrderdate, ds.DateKeys[lo], ds.DateKeys[hi]}}}
+			rq := &runningQuery{pruneRanges: []expr.Range{colRange(ssb.LoOrderdate, ds.DateKeys[lo], ds.DateKeys[hi])}}
 			if k%3 == 0 {
-				rq.pruneRanges = append(rq.pruneRanges, colRange{ssb.LoRevenue, 0, math.MaxInt64})
+				rq.pruneRanges = append(rq.pruneRanges, colRange(ssb.LoRevenue, 0, math.MaxInt64))
 			}
 			if k%2 == 0 {
 				rq.needParts = make([]bool, len(parts))
@@ -392,12 +393,12 @@ func BenchmarkBuildNeedPages(b *testing.B) {
 		s := newFactScan(nil, h, nil, nil)
 		for _, bc := range []struct {
 			name string
-			r    colRange
+			r    expr.Range
 		}{
-			{"nonpruning", colRange{0, math.MinInt64, math.MaxInt64}},
-			{"window5pct", colRange{0, int64(rows / 2), int64(rows/2 + rows/20)}},
+			{"nonpruning", colRange(0, math.MinInt64, math.MaxInt64)},
+			{"window5pct", colRange(0, int64(rows/2), int64(rows/2+rows/20))},
 		} {
-			rq := &runningQuery{pruneRanges: []colRange{bc.r, {1, 0, 1000}}}
+			rq := &runningQuery{pruneRanges: []expr.Range{bc.r, colRange(1, 0, 1000)}}
 			b.Run(fmt.Sprintf("%s/pages=%d", bc.name, pages), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -416,3 +417,6 @@ func BenchmarkBuildNeedPages(b *testing.B) {
 		}
 	}
 }
+
+// colRange is an expr.Range literal in the tests' positional shorthand.
+func colRange(col int, lo, hi int64) expr.Range { return expr.Range{Col: col, Min: lo, Max: hi} }

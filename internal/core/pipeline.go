@@ -12,6 +12,7 @@ import (
 	"cjoin/internal/bitvec"
 	"cjoin/internal/catalog"
 	"cjoin/internal/dimplane"
+	"cjoin/internal/expr"
 	"cjoin/internal/fault"
 	"cjoin/internal/obs"
 	"cjoin/internal/query"
@@ -64,7 +65,7 @@ type runningQuery struct {
 	// derived from the plane's selected dimension key ranges and the
 	// fact predicate (zonemap.go); pruneEmpty marks an unsatisfiable
 	// constraint set (the query needs zero fact pages anywhere).
-	pruneRanges []colRange
+	pruneRanges []expr.Range
 	pruneEmpty  bool
 	// needPages is the page-granular companion of needParts, indexed by
 	// the SCAN-LOCAL partition order (activate cuts it against this

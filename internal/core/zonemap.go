@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"cjoin/internal/catalog"
@@ -31,33 +30,14 @@ import (
 // lock-once column runs for the ranges that can — so a query whose ranges
 // prune nothing costs O(range columns) and allocates nothing.
 
-// colRange constrains one fact column (absolute index, hidden columns
-// included) to the closed interval [min, max].
-type colRange struct {
-	col      int
-	min, max int64
-}
-
 // pruneRanges derives the fact-column range constraints implied by an
-// admitted query. empty reports that the constraints are unsatisfiable
-// (a referenced dimension predicate selected no tuples, or contradictory
-// fact ranges): the query needs zero fact pages. The query must already
-// be admitted to the plane at slot.
-func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot int) (ranges []colRange, empty bool) {
-	add := func(col int, lo, hi int64) {
-		for i := range ranges {
-			if ranges[i].col == col {
-				if lo > ranges[i].min {
-					ranges[i].min = lo
-				}
-				if hi < ranges[i].max {
-					ranges[i].max = hi
-				}
-				return
-			}
-		}
-		ranges = append(ranges, colRange{col: col, min: lo, max: hi})
-	}
+// admitted query: each referenced dimension's selected key range on its
+// FK column, intersected with the fact predicate's conjunct ranges
+// (expr.ConjunctRanges). empty reports that the constraints are
+// unsatisfiable (a referenced dimension predicate selected no tuples, or
+// contradictory fact ranges): the query needs zero fact pages. The query
+// must already be admitted to the plane at slot.
+func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot int) (ranges []expr.Range, empty bool) {
 	for i := range star.Dims {
 		if !q.DimRefs[i] || !q.HasDimPred(i) {
 			continue
@@ -66,15 +46,13 @@ func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot
 		if !any {
 			return nil, true
 		}
-		add(star.FKCol[i], minKey, maxKey)
+		ranges = expr.Intersect(ranges, star.FKCol[i], minKey, maxKey)
 	}
 	if q.HasFactPred() {
-		collectFactRanges(q.FactPred, add)
+		ranges = expr.ConjunctRanges(q.FactPred, ranges)
 	}
-	for _, r := range ranges {
-		if r.min > r.max {
-			return nil, true
-		}
+	if expr.Unsatisfiable(ranges) {
+		return nil, true
 	}
 	return ranges, false
 }
@@ -108,8 +86,8 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 	}
 	var (
 		np   []pageSet
-		live []colRange // ranges that can prune in the current partition
-		run  []int64    // (min, max) pairs of one column chunk, reused
+		live []expr.Range // ranges that can prune in the current partition
+		run  []int64      // (min, max) pairs of one column chunk, reused
 	)
 	for li := range s.parts {
 		b := s.parts[li].bounds
@@ -121,7 +99,7 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 		}
 		live = live[:0]
 		for _, r := range rq.pruneRanges {
-			if !b.AllPagesIntersect(r.col, r.min, r.max) {
+			if !b.AllPagesIntersect(r.Col, r.Min, r.Max) {
 				live = append(live, r)
 			}
 		}
@@ -136,9 +114,9 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 		needed := int64(n)
 		for _, r := range live {
 			for first := 0; first < n; first += boundsChunk {
-				k := b.ColBoundsRun(r.col, first, 1, run[:2*min(boundsChunk, n-first)])
+				k := b.ColBoundsRun(r.Col, first, 1, run[:2*min(boundsChunk, n-first)])
 				for i, pg := 0, first; i < k; i, pg = i+1, pg+1 {
-					if bits[pg] && (run[2*i+1] < r.min || run[2*i] > r.max) {
+					if bits[pg] && (run[2*i+1] < r.Min || run[2*i] > r.Max) {
 						bits[pg] = false
 						needed--
 					}
@@ -157,101 +135,4 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 		np[li] = pageSet{bits: bits, needed: needed}
 	}
 	return np
-}
-
-// collectFactRanges walks the top-level AND conjuncts of a fact
-// predicate and reports every column-vs-constant comparison as a range
-// constraint. Anything it cannot prove (OR, NOT, <>, arithmetic,
-// column-vs-column) is conservatively ignored — the predicate is still
-// evaluated per row, so ignoring a conjunct only costs pruning, never
-// correctness.
-func collectFactRanges(n expr.Node, add func(col int, lo, hi int64)) {
-	switch e := n.(type) {
-	case expr.Bin:
-		switch e.Op {
-		case expr.And:
-			collectFactRanges(e.L, add)
-			collectFactRanges(e.R, add)
-		case expr.Eq, expr.Lt, expr.Le, expr.Gt, expr.Ge:
-			col, c, ok, flipped := factColConst(e.L, e.R)
-			if !ok {
-				return
-			}
-			op := e.Op
-			if flipped {
-				switch op {
-				case expr.Lt:
-					op = expr.Gt
-				case expr.Le:
-					op = expr.Ge
-				case expr.Gt:
-					op = expr.Lt
-				case expr.Ge:
-					op = expr.Le
-				}
-			}
-			switch op {
-			case expr.Eq:
-				add(col, c, c)
-			case expr.Ge:
-				add(col, c, math.MaxInt64)
-			case expr.Gt:
-				if c == math.MaxInt64 {
-					add(col, 1, 0) // empty
-				} else {
-					add(col, c+1, math.MaxInt64)
-				}
-			case expr.Le:
-				add(col, math.MinInt64, c)
-			case expr.Lt:
-				if c == math.MinInt64 {
-					add(col, 1, 0) // empty
-				} else {
-					add(col, math.MinInt64, c-1)
-				}
-			}
-		}
-	case *expr.In:
-		col, ok := factCol(e.X)
-		if !ok {
-			return
-		}
-		if len(e.Vals) == 0 {
-			add(col, 1, 0) // empty
-			return
-		}
-		lo, hi := e.Vals[0], e.Vals[0]
-		for _, v := range e.Vals[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		add(col, lo, hi)
-	}
-}
-
-// factColConst matches `fact-col op const` (flipped=false) or
-// `const op fact-col` (flipped=true).
-func factColConst(l, r expr.Node) (col int, c int64, ok, flipped bool) {
-	if cl, isCol := l.(expr.Col); isCol && cl.Slot == 0 {
-		if k, isConst := r.(expr.Const); isConst {
-			return cl.Idx, k.V, true, false
-		}
-	}
-	if k, isConst := l.(expr.Const); isConst {
-		if cl, isCol := r.(expr.Col); isCol && cl.Slot == 0 {
-			return cl.Idx, k.V, true, true
-		}
-	}
-	return 0, 0, false, false
-}
-
-func factCol(n expr.Node) (int, bool) {
-	if cl, isCol := n.(expr.Col); isCol && cl.Slot == 0 {
-		return cl.Idx, true
-	}
-	return 0, false
 }

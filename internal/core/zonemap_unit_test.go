@@ -1,79 +1,14 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"cjoin/internal/expr"
 	"cjoin/internal/query"
 	"cjoin/internal/ssb"
 	"cjoin/internal/storage"
 	"cjoin/internal/txn"
 )
-
-func fcol(idx int) expr.Col    { return expr.Col{Slot: 0, Idx: idx} }
-func konst(v int64) expr.Const { return expr.Const{V: v} }
-
-// TestCollectFactRanges pins the range-extraction rules: top-level AND
-// conjuncts of column-vs-constant comparisons become closed intervals,
-// flipped operand order is normalized, IN lists collapse to their hull,
-// and everything unprovable (OR, <>, dimension columns) is ignored.
-func TestCollectFactRanges(t *testing.T) {
-	type rng struct {
-		col    int
-		lo, hi int64
-	}
-	collect := func(n expr.Node) []rng {
-		var out []rng
-		collectFactRanges(n, func(col int, lo, hi int64) {
-			out = append(out, rng{col, lo, hi})
-		})
-		return out
-	}
-	cases := []struct {
-		name string
-		node expr.Node
-		want []rng
-	}{
-		{"between", expr.Bin{Op: expr.And,
-			L: expr.Bin{Op: expr.Ge, L: fcol(3), R: konst(5)},
-			R: expr.Bin{Op: expr.Le, L: fcol(3), R: konst(10)}},
-			[]rng{{3, 5, math.MaxInt64}, {3, math.MinInt64, 10}}},
-		{"eq", expr.Bin{Op: expr.Eq, L: fcol(2), R: konst(4)},
-			[]rng{{2, 4, 4}}},
-		{"flipped-gt", expr.Bin{Op: expr.Gt, L: konst(7), R: fcol(1)},
-			[]rng{{1, math.MinInt64, 6}}}, // 7 > c  ⇒  c < 7
-		{"strict-lt", expr.Bin{Op: expr.Lt, L: fcol(0), R: konst(9)},
-			[]rng{{0, math.MinInt64, 8}}},
-		{"in-hull", &expr.In{X: fcol(5), Vals: []int64{9, 3, 6}},
-			[]rng{{5, 3, 9}}},
-		{"in-empty", &expr.In{X: fcol(5), Vals: nil},
-			[]rng{{5, 1, 0}}}, // unsatisfiable marker
-		{"gt-maxint", expr.Bin{Op: expr.Gt, L: fcol(0), R: konst(math.MaxInt64)},
-			[]rng{{0, 1, 0}}}, // no int64 is greater: unsatisfiable, no overflow
-		{"or-ignored", expr.Bin{Op: expr.Or,
-			L: expr.Bin{Op: expr.Eq, L: fcol(0), R: konst(1)},
-			R: expr.Bin{Op: expr.Eq, L: fcol(0), R: konst(2)}},
-			nil},
-		{"ne-ignored", expr.Bin{Op: expr.Ne, L: fcol(0), R: konst(1)}, nil},
-		{"dim-col-ignored", expr.Bin{Op: expr.Eq, L: expr.Col{Slot: 1, Idx: 0}, R: konst(1)}, nil},
-		{"col-vs-col-ignored", expr.Bin{Op: expr.Lt, L: fcol(0), R: fcol(1)}, nil},
-		{"arith-ignored", expr.Bin{Op: expr.Eq,
-			L: expr.Bin{Op: expr.Add, L: fcol(0), R: konst(1)}, R: konst(5)}, nil},
-	}
-	for _, tc := range cases {
-		got := collect(tc.node)
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s: ranges %v, want %v", tc.name, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("%s: range %d = %v, want %v", tc.name, i, got[i], tc.want[i])
-			}
-		}
-	}
-}
 
 // TestFactScanSkipsPages exercises the page-level skip hook directly: a
 // skipPage callback must keep the named pages off the device, rows from
@@ -215,7 +150,7 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 							}
 							qualifies := true
 							for _, cr := range rq.pruneRanges {
-								if row[cr.col] < cr.min || row[cr.col] > cr.max {
+								if row[cr.Col] < cr.Min || row[cr.Col] > cr.Max {
 									qualifies = false
 									break
 								}

@@ -511,9 +511,9 @@ func TestPredCacheChurnRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantKeys := make(map[int64]bool, len(want))
-		for _, row := range want {
-			wantKeys[row[0]] = true
+		wantKeys := make(map[int64]bool, want.Len())
+		for r := range want.Len() {
+			wantKeys[want.Row(r)[0]] = true
 		}
 		if got := slotKeys(pl.Store(0), slot); !sameKeys(got, wantKeys) {
 			t.Fatalf("v<%d after churn: admission selects %d keys, a fresh scan %d (stale fill)", x, len(got), len(wantKeys))

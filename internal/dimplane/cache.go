@@ -15,10 +15,10 @@ const DefaultPredCacheSize = 128
 
 // predCache memoizes dimension predicate-scan results across
 // admissions, keyed by (dimension, canonical predicate fingerprint).
-// The cached value is the exact slice SelectRows would have returned:
-// copies of the selected heap rows, immutable once filled, so hits can
-// be shared by any number of concurrent admissions and by the stores
-// themselves.
+// The cached value is the exact selection SelectRows would have
+// returned: the selected heap rows in one arena, immutable once filled,
+// so hits can be shared by any number of concurrent admissions and by
+// the stores themselves.
 //
 // Correctness: a hit is only valid if the dimension heap is unchanged
 // since the fill began. An entry records the heap's mutation counter
@@ -48,7 +48,7 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	rows [][]int64
+	rows Rows
 	at   fillStamp
 }
 
@@ -69,9 +69,9 @@ func newPredCache(capacity int) *predCache {
 // lookup returns the memoized scan result for (dim, fp) if it is still
 // current. On a miss it returns the stamp the caller's fill must carry;
 // it is read here, before the caller scans heap.
-func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) ([][]int64, fillStamp, bool) {
+func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) (Rows, fillStamp, bool) {
 	if c == nil {
-		return nil, fillStamp{}, false
+		return Rows{}, fillStamp{}, false
 	}
 	ver := heap.Version()
 	c.mu.Lock()
@@ -86,7 +86,7 @@ func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) ([][]int6
 			c.deleteLocked(k)
 		}
 		c.misses++
-		return nil, now, false
+		return Rows{}, now, false
 	}
 	c.hits++
 	return e.rows, now, true
@@ -94,7 +94,7 @@ func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) ([][]int6
 
 // store memoizes a scan result under the stamp lookup returned before
 // the scan. The caller must not mutate rows after handing them over.
-func (c *predCache) store(dim int, fp uint64, rows [][]int64, at fillStamp) {
+func (c *predCache) store(dim int, fp uint64, rows Rows, at fillStamp) {
 	if c == nil {
 		return
 	}

@@ -38,7 +38,6 @@ import (
 	"cjoin/internal/expr"
 	"cjoin/internal/obs"
 	"cjoin/internal/query"
-	"cjoin/internal/storage"
 )
 
 // ErrSlotsExhausted is returned by Admit when all maxConc query slots are
@@ -108,6 +107,8 @@ type planeMetrics struct {
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
 	publishes    *obs.Counter
+	pagesRead    *obs.Counter
+	pagesPruned  *obs.Counter
 }
 
 func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
@@ -117,6 +118,8 @@ func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
 	r.GaugeFunc("cjoin_dimplane_store_bytes",
 		"Resident bytes of all dimension stores' current versions.",
 		func() float64 { return float64(pl.MemBytes()) })
+	scanPages := r.CounterVec("cjoin_dimplane_scan_pages_total",
+		"Dimension heap pages a predicate scan read, or skipped because the page's zone map is disjoint from the predicate's ranges, by outcome (read|pruned).", "outcome")
 	return planeMetrics{
 		admit: r.DurationHistogram("cjoin_dimplane_admit_seconds",
 			"Wall time of the dimension half of admission (Algorithm 1), once per logical query."),
@@ -134,6 +137,8 @@ func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
 			"Cache-enabled predicate resolutions that had to scan the dimension heap."),
 		publishes: r.Counter("cjoin_dimplane_snapshot_publish_total",
 			"Dimension store version transitions (COW snapshot publications)."),
+		pagesRead:   scanPages.With("read"),
+		pagesPruned: scanPages.With("pruned"),
 	}
 }
 
@@ -214,26 +219,6 @@ func (pl *Plane) Store(i int) *CowStore { return pl.stores[i] }
 // InUse returns the number of currently admitted query slots.
 func (pl *Plane) InUse() int { return pl.ids.InUse() }
 
-// SelectRows evaluates a dimension predicate σ_cnj(D_j) against the
-// dimension heap and returns copies of the selected rows — the paper
-// issues the predicate query to the underlying engine before mutating
-// any shared state, so a scan error leaves the plane untouched.
-func SelectRows(tab *catalog.Table, pred expr.Node) ([][]int64, error) {
-	var selected [][]int64
-	sc := storage.NewScanner(tab.Heap)
-	for row, ok := sc.Next(); ok; row, ok = sc.Next() {
-		if expr.EvalRow(pred, row) {
-			cp := make([]int64, len(row))
-			copy(cp, row)
-			selected = append(selected, cp)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return selected, nil
-}
-
 // Admit is AdmitBatch for a lone query: a batch of one.
 func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error) {
 	slots, err := pl.AdmitBatch(ctx, []*query.Bound{q})
@@ -246,18 +231,21 @@ func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error
 // selectRowsCached resolves one dimension predicate (fp is its canonical
 // fingerprint), consulting the predicate-scan cache first. A miss (or a
 // disabled cache) scans the heap and memoizes the result.
-func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) ([][]int64, error) {
-	rows, at, ok := pl.cache.lookup(dim, fp, pl.star.Dims[dim].Heap)
+func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) (Rows, error) {
+	heap := pl.star.Dims[dim].Heap
+	rows, at, ok := pl.cache.lookup(dim, fp, heap)
 	if ok {
 		pl.cacheHits.Add(1)
 		pl.om.cacheHits.Inc()
 		return rows, nil
 	}
 	scanStart := time.Now()
-	rows, err := SelectRows(pl.star.Dims[dim], pred)
+	rows, pc, err := selectRows(heap, pred)
 	pl.om.predScan.ObserveSince(scanStart)
+	pl.om.pagesRead.Add(int64(pc.read))
+	pl.om.pagesPruned.Add(int64(pc.pruned))
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
 	if pl.cache != nil {
 		pl.cacheMisses.Add(1)
@@ -338,7 +326,7 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	for i := range pl.stores {
 		// Batch-local memo: even with the shared cache disabled, K
 		// queries reusing one template scan once per batch.
-		local := make(map[uint64][][]int64)
+		local := make(map[uint64]Rows)
 		for k, q := range qs {
 			if err := ctx.Err(); err != nil {
 				return fail(err)

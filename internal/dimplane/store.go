@@ -51,8 +51,8 @@ func (c *CowStore) MemBytes() int64 { return c.t.Load().MemBytes() }
 type Install struct {
 	Slot   int
 	Ref    bool
-	KeyCol int       // key column index; meaningful when Ref
-	Rows   [][]int64 // selected rows; meaningful when Ref
+	KeyCol int  // key column index; meaningful when Ref
+	Rows   Rows // selected rows; meaningful when Ref
 }
 
 // AdmitBatch is the store's one write entry (Algorithm 1): it installs K
@@ -78,7 +78,8 @@ func (c *CowStore) AdmitBatch(installs []Install) {
 				continue
 			}
 			b.AddRef()
-			for _, row := range ins.Rows {
+			for r := range ins.Rows.Len() {
+				row := ins.Rows.Row(r)
 				b.Upsert(row[ins.KeyCol], row).Set(ins.Slot)
 			}
 		}

@@ -46,17 +46,17 @@ type HeapFile struct {
 	// is unchanged.
 	version uint64
 
-	// Zone-map synopsis (see zonemap.go): per flushed page, 2*ncols
-	// values (min then max for each column); tailMin/tailMax track the
-	// not-yet-flushed tail. minOfMax/maxOfMin summarize each column over
-	// all flushed pages (stale-but-sound under widening); boundsVer
-	// advances whenever pageBounds changes.
-	pageBounds []int64
-	tailMin    []int64
-	tailMax    []int64
-	minOfMax   []int64
-	maxOfMin   []int64
-	boundsVer  uint64
+	// Zone-map synopsis (see zonemap.go): per column, a (min, max) pair
+	// per flushed page; tailMin/tailMax track the not-yet-flushed tail.
+	// minOfMax/maxOfMin summarize each column over all flushed pages
+	// (stale-but-sound under widening); boundsVer advances whenever
+	// colBounds changes.
+	colBounds [][]int64
+	tailMin   []int64
+	tailMax   []int64
+	minOfMax  []int64
+	maxOfMin  []int64
+	boundsVer uint64
 }
 
 // CreateHeap creates an empty raw heap for rows of ncols columns on dev.
@@ -89,6 +89,7 @@ func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 		rowsPerPage: rpp,
 		codec:       codec,
 		tail:        make([]byte, PageSize),
+		colBounds:   make([][]int64, ncols),
 		tailMin:     make([]int64, ncols),
 		tailMax:     make([]int64, ncols),
 		minOfMax:    make([]int64, ncols),

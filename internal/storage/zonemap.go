@@ -4,10 +4,13 @@ import "fmt"
 
 // Zone maps (small materialized aggregates): every heap keeps a per-page,
 // per-column min/max synopsis, computed incrementally as rows are appended
-// and frozen when the page flushes. The synopsis is stored as a flat
-// []int64 — 2*ncols values per flushed page — so a scan can test a page
-// against a predicate range without touching the device. Bounds are
-// computed on the pre-encoded values, so they are exact for every codec.
+// and frozen when the page flushes. The synopsis is stored column-major —
+// per column one flat []int64 of (min, max) pairs, one pair per flushed
+// page — so a scan can test a page against a predicate range without
+// touching the device, and testing one column's range over every page
+// reads 16 bytes per page sequentially instead of striding across the
+// other columns' bounds. Bounds are computed on the pre-encoded values, so
+// they are exact for every codec.
 //
 // The in-memory tail page is still mutable, so it deliberately has no
 // published bounds: PageColBounds answers ok=false for it and readers must
@@ -41,8 +44,8 @@ func (h *HeapFile) PageColBounds(page, col int) (min, max int64, ok bool) {
 	if page < 0 || page >= len(h.pageOffs) {
 		return 0, 0, false
 	}
-	i := (page*h.ncols + col) * 2
-	return h.pageBounds[i], h.pageBounds[i+1], true
+	b := h.colBounds[col]
+	return b[2*page], b[2*page+1], true
 }
 
 // AllPagesIntersect reports whether the synopsis of column col on every
@@ -82,9 +85,13 @@ func (h *HeapFile) ColBoundsRun(col, first, stride int, dst []int64) int {
 	if n > len(dst)/2 {
 		n = len(dst) / 2
 	}
-	src, step := h.pageBounds[(first*h.ncols+col)*2:], stride*h.ncols*2
-	for i := 0; i < n; i++ {
-		dst[2*i], dst[2*i+1] = src[i*step], src[i*step+1]
+	src := h.colBounds[col][2*first:]
+	if stride == 1 {
+		copy(dst, src[:2*n])
+		return n
+	}
+	for i, j := 0, 0; i < n; i, j = i+1, j+2*stride {
+		dst[2*i], dst[2*i+1] = src[j], src[j+1]
 	}
 	return n
 }
@@ -108,9 +115,9 @@ func (h *HeapFile) ColBounds(col int) ([]PageBounds, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	out := make([]PageBounds, len(h.pageOffs))
+	b := h.colBounds[col]
 	for p := range out {
-		i := (p*h.ncols + col) * 2
-		out[p] = PageBounds{Min: h.pageBounds[i], Max: h.pageBounds[i+1]}
+		out[p] = PageBounds{Min: b[2*p], Max: b[2*p+1]}
 	}
 	return out, nil
 }
@@ -136,7 +143,7 @@ func (h *HeapFile) boundsAppendLocked(row []int64) {
 // boundsFlushLocked freezes the tail synopsis as the flushed page's bounds.
 func (h *HeapFile) boundsFlushLocked() {
 	for c := 0; c < h.ncols; c++ {
-		h.pageBounds = append(h.pageBounds, h.tailMin[c], h.tailMax[c])
+		h.colBounds[c] = append(h.colBounds[c], h.tailMin[c], h.tailMax[c])
 		if h.tailMax[c] < h.minOfMax[c] {
 			h.minOfMax[c] = h.tailMax[c]
 		}
@@ -152,13 +159,13 @@ func (h *HeapFile) boundsFlushLocked() {
 // synopsis sound at the cost of pruning precision.
 func (h *HeapFile) boundsWidenLocked(page, col int, v int64) {
 	if page < len(h.pageOffs) {
-		i := (page*h.ncols + col) * 2
-		if v < h.pageBounds[i] {
-			h.pageBounds[i] = v
+		b := h.colBounds[col][2*page:]
+		if v < b[0] {
+			b[0] = v
 			h.boundsVer++
 		}
-		if v > h.pageBounds[i+1] {
-			h.pageBounds[i+1] = v
+		if v > b[1] {
+			b[1] = v
 			h.boundsVer++
 		}
 		return

@@ -10,6 +10,8 @@
 #   - /healthz lists every shard, and /stats carries one per-shard entry
 #     each, with the plane figures zero per shard and filled on the
 #     merged entry (the plane is admitted to once, whatever the count);
+#   - the dimension plane's predicate scan counts the pages it read and
+#     the pages its zone maps let it skip;
 #   - a completed query's /query/{id}/trace carries the full
 #     enqueued→admitted→first_page→cycle_complete→delivered timeline;
 #   - a fetched result is released: the retention families are served,
@@ -59,6 +61,7 @@ for fam in \
   cjoin_dimplane_cache_misses_total \
   cjoin_dimplane_snapshot_publish_total \
   cjoin_dimplane_admit_batch_size_bucket \
+  cjoin_dimplane_scan_pages_total \
   cjoin_scan_pages_total \
   cjoin_scan_pruned_pages_total \
   cjoin_scan_zonemap_skipped_pages_total \
@@ -80,6 +83,13 @@ awk '$1=="cjoin_dimplane_cache_hits_total" && $2+0 > 0 {found=1} END{exit !found
   || { echo "no dimension predicate cache hits recorded"; exit 1; }
 awk '$1=="cjoin_dimplane_snapshot_publish_total" && $2+0 > 0 {found=1} END{exit !found}' /tmp/metrics-smoke.txt \
   || { echo "no dimension snapshot publications recorded"; exit 1; }
+# The narrow-window query's date predicate is a range on the date
+# dimension's clustered key, so the plane's predicate scan must have
+# read some date pages and skipped the rest by their zone maps.
+for outcome in read pruned; do
+  awk -v k="cjoin_dimplane_scan_pages_total{outcome=\"$outcome\"}" '$1==k && $2+0 > 0 {found=1} END{exit !found}' /tmp/metrics-smoke.txt \
+    || { echo "no dimension scan pages counted as $outcome"; exit 1; }
+done
 # The narrow-window query must have been pruned at page granularity:
 # zone maps charged it fewer pages than the table holds, and the pruned
 # counter (cause="zonemap") records the difference across the shards.
