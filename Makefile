@@ -1,23 +1,22 @@
-# CJOIN build/test/bench entry points. `make bench` snapshots the Filter
-# hot-loop microbenchmarks into BENCH_<BENCH_N>.json so successive PRs
-# leave a comparable performance trajectory (see PERFORMANCE.md).
+# CJOIN build/test/bench entry points. `make bench` runs the hot-loop
+# microbenchmarks and prints plain `go test -bench` output, which
+# benchstat reads; bench/ (bash bench/run.sh) is the end-to-end benchmark
+# (see PERFORMANCE.md).
 
 GO        ?= go
-BENCH_N   ?= 1
 BENCHTIME ?= 1s
 COUNT     ?= 20
 
-.PHONY: all build test race race-core flake-census bench bench-smoke bench-pprof vet ci fuzz-smoke dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke
+.PHONY: all build test race race-core flake-census bench bench-smoke bench-pprof vet ci fuzz-smoke paper-smoke chaos-smoke metrics-smoke updates-smoke
 
 all: build test
 
 # What CI runs (.github/workflows/ci.yml): vet + build + full tests,
-# the concurrency-heavy packages under the race detector, smoke runs
-# of the shared-dimension-plane and partition-dealt experiments over
-# 2-shard groups, the shard-loss chaos smoke, the telemetry-plane
-# metrics smoke, the HTAP write-plane smoke, a short fuzz budget, and
-# the benchmark's own build + smoke.
-ci: vet build test race-core fuzz-smoke dimadmit-smoke shardparts-smoke chaos-smoke metrics-smoke updates-smoke bench-smoke
+# the concurrency-heavy packages under the race detector, a short fuzz
+# budget, every paper figure end to end at toy scale, the shard-loss
+# chaos smoke, the telemetry-plane metrics smoke, the HTAP write-plane
+# smoke, and the benchmark's own build + smoke.
+ci: vet build test race-core fuzz-smoke paper-smoke chaos-smoke metrics-smoke updates-smoke bench-smoke
 
 # The native fuzz targets on a short budget: FuzzResultEncoding checks
 # the streaming /result encoder against encoding/json of DecodeResults,
@@ -26,18 +25,11 @@ ci: vet build test race-core fuzz-smoke dimadmit-smoke shardparts-smoke chaos-sm
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultEncoding$$' -fuzztime=10s ./internal/server
 
-# End-to-end smoke of the admit-once execution tier: the dimadmit
-# experiment exercises plane admission, fan-out activation, and merged
-# stats over real shard topologies in a few seconds.
-dimadmit-smoke:
-	$(GO) run ./cmd/cjoin-bench -exp dimadmit -shards 1,2 -rows 2000 -queries 8 -n 8 -json > /dev/null
-
-# End-to-end smoke of partition-aware sharding: shardscale over a
-# range-partitioned star deals whole partitions to the shards, so this
-# exercises the deal planner, per-shard subset scans, and pruned
-# completion under a real closed-loop workload.
-shardparts-smoke:
-	$(GO) run ./cmd/cjoin-bench -exp shardscale -partitions 6 -shards 1,2 -rows 2000 -queries 8 -n 8 -json > /dev/null
+# Every paper figure and table (§6, cjoin-bench -exp all) end to end at
+# toy scale. -maxconc 8 with -ns 1,8 runs the closed loop with every
+# query slot in use.
+paper-smoke:
+	$(GO) run ./cmd/cjoin-bench -exp all -rows 1000 -queries 8 -ns 1,8 -n 8 -sfs 1,2 -sels 0.01,0.1 -maxconc 8 > /dev/null
 
 # End-to-end graceful degradation: cjoind -shards 4 -chaos loses one
 # shard mid-workload; the daemon must stay up, /healthz must go
@@ -108,9 +100,8 @@ flake-census:
 # page from emitPage to route), the aggregation operator (new and
 # existing groups, finalizing, the shard merge), the dimension plane's
 # predicate scan (a pruned key window and a full scan) plus the
-# sharded-tier scan benchmark, snapshotted as JSON. Run the paper-scale
-# experiment benchmarks separately: go test -bench . -v .
+# sharded-tier scan benchmark. Save two runs and compare them with
+# benchstat. The paper's figures run through cjoin-bench.
 bench:
 	$(GO) test -run '^$$' -bench 'FilterProbe|EmitPage|ShardScan|HashAdd|HashResults|Merge|SelectRows' -benchtime $(BENCHTIME) -count 3 \
-		./internal/core ./internal/shard ./internal/agg ./internal/dimplane \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(BENCH_N).json
+		./internal/core ./internal/shard ./internal/agg ./internal/dimplane

@@ -92,10 +92,6 @@ type Config struct {
 	// Zero disables periodic optimization (ReorderFilters can still be
 	// called explicitly).
 	OptimizeInterval time.Duration
-	// DisableProbeSkip turns off the §3.2.2 probe-skip optimization
-	// (bτ AND NOT b_Dj == 0 forwards without probing). For ablation
-	// benchmarks only.
-	DisableProbeSkip bool
 	// DisableZoneMaps turns off page-level zone-map pruning: queries are
 	// charged every page of their needed partitions and the scan skips
 	// only whole partitions, restoring the §5 partition-granular
@@ -107,8 +103,9 @@ type Config struct {
 	// disables caching. The plane's owner (internal/shard) reads it.
 	PredCacheSize int
 	// FactSource overrides the physical source of the continuous scan —
-	// e.g. a column-store scan/merge (§5). Row width must match the
-	// star's fact schema. Incompatible with partitioned stars.
+	// e.g. a page-gating or fault-injecting decorator over the fact heap.
+	// Row width must match the star's fact schema. Incompatible with
+	// partitioned stars.
 	FactSource PageSource
 	// ScanRetries bounds how many times a transient fact-scan error is
 	// retried at the same page boundary before the pipeline escalates to

@@ -23,8 +23,6 @@ type dimState struct {
 	fkCol  int
 	keyCol int
 
-	noSkip bool // ablation: disable the probe-skip optimization
-
 	store *dimplane.CowStore
 
 	tuplesIn atomic.Int64
@@ -97,11 +95,10 @@ func filterBatchWord(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops in
 	slots := b.slots[:len(sel)]
 	bvs, rows := b.bvArena, b.rowArena
 	ncols, fk := b.ncols, d.fkCol
-	noSkip := d.noSkip
 
 	// Pass 1: classify every tuple and resolve its probe.
 	for k, i := range sel {
-		if !noSkip && bvs[i]&^mask == 0 {
+		if bvs[i]&^mask == 0 {
 			// Probe-skip optimization (§3.2.2): τ is relevant only to
 			// queries that do not reference D_j.
 			slots[k] = slotSkip
@@ -149,10 +146,9 @@ func filterBatchVec(d *dimState, b *batch, s *dimht.Snapshot) (probes, drops int
 	slots := b.slots[:len(sel)]
 	rows := b.rowArena
 	ncols, fk := b.ncols, d.fkCol
-	noSkip := d.noSkip
 
 	for k, i := range sel {
-		if !noSkip && b.bv(i).AndNotIsZero(bDj) {
+		if b.bv(i).AndNotIsZero(bDj) {
 			slots[k] = slotSkip
 			continue
 		}

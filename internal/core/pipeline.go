@@ -376,9 +376,7 @@ func NewPipeline(star *catalog.Star, cfg Config, sc ShardConfig) (*Pipeline, err
 		om:         newPipeMetrics(sc.Obs, sc.Index),
 	}
 	for i := range star.Dims {
-		ds := newDimState(star, i, sc.Plane.Store(i))
-		ds.noSkip = cfg.DisableProbeSkip
-		p.dimStates = append(p.dimStates, ds)
+		p.dimStates = append(p.dimStates, newDimState(star, i, sc.Plane.Store(i)))
 	}
 	order := []int{}
 	p.filterOrder.Store(&order)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"cjoin/internal/bitvec"
 	"cjoin/internal/catalog"
 	"cjoin/internal/disk"
+	"cjoin/internal/query"
 	"cjoin/internal/storage"
 )
 
@@ -142,8 +144,8 @@ func TestFactScanPositionsStable(t *testing.T) {
 func TestOptimizerOrdersBySelectivity(t *testing.T) {
 	dev := disk.NewMem()
 	fact := catalog.NewTable(dev, "f", 0, []catalog.Column{{Name: "a"}, {Name: "b"}, {Name: "m"}})
-	d1 := catalog.NewTable(dev, "d1", 0, []catalog.Column{{Name: "k"}})
-	d2 := catalog.NewTable(dev, "d2", 0, []catalog.Column{{Name: "k"}})
+	d1 := catalog.NewTable(dev, "d1", 0, []catalog.Column{{Name: "k1"}})
+	d2 := catalog.NewTable(dev, "d2", 0, []catalog.Column{{Name: "k2"}})
 	d1.Heap.Append([]int64{1})
 	d2.Heap.Append([]int64{1})
 	star, err := catalog.NewStar(fact, []*catalog.Table{d1, d2}, []int{0, 1}, []int{0, 0})
@@ -151,11 +153,21 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewTestPipeline(t, star, Config{MaxConcurrent: 4}, ShardConfig{})
-	// Fake both filters active with measured drop rates: d2 drops more.
-	p.dimStates[0].store.ForceRefs(1)
-	p.dimStates[1].store.ForceRefs(1)
-	order := []int{0, 1}
-	p.filterOrder.Store(&order)
+	// One admitted query referencing both dimensions activates both
+	// filters; then give them measured drop rates: d2 drops more.
+	q, err := query.ParseBind("SELECT COUNT(*) FROM f, d1, d2 WHERE a = k1 AND b = k2", star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.plane.AdmitBatch(context.Background(), []*query.Bound{q}); err != nil {
+		t.Fatal(err)
+	}
+	p.pmMu.Lock()
+	p.rebuildFilterOrderLocked()
+	p.pmMu.Unlock()
+	if got := *p.filterOrder.Load(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("order after admission: %v (want [0 1])", got)
+	}
 	p.dimStates[0].tuplesIn.Store(1000)
 	p.dimStates[0].drops.Store(100)
 	p.dimStates[1].tuplesIn.Store(1000)

@@ -1,11 +1,8 @@
 package core
 
 // PageSource abstracts the physical representation behind the continuous
-// fact scan. *storage.HeapFile satisfies it, and so does a column-store
-// scan/merge (internal/colstore), which is how the §5 column-store
-// extension plugs in: "the continuous fact table scan can be realized
-// with a continuous scan/merge of only those fact table columns that are
-// accessed by the current query mix".
+// fact scan. *storage.HeapFile satisfies it; decorators over it (a shard's
+// strided view, fault injection, tests' page gates) wrap one.
 //
 // A source must be stable: pages keep their positions across cycles
 // (§3.3.3). Row width must match the star's fact schema; columns the
@@ -19,8 +16,8 @@ type PageSource interface {
 
 // BoundsSource is the optional zone-map face of a PageSource: per-page
 // min/max synopses for a column, used to skip pages no resident query can
-// match. *storage.HeapFile satisfies it; sources that don't (e.g. the
-// column-store scan/merge) simply get no page-level pruning. Admission
+// match. *storage.HeapFile satisfies it; sources that don't simply get no
+// page-level pruning. Admission
 // reads it in bulk, never per cell (needPagesFor, zonemap.go): one O(1)
 // question per range column, then — only for columns that can prune —
 // the column's synopses in runs of boundsChunk pages, each run one call

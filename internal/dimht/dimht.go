@@ -284,9 +284,6 @@ func (b *Builder) Refs() int { return b.s.refs }
 func (b *Builder) AddRef()  { b.s.refs++ }
 func (b *Builder) DropRef() { b.s.refs-- }
 
-// SetRefs overwrites the reference count (test plumbing).
-func (b *Builder) SetRefs(n int) { b.s.refs = n }
-
 // Mask returns the complement bitmap under construction. Unlike the
 // snapshot accessor, the builder's copy may be modified through the
 // returned vector.
@@ -296,23 +293,11 @@ func (b *Builder) Mask() bitvec.Vec { return b.s.bDj }
 func (b *Builder) SetMaskBit(i int)   { b.s.bDj.Set(i) }
 func (b *Builder) ClearMaskBit(i int) { b.s.bDj.Clear(i) }
 
-// SetBitAll sets bit i in every stored entry's bit-vector — the §3.2.1
-// update for an admitted query that does not reference this dimension.
-// The sweep blasts the bit through the whole arena (free slots included;
-// their vectors are unreachable garbage), which the compiler turns into a
-// branch-free strided loop.
-func (b *Builder) SetBitAll(i int) {
-	b.privatize()
-	w, m := i/64, uint64(1)<<(uint(i)%64)
-	for j := w; j < len(b.s.bits); j += b.s.words {
-		b.s.bits[j] |= m
-	}
-}
-
 // SetBitsAll ORs every set bit of mask into every stored entry's
-// bit-vector in a single arena pass — the batched form of SetBitAll for
-// K admitted queries that do not reference this dimension. One sweep
-// installs all K tags where the per-query path would sweep K times.
+// bit-vector in a single arena pass — the §3.2.1 update for K admitted
+// queries that do not reference this dimension. One sweep installs all K
+// tags. The sweep blasts the bits through the whole arena (free slots
+// included; their vectors are unreachable garbage).
 // mask must be Words() words wide; an all-zero mask is a no-op.
 func (b *Builder) SetBitsAll(mask bitvec.Vec) {
 	any := false

@@ -164,10 +164,10 @@ func TestSentinelKey(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("ForEach visited %d entries", seen)
 	}
-	// SetBitAll / ClearBitAll must reach the overflow slot.
-	tab.Update(func(b *Builder) { b.SetBitAll(5) })
+	// SetBitsAll / ClearBitAll must reach the overflow slot.
+	tab.Update(func(b *Builder) { b.SetBitsAll(oneBit(1, 5)) })
 	if !tab.Load().Bits(tab.Load().Lookup(emptyKey)).Get(5) {
-		t.Fatal("SetBitAll missed the sentinel slot")
+		t.Fatal("SetBitsAll missed the sentinel slot")
 	}
 	// GC must be able to drop it.
 	tab.Update(func(b *Builder) {
@@ -184,7 +184,7 @@ func TestSetClearBitAll(t *testing.T) {
 		for k := int64(0); k < 50; k++ {
 			b.Upsert(k, row(k))
 		}
-		b.SetBitAll(100)
+		b.SetBitsAll(oneBit(2, 100))
 	})
 	tab.Load().ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
 		if !bv.Get(100) {
@@ -272,7 +272,7 @@ func TestSnapshotImmutable(t *testing.T) {
 
 	tab.Update(func(b *Builder) {
 		b.SetMaskBit(3)
-		b.SetBitAll(3)
+		b.SetBitsAll(oneBit(1, 3))
 		b.Upsert(100, row(100)).Set(5)
 	})
 	tab.Update(func(b *Builder) {
@@ -390,4 +390,11 @@ func TestSetBitsAll(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// oneBit is a words-wide mask with only bit i set.
+func oneBit(words, i int) bitvec.Vec {
+	v := make(bitvec.Vec, words)
+	v.Set(i)
+	return v
 }

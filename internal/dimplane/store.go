@@ -107,8 +107,3 @@ func (c *CowStore) Remove(slot int, referenced bool) (emptied bool) {
 func (c *CowStore) ForEach(fn func(key int64, row []int64, bv bitvec.Vec) bool) {
 	c.t.Load().ForEach(fn)
 }
-
-// ForceRefs overrides the reference count (test plumbing only).
-func (c *CowStore) ForceRefs(n int) {
-	c.t.Update(func(b *dimht.Builder) { b.SetRefs(n) })
-}

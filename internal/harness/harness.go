@@ -11,6 +11,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -20,8 +21,6 @@ import (
 	"cjoin/internal/core"
 	"cjoin/internal/disk"
 	"cjoin/internal/engine"
-	"cjoin/internal/fault"
-	"cjoin/internal/obs"
 	"cjoin/internal/query"
 	"cjoin/internal/shard"
 	"cjoin/internal/ssb"
@@ -56,28 +55,6 @@ type Config struct {
 	Workers int
 	// PoolPages is the baseline engines' buffer pool size.
 	PoolPages int
-	// Shards fans the execution tier out over this many fact-partitioned
-	// pipelines (internal/shard). <= 1 keeps the paper's single pipeline.
-	Shards int
-	// Partitions range-partitions the fact table by order date into this
-	// many heaps (§5). With Shards > 1 the group deals whole partitions
-	// to shards instead of striding pages; requires Partitions >= Shards.
-	Partitions int
-	// MemDisk keeps the dataset on an unthrottled in-memory device
-	// instead of the DefaultDisk cost model — for experiments that
-	// measure CPU scaling of the pipelines themselves (e.g. shard
-	// scan-rate scaling), where a simulated single spindle would
-	// serialize all shards and measure only the device model.
-	MemDisk bool
-	// Chaos is a fault-injection spec (internal/fault grammar) armed on
-	// every executor the harness builds — for measuring experiments
-	// under injected faults. Empty runs clean.
-	Chaos string
-	// Obs, when non-nil, threads the telemetry registry through every
-	// executor the harness builds, so an experiment can read per-stage
-	// breakdowns from registry snapshots. Nil runs with instrumentation
-	// compiled down to no-ops — the baseline for overhead measurement.
-	Obs *obs.Registry
 }
 
 // DefaultDisk is the scaled device model: 100 MB/s sequential bandwidth
@@ -105,7 +82,7 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if !c.Disk.Enabled() && !c.MemDisk {
+	if !c.Disk.Enabled() {
 		c.Disk = DefaultDisk()
 	}
 	if c.MaxConcurrent <= 0 {
@@ -128,7 +105,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		SF:            cfg.SF,
 		FactRowsPerSF: cfg.FactRowsPerSF,
 		Seed:          cfg.Seed,
-		Partitions:    cfg.Partitions,
 		Disk:          cfg.Disk,
 	})
 	if err != nil {
@@ -287,45 +263,34 @@ func (e *Env) normalizeCore(coreCfg core.Config) core.Config {
 	return coreCfg
 }
 
-// NewExecutor builds the execution tier the experiment config asks for:
-// a shard.Group of cfg.Shards pipelines (one when Shards <= 1). The
-// executor is started; the caller owns Stop.
-func (e *Env) NewExecutor(coreCfg core.Config) (*shard.Group, error) {
-	spec, err := fault.Parse(e.Cfg.Chaos)
-	if err != nil {
-		return nil, fmt.Errorf("harness: chaos spec: %v", err)
-	}
-	g, err := shard.New(e.Dataset.Star, shard.Config{Shards: e.Cfg.Shards, Core: e.normalizeCore(coreCfg), Fault: spec, Obs: e.Cfg.Obs})
-	if err != nil {
-		return nil, err
-	}
-	g.Start()
-	return g, nil
-}
-
 // RunCJoin measures CJOIN at concurrency n with the given pipeline
-// configuration (zero value: defaults), on Config.Shards shards.
+// configuration (zero value: defaults) on a one-shard group.
 func (e *Env) RunCJoin(n int, coreCfg core.Config, onlyTpl string) (Metrics, error) {
-	m, _, err := e.runExecutor("CJOIN", n, coreCfg, onlyTpl)
-	return m, err
-}
-
-// runExecutor runs the closed-loop workload against the configured
-// execution tier and additionally returns the executor's final counters
-// (for scan-rate accounting).
-func (e *Env) runExecutor(system string, n int, coreCfg core.Config, onlyTpl string) (Metrics, core.Stats, error) {
-	exec, err := e.NewExecutor(coreCfg)
-	if err != nil {
-		return Metrics{}, core.Stats{}, err
+	coreCfg = e.normalizeCore(coreCfg)
+	if n > coreCfg.MaxConcurrent {
+		return Metrics{}, fmt.Errorf("harness: concurrency %d exceeds MaxConcurrent %d", n, coreCfg.MaxConcurrent)
 	}
+	exec, err := shard.New(e.Dataset.Star, shard.Config{Shards: 1, Core: coreCfg})
+	if err != nil {
+		return Metrics{}, err
+	}
+	exec.Start()
 	defer exec.Stop()
 
 	work, err := e.buildWork(n, onlyTpl)
 	if err != nil {
-		return Metrics{}, core.Stats{}, err
+		return Metrics{}, err
 	}
 	samples, elapsed, err := e.closedLoop(n, work, func(item workItem) (time.Duration, error) {
 		h, err := exec.Submit(item.bound)
+		// A delivered query's slot is released by the pipeline's manager
+		// shortly after Wait returns, so at n == MaxConcurrent the next
+		// submit can find every slot still taken. Retry until it frees;
+		// the sample's latency still starts before the first attempt.
+		for errors.Is(err, core.ErrTooManyQueries) {
+			time.Sleep(100 * time.Microsecond)
+			h, err = exec.Submit(item.bound)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -336,9 +301,9 @@ func (e *Env) runExecutor(system string, n int, coreCfg core.Config, onlyTpl str
 		return h.Submission(), nil
 	})
 	if err != nil {
-		return Metrics{}, core.Stats{}, err
+		return Metrics{}, err
 	}
-	return summarize(system, n, samples, elapsed), exec.Stats(), nil
+	return summarize("CJOIN", n, samples, elapsed), nil
 }
 
 // RunEngine measures a conventional baseline at concurrency n. The

@@ -162,23 +162,25 @@ func TestAllLatencyPooling(t *testing.T) {
 	}
 }
 
-func TestOverloadCellQueuesBeyondCapacity(t *testing.T) {
-	env, err := NewEnv(Config{FactRowsPerSF: 1200, Queries: 8, MaxConcurrent: 2, Workers: 2,
-		Disk: disk.Config{SeqBytesPerSec: 200 << 20}})
+// TestRunCJoinAtMaxConcurrent runs the closed loop with every slot in
+// use: a worker's next submit races the manager's release of the slot
+// its delivered query held, and must wait for it instead of failing.
+func TestRunCJoinAtMaxConcurrent(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.MaxConcurrent = 4
+	cfg.Queries = 32
+	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := env.RunOverloadCell(8)
+	m, err := env.RunCJoin(4, core.Config{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rejected != 0 {
-		t.Fatalf("rejections under overload: %+v", m)
+	if m.Queries != 32 {
+		t.Fatalf("measured %d of 32 queries", m.Queries)
 	}
-	if m.Completed != 8 {
-		t.Fatalf("completed %d of 8", m.Completed)
-	}
-	if m.MaxDepth == 0 {
-		t.Fatalf("no queueing at 4x capacity: %+v", m)
+	if _, err := env.RunCJoin(5, core.Config{}, ""); err == nil {
+		t.Fatal("concurrency above MaxConcurrent must error")
 	}
 }

@@ -8,8 +8,7 @@
 // registry, not a build tag or a branch per call site.
 //
 // Exposition is hand-rolled Prometheus text format (WritePrometheus)
-// plus a flat Snapshot map for in-process delta scraping by tests and
-// the harness.
+// plus a flat Snapshot map for in-process delta scraping by tests.
 package obs
 
 import (

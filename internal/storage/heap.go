@@ -342,17 +342,6 @@ func (h *HeapFile) RowAt(idx int64) ([]int64, error) {
 	return row, nil
 }
 
-// PageOffset returns the device offset of a flushed page, or -1 for the
-// in-memory tail. Exposed so scanners can coalesce contiguous reads.
-func (h *HeapFile) PageOffset(page int) int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if page < len(h.pageOffs) {
-		return h.pageOffs[page]
-	}
-	return -1
-}
-
 // DecodeRows decodes little-endian int64s from src into dst.
 func DecodeRows(src []byte, dst []int64) {
 	for i := range dst {

@@ -52,59 +52,3 @@ func (s *Scanner) Next() ([]int64, bool) {
 
 // Err returns the first error encountered by Next, if any.
 func (s *Scanner) Err() error { return s.err }
-
-// ContinuousScanner cycles over a heap file forever, in the stable
-// page-major order that §3.3.3 requires ("the continuous scan returns fact
-// tuples in the same order once resumed"). It reports the absolute row
-// position of each batch so the CJOIN Preprocessor can mark query start
-// points and detect wrap-around. Rows appended while the scan runs are
-// picked up when the scan reaches them; snapshot visibility is the
-// caller's concern.
-type ContinuousScanner struct {
-	h       *HeapFile
-	page    int
-	vals    []int64
-	scratch []byte
-	ncols   int
-}
-
-// NewContinuousScanner returns a continuous scanner starting at row 0.
-func NewContinuousScanner(h *HeapFile) *ContinuousScanner {
-	return &ContinuousScanner{
-		h:       h,
-		vals:    make([]int64, h.RowsPerPage()*h.NumCols()),
-		scratch: make([]byte, PageSize),
-		ncols:   h.NumCols(),
-	}
-}
-
-// NextPage reads the next page in the cycle. It returns the decoded
-// column values (aliasing an internal buffer), the number of rows, the
-// absolute position of the page's first row, and whether the scan wrapped
-// to row 0 to produce this page. On an empty heap it returns n == 0.
-func (c *ContinuousScanner) NextPage() (vals []int64, n int, startPos int64, wrapped bool, err error) {
-	total := c.h.NumPages()
-	if total == 0 {
-		return nil, 0, 0, false, nil
-	}
-	if c.page >= total {
-		c.page = 0
-		wrapped = true
-	}
-	startPos = int64(c.page) * int64(c.h.RowsPerPage())
-	n, err = c.h.ReadPage(c.page, c.vals, c.scratch)
-	if err != nil {
-		return nil, 0, 0, wrapped, err
-	}
-	c.page++
-	return c.vals, n, startPos, wrapped, nil
-}
-
-// Position returns the absolute row position the scan will read next.
-func (c *ContinuousScanner) Position() int64 {
-	total := c.h.NumPages()
-	if total == 0 || c.page >= total {
-		return 0
-	}
-	return int64(c.page) * int64(c.h.RowsPerPage())
-}

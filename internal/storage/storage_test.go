@@ -126,65 +126,6 @@ func TestHeapVersion(t *testing.T) {
 	})
 }
 
-func TestContinuousScannerWraps(t *testing.T) {
-	h := CreateHeap(disk.NewMem(), 1)
-	const n = 2100
-	for i := int64(0); i < n; i++ {
-		h.Append([]int64{i})
-	}
-	c := NewContinuousScanner(h)
-	var seen int64
-	wraps := 0
-	for wraps < 2 {
-		vals, cnt, start, wrapped, err := c.NextPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrapped {
-			wraps++
-			if seen%n != 0 {
-				t.Fatalf("wrapped mid-cycle after %d rows", seen)
-			}
-			if wraps == 2 {
-				break
-			}
-		}
-		if start != (seen % n) {
-			t.Fatalf("start pos %d, want %d", start, seen%n)
-		}
-		for i := 0; i < cnt; i++ {
-			want := (seen % n)
-			if vals[i] != want {
-				t.Fatalf("row value %d, want %d", vals[i], want)
-			}
-			seen++
-		}
-	}
-	if seen != 2*n {
-		t.Fatalf("saw %d rows over 2 cycles", seen)
-	}
-}
-
-func TestContinuousScannerSeesAppends(t *testing.T) {
-	h := CreateHeap(disk.NewMem(), 1)
-	for i := int64(0); i < 10; i++ {
-		h.Append([]int64{i})
-	}
-	c := NewContinuousScanner(h)
-	if _, n, _, _, err := c.NextPage(); err != nil || n != 10 {
-		t.Fatalf("first page n=%d err=%v", n, err)
-	}
-	h.Append([]int64{10})
-	// Not wrapped yet: next page read should pick up the grown tail page.
-	vals, n, start, wrapped, err := c.NextPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wrapped || start != 0 || n != 11 || vals[10] != 10 {
-		t.Fatalf("appended row not visible: n=%d start=%d wrapped=%v", n, start, wrapped)
-	}
-}
-
 func TestConcurrentAppendAndScan(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 2)
 	for i := int64(0); i < 1000; i++ {

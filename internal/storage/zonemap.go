@@ -34,7 +34,9 @@ type PageBounds struct {
 // PageColBounds returns the min/max of column col over the given flushed
 // page. ok is false for the tail page, for pages that do not exist, and
 // for out-of-range columns — callers must then assume the page can
-// contain any value.
+// contain any value. The scan reads synopses in bulk (ColBoundsRun);
+// this one-cell accessor is the oracle the bulk readers are tested
+// against, TestBulkBoundsUnderWriter included.
 func (h *HeapFile) PageColBounds(page, col int) (min, max int64, ok bool) {
 	if col < 0 || col >= h.ncols {
 		return 0, 0, false
@@ -99,7 +101,9 @@ func (h *HeapFile) ColBoundsRun(col, first, stride int, dst []int64) int {
 // BoundsVersion returns a counter that advances whenever the published
 // synopsis changes: a page flushes or UpdateCol widens a flushed page's
 // bounds. Two equal readings bracket an interval in which every bounds
-// accessor saw the same synopsis.
+// accessor saw the same synopsis; TestBulkBoundsUnderWriter uses that
+// bracket to check bulk reads against PageColBounds under a concurrent
+// writer.
 func (h *HeapFile) BoundsVersion() uint64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
