@@ -41,6 +41,37 @@ func TestCompressedFactMatchesReference(t *testing.T) {
 	}
 }
 
+func TestProbeSkipMatchesReference(t *testing.T) {
+	// The probe-skip test (§3.2.2) is unconditional: a tuple whose
+	// bit-vector has no query referencing a Filter's dimension bypasses
+	// its probe. Concurrent queries that each reference only some
+	// dimensions must still match the reference executor.
+	ds := dataset(t, 2000)
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 16})
+	qs := bindWorkload(t, ds, 8, 0.1, 13)
+	hs := make([]core.Handle, len(qs))
+	for i, q := range qs {
+		h, err := p.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+	}
+	for i, h := range hs {
+		res := h.Wait()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		want, err := ref.Execute(qs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.ResultsEqual(res.Rows, want) {
+			t.Fatalf("probe-skip diverges: %s", qs[i].SQL)
+		}
+	}
+}
+
 func TestProbeSkipReducesProbes(t *testing.T) {
 	// Deterministic skip scenario: one query keeps the part filter
 	// active but carries a fact predicate that never holds (lo_quantity

@@ -70,6 +70,40 @@ func TestTailVisibleWithoutFlush(t *testing.T) {
 	}
 }
 
+// TestScannerSeesAppendsAtTail pins that a scan's end is the heap's end
+// as of each page read, not as of NewScanner: a row appended onto a new
+// page before the scanner reaches it is returned.
+func TestScannerSeesAppendsAtTail(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 1)
+	rpp := int64(h.RowsPerPage())
+	for i := int64(0); i < rpp; i++ {
+		h.Append([]int64{i})
+	}
+	s := NewScanner(h)
+	for i := int64(0); i < rpp; i++ {
+		if row, ok := s.Next(); !ok || row[0] != i {
+			t.Fatalf("row %d = %v, %v", i, row, ok)
+		}
+	}
+	h.Append([]int64{rpp})
+	if row, ok := s.Next(); !ok || row[0] != rpp {
+		t.Fatalf("appended row not visible: %v, %v", row, ok)
+	}
+	if _, ok := s.Next(); ok || s.Err() != nil {
+		t.Fatalf("scan must end cleanly, err=%v", s.Err())
+	}
+}
+
+func TestScannerEmptyHeap(t *testing.T) {
+	s := NewScanner(CreateHeap(disk.NewMem(), 2))
+	if row, ok := s.Next(); ok {
+		t.Fatalf("empty heap returned %v", row)
+	}
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+}
+
 func TestUpdateCol(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 2)
 	const n = 2500
