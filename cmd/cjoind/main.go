@@ -138,7 +138,6 @@ func main() {
 		Logf:             log.Printf,
 	}
 	if chaosSpec != nil {
-		chaosSpec.Obs = metrics
 		log.Printf("CHAOS ARMED: %s", chaosSpec)
 	}
 	group, err := shard.New(ds.Star, shard.Config{

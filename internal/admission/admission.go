@@ -85,9 +85,9 @@ type Config struct {
 	// free) are batched, so batching never delays a lone query. Values
 	// <= 1 mean batches of one; values above maxConc are clamped.
 	BatchAdmit int
-	// Obs, when non-nil, registers the queue's metric families
-	// (cjoin_admission_*) with the telemetry plane; nil disables
-	// instrumentation.
+	// Obs is the registry the queue's metric families
+	// (cjoin_admission_*) join; their counters are the queue's only
+	// counts, which Stats reads. Nil means a private registry.
 	Obs *obs.Registry
 }
 
@@ -205,15 +205,20 @@ type Queue struct {
 	running     int
 	outstanding int // queued + admitting + running tickets
 
-	stats     coreStats
+	// The high-water marks have no telemetry twin; every count lives in
+	// om.
+	maxDepth  int
+	maxWait   time.Duration
 	perClient map[string]*ClientStats
 
+	// om is the queue's slice of the telemetry plane and its only
+	// counts. Every update runs under mu, so Stats, which reads the
+	// handles under mu, is a consistent cut.
 	om queueMetrics
 }
 
-// queueMetrics is the queue's slice of the telemetry plane. Handles are
-// nil (and every call a no-op) when Config.Obs is nil, so the hot path
-// pays one nil check per event.
+// queueMetrics holds the queue's metric handles. queueWait's raw sum is
+// the total wait behind Stats.MeanWait.
 type queueMetrics struct {
 	queueWait *obs.Histogram
 
@@ -248,12 +253,6 @@ func newQueueMetrics(r *obs.Registry, q *Queue) queueMetrics {
 		expired:   r.Counter("cjoin_admission_expired_total", "Queries whose queue-wait deadline fired before admission."),
 		rejected:  r.Counter("cjoin_admission_rejected_total", "Submissions refused because the waiting line was full."),
 	}
-}
-
-type coreStats struct {
-	submitted, admitted, completed, failed, canceled, expired, rejected int64
-	totalWait, maxWait                                                  time.Duration
-	maxDepth                                                            int
 }
 
 // ClientStats is the fairness ledger for one client.
@@ -312,6 +311,9 @@ func NewQueue(ex core.Executor, cfg Config) *Queue {
 	for i := 0; i < ex.MaxConcurrent(); i++ {
 		q.tokens <- struct{}{}
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	q.om = newQueueMetrics(cfg.Obs, q)
 	go q.dispatch()
 	return q
@@ -355,20 +357,16 @@ func (q *Queue) SubmitOpts(b *query.Bound, opts Options) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	if len(q.fifo) >= q.cfg.MaxQueue {
-		q.stats.rejected++
-		q.mu.Unlock()
 		q.om.rejected.Inc()
+		q.mu.Unlock()
 		return nil, ErrQueueFull
 	}
 	q.fifo = append(q.fifo, t)
-	if d := len(q.fifo); d > q.stats.maxDepth {
-		q.stats.maxDepth = d
-	}
-	q.stats.submitted++
+	q.maxDepth = max(q.maxDepth, len(q.fifo))
+	q.om.submitted.Inc()
 	q.clientLocked(client).Submitted++
 	q.outstanding++
 	q.mu.Unlock()
-	q.om.submitted.Inc()
 	b.Trace.Mark(obs.StageEnqueued)
 
 	if maxWait > 0 {
@@ -655,19 +653,19 @@ func (q *Queue) Stats() Stats {
 		Running:   q.running,
 		Capacity:  q.ex.MaxConcurrent(),
 		MaxQueue:  q.cfg.MaxQueue,
-		Submitted: q.stats.submitted,
-		Admitted:  q.stats.admitted,
-		Completed: q.stats.completed,
-		Failed:    q.stats.failed,
-		Canceled:  q.stats.canceled,
-		Expired:   q.stats.expired,
-		Rejected:  q.stats.rejected,
-		MaxDepth:  q.stats.maxDepth,
-		MaxWait:   q.stats.maxWait,
+		Submitted: q.om.submitted.Value(),
+		Admitted:  q.om.admitted.Value(),
+		Completed: q.om.completed.Value(),
+		Failed:    q.om.failed.Value(),
+		Canceled:  q.om.canceled.Value(),
+		Expired:   q.om.expired.Value(),
+		Rejected:  q.om.rejected.Value(),
+		MaxDepth:  q.maxDepth,
+		MaxWait:   q.maxWait,
 		PerClient: make(map[string]ClientStats, len(q.perClient)),
 	}
-	if q.stats.admitted > 0 {
-		s.MeanWait = q.stats.totalWait / time.Duration(q.stats.admitted)
+	if s.Admitted > 0 {
+		s.MeanWait = time.Duration(q.om.queueWait.RawSum() / s.Admitted)
 	}
 	for name, cs := range q.perClient {
 		s.PerClient[name] = *cs
@@ -777,15 +775,11 @@ func (t *Ticket) run(h core.Handle) {
 	}
 
 	q := t.q
-	q.om.admitted.Inc()
-	q.om.queueWait.Observe(waited.Nanoseconds())
 	q.mu.Lock()
 	q.running++
-	q.stats.admitted++
-	q.stats.totalWait += waited
-	if waited > q.stats.maxWait {
-		q.stats.maxWait = waited
-	}
+	q.om.admitted.Inc()
+	q.om.queueWait.Observe(waited.Nanoseconds())
+	q.maxWait = max(q.maxWait, waited)
 	cs := q.clientLocked(t.client)
 	cs.Admitted++
 	cs.TotalWait += waited
@@ -937,19 +931,15 @@ func (q *Queue) settle(t *Ticket, st State) {
 	q.outstanding--
 	switch st {
 	case StateDone:
-		q.stats.completed++
 		q.om.completed.Inc()
 		q.clientLocked(t.client).Finished++
 	case StateFailed:
-		q.stats.failed++
 		q.om.failed.Inc()
 		q.clientLocked(t.client).Finished++
 	case StateCanceled:
-		q.stats.canceled++
 		q.om.canceled.Inc()
 		q.clientLocked(t.client).Finished++
 	case StateExpired:
-		q.stats.expired++
 		q.om.expired.Inc()
 		q.clientLocked(t.client).Finished++
 	}

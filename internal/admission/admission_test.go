@@ -343,3 +343,93 @@ func TestFairnessAccounting(t *testing.T) {
 		t.Fatalf("admission order not interleaved: %v", order)
 	}
 }
+
+// TestStatsConsistentUnderChurn: every Stats snapshot is a consistent
+// cut of the queue's counters while submitters race cancels and
+// queue-wait deadlines. A ticket is counted submitted before it can be
+// admitted or finish, so no snapshot may show more admitted, or more
+// finished, than submitted, and the per-client ledger, which moves in
+// the same critical sections, must sum to the queue's counters. Both
+// hold only because every counter moves under the queue's lock, the one
+// Stats reads them under.
+func TestStatsConsistentUnderChurn(t *testing.T) {
+	ds, p := env(t, 1200, 4)
+	q := admission.NewQueue(p, admission.Config{MaxQueue: 1024})
+	const submitters, perSubmitter = 4, 40
+	bounds := bind(t, ds, perSubmitter)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	var bad []admission.Stats
+	var badMu sync.Mutex
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := q.Stats()
+				var ledger admission.ClientStats
+				for _, cs := range st.PerClient {
+					ledger.Submitted += cs.Submitted
+					ledger.Admitted += cs.Admitted
+					ledger.Finished += cs.Finished
+				}
+				finished := st.Completed + st.Failed + st.Canceled + st.Expired
+				if st.Admitted > st.Submitted || finished > st.Submitted ||
+					ledger.Submitted != st.Submitted || ledger.Admitted != st.Admitted || ledger.Finished != finished {
+					badMu.Lock()
+					bad = append(bad, st)
+					badMu.Unlock()
+				}
+			}
+		}()
+	}
+
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i, b := range bounds {
+				var opts admission.Options
+				if (i+s)%3 == 1 {
+					opts.MaxWait = time.Duration(i%5+1) * 100 * time.Microsecond
+				}
+				tk, err := q.SubmitOpts(b, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if (i+s)%3 == 2 {
+					tk.Cancel()
+				}
+				if i%4 == 0 {
+					tk.Wait()
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := q.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	close(done)
+	readers.Wait()
+	if len(bad) > 0 {
+		t.Fatalf("%d inconsistent snapshots, first %+v", len(bad), bad[0])
+	}
+	st := q.Stats()
+	if st.Submitted != submitters*perSubmitter || st.Completed+st.Failed+st.Canceled+st.Expired != st.Submitted {
+		t.Fatalf("final counts do not settle every submission: %+v", st)
+	}
+	if st.Canceled == 0 || st.Expired == 0 || st.Completed == 0 {
+		t.Fatalf("churn did not reach every outcome: %+v", st)
+	}
+}

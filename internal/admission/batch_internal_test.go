@@ -11,6 +11,7 @@ import (
 
 	"cjoin/internal/agg"
 	"cjoin/internal/core"
+	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 	"cjoin/internal/ssb"
 )
@@ -100,6 +101,7 @@ func (f *fakeExec) ActiveQueries() int                          { return 0 }
 func (f *fakeExec) Quiesce()                                    {}
 func (f *fakeExec) Health() core.Health                         { return core.Health{State: "ok"} }
 func (f *fakeExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
+func (f *fakeExec) PlaneStats() dimplane.Stats                  { return dimplane.Stats{} }
 func (f *fakeExec) ShardPartitions() [][]int                    { return nil }
 
 var _ core.Executor = (*fakeExec)(nil)

@@ -142,10 +142,10 @@ type ShardConfig struct {
 	// pipeline goroutines. Nil — the production configuration — reduces
 	// every hook to a single nil test.
 	Fault *fault.Injector
-	// Obs, when non-nil, registers the pipeline's metric families
-	// (cjoin_scan_*, cjoin_filter_*, cjoin_pipeline_*) with the telemetry
-	// plane. Nil disables instrumentation; the hot path then pays one nil
-	// test per event.
+	// Obs is the registry the pipeline's metric families (cjoin_scan_*,
+	// cjoin_filter_*, cjoin_pipeline_*) join; their counters are the
+	// pipeline's only counts, which Stats reads. Nil means a private
+	// registry: telemetry is always on, only unexported.
 	Obs *obs.Registry
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 )
 
@@ -78,6 +79,9 @@ type Executor interface {
 	// and the per-shard breakdown, derived from one snapshot so the
 	// breakdown sums exactly to the totals.
 	StatsWithShards() (Stats, []Stats)
+	// PlaneStats snapshots the dimension plane, which is admitted to
+	// once per logical query and shared by every shard.
+	PlaneStats() dimplane.Stats
 	// ShardPartitions returns the global partition indices dealt to
 	// each shard, or nil when the fact table is not range-partitioned.
 	ShardPartitions() [][]int

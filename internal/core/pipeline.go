@@ -266,7 +266,6 @@ type Pipeline struct {
 	pool        *tuplePool
 
 	pp        *preprocessor
-	dist      *distributor
 	cleanupCh chan *runningQuery
 	stopCh    chan struct{}
 	stopped   atomic.Bool
@@ -292,7 +291,8 @@ type Pipeline struct {
 	live map[int]*runningQuery
 
 	// om is this pipeline's slice of the telemetry plane, labeled with
-	// its shard index; nil handles (no registry) no-op every call.
+	// its shard index. Its counters are the pipeline's only counts:
+	// Stats reads them.
 	om pipeMetrics
 }
 
@@ -317,9 +317,6 @@ type pipeMetrics struct {
 }
 
 func newPipeMetrics(r *obs.Registry, shard int) pipeMetrics {
-	if r == nil {
-		return pipeMetrics{}
-	}
 	sh := fmt.Sprintf("%d", shard)
 	pruned := r.CounterVec("cjoin_scan_pruned_pages_total",
 		"Fact pages pruned from queries' scans at admission, by cause: §5 partition pruning or page-level zone maps.",
@@ -360,6 +357,9 @@ func NewPipeline(star *catalog.Star, cfg Config, sc ShardConfig) (*Pipeline, err
 	cfg = cfg.Normalized()
 	if len(star.Dims) == 0 {
 		return nil, fmt.Errorf("core: star schema has no dimensions")
+	}
+	if sc.Obs == nil {
+		sc.Obs = obs.NewRegistry()
 	}
 	p := &Pipeline{
 		cfg:        cfg,
@@ -412,14 +412,7 @@ func (p *Pipeline) Start() {
 	pp := newPreprocessor(p)
 	stagesOut := p.startStages(pp.out)
 	dist := newDistributor(p, stagesOut)
-
-	// Publish pp/dist under the manager lock so a concurrent Stats (e.g.
-	// a /stats request racing shard startup) reads either nil or the
-	// fully built components, never a torn pointer.
-	p.pmMu.Lock()
 	p.pp = pp
-	p.dist = dist
-	p.pmMu.Unlock()
 
 	// Each goroutine carries a panic guard (failure.go): a crash in any
 	// of them fails this pipeline instead of the process. pp and dist
@@ -738,47 +731,28 @@ type Stats struct {
 	// terminal failure message for a failed pipeline.
 	State        ShardState
 	FailureCause string
-
-	// Dimension-plane figures. Admission runs once per logical query on
-	// the group's plane and the stores are shared by every prober, so
-	// these are reported once per plane: a shard pipeline leaves them
-	// zero and the group fills them on its merged snapshot.
-	DimAdmits      int64 // queries admitted to the plane
-	DimAdmitNanos  int64 // total wall time spent in plane admission
-	PlaneBytes     int64 // resident dimension-store bytes
-	PlanePeakBytes int64 // high-water mark of PlaneBytes
-	PlanePipelines int   // pipelines sharing the plane
-
-	// PR 8 admission-throughput figures, also once per plane.
-	PlaneCacheHits    int64 // predicate scans skipped via the scan cache / batch reuse
-	PlaneCacheMisses  int64 // cache-enabled resolutions that scanned the heap
-	PlanePublishes    int64 // dimension-store COW snapshot publications
-	PlaneBatchAdmits  int64 // plane admission rounds (a lone query is a round of one)
-	PlaneBatchQueries int64 // queries those rounds admitted (== DimAdmits)
 }
 
-// Stats snapshots the pipeline counters and per-filter statistics. It is
-// safe to call concurrently with Start and Stop: the preprocessor pointer
-// is read under the manager lock (the same snapshot discipline the
-// admission tier uses for its counters), and all counters are atomics.
+// Stats snapshots the pipeline counters and per-filter statistics. It
+// reads the pipeline's telemetry counters, so it is safe to call
+// concurrently with Start and Stop, and it reports exactly what the
+// pipeline's /metrics series do.
 func (p *Pipeline) Stats() Stats {
-	p.pmMu.Lock()
-	pp := p.pp
-	p.pmMu.Unlock()
-	s := Stats{CollectedAt: time.Now(), State: ShardHealthy}
+	s := Stats{
+		CollectedAt:          time.Now(),
+		State:                ShardHealthy,
+		TuplesScanned:        p.om.tuplesIn.Value(),
+		TuplesEmitted:        p.om.tuplesOut.Value(),
+		PagesRead:            p.om.pagesRead.Value(),
+		ScanCycles:           p.om.cycles.Value(),
+		ScanRetries:          p.om.retries.Value(),
+		PagesPrunedPartition: p.om.prunedPart.Value(),
+		PagesPrunedZonemap:   p.om.prunedZone.Value(),
+		PagesSkippedZonemap:  p.om.zmSkipped.Value(),
+	}
 	if f := p.failure.Load(); f != nil {
 		s.State = ShardFailed
 		s.FailureCause = f.Error()
-	}
-	if pp != nil {
-		s.TuplesScanned = pp.tuplesIn.Load()
-		s.TuplesEmitted = pp.tuplesOut.Load()
-		s.PagesRead = pp.pagesRead.Load()
-		s.ScanCycles = pp.scanCycles.Load()
-		s.ScanRetries = pp.scanRetries.Load()
-		s.PagesPrunedPartition = pp.prunedPartPages.Load()
-		s.PagesPrunedZonemap = pp.prunedZonePages.Load()
-		s.PagesSkippedZonemap = pp.zmSkippedPages.Load()
 	}
 	for _, ds := range p.dimStates {
 		s.Filters = append(s.Filters, ds.stats())

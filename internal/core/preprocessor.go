@@ -74,17 +74,6 @@ type preprocessor struct {
 	// every delivered page is charged to reads its progress as the clock
 	// minus its registration stamp (runningQuery.pagesScanned).
 	pageClock atomic.Int64
-
-	tuplesIn    atomic.Int64
-	tuplesOut   atomic.Int64
-	pagesRead   atomic.Int64
-	scanCycles  atomic.Int64
-	scanRetries atomic.Int64
-	// Pruning accounting: pages charged away from queries at admission,
-	// by cause, and pages the scan physically skipped via zone maps.
-	prunedPartPages atomic.Int64
-	prunedZonePages atomic.Int64
-	zmSkippedPages  atomic.Int64
 }
 
 func newPreprocessor(p *Pipeline) *preprocessor {
@@ -154,7 +143,6 @@ func (pp *preprocessor) run() {
 		}
 		n, pos, part, page, wrapped, err := pp.nextPageRetry(b.rowArena)
 		if k := pp.scan.takeSkipped(); k > 0 {
-			pp.zmSkippedPages.Add(k)
 			pp.p.om.zmSkipped.Add(k)
 		}
 		if err != nil {
@@ -178,14 +166,12 @@ func (pp *preprocessor) run() {
 			pp.p.pool.put(b)
 			continue
 		}
-		pp.pagesRead.Add(1)
 		pp.p.om.pagesRead.Inc()
 		pp.cyclePages++
 		// A cycle boundary is the first page of a pass: the scan wrapped,
 		// or this is the first page after an idle park. (Position 0 is not
 		// a reliable boundary once pruning can skip page 0.)
 		if wrapped || pp.cycleStart.IsZero() {
-			pp.scanCycles.Add(1)
 			pp.p.om.cycles.Inc()
 			if !pp.cycleStart.IsZero() {
 				pp.p.om.cycleDur.ObserveSince(pp.cycleStart)
@@ -225,7 +211,6 @@ func (pp *preprocessor) nextPageRetry(dst []int64) (n int, pos int64, part, page
 		if err == nil || !transientErr(err) || attempt >= pp.p.cfg.ScanRetries {
 			return
 		}
-		pp.scanRetries.Add(1)
 		pp.p.om.retries.Inc()
 		t := time.NewTimer(backoff)
 		select {
@@ -302,8 +287,6 @@ func (pp *preprocessor) register(cmd ppCmd) {
 		}
 		rq.pagesLeft = pages
 		rq.pagesTotal.Store(pages)
-		pp.prunedPartPages.Add(prunedPart)
-		pp.prunedZonePages.Add(prunedZone)
 		pp.p.om.prunedPart.Add(prunedPart)
 		pp.p.om.prunedZone.Add(prunedZone)
 	} else {
@@ -485,7 +468,6 @@ func (pp *preprocessor) skipPage(part, page int) bool {
 // tuples relevant to at least one query. It returns false when the
 // pipeline is stopping.
 func (pp *preprocessor) emitPage(b *batch, n int) bool {
-	pp.tuplesIn.Add(int64(n))
 	pp.p.om.tuplesIn.Add(int64(n))
 	clear(b.dimSlot[:n*b.ndims])
 	sel := b.sel[:0]
@@ -535,7 +517,6 @@ func (pp *preprocessor) emitPage(b *batch, n int) bool {
 		return true
 	}
 	b.seq = pp.nextSeq()
-	pp.tuplesOut.Add(int64(len(sel)))
 	pp.p.om.tuplesOut.Add(int64(len(sel)))
 	return pp.emit(b)
 }

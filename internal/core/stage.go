@@ -66,7 +66,7 @@ func (p *Pipeline) startStage(in chan *batch, dims []int, workers int) chan *bat
 			// Batch timings are sampled 1-in-8 per worker: two clock
 			// reads per ~µs-scale batch would be the single largest
 			// telemetry cost on the hot loop, and the sampled mean is
-			// the same number. The disabled path pays one nil test.
+			// the same number.
 			var sampleTick uint
 			for b := range in {
 				if b.ctrl == nil {
@@ -74,7 +74,7 @@ func (p *Pipeline) startStage(in chan *batch, dims []int, workers int) chan *bat
 					if order == nil {
 						order = *p.filterOrder.Load()
 					}
-					timed := p.om.filterBatch != nil && sampleTick&7 == 0
+					timed := sampleTick&7 == 0
 					sampleTick++
 					var probeStart time.Time
 					if timed {

@@ -54,9 +54,9 @@ type Config struct {
 	// error (its slots are freed, no store is touched). Fault-injection
 	// hook (internal/fault); nil in production.
 	AdmitFault func() error
-	// Obs, when non-nil, registers the plane's metric families
-	// (cjoin_dimplane_*) with the telemetry plane; nil disables
-	// instrumentation.
+	// Obs is the registry the plane's metric families (cjoin_dimplane_*)
+	// join; their counters are the plane's only counts, which Stats
+	// reads. Nil means a private registry.
 	Obs *obs.Registry
 	// PredCacheSize bounds the predicate-scan cache: the number of
 	// (dimension, predicate-fingerprint) scan results memoized across
@@ -84,31 +84,28 @@ type Plane struct {
 	slots   []slotState
 	cache   *predCache // nil when PredCacheSize < 0
 
-	admits      atomic.Int64
-	admitNanos  atomic.Int64
-	peakBytes   atomic.Int64
-	publishes   atomic.Int64 // store version transitions (COW snapshot publications)
-	batchAdmits atomic.Int64 // admission rounds (a lone Admit is a round of one)
-	cacheHits   atomic.Int64 // predicate scans skipped (shared cache or batch-local reuse)
-	cacheMisses atomic.Int64 // cache-enabled resolutions that scanned the heap
+	peakBytes atomic.Int64
 
 	om planeMetrics
 }
 
-// planeMetrics is the plane's slice of the telemetry plane; nil handles
-// (Config.Obs == nil) no-op every call.
+// planeMetrics is the plane's slice of the telemetry plane and its only
+// counts: Stats reads these handles.
 type planeMetrics struct {
-	admit        *obs.Histogram
+	admit        *obs.Histogram // one observation per round; its raw sum is Stats.AdmitNanos
 	predScan     *obs.Histogram
-	batchSize    *obs.Histogram
+	batchSize    *obs.Histogram // one observation per round; its count is Stats.BatchAdmits
 	admits       *obs.Counter
 	retires      *obs.Counter
 	finalRetires *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	publishes    *obs.Counter
-	pagesRead    *obs.Counter
-	pagesPruned  *obs.Counter
+	cacheHits    *obs.Counter // predicate scans skipped (shared cache or batch-local reuse)
+	cacheMisses  *obs.Counter // cache-enabled resolutions that scanned the heap
+	// publishes counts store version transitions: each CowStore write
+	// (AdmitBatch, Remove) publishes exactly one COW snapshot, so the
+	// one-publication-per-store-per-round claim is directly observable.
+	publishes   *obs.Counter
+	pagesRead   *obs.Counter
+	pagesPruned *obs.Counter
 }
 
 func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
@@ -179,6 +176,9 @@ func New(star *catalog.Star, probers int, cfg Config) *Plane {
 		pl.slots[i].refs = make([]bool, len(star.Dims))
 	}
 	pl.cache = newPredCache(cfg.PredCacheSize)
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	pl.om = newPlaneMetrics(cfg.Obs, pl)
 	return pl
 }
@@ -235,7 +235,6 @@ func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) (Rows, err
 	heap := pl.star.Dims[dim].Heap
 	rows, at, ok := pl.cache.lookup(dim, fp, heap)
 	if ok {
-		pl.cacheHits.Add(1)
 		pl.om.cacheHits.Inc()
 		return rows, nil
 	}
@@ -248,22 +247,10 @@ func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) (Rows, err
 		return Rows{}, err
 	}
 	if pl.cache != nil {
-		pl.cacheMisses.Add(1)
 		pl.om.cacheMisses.Inc()
 		pl.cache.store(dim, fp, rows, at)
 	}
 	return rows, nil
-}
-
-// notePublish counts store version transitions — each CowStore write
-// (AdmitBatch, Remove) publishes exactly one COW snapshot, so the
-// counter makes the one-publication-per-store-per-round claim directly
-// observable.
-func (pl *Plane) notePublish(n int64) {
-	pl.publishes.Add(n)
-	if pl.om.publishes != nil {
-		pl.om.publishes.Add(n)
-	}
 }
 
 // AdmitBatch is the plane's one admission body: it runs the dimension
@@ -338,7 +325,6 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 			fp := query.Fingerprint(q.DimPreds[i])
 			rows, ok := local[fp]
 			if ok {
-				pl.cacheHits.Add(1)
 				pl.om.cacheHits.Inc()
 			} else {
 				var err error
@@ -362,19 +348,16 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	}
 	for i, st := range pl.stores {
 		st.AdmitBatch(installs[i])
-		pl.notePublish(1)
 	}
+	pl.om.publishes.Add(int64(len(pl.stores)))
 	for k := range qs {
 		pl.slots[slots[k]].remain.Store(pl.probers.Load())
 	}
 
 	n := int64(len(qs))
-	pl.admits.Add(n)
-	pl.admitNanos.Add(time.Since(start).Nanoseconds())
-	pl.batchAdmits.Add(1)
+	pl.om.admit.ObserveSince(start)
 	pl.om.admits.Add(n)
 	pl.om.batchSize.Observe(n)
-	pl.om.admit.ObserveSince(start)
 	pl.notePeak()
 	return slots, nil
 }
@@ -401,7 +384,7 @@ func (pl *Plane) Retire(slot int) (final bool) {
 	for i, st := range pl.stores {
 		st.Remove(slot, ss.refs[i])
 	}
-	pl.notePublish(int64(len(pl.stores)))
+	pl.om.publishes.Add(int64(len(pl.stores)))
 	pl.ids.Free(slot)
 	pl.om.finalRetires.Inc()
 	return true
@@ -418,7 +401,7 @@ func (pl *Plane) Abort(slot int) {
 	for i, st := range pl.stores {
 		st.Remove(slot, ss.refs[i])
 	}
-	pl.notePublish(int64(len(pl.stores)))
+	pl.om.publishes.Add(int64(len(pl.stores)))
 	pl.ids.Free(slot)
 }
 
@@ -500,21 +483,21 @@ type Stats struct {
 	BatchQueries int64
 }
 
-// Stats snapshots the plane counters.
+// Stats snapshots the plane counters: the same handles the plane's
+// /metrics series read.
 func (pl *Plane) Stats() Stats {
-	hits, misses := pl.cacheHits.Load(), pl.cacheMisses.Load()
-	admits := pl.admits.Load()
+	admits := pl.om.admits.Value()
 	return Stats{
 		Admits:            admits,
-		AdmitNanos:        pl.admitNanos.Load(),
+		AdmitNanos:        pl.om.admit.RawSum(),
 		MemBytes:          pl.MemBytes(),
 		PeakMemBytes:      pl.peakBytes.Load(),
 		InUse:             pl.ids.InUse(),
 		Probers:           int(pl.probers.Load()),
-		CacheHits:         hits,
-		CacheMisses:       misses,
-		SnapshotPublishes: pl.publishes.Load(),
-		BatchAdmits:       pl.batchAdmits.Load(),
+		CacheHits:         pl.om.cacheHits.Value(),
+		CacheMisses:       pl.om.cacheMisses.Value(),
+		SnapshotPublishes: pl.om.publishes.Value(),
+		BatchAdmits:       pl.om.batchSize.Count(),
 		BatchQueries:      admits,
 	}
 }

@@ -228,8 +228,9 @@ func TestScanPagesMetric(t *testing.T) {
 		}
 		pl.Retire(slot)
 	}
-	snap := reg.Snapshot()
-	read, pruned := snap[`cjoin_dimplane_scan_pages_total{outcome="read"}`], snap[`cjoin_dimplane_scan_pages_total{outcome="pruned"}`]
+	// Re-registering the family returns the plane's own series.
+	pages := reg.CounterVec("cjoin_dimplane_scan_pages_total", "", "outcome")
+	read, pruned := pages.With("read").Value(), pages.With("pruned").Value()
 	if read != 2 || pruned != 3 { // page 1 and the tail; pages 0, 2, 3
 		t.Fatalf("pages read %v, pruned %v; want 2 and 3", read, pruned)
 	}

@@ -73,13 +73,6 @@ type Spec struct {
 	// its PanicAfter-th visit (1-based). Empty site disables.
 	PanicSite  string
 	PanicAfter int64
-
-	// Obs, when non-nil, mirrors every fired fault into the telemetry
-	// plane as cjoin_fault_injected_total{site,shard}, so chaos tests
-	// can assert injections actually happened instead of inferring them
-	// from failures. Not part of Parse's grammar — callers set it after
-	// parsing.
-	Obs *obs.Registry
 }
 
 // Parse decodes a -chaos spec string: semicolon-separated key=value
@@ -196,29 +189,34 @@ func (s *Spec) String() string {
 // nil or targets a different shard. Each shard gets an independent rng
 // stream (seed mixed with the shard index) so a multi-shard schedule is
 // deterministic regardless of goroutine interleaving across shards.
-func (s *Spec) ForShard(shard int) *Injector {
+//
+// Every fired fault counts in r as cjoin_fault_injected_total{site,shard},
+// so chaos tests can assert injections actually happened instead of
+// inferring them from failures; those series are the Injector's only
+// counts (Counters reads them). A nil r means a private registry.
+func (s *Spec) ForShard(shard int, r *obs.Registry) *Injector {
 	if s == nil || (s.Shard >= 0 && s.Shard != shard) {
 		return nil
 	}
-	in := &Injector{
+	if r == nil {
+		r = obs.NewRegistry()
+	}
+	fired := r.CounterVec("cjoin_fault_injected_total",
+		"Chaos faults actually fired, by injection site and shard.",
+		"site", "shard")
+	sh := strconv.Itoa(shard)
+	return &Injector{
 		spec:  *s,
 		shard: shard,
 		rng:   rand.New(rand.NewSource(mix(s.Seed, int64(shard)))),
-	}
-	if s.Obs != nil {
-		fired := s.Obs.CounterVec("cjoin_fault_injected_total",
-			"Chaos faults actually fired, by injection site and shard.",
-			"site", "shard")
-		sh := strconv.Itoa(shard)
-		in.om = injectorMetrics{
+		om: injectorMetrics{
 			transient: fired.With("scan-err", sh),
 			stalls:    fired.With("scan-stall", sh),
 			hardFails: fired.With("scan-fail", sh),
 			admitErrs: fired.With("admit-err", sh),
 			panics:    fired.With("panic", sh),
-		}
+		},
 	}
-	return in
 }
 
 // mix is splitmix64 over seed and shard, so neighboring shard indices
@@ -266,8 +264,8 @@ func (p *Panic) Error() string {
 	return fmt.Sprintf("fault: injected panic at %s (shard %d)", p.Site, p.Shard)
 }
 
-// Counters reports how many faults an Injector has actually fired, for
-// tests and /stats.
+// Counters reports how many faults an Injector has actually fired: its
+// cjoin_fault_injected_total series.
 type Counters struct {
 	Transient int64
 	Stalls    int64
@@ -286,18 +284,12 @@ type Injector struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	visits    atomic.Int64 // panic-site visits
-	transient atomic.Int64
-	stalls    atomic.Int64
-	hardFails atomic.Int64
-	admitErrs atomic.Int64
-	panics    atomic.Int64
+	visits atomic.Int64 // panic-site visits
 
 	om injectorMetrics
 }
 
-// injectorMetrics mirrors the fired-fault atomics into the telemetry
-// plane; nil handles (Spec.Obs == nil) no-op.
+// injectorMetrics holds the fired-fault counters.
 type injectorMetrics struct {
 	transient, stalls, hardFails, admitErrs, panics *obs.Counter
 }
@@ -316,11 +308,11 @@ func (in *Injector) Counters() Counters {
 		return Counters{}
 	}
 	return Counters{
-		Transient: in.transient.Load(),
-		Stalls:    in.stalls.Load(),
-		HardFails: in.hardFails.Load(),
-		AdmitErrs: in.admitErrs.Load(),
-		Panics:    in.panics.Load(),
+		Transient: in.om.transient.Value(),
+		Stalls:    in.om.stalls.Value(),
+		HardFails: in.om.hardFails.Value(),
+		AdmitErrs: in.om.admitErrs.Value(),
+		Panics:    in.om.panics.Value(),
 	}
 }
 
@@ -358,7 +350,6 @@ func (in *Injector) AdmitErr() error {
 	if !in.roll(in.spec.AdmitErrProb) {
 		return nil
 	}
-	in.admitErrs.Add(1)
 	in.om.admitErrs.Inc()
 	return &Error{Op: "admit", Page: -1, Shard: in.shard}
 }
@@ -371,7 +362,6 @@ func (in *Injector) PanicPoint(site string) {
 		return
 	}
 	if in.visits.Add(1) == in.spec.PanicAfter {
-		in.panics.Add(1)
 		in.om.panics.Inc()
 		panic(&Panic{Site: site, Shard: in.shard})
 	}
@@ -395,12 +385,10 @@ func (fs *faultSource) NumPages() int    { return fs.src.NumPages() }
 func (fs *faultSource) ReadPage(page int, dst []int64, scratch []byte) (int, error) {
 	in := fs.in
 	if in.spec.ScanFailAt >= 0 && fs.reads.Add(1) > int64(in.spec.ScanFailAt) {
-		in.hardFails.Add(1)
 		in.om.hardFails.Inc()
 		return 0, &Error{Op: "read-page", Page: page, Shard: in.shard, Hard: true}
 	}
 	if in.spec.ScanStallProb > 0 && in.roll(in.spec.ScanStallProb) {
-		in.stalls.Add(1)
 		in.om.stalls.Inc()
 		t := time.NewTimer(in.spec.ScanStallDur)
 		select {
@@ -410,7 +398,6 @@ func (fs *faultSource) ReadPage(page int, dst []int64, scratch []byte) (int, err
 		}
 	}
 	if in.spec.ScanErrProb > 0 && in.roll(in.spec.ScanErrProb) {
-		in.transient.Add(1)
 		in.om.transient.Inc()
 		return 0, &Error{Op: "read-page", Page: page, Shard: in.shard}
 	}

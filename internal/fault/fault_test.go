@@ -68,7 +68,7 @@ func TestParseEmptyDisables(t *testing.T) {
 	}
 	// And the nil spec produces nil injectors whose hooks are no-ops.
 	var spec *Spec
-	in := spec.ForShard(0)
+	in := spec.ForShard(0, nil)
 	if in != nil {
 		t.Fatal("nil spec produced an injector")
 	}
@@ -87,10 +87,10 @@ func TestShardTargeting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in := spec.ForShard(0); in != nil {
+	if in := spec.ForShard(0, nil); in != nil {
 		t.Fatal("shard 0 got an injector for a shard=2 spec")
 	}
-	if in := spec.ForShard(2); in == nil {
+	if in := spec.ForShard(2, nil); in == nil {
 		t.Fatal("shard 2 did not get an injector")
 	}
 	// shard=-1 (default) targets everyone.
@@ -99,7 +99,7 @@ func TestShardTargeting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 4; s++ {
-		if all.ForShard(s) == nil {
+		if all.ForShard(s, nil) == nil {
 			t.Fatalf("shard %d missing injector for untargeted spec", s)
 		}
 	}
@@ -108,7 +108,7 @@ func TestShardTargeting(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []bool {
 		spec, _ := Parse("seed=42;scan-err=0.5")
-		in := spec.ForShard(1)
+		in := spec.ForShard(1, nil)
 		src := in.WrapSource(&memSource{pages: 8}, nil)
 		var outcome []bool
 		dst := make([]int64, 8)
@@ -133,7 +133,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	// Different shards draw from different streams.
 	spec, _ := Parse("seed=42;scan-err=0.5")
-	other := spec.ForShard(2)
+	other := spec.ForShard(2, nil)
 	src := other.WrapSource(&memSource{pages: 8}, nil)
 	dst := make([]int64, 8)
 	diverged := false
@@ -151,7 +151,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestTransientVsHard(t *testing.T) {
 	spec, _ := Parse("seed=1;scan-err=1")
-	in := spec.ForShard(0)
+	in := spec.ForShard(0, nil)
 	src := in.WrapSource(&memSource{pages: 4}, nil)
 	_, err := src.ReadPage(0, make([]int64, 8), nil)
 	var fe *Error
@@ -166,7 +166,7 @@ func TestTransientVsHard(t *testing.T) {
 	// read 2 dies, and the disk stays dead from then on — even for a
 	// page that read fine before.
 	spec, _ = Parse("seed=1;scan-fail=2")
-	in = spec.ForShard(3)
+	in = spec.ForShard(3, nil)
 	src = in.WrapSource(&memSource{pages: 4}, nil)
 	for i := 0; i < 2; i++ {
 		if _, err := src.ReadPage(i, make([]int64, 8), nil); err != nil {
@@ -187,7 +187,7 @@ func TestTransientVsHard(t *testing.T) {
 
 func TestStallAbortsOnStop(t *testing.T) {
 	spec, _ := Parse("seed=1;scan-stall=1h@1")
-	in := spec.ForShard(0)
+	in := spec.ForShard(0, nil)
 	stop := make(chan struct{})
 	src := in.WrapSource(&memSource{pages: 4}, stop)
 	done := make(chan error, 1)
@@ -212,7 +212,7 @@ func TestStallAbortsOnStop(t *testing.T) {
 
 func TestPanicPoint(t *testing.T) {
 	spec, _ := Parse("seed=1;panic=dist@3")
-	in := spec.ForShard(1)
+	in := spec.ForShard(1, nil)
 	in.PanicPoint(SitePreprocessor) // wrong site: no-op
 	in.PanicPoint(SiteDistributor)  // visit 1
 	in.PanicPoint(SiteDistributor)  // visit 2
@@ -234,14 +234,14 @@ func TestPanicPoint(t *testing.T) {
 
 func TestAdmitErr(t *testing.T) {
 	spec, _ := Parse("seed=5;admit-err=1")
-	in := spec.ForShard(0)
+	in := spec.ForShard(0, nil)
 	err := in.AdmitErr()
 	var fe *Error
 	if !errors.As(err, &fe) || fe.Op != "admit" {
 		t.Fatalf("AdmitErr = %v, want admit *Error", err)
 	}
 	spec, _ = Parse("seed=5")
-	if err := spec.ForShard(0).AdmitErr(); err != nil {
+	if err := spec.ForShard(0, nil).AdmitErr(); err != nil {
 		t.Fatalf("admit-err unset still injected: %v", err)
 	}
 }

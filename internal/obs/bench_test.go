@@ -7,8 +7,7 @@ import (
 
 // The hot-path instrumentation cost, precisely: these bound what one
 // counter bump or histogram observation adds to a pipeline stage,
-// independent of the end-to-end noise floor of the obsoverhead
-// experiment (see PERFORMANCE.md).
+// independent of the end-to-end noise floor (see PERFORMANCE.md).
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
@@ -46,22 +45,5 @@ func BenchmarkHistogramObserveSince(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ObserveSince(start)
-	}
-}
-
-// The disabled plane: every site degrades to a nil-receiver method call.
-func BenchmarkCounterIncDisabled(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkHistogramObserveDisabled(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(3000)
 	}
 }

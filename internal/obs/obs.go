@@ -2,13 +2,15 @@
 // metrics core (atomic counters, gauges, and fixed-bucket histograms
 // with lock-free Observe) plus a per-query lifecycle tracer
 // (trace.go). The hot path never allocates: every metric is a
-// pre-resolved handle doing one or two atomic adds, and a nil handle
-// (the result of constructing against a nil *Registry) makes every
-// method a no-op — so "instrumentation disabled" is a single nil
-// registry, not a build tag or a branch per call site.
+// pre-resolved handle doing one or two atomic adds.
 //
-// Exposition is hand-rolled Prometheus text format (WritePrometheus)
-// plus a flat Snapshot map for in-process delta scraping by tests.
+// Telemetry is always on. A handle is the one definition of its count:
+// a component's Stats reads the same handle /metrics exports, so the
+// two cannot disagree. A component given a nil *Registry builds a
+// private one (NewRegistry) rather than running uninstrumented, so its
+// handles are never nil.
+//
+// Exposition is hand-rolled Prometheus text format (WritePrometheus).
 package obs
 
 import (
@@ -26,9 +28,7 @@ import (
 // Registry holds metric families keyed by name. Registration is
 // idempotent: asking for an existing family with a compatible shape
 // returns the same underlying series, which is how N shard pipelines
-// share one family and differentiate by label. A nil *Registry is the
-// disabled plane — every constructor returns nil handles whose methods
-// no-op.
+// share one family and differentiate by label.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -115,80 +115,44 @@ func (f *family) get(vals []string) *series {
 
 // --- scalar metrics -------------------------------------------------
 
-// Counter is a monotonically increasing value. Nil-safe.
+// Counter is a monotonically increasing value.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (callers must keep it non-negative).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value reads the current count; 0 on nil.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value reads the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value. Nil-safe.
+// Gauge is a settable instantaneous value.
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Value reads the gauge; 0 on nil.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+// Value reads the gauge.
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Counter registers (or reuses) an unlabeled counter family.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
 	return r.fam(name, help, typeCounter, nil, nil, 0).get(nil).c
 }
 
 // Gauge registers (or reuses) an unlabeled gauge family.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	return r.fam(name, help, typeGauge, nil, nil, 0).get(nil).g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 // fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	s := r.fam(name, help, typeGauge, nil, nil, 0).get(nil)
-	s.fn = fn
+	r.fam(name, help, typeGauge, nil, nil, 0).get(nil).fn = fn
 }
 
 // --- histograms -----------------------------------------------------
@@ -198,7 +162,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // binary search over the immutable bounds plus three atomic adds.
 // Snapshots taken concurrently with writers are not a consistent cut
 // (count/sum/buckets may each lag by an in-flight observation), which
-// is the standard Prometheus trade and fine for monitoring. Nil-safe.
+// is the standard Prometheus trade and fine for monitoring; a caller
+// that needs count and sum to agree observes under its own lock.
 type Histogram struct {
 	bounds []int64 // upper bounds, ascending; implicit +Inf last
 	scale  float64 // multiplier applied at export (1e-9: nanos → seconds)
@@ -220,9 +185,6 @@ func newHistogram(bounds []int64, scale float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -239,34 +201,23 @@ func (h *Histogram) Observe(v int64) {
 
 // ObserveSince records the elapsed time since start in nanoseconds.
 func (h *Histogram) ObserveSince(start time.Time) {
-	if h != nil {
-		h.Observe(time.Since(start).Nanoseconds())
-	}
+	h.Observe(time.Since(start).Nanoseconds())
 }
 
-// Count is the number of observations; 0 on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.cnt.Load()
-}
+// Count is the number of observations.
+func (h *Histogram) Count() int64 { return h.cnt.Load() }
 
 // Sum is the scaled sum of observations (seconds for duration
-// histograms); 0 on nil.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return float64(h.sum.Load()) * h.scale
-}
+// histograms).
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) * h.scale }
+
+// RawSum is the unscaled sum of observations, in the native unit
+// Observe took (nanoseconds for duration histograms).
+func (h *Histogram) RawSum() int64 { return h.sum.Load() }
 
 // Histogram registers (or reuses) an unlabeled histogram family with
 // the given upper bounds (native units) and export scale.
 func (r *Registry) Histogram(name, help string, bounds []int64, scale float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	return r.fam(name, help, typeHistogram, nil, bounds, scale).get(nil).h
 }
 
@@ -306,77 +257,45 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 type CounterVec struct{ f *family }
 
 // With returns the series for the given label values, creating it on
-// first use. Nil-safe.
-func (v *CounterVec) With(vals ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(vals).c
-}
+// first use.
+func (v *CounterVec) With(vals ...string) *Counter { return v.f.get(vals).c }
 
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 
-// With returns the labeled gauge. Nil-safe.
-func (v *GaugeVec) With(vals ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(vals).g
-}
+// With returns the labeled gauge.
+func (v *GaugeVec) With(vals ...string) *Gauge { return v.f.get(vals).g }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
-// With returns the labeled histogram. Nil-safe.
-func (v *HistogramVec) With(vals ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(vals).h
-}
+// With returns the labeled histogram.
+func (v *HistogramVec) With(vals ...string) *Histogram { return v.f.get(vals).h }
 
 // GaugeFuncVec is a gauge family with labels whose series are
 // scrape-time functions.
 type GaugeFuncVec struct{ f *family }
 
-// With registers fn as the labeled series' value. Nil-safe.
-func (v *GaugeFuncVec) With(fn func() float64, vals ...string) {
-	if v == nil {
-		return
-	}
-	v.f.get(vals).fn = fn
-}
+// With registers fn as the labeled series' value.
+func (v *GaugeFuncVec) With(fn func() float64, vals ...string) { v.f.get(vals).fn = fn }
 
 // CounterVec registers (or reuses) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
 	return &CounterVec{f: r.fam(name, help, typeCounter, labels, nil, 0)}
 }
 
 // GaugeVec registers (or reuses) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
 	return &GaugeVec{f: r.fam(name, help, typeGauge, labels, nil, 0)}
 }
 
 // GaugeFuncVec registers (or reuses) a labeled scrape-time gauge family.
 func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
-	if r == nil {
-		return nil
-	}
 	return &GaugeFuncVec{f: r.fam(name, help, typeGauge, labels, nil, 0)}
 }
 
 // HistogramVec registers (or reuses) a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []int64, scale float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
 	return &HistogramVec{f: r.fam(name, help, typeHistogram, labels, bounds, scale)}
 }
 
@@ -392,9 +311,6 @@ func (r *Registry) DurationHistogramVec(name, help string, labels ...string) *Hi
 // escaped label values, cumulative histogram buckets with a +Inf
 // bucket plus _sum and _count. Safe to call concurrently with writers.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))
 	for n := range r.fams {
@@ -509,40 +425,4 @@ func formatFloat(v float64) string {
 		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Snapshot flattens every series into name{labels} → value, with
-// histograms contributing name_sum (scaled) and name_count. Tests and
-// the harness diff two snapshots to get per-stage deltas without going
-// through the text format.
-func (r *Registry) Snapshot() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	out := make(map[string]float64)
-	for _, f := range fams {
-		for _, s := range f.snapshotSeries() {
-			lb := labelBlock(f.labels, s.vals, "", "")
-			switch f.typ {
-			case typeCounter:
-				out[f.name+lb] = float64(s.c.Value())
-			case typeGauge:
-				if s.fn != nil {
-					out[f.name+lb] = s.fn()
-				} else {
-					out[f.name+lb] = float64(s.g.Value())
-				}
-			case typeHistogram:
-				out[f.name+"_sum"+lb] = s.h.Sum()
-				out[f.name+"_count"+lb] = float64(s.h.Count())
-			}
-		}
-	}
-	return out
 }

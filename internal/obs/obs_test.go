@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestPrometheusGolden locks down the text exposition format: family
@@ -76,7 +75,6 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 			var b strings.Builder
 			_ = r.WritePrometheus(&b)
-			_ = r.Snapshot()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -97,6 +95,17 @@ func TestHistogramConcurrent(t *testing.T) {
 	if got := h.Count(); got != writers*perWriter {
 		t.Fatalf("Count = %d, want %d", got, writers*perWriter)
 	}
+	// RawSum is the exact unscaled total; Sum is it in seconds.
+	var want int64
+	for w := int64(1); w <= writers; w++ {
+		want += w * perWriter * (perWriter + 1) / 2 * 137
+	}
+	if got := h.RawSum(); got != want {
+		t.Fatalf("RawSum = %d, want %d", got, want)
+	}
+	if got := h.Sum(); got != float64(want)*1e-9 {
+		t.Fatalf("Sum = %v, want %v", got, float64(want)*1e-9)
+	}
 	// The +Inf cumulative bucket must equal the count.
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -105,31 +114,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wantLine := `t_lat_bucket{le="+Inf"} 80000`
 	if !strings.Contains(b.String(), wantLine) {
 		t.Errorf("exposition missing %q:\n%s", wantLine, b.String())
-	}
-}
-
-// TestNilRegistryNoOps proves the disabled plane: every constructor on a
-// nil registry returns nil handles whose methods are safe no-ops.
-func TestNilRegistryNoOps(t *testing.T) {
-	var r *Registry
-	r.Counter("x", "h").Inc()
-	r.Counter("x", "h").Add(3)
-	r.Gauge("x", "h").Set(1)
-	r.GaugeFunc("x", "h", func() float64 { return 1 })
-	r.Histogram("x", "h", []int64{1}, 1).Observe(5)
-	r.DurationHistogram("x", "h").ObserveSince(time.Now())
-	r.CounterVec("x", "h", "l").With("v").Inc()
-	r.GaugeVec("x", "h", "l").With("v").Add(-1)
-	r.GaugeFuncVec("x", "h", "l").With(func() float64 { return 1 }, "v")
-	r.HistogramVec("x", "h", []int64{1}, 1, "l").With("v").Observe(1)
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatalf("nil WritePrometheus: %v", err)
-	}
-	if snap := r.Snapshot(); snap != nil {
-		t.Fatalf("nil Snapshot = %v, want nil", snap)
-	}
-	if v := r.Counter("x", "h").Value(); v != 0 {
-		t.Fatalf("nil counter Value = %d", v)
 	}
 }
 

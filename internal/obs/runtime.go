@@ -12,9 +12,6 @@ import (
 // for a second so a scrape hitting several gauges pays one
 // ReadMemStats, not four.
 func RegisterRuntimeMetrics(r *Registry) {
-	if r == nil {
-		return
-	}
 	var (
 		mu   sync.Mutex
 		at   time.Time

@@ -90,7 +90,11 @@ func awaitMetric(t *testing.T, reg *obs.Registry, series string, want float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := reg.Snapshot()[series]
+		var text strings.Builder
+		if err := reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		got := parseMetrics(t, text.String())[series]
 		if got == want {
 			return
 		}

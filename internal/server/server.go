@@ -12,7 +12,7 @@
 //	GET    /query/{id}/trace  per-query lifecycle timeline (telemetry plane)
 //	DELETE /query/{id}        cancel a queued or running query
 //	GET    /stats             pipeline + admission counters
-//	GET    /metrics           Prometheus text exposition (when Config.Metrics set)
+//	GET    /metrics           Prometheus text exposition of Config.Metrics
 //	GET    /healthz           liveness
 //
 // Submissions flow through an admission.Queue, so a full pipeline queues
@@ -53,11 +53,12 @@ type Config struct {
 	// lookups; the oldest finished entries are evicted first.
 	// Default 4096.
 	MaxTracked int
-	// Metrics, when non-nil, is the telemetry registry served at GET
-	// /metrics (Prometheus text exposition). The server threads it into
-	// the admission queue it owns; the executor must have been built over
-	// the same registry for the pipeline families to show up. Nil leaves
-	// /metrics a 404.
+	// Metrics is the telemetry registry served at GET /metrics
+	// (Prometheus text exposition). The server threads it into the
+	// admission queue it owns; the executor must have been built over
+	// the same registry for the pipeline families to show up. Nil means
+	// a private registry, holding only the server's and the queue's
+	// families.
 	Metrics *obs.Registry
 	// MaxTraces bounds the per-query lifecycle traces retained for GET
 	// /query/{id}/trace; the oldest are evicted first. Default 1024.
@@ -95,7 +96,7 @@ type Server struct {
 	cfg    Config
 	tracer *obs.Tracer
 
-	// Write-plane telemetry (nil-safe handles; no-ops without a registry).
+	// Write-plane telemetry.
 	mCommits    *obs.CounterVec
 	mCommitErrs *obs.Counter
 	mCommitDur  *obs.Histogram
@@ -145,6 +146,9 @@ func New(star *catalog.Star, txm *txn.Manager, exec core.Executor, cfg Config) *
 	}
 	if cfg.MaxResultBytes <= 0 {
 		cfg.MaxResultBytes = 256 << 20
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
 	// The admission queue records its stage metrics in the same registry
 	// /metrics serves.
@@ -627,13 +631,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the telemetry registry in Prometheus text
-// exposition format (version 0.0.4); 404 when the server was built
-// without one.
+// exposition format (version 0.0.4).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.Metrics == nil {
-		writeErr(w, http.StatusNotFound, "metrics are not enabled on this server")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.cfg.Metrics.WritePrometheus(w)
 }
@@ -666,17 +665,6 @@ func wireStats(ps core.Stats) PipelineStats {
 		State:                string(ps.State),
 		FailureCause:         ps.FailureCause,
 		FilterOrder:          ps.FilterOrder,
-		DimAdmits:            ps.DimAdmits,
-		DimAdmitMicros:       ps.DimAdmitNanos / 1000,
-		PlaneBytes:           ps.PlaneBytes,
-		PlanePeakBytes:       ps.PlanePeakBytes,
-		PlanePipelines:       ps.PlanePipelines,
-
-		PlaneCacheHits:    ps.PlaneCacheHits,
-		PlaneCacheMisses:  ps.PlaneCacheMisses,
-		PlanePublishes:    ps.PlanePublishes,
-		PlaneBatchAdmits:  ps.PlaneBatchAdmits,
-		PlaneBatchQueries: ps.PlaneBatchQueries,
 	}
 	if !ps.CollectedAt.IsZero() {
 		out.CollectedAtUnixMillis = ps.CollectedAt.UnixMilli()
@@ -705,6 +693,19 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	as := s.adq.Stats()
 
 	pipeline := wireStats(ps)
+	// The plane is admitted to once and shared by every shard, so its
+	// figures fill the merged entry only.
+	pl := s.exec.PlaneStats()
+	pipeline.DimAdmits = pl.Admits
+	pipeline.DimAdmitMicros = pl.AdmitNanos / 1000
+	pipeline.PlaneBytes = pl.MemBytes
+	pipeline.PlanePeakBytes = pl.PeakMemBytes
+	pipeline.PlanePipelines = pl.Probers
+	pipeline.PlaneCacheHits = pl.CacheHits
+	pipeline.PlaneCacheMisses = pl.CacheMisses
+	pipeline.PlanePublishes = pl.SnapshotPublishes
+	pipeline.PlaneBatchAdmits = pl.BatchAdmits
+	pipeline.PlaneBatchQueries = pl.BatchQueries
 	pipeline.MaxConcurrent = s.exec.MaxConcurrent()
 	pipeline.Active = s.exec.ActiveQueries()
 	if s.star.PartCol >= 0 {

@@ -12,6 +12,7 @@ import (
 
 	"cjoin/internal/admission"
 	"cjoin/internal/core"
+	"cjoin/internal/dimplane"
 	"cjoin/internal/disk"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
@@ -33,6 +34,7 @@ func (e *rejectingExec) ActiveQueries() int                          { return 0 
 func (e *rejectingExec) Quiesce()                                    {}
 func (e *rejectingExec) Health() core.Health                         { return core.Health{State: "ok"} }
 func (e *rejectingExec) StatsWithShards() (core.Stats, []core.Stats) { return core.Stats{}, nil }
+func (e *rejectingExec) PlaneStats() dimplane.Stats                  { return dimplane.Stats{} }
 func (e *rejectingExec) ShardPartitions() [][]int                    { return nil }
 
 // TestUnprocessableQueryIs422 verifies the typed-error contract: an

@@ -142,7 +142,8 @@ type FilterStats struct {
 	DropRate  float64 `json:"drop_rate"`
 }
 
-// PipelineStats mirrors core.Stats.
+// PipelineStats mirrors core.Stats; the merged entry also carries the
+// dimension plane's dimplane.Stats.
 type PipelineStats struct {
 	MaxConcurrent int           `json:"max_concurrent"`
 	Active        int           `json:"active"`

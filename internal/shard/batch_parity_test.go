@@ -108,7 +108,7 @@ func TestBatchSubmitParityRandomSSB(t *testing.T) {
 		g.Start()
 		t.Cleanup(g.Stop)
 		runBatchParity(t, fmt.Sprintf("group(%d)", n), g, ds, texts, 5)
-		if st, ok := g.Stats(), true; !ok || st.PlaneBatchQueries == 0 || st.PlaneBatchAdmits == 0 {
+		if st := g.PlaneStats(); st.BatchQueries == 0 || st.BatchAdmits == 0 {
 			t.Fatalf("group(%d): batch path not exercised: %+v", n, st)
 		}
 	}

@@ -169,9 +169,8 @@ func TestSharedPlaneAdmitOnce(t *testing.T) {
 	if got := g.Plane().InUse(); got != 1 {
 		t.Fatalf("slots in use = %d, want 1", got)
 	}
-	merged := g.Stats()
-	if merged.DimAdmits != 1 || merged.PlanePipelines != 4 {
-		t.Fatalf("merged stats missing plane figures: %+v", merged)
+	if ps := g.PlaneStats(); ps.Admits != 1 || ps.Probers != 4 {
+		t.Fatalf("executor plane stats: admits=%d probers=%d, want 1 and 4", ps.Admits, ps.Probers)
 	}
 	if res := h.Wait(); res.Err != nil {
 		t.Fatal(res.Err)

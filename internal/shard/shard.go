@@ -95,7 +95,7 @@ type Config struct {
 	// stars only).
 	Core core.Config
 	// Fault, when set, arms deterministic fault injection: each shard
-	// pipeline gets Fault.ForShard(i), and admission faults (plane
+	// pipeline gets Fault.ForShard(i, Obs), and admission faults (plane
 	// level, since admission runs once per logical query) are armed when
 	// the spec is not targeted at a single shard. Nil means every hook
 	// compiles down to a no-op.
@@ -109,10 +109,12 @@ type Config struct {
 	// Logf, when set, receives supervision events (quarantines) and is
 	// passed through to the shard pipelines for failure logging.
 	Logf func(format string, args ...any)
-	// Obs, when non-nil, wires the telemetry plane through the whole
-	// group: per-shard pipeline metrics (labeled by shard index), the
-	// shared dimension plane's families, group supervision metrics
-	// (cjoin_shard_*), and fault-injection counters.
+	// Obs is the registry the whole group records into: per-shard
+	// pipeline metrics (labeled by shard index), the shared dimension
+	// plane's families, group supervision metrics (cjoin_shard_*), and
+	// fault-injection counters. These are the group's only counts, so
+	// Stats and /metrics agree by construction. Nil means a private
+	// registry.
 	Obs *obs.Registry
 }
 
@@ -198,10 +200,7 @@ type Group struct {
 	om        groupMetrics
 }
 
-// groupMetrics holds the group's supervision-tier telemetry handles. The
-// zero value (telemetry off) is fully usable: every handle is nil and
-// every method call no-ops, except shardUp which is always allocated to
-// the shard count so quarantine can index it unconditionally.
+// groupMetrics holds the group's supervision-tier telemetry handles.
 type groupMetrics struct {
 	quarantines     *obs.Counter
 	degradedRejects *obs.Counter
@@ -210,9 +209,6 @@ type groupMetrics struct {
 
 func newGroupMetrics(r *obs.Registry, n int) groupMetrics {
 	gm := groupMetrics{shardUp: make([]*obs.Gauge, n)}
-	if r == nil {
-		return gm
-	}
 	gm.quarantines = r.Counter("cjoin_shard_quarantines_total",
 		"Shards quarantined by the supervisor (pipeline failure or scan stall).")
 	gm.degradedRejects = r.Counter("cjoin_shard_degraded_rejects_total",
@@ -256,6 +252,9 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 	if cfg.Core.FactSource != nil {
 		base = cfg.Core.FactSource
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	// One dimension plane for the whole group, sized from the same
 	// effective configuration every shard pipeline will normalize to.
 	norm := cfg.Core.Normalized()
@@ -264,18 +263,9 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 		Obs:           cfg.Obs,
 		PredCacheSize: norm.PredCacheSize,
 	}
-	// Chaos fires inside per-shard injectors; give the derived injectors
-	// the group registry so fired faults are observable. The spec is
-	// copied, not mutated — the caller's Spec stays theirs.
-	fspec := cfg.Fault
-	if fspec != nil && cfg.Obs != nil && fspec.Obs == nil {
-		fc := *fspec
-		fc.Obs = cfg.Obs
-		fspec = &fc
-	}
 	// Admission runs once per logical query on the group plane, so admit
 	// faults arm there — but only for specs not targeted at one shard.
-	if planeInj := fspec.ForShard(-1); planeInj != nil {
+	if planeInj := cfg.Fault.ForShard(-1, cfg.Obs); planeInj != nil {
 		plcfg.AdmitFault = planeInj.AdmitErr
 	}
 	plane := dimplane.New(star, n, plcfg)
@@ -293,7 +283,7 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 		if cc.Logf == nil {
 			cc.Logf = cfg.Logf
 		}
-		sc := core.ShardConfig{Index: i, Plane: plane, Fault: fspec.ForShard(i), Obs: cfg.Obs}
+		sc := core.ShardConfig{Index: i, Plane: plane, Fault: cfg.Fault.ForShard(i, cfg.Obs), Obs: cfg.Obs}
 		if n > 1 {
 			if subsets != nil {
 				sc.PartSubset = subsets[i]
@@ -605,9 +595,8 @@ func firstErrorIdx(errs []error) int {
 }
 
 // Stats returns group-wide counters: scan and filter activity summed
-// across shards, dimension-plane figures (admission time, resident
-// store bytes) reported once — the stores are shared, not replicated —
-// with shard 0's filter order as representative.
+// across shards, with shard 0's filter order as representative. The
+// dimension plane's figures are PlaneStats.
 func (g *Group) Stats() core.Stats {
 	merged, _ := g.StatsWithShards()
 	return merged
@@ -655,19 +644,13 @@ func (g *Group) StatsWithShards() (core.Stats, []core.Stats) {
 		// per-shard breakdown's story).
 		out.State = core.ShardFailed
 	}
-	ps := g.plane.Stats()
-	out.DimAdmits = ps.Admits
-	out.DimAdmitNanos = ps.AdmitNanos
-	out.PlaneBytes = ps.MemBytes
-	out.PlanePeakBytes = ps.PeakMemBytes
-	out.PlanePipelines = ps.Probers
-	out.PlaneCacheHits = ps.CacheHits
-	out.PlaneCacheMisses = ps.CacheMisses
-	out.PlanePublishes = ps.SnapshotPublishes
-	out.PlaneBatchAdmits = ps.BatchAdmits
-	out.PlaneBatchQueries = ps.BatchQueries
 	return out, per
 }
+
+// PlaneStats snapshots the group's dimension plane. Admission runs once
+// per logical query and every shard probes the same stores, so these
+// figures belong to the group, not to any shard pipeline.
+func (g *Group) PlaneStats() dimplane.Stats { return g.plane.Stats() }
 
 // ShardStats snapshots every shard pipeline's counters, index-aligned
 // with the shard topology. Safe to call concurrently with startup and

@@ -10,6 +10,8 @@
 #   - /healthz lists every shard, and /stats carries one per-shard entry
 #     each, with the plane figures zero per shard and filled on the
 #     merged entry (the plane is admitted to once, whatever the count);
+#   - every /stats counter equals its /metrics series once the results
+#     are fetched (one definition per counter);
 #   - the dimension plane's predicate scan counts the pages it read and
 #     the pages its zone maps let it skip;
 #   - a completed query's /query/{id}/trace carries the full
@@ -135,6 +137,56 @@ for sh in st["shards"]:
 merged = st["pipeline"]
 assert all(merged.get(k, 0) > 0 for k in plane), merged
 assert merged["dim_admits"] == 7 and merged["plane_pipelines"] == n, merged
+'
+
+# One definition per counter: each /stats counter reads the same handle
+# its /metrics series exports, so at quiescence the two agree exactly —
+# the scan counters against their per-shard series summed, the plane's
+# and the admission queue's against their one series. Slot recycling
+# (the final retire's snapshot publications) runs just after delivery,
+# so the comparison retries until both views settle.
+BASE=$BASE python3 -c '
+import json, os, time, urllib.request
+base = os.environ["BASE"]
+def get(path):
+    with urllib.request.urlopen(base + path) as r:
+        return r.read().decode()
+def series():
+    out = {}
+    for line in get("/metrics").splitlines():
+        if line and not line.startswith("#"):
+            k, v = line.rsplit(" ", 1)
+            out[k] = float(v)
+    return out
+def summed(m, prefix):
+    return sum(v for k, v in m.items() if k.startswith(prefix))
+pairs = [
+    ("pipeline", "pages_read", "cjoin_scan_pages_total{"),
+    ("pipeline", "tuples_scanned", "cjoin_scan_tuples_total{"),
+    ("pipeline", "tuples_emitted", "cjoin_scan_tuples_emitted_total{"),
+    ("pipeline", "scan_cycles", "cjoin_scan_cycles_total{"),
+    ("pipeline", "pages_pruned_partition", "cjoin_scan_pruned_pages_total{cause=\"partition\""),
+    ("pipeline", "pages_pruned_zonemap", "cjoin_scan_pruned_pages_total{cause=\"zonemap\""),
+    ("pipeline", "pages_skipped_zonemap", "cjoin_scan_zonemap_skipped_pages_total{"),
+    ("pipeline", "dim_admits", "cjoin_dimplane_admits_total"),
+    ("pipeline", "plane_cache_hits", "cjoin_dimplane_cache_hits_total"),
+    ("pipeline", "plane_cache_misses", "cjoin_dimplane_cache_misses_total"),
+    ("pipeline", "plane_snapshot_publishes", "cjoin_dimplane_snapshot_publish_total"),
+    ("pipeline", "plane_batch_admits", "cjoin_dimplane_admit_batch_size_count"),
+    ("admission", "submitted", "cjoin_admission_submitted_total"),
+    ("admission", "admitted", "cjoin_admission_admitted_total"),
+    ("admission", "completed", "cjoin_admission_completed_total"),
+]
+for attempt in range(50):
+    m = series()
+    st = json.loads(get("/stats"))
+    diff = [(f, st[sec].get(f, 0), summed(m, pre)) for sec, f, pre in pairs
+            if st[sec].get(f, 0) != summed(m, pre)]
+    if not diff:
+        break
+    time.sleep(0.1)
+assert not diff, "/stats vs /metrics: " + repr(diff)
+assert st["pipeline"]["pages_read"] > 0 and st["admission"]["completed"] == 7, st
 '
 
 # A delivered query's trace is the complete ordered timeline.
