@@ -30,7 +30,6 @@ func (h *fakeHandle) Slot() int                  { return 0 }
 func (h *fakeHandle) Wait() core.QueryResult     { <-h.done; return h.res }
 func (h *fakeHandle) Done() <-chan struct{}      { return h.done }
 func (h *fakeHandle) Cancel() bool               { return false }
-func (h *fakeHandle) Canceled() bool             { return false }
 func (h *fakeHandle) PagesScanned() int64        { return 0 }
 func (h *fakeHandle) ETA() (time.Duration, bool) { return 0, false }
 func (h *fakeHandle) Progress() float64          { return 0 }

@@ -19,7 +19,7 @@ const (
 
 // Scan failures no longer flow through a control tuple: an unrecoverable
 // scan error transitions the whole pipeline to the terminal Failed state
-// (failure.go), whose sweep delivers the typed cause to every resident
+// (failure.go), whose sweep reports the typed cause for every resident
 // query in one place.
 
 // control is the payload of a control batch.

@@ -96,9 +96,6 @@ func TestCancelBeforeAnyProgress(t *testing.T) {
 	if !errors.Is(res.Err, core.ErrQueryCanceled) {
 		t.Fatalf("result %v", res.Err)
 	}
-	if !h.Canceled() {
-		t.Fatal("Canceled() false after cancel")
-	}
 	// The preprocessor is blocked inside the first gated page read;
 	// releasing it lets the scan reach the next batch boundary, where the
 	// cancel is consumed and the slot recycled.
@@ -210,9 +207,6 @@ func TestCancelCompletedQueryIsNoop(t *testing.T) {
 	}
 	if h.Cancel() {
 		t.Fatal("cancel of completed query returned true")
-	}
-	if h.Canceled() {
-		t.Fatal("completed query marked canceled")
 	}
 }
 

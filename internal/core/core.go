@@ -31,7 +31,10 @@
 // A Pipeline is a shard, not an executor: internal/shard.Group is the
 // only Executor. It owns the dimension plane, admits each query to it
 // once, and enters the query into each of its pipelines through
-// Pipeline.Activate — at one shard as at N.
+// Pipeline.Activate — at one shard as at N. Activate returns the shard's
+// Run (page counts and a cancel hook); the run reports its partial
+// result, or its terminal error, and its slot recycling into the
+// group's Handle (Reporter), which alone decides the query's outcome.
 package core
 
 import (

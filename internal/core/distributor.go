@@ -7,17 +7,16 @@ import (
 	"cjoin/internal/expr"
 	"cjoin/internal/fault"
 	"cjoin/internal/obs"
-	"cjoin/internal/query"
 )
 
-// ErrPipelineStopped is returned to queries still in flight when the
+// ErrPipelineStopped is reported for queries still in flight when the
 // pipeline shuts down.
 var ErrPipelineStopped = errors.New("core: pipeline stopped")
 
 // distributor consumes filtered batches, restores sequence order, routes
 // every surviving fact tuple to the aggregation operator of each query
-// whose bit is set (§3.2.2), and finalizes queries when their end-of-query
-// control tuple arrives (§3.3.2).
+// whose bit is set (§3.2.2), and reports each query's partial result when
+// its end-of-query control tuple arrives (§3.3.2).
 //
 // The reorder buffer enforces the §3.3.3 ordering property: a control
 // tuple placed before (after) a fact tuple by the Preprocessor is
@@ -43,9 +42,10 @@ func newDistributor(p *Pipeline, in chan *batch) *distributor {
 	}
 }
 
+// run processes batches until its input closes. That happens only once
+// the pipeline stops or fails, and the Stop and fail sweeps report every
+// query still registered here.
 func (d *distributor) run() {
-	// On panic the guard records the typed failure and the failure sweep
-	// owns delivery; the orphan sweep below is the clean-shutdown path.
 	defer d.p.guard("distributor")
 	for b := range d.in {
 		d.p.fault.PanicPoint(fault.SiteDistributor)
@@ -58,15 +58,6 @@ func (d *distributor) run() {
 			delete(d.pending, d.expect)
 			d.expect++
 			d.process(nb)
-		}
-	}
-	// Pipeline stopping: fail whatever is still registered — with the
-	// typed failure cause when the shutdown is a preprocessor failure
-	// (the closed input is how it reaches us), ErrPipelineStopped on a
-	// clean Stop.
-	for _, rq := range d.queries {
-		if rq != nil {
-			rq.deliver(nil, d.p.terminalErr())
 		}
 	}
 }
@@ -100,18 +91,17 @@ func (d *distributor) control(c *control) {
 		// shard wins: the logical query's cycle completes when its
 		// slowest shard does.
 		rq.q.Trace.MarkLatest(obs.StageCycleComplete)
-		if rq.sink != nil {
-			rq.deliver(nil, nil)
-			rq.sink.Finalize(nil)
-		} else {
-			results := rq.aggr.Results()
-			// The handle outlives the query (the server keeps finished
+		// The partial goes to the logical query unordered and unlimited:
+		// ORDER BY and LIMIT apply once, after every shard's partial is
+		// merged. A sink query reports no rows.
+		var rows []agg.Result
+		if rq.aggr != nil {
+			rows = rq.aggr.Results()
+			// The run outlives the query (the server keeps finished
 			// queries for status lookups); the hash table must not.
 			rq.aggr = nil
-			query.SortResults(results, rq.q.OrderBy)
-			results = rq.q.ApplyLimit(results)
-			rq.deliver(results, nil)
 		}
+		rq.report(rows, nil)
 		// Hand the slot to the pipeline manager for Algorithm 2 cleanup.
 		d.p.cleanupCh <- rq
 	}

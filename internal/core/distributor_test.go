@@ -23,7 +23,8 @@ func TestDistributorRestoresSequenceOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rq := &runningQuery{slot: 3, q: q, resultCh: make(chan QueryResult, 1), cleaned: make(chan struct{})}
+	tq := newTestQuery()
+	rq := &runningQuery{p: p, slot: 3, q: q, to: tq}
 
 	mkData := func(seq uint64, rows int) *batch {
 		b := newBatch(rows, 2, bitvec.Words(8), 1)
@@ -51,7 +52,7 @@ func TestDistributorRestoresSequenceOrder(t *testing.T) {
 	close(in)
 	d.run()
 
-	res := <-rq.resultCh
+	res := tq.Wait()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -44,7 +44,7 @@ func newEmitRig(tb testing.TB) *emitRig {
 		tb.Fatal(err)
 	}
 	for i, q := range qs {
-		rq := &runningQuery{p: p, slot: slots[i], q: q, resultCh: make(chan QueryResult, 1), cleaned: make(chan struct{})}
+		rq := &runningQuery{p: p, slot: slots[i], q: q}
 		r.pp.register(ppCmd{rq: rq, done: make(chan struct{})})
 		r.dist.control((<-r.pp.out).ctrl) // the query-start control tuple
 	}

@@ -4,15 +4,17 @@ import (
 	"context"
 	"time"
 
+	"cjoin/internal/agg"
 	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
 )
 
-// Handle tracks one submitted query: a Pipeline hands one back from
-// Activate for its shard, and the executor (internal/shard.Group)
-// implements it over its per-shard handles. The observability methods
-// expose the paper's §3.2.3 promise — progress and completion estimates
-// derived from the continuous scan position.
+// Handle tracks one submitted logical query. internal/shard.Group's
+// handle is the one implementation: every shard pipeline the query runs
+// on reports into it (Reporter), and it decides the query's outcome in
+// one place. The observability methods expose the paper's §3.2.3
+// promise — progress and completion estimates derived from the
+// continuous scan position.
 type Handle interface {
 	// Slot returns the query's CJOIN identifier in [0, maxConc): its
 	// slot on the group's dimension plane.
@@ -29,8 +31,6 @@ type Handle interface {
 	// immediately and the slot is retired at the next page boundary. It
 	// reports whether this call initiated the cancellation.
 	Cancel() bool
-	// Canceled reports whether the query was abandoned via Cancel.
-	Canceled() bool
 	// PagesScanned returns the fact pages charged to the query so far.
 	PagesScanned() int64
 	// ETA estimates time to completion from the current processing rate
@@ -85,4 +85,17 @@ type Executor interface {
 	// ShardPartitions returns the global partition indices dealt to
 	// each shard, or nil when the fact table is not range-partitioned.
 	ShardPartitions() [][]int
+}
+
+// Reporter is the logical query a shard pipeline's runs report to: the
+// group's Handle. Each method is called exactly once per run.
+type Reporter interface {
+	// Report delivers the run's outcome: its partial aggregate (nil for a
+	// sink query) at the end-of-query control tuple (§3.3.2), or the
+	// terminal error of a pipeline that stopped or failed first.
+	Report(shard int, rows []agg.Result, err error)
+	// Recycled reports that the pipeline has recycled the run's slot
+	// (Algorithm 2, or the Stop and fail sweeps). A Report racing it on
+	// another goroutine may not have returned yet.
+	Recycled()
 }

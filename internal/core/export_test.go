@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"cjoin/internal/agg"
 	"cjoin/internal/catalog"
 	"cjoin/internal/dimplane"
 	"cjoin/internal/query"
@@ -24,17 +25,46 @@ func NewTestPipeline(tb testing.TB, star *catalog.Star, cfg Config, sc ShardConf
 	return p
 }
 
+// TestQuery is the logical query a test's pipeline run reports into,
+// standing in for the shard group's handle: Wait returns the run's own
+// partial (unordered and unlimited) or its error, and Done closes when
+// the pipeline recycles the slot. The embedded Run carries the page
+// counts and the cancel hook.
+type TestQuery struct {
+	Run
+	res  chan QueryResult
+	done chan struct{}
+}
+
+func newTestQuery() *TestQuery {
+	return &TestQuery{res: make(chan QueryResult, 1), done: make(chan struct{})}
+}
+
+func (tq *TestQuery) Report(_ int, rows []agg.Result, err error) {
+	tq.res <- QueryResult{Rows: rows, Err: err}
+}
+
+func (tq *TestQuery) Recycled() { close(tq.done) }
+
+func (tq *TestQuery) Wait() QueryResult { return <-tq.res }
+
+func (tq *TestQuery) Done() <-chan struct{} { return tq.done }
+
 // Admit is the tests' one admission path outside internal/shard: a plane
 // round of one, then Activate, compensating a failed activation with the
 // Retire that Activate's contract leaves to the caller.
-func (p *Pipeline) Admit(q *query.Bound) (Handle, error) {
+func (p *Pipeline) Admit(q *query.Bound) (*TestQuery, error) {
 	slots, err := p.plane.AdmitBatch(context.Background(), []*query.Bound{q})
 	if err != nil {
 		return nil, err
 	}
-	h, err := p.Activate(context.Background(), q, slots[0], nil)
-	if err != nil && !errors.Is(err, ErrPipelineStopped) {
-		p.plane.Retire(slots[0])
+	tq := newTestQuery()
+	tq.Run, err = p.Activate(context.Background(), q, slots[0], nil, tq)
+	if err != nil {
+		if !errors.Is(err, ErrPipelineStopped) {
+			p.plane.Retire(slots[0])
+		}
+		return nil, err
 	}
-	return h, err
+	return tq, nil
 }

@@ -49,11 +49,7 @@ func asCause(r any) error {
 
 // guard is the deferred recovery handler for pipeline goroutines: a
 // panic transitions the pipeline to the terminal Failed state instead of
-// crashing the process. It must be registered AFTER any defer whose
-// execution the failure sweep depends on being ordered behind it (e.g.
-// the preprocessor registers guard after `defer close(pp.out)`, so the
-// sweep records the failure before the distributor can observe the
-// closed channel).
+// crashing the process.
 func (p *Pipeline) guard(goroutine string) {
 	if r := recover(); r != nil {
 		p.fail(goroutine, asCause(r))
@@ -62,10 +58,10 @@ func (p *Pipeline) guard(goroutine string) {
 
 // fail transitions the pipeline to the terminal Failed state: the first
 // cause wins, the stop signal tears down every goroutine exactly as Stop
-// does, and every resident query receives the typed failure through the
-// normal deliver path. Plane holds of swept queries are released exactly
-// once (runningQuery.releaseHold), so the shared dimension plane of a
-// shard group loses no slots to a dead member.
+// does, and the sweep reports the typed failure to every resident run.
+// Plane holds of swept runs are released exactly once
+// (runningQuery.releaseHold), so the shared dimension plane of a shard
+// group loses no slots to a dead member.
 func (p *Pipeline) fail(goroutine string, cause error) {
 	ferr := &PipelineFailedError{Goroutine: goroutine, Cause: cause}
 	if !p.failure.CompareAndSwap(nil, ferr) {
@@ -76,20 +72,7 @@ func (p *Pipeline) fail(goroutine string, cause error) {
 	if p.stopped.CompareAndSwap(false, true) {
 		close(p.stopCh)
 	}
-	// Sweep resident queries under the manager lock: Activate registers
-	// under the same lock and re-checks the failure pointer first, so
-	// every query is either swept here (its plane hold is ours to
-	// release) or was never registered (the submitter compensates).
-	p.pmMu.Lock()
-	for slot, rq := range p.live {
-		rq.deliver(nil, ferr)
-		rq.releaseHold()
-		rq.markCleaned()
-		p.pmActive.Clear(slot)
-		p.inFlight--
-		delete(p.live, slot)
-	}
-	p.pmMu.Unlock()
+	p.sweep(ferr, true)
 	if p.logf != nil {
 		p.logf("pipeline failed in %s: %v", goroutine, cause)
 	}
@@ -108,7 +91,7 @@ func (p *Pipeline) Failed() <-chan struct{} { return p.failedCh }
 // is healthy or merely stopped.
 func (p *Pipeline) FailureCause() *PipelineFailedError { return p.failure.Load() }
 
-// terminalErr is the error delivered to queries orphaned by shutdown:
+// terminalErr is the error reported to runs orphaned by shutdown:
 // the typed failure when the pipeline failed, ErrPipelineStopped on a
 // clean Stop.
 func (p *Pipeline) terminalErr() error {

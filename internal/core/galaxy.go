@@ -10,8 +10,9 @@ import "cjoin/internal/expr"
 //
 // Consume is called from the Distributor goroutine; the Joined value
 // aliases pipeline buffers and must be deep-copied if retained. Finalize
-// is called exactly once, after the last Consume, when the query
-// completes its scan cycle.
+// is called exactly once, after the last Consume, with the query's
+// error: by internal/shard.Group once every shard has reported, never by
+// a pipeline.
 type TupleSink interface {
 	Consume(j *expr.Joined)
 	Finalize(err error)

@@ -281,13 +281,12 @@ func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 		q.Snapshot = ds.Txn.Begin()
 		return q
 	}
-	run := func(q *query.Bound) *pipeHandle {
+	run := func(q *query.Bound) *TestQuery {
 		t.Helper()
-		sub, err := p.Admit(q)
+		h, err := p.Admit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sub.(*pipeHandle)
 		res := h.Wait()
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -370,7 +369,7 @@ func TestDeliveredHandleRetainsNoAggregator(t *testing.T) {
 	if res := h.Wait(); res.Err != nil || len(res.Rows) == 0 {
 		t.Fatalf("query failed or empty: %v", res.Err)
 	}
-	if h.(*pipeHandle).rq.aggr != nil {
+	if h.rq.aggr != nil {
 		t.Fatal("delivered query still holds its aggregator")
 	}
 }

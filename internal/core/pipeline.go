@@ -42,10 +42,13 @@ type runningQuery struct {
 	q    *query.Bound
 	aggr *agg.Hash
 	sink TupleSink // non-nil: tuples route here instead of aggr (§5)
+	to   Reporter  // the logical query this run reports into
 
-	resultCh  chan QueryResult
-	delivered atomic.Bool
-	canceled  atomic.Bool
+	// reported and recycled make each of the run's two reports
+	// exactly-once: the Distributor, Algorithm 2 cleanup and the Stop
+	// and fail sweeps can all reach the same run.
+	reported atomic.Bool
+	recycled atomic.Bool
 	// released guards this pipeline's hold on the plane slot: Algorithm 2
 	// cleanup and the failure sweep can race (a Cancel in flight when a
 	// shard dies reaches both paths), and the plane panics on surplus
@@ -88,11 +91,6 @@ type runningQuery struct {
 	ownPages   atomic.Int64
 
 	submitted time.Time
-	// cleaned closes once the slot is recycled. Closed via markCleaned
-	// only: Algorithm 2 cleanup, an Activate rollback, and the Stop sweep
-	// can race on shutdown.
-	cleaned     chan struct{}
-	cleanedOnce sync.Once
 }
 
 // needsPart reports whether the query must scan global partition g.
@@ -136,10 +134,6 @@ func (rq *runningQuery) detachClock() {
 	}
 }
 
-func (rq *runningQuery) markCleaned() {
-	rq.cleanedOnce.Do(func() { close(rq.cleaned) })
-}
-
 // releaseHold retires this pipeline's hold on the query's plane slot if
 // it is still held, reporting whether this was the plane-wide final
 // retire. Exactly-once across cleanup and the failure sweep.
@@ -150,96 +144,74 @@ func (rq *runningQuery) releaseHold() bool {
 	return false
 }
 
-func (rq *runningQuery) deliver(rows []agg.Result, err error) {
-	if rq.delivered.CompareAndSwap(false, true) {
-		rq.resultCh <- QueryResult{Rows: rows, Err: err}
+// report hands the run's outcome to its logical query, exactly once.
+func (rq *runningQuery) report(rows []agg.Result, err error) {
+	if rq.reported.CompareAndSwap(false, true) {
+		rq.to.Report(rq.p.index, rows, err)
 	}
 }
 
-// pipeHandle is the Pipeline's Handle implementation, tracking one
-// registered query.
-type pipeHandle struct {
-	rq *runningQuery
-	// submission is the interval from Activate entry until the
-	// query-start control tuple entered the pipeline — this shard's part
-	// of the paper's "submission time" (§6.2.2, Table 1).
-	submission time.Duration
+// recycle tells the logical query that this pipeline has recycled the
+// run's slot, exactly once.
+func (rq *runningQuery) recycle() {
+	if rq.recycled.CompareAndSwap(false, true) {
+		rq.to.Recycled()
+	}
 }
 
-var _ Handle = (*pipeHandle)(nil)
+// Run is one shard's part of a logical query, as Activate returns it:
+// the query's page counts on this pipeline and its cancel hook. The
+// outcome goes to the run's Reporter instead.
+type Run struct{ rq *runningQuery }
 
-// Slot returns the query's CJOIN identifier in [0, maxConc).
-func (h *pipeHandle) Slot() int { return h.rq.slot }
-
-// Wait blocks until the query completes one full scan cycle and returns
-// its results.
-func (h *pipeHandle) Wait() QueryResult { return <-h.rq.resultCh }
-
-// Done returns a channel closed once the query's slot has been fully
-// recycled (Algorithm 2 cleanup finished). The result is always delivered
-// before Done closes, so Done doubles as a "slot free" signal for
-// admission control layered above the pipeline.
-func (h *pipeHandle) Done() <-chan struct{} { return h.rq.cleaned }
-
-// Canceled reports whether the query was abandoned via Cancel.
-func (h *pipeHandle) Canceled() bool { return h.rq.canceled.Load() }
-
-// Submission reports how long pipeline registration took.
-func (h *pipeHandle) Submission() time.Duration { return h.submission }
-
-// Cancel abandons the query without tearing down the pipeline: the result
-// ErrQueryCanceled is delivered immediately, and the Preprocessor retires
-// the query at the next page boundary, after which the usual end-of-query
-// control tuple frees the bit-vector slot for reuse (Algorithm 2). Cancel
-// returns true if this call canceled the query; false if the query had
-// already completed, failed, or been canceled.
-func (h *pipeHandle) Cancel() bool {
-	rq := h.rq
-	if !rq.delivered.CompareAndSwap(false, true) {
-		return false
+// Cancel retires the run at the next page boundary; its end-of-query
+// control tuple then flows through the pipeline in order and Algorithm
+// 2 recycles the slot (§3.3.2). A run that has already reported is left
+// alone. The caller cancels each run at most once.
+func (r Run) Cancel() {
+	rq := r.rq
+	if rq.reported.Load() {
+		return
 	}
-	rq.canceled.Store(true)
-	rq.resultCh <- QueryResult{Err: ErrQueryCanceled}
-	// Hand the slot retirement to the Preprocessor. The channel's
-	// capacity is maxConc and each query cancels at most once (the CAS
-	// above), so the send never blocks on a healthy pipeline; the stop
+	// The channel's capacity is maxConc and each live run is canceled at
+	// most once, so the send never blocks on a healthy pipeline; the stop
 	// case covers shutdown races.
 	select {
 	case rq.p.pp.cancels <- rq:
 	case <-rq.p.stopCh:
 	}
-	return true
 }
 
 // PagesScanned returns the number of fact pages the continuous scan has
-// charged to this query so far.
-func (h *pipeHandle) PagesScanned() int64 { return h.rq.pagesScanned() }
+// charged to the run so far.
+func (r Run) PagesScanned() int64 { return r.rq.pagesScanned() }
 
-// ETA estimates the time to completion from the current processing rate —
-// the paper's §3.2.3 "estimated time of completion based on the current
-// processing rate of the pipeline". It returns 0 once the query is done
-// and false while no progress has been made yet.
-func (h *pipeHandle) ETA() (time.Duration, bool) {
-	done := h.rq.pagesScanned()
-	total := h.rq.pagesTotal.Load()
-	if h.rq.delivered.Load() || (total > 0 && done >= total) {
+// ETA estimates the run's time to completion from the current processing
+// rate — the paper's §3.2.3 "estimated time of completion based on the
+// current processing rate of the pipeline". It returns 0 once the run
+// has reported and false while no progress has been made yet.
+func (r Run) ETA() (time.Duration, bool) {
+	rq := r.rq
+	done := rq.pagesScanned()
+	total := rq.pagesTotal.Load()
+	if rq.reported.Load() || (total > 0 && done >= total) {
 		return 0, true
 	}
 	if done == 0 || total == 0 {
 		return 0, false
 	}
-	elapsed := time.Since(h.rq.submitted)
+	elapsed := time.Since(rq.submitted)
 	perPage := elapsed / time.Duration(done)
 	return time.Duration(total-done) * perPage, true
 }
 
-// Progress returns the fraction of the query's scan completed, in [0,1].
-func (h *pipeHandle) Progress() float64 {
-	total := h.rq.pagesTotal.Load()
+// Progress returns the fraction of the run's scan completed, in [0,1].
+func (r Run) Progress() float64 {
+	total := r.rq.pagesTotal.Load()
 	if total <= 0 {
 		return 1
 	}
-	f := float64(h.rq.pagesScanned()) / float64(total)
+	f := float64(r.rq.pagesScanned()) / float64(total)
 	if f > 1 {
 		f = 1
 	}
@@ -258,6 +230,7 @@ type Pipeline struct {
 	// admission, and removal happen there exactly once per logical query.
 	// The group owns it; every shard pipeline probes it.
 	plane      *dimplane.Plane
+	index      int // the shard index runs report under
 	partSubset []int
 	fault      *fault.Injector
 
@@ -273,7 +246,7 @@ type Pipeline struct {
 
 	// failure is the terminal Failed state (see failure.go): set exactly
 	// once by fail, after which failedCh is closed and the pipeline winds
-	// down like Stop — but delivers the typed cause instead of
+	// down like Stop — but reports the typed cause instead of
 	// ErrPipelineStopped and releases its plane holds.
 	failure  atomic.Pointer[PipelineFailedError]
 	failedCh chan struct{}
@@ -283,11 +256,10 @@ type Pipeline struct {
 	// cleanup (Algorithm 2), and filter reordering (§3.4). The paper runs
 	// these in a dedicated Pipeline Manager thread; a mutex gives the
 	// same serialization with idiomatic Go.
-	pmMu     sync.Mutex
-	pmActive bitvec.Vec
-	inFlight int
-	// live tracks submitted queries until cleanup so Stop can fail any
-	// query whose control tuples were dropped mid-shutdown.
+	pmMu sync.Mutex
+	// live tracks activated runs until cleanup so the Stop and fail
+	// sweeps can report any run whose control tuples were dropped
+	// mid-shutdown. Its size is the number of queries in flight.
 	live map[int]*runningQuery
 
 	// om is this pipeline's slice of the telemetry plane, labeled with
@@ -365,13 +337,13 @@ func NewPipeline(star *catalog.Star, cfg Config, sc ShardConfig) (*Pipeline, err
 		cfg:        cfg,
 		star:       star,
 		plane:      sc.Plane,
+		index:      sc.Index,
 		partSubset: sc.PartSubset,
 		fault:      sc.Fault,
 		cleanupCh:  make(chan *runningQuery, cfg.MaxConcurrent+1),
 		stopCh:     make(chan struct{}),
 		failedCh:   make(chan struct{}),
 		logf:       cfg.Logf,
-		pmActive:   bitvec.New(cfg.MaxConcurrent),
 		live:       make(map[int]*runningQuery),
 		om:         newPipeMetrics(sc.Obs, sc.Index),
 	}
@@ -415,9 +387,7 @@ func (p *Pipeline) Start() {
 	p.pp = pp
 
 	// Each goroutine carries a panic guard (failure.go): a crash in any
-	// of them fails this pipeline instead of the process. pp and dist
-	// register their guards inside run so they order correctly against
-	// the output-channel close.
+	// of them fails this pipeline instead of the process.
 	p.wg.Add(3)
 	go func() { defer p.wg.Done(); pp.run() }()
 	go func() { defer p.wg.Done(); dist.run() }()
@@ -429,26 +399,41 @@ func (p *Pipeline) Start() {
 }
 
 // Stop shuts the pipeline down. In-flight queries receive
-// ErrPipelineStopped.
+// ErrPipelineStopped (or the typed failure of a failed pipeline).
 func (p *Pipeline) Stop() {
 	if p.stopped.CompareAndSwap(false, true) {
 		close(p.stopCh)
 	}
 	p.wg.Wait()
 	// Batches in flight when the stop signal landed may have been
-	// dropped by Stage workers before reaching the Distributor, so some
-	// queries' results were never delivered. deliver is idempotent;
-	// sweep every query still tracked as live.
+	// dropped by Stage workers before reaching the Distributor, and the
+	// manager loop has exited: every run still live is reported and
+	// recycled here. The plane holds stay — a clean stop abandons the
+	// slots with the plane.
+	p.sweep(p.terminalErr(), false)
+}
+
+// sweep reports err to every live run and recycles its slot, standing in
+// for the Distributor and Algorithm 2 cleanup that will never reach
+// them; release also retires the runs' plane holds. Stop and fail share
+// it. Activate re-checks the terminal states under pmMu, so every run is
+// either registered before them and taken here, or rejected. The reports
+// run after the lock is dropped: they call into the logical query.
+func (p *Pipeline) sweep(err error, release bool) {
 	p.pmMu.Lock()
-	for _, rq := range p.live {
-		rq.deliver(nil, p.terminalErr())
-		// Algorithm 2 cleanup will never run for these queries (the
-		// manager loop has exited), so complete the Done contract here.
-		// A SubmitCtx rollback on the submitter's goroutine can still
-		// race this sweep; markCleaned is idempotent.
-		rq.markCleaned()
+	swept := make([]*runningQuery, 0, len(p.live))
+	for slot, rq := range p.live {
+		swept = append(swept, rq)
+		delete(p.live, slot)
 	}
 	p.pmMu.Unlock()
+	for _, rq := range swept {
+		rq.report(nil, err)
+		if release {
+			rq.releaseHold()
+		}
+		rq.recycle()
+	}
 }
 
 // managerLoop is the Pipeline Manager's asynchronous half: it performs
@@ -484,45 +469,45 @@ func (p *Pipeline) managerLoop() {
 
 // Activate registers a query that the group's dimension plane has
 // already admitted (slot from dimplane.Plane.AdmitBatch) with this
-// pipeline's Preprocessor — Algorithm 1, lines 17–22 — and returns its
-// handle. It is the one way a query enters a pipeline: internal/shard.Group
-// calls it once per shard after one plane admission, which is the whole
-// point of the plane — admit once, probe everywhere. A non-nil sink
-// receives the query's joined tuples instead of an aggregation operator
-// (§5, galaxy joins).
+// pipeline's Preprocessor — Algorithm 1, lines 17–22 — and returns this
+// shard's run of it. It is the one way a query enters a pipeline:
+// internal/shard.Group calls it once per shard after one plane
+// admission, which is the whole point of the plane — admit once, probe
+// everywhere. The run reports its outcome and its slot recycling to
+// `to`, once each (Reporter). A non-nil sink receives the query's joined
+// tuples instead of an aggregation operator (§5, galaxy joins); the
+// pipeline only ever calls its Consume.
 //
 // Retirement contract: on success, this pipeline retires the slot
 // exactly once through its normal lifecycle (Algorithm 2 cleanup). On
 // error the slot has NOT been retired and never will be by this
 // pipeline, so the caller must compensate with one Plane.Retire — with
-// one exception: ErrPipelineStopped, where delivery is owned by the
-// shutdown sweep and the slot is abandoned with the plane. A FAILED
-// pipeline returns its *PipelineFailedError instead (never bare
-// ErrPipelineStopped), and the caller compensates: the failure sweep
-// releases the holds of queries it swept, and a query rejected here was
-// never registered, so its hold is still the caller's.
-func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink TupleSink) (Handle, error) {
+// one exception: ErrPipelineStopped, where the run may already be
+// registered, the shutdown sweep reports it, and the slot is abandoned
+// with the plane. A FAILED pipeline returns its *PipelineFailedError
+// instead (never bare ErrPipelineStopped), and the caller compensates:
+// the failure sweep releases the holds of runs it swept, and a query
+// rejected here was never registered, so its hold is still the caller's.
+func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink TupleSink, to Reporter) (Run, error) {
 	if f := p.failure.Load(); f != nil {
-		return nil, f
+		return Run{}, f
 	}
 	if p.stopped.Load() {
-		return nil, ErrPipelineStopped
+		return Run{}, ErrPipelineStopped
 	}
 	if q.Schema != p.star {
-		return nil, ErrSchemaMismatch
+		return Run{}, ErrSchemaMismatch
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	start := time.Now()
 	rq := &runningQuery{
 		p:         p,
 		slot:      slot,
 		q:         q,
 		sink:      sink,
-		resultCh:  make(chan QueryResult, 1),
-		submitted: start,
-		cleaned:   make(chan struct{}),
+		to:        to,
+		submitted: time.Now(),
 	}
 
 	// §5 partition pruning: derive the needed partitions from the
@@ -547,15 +532,13 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink 
 	p.pmMu.Lock()
 	if f := p.failure.Load(); f != nil {
 		p.pmMu.Unlock()
-		return nil, f
+		return Run{}, f
 	}
 	if p.stopped.Load() {
 		p.pmMu.Unlock()
-		return nil, ErrPipelineStopped
+		return Run{}, ErrPipelineStopped
 	}
 	p.rebuildFilterOrderLocked()
-	p.pmActive.Set(slot)
-	p.inFlight++
 	p.live[slot] = rq
 	p.pmMu.Unlock()
 
@@ -566,26 +549,25 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink 
 		// The Preprocessor never saw the query; undo the registration.
 		// The plane slot stays admitted — the caller compensates.
 		p.deregister(rq)
-		rq.markCleaned()
-		return nil, ctx.Err()
+		return Run{}, ctx.Err()
 	case <-p.stopCh:
-		return nil, ErrPipelineStopped
+		return Run{}, ErrPipelineStopped
 	}
 	// The installation command is in flight and the stall window is
 	// bounded (one page at most), so wait for it rather than abandoning a
 	// half-installed query. When the pipeline dies right after the
-	// install (both channels ready), the install wins: the handle is
-	// valid and the failure sweep delivers its result.
+	// install (both channels ready), the install wins: the run is valid
+	// and the failure sweep reports it.
 	select {
 	case <-done:
 	case <-p.stopCh:
 		select {
 		case <-done:
 		default:
-			return nil, ErrPipelineStopped
+			return Run{}, ErrPipelineStopped
 		}
 	}
-	return &pipeHandle{rq: rq, submission: time.Since(start)}, nil
+	return Run{rq}, nil
 }
 
 // neededPartitions computes which fact partitions the query must scan by
@@ -649,7 +631,7 @@ func (p *Pipeline) cleanup(rq *runningQuery) {
 		p.rebuildFilterOrderLocked()
 		p.pmMu.Unlock()
 	}
-	rq.markCleaned()
+	rq.recycle()
 }
 
 // deregister removes a query from the pipeline-manager bookkeeping
@@ -659,8 +641,6 @@ func (p *Pipeline) cleanup(rq *runningQuery) {
 func (p *Pipeline) deregister(rq *runningQuery) {
 	p.pmMu.Lock()
 	if cur, ok := p.live[rq.slot]; ok && cur == rq {
-		p.pmActive.Clear(rq.slot)
-		p.inFlight--
 		delete(p.live, rq.slot)
 	}
 	p.pmMu.Unlock()
@@ -695,7 +675,7 @@ func (p *Pipeline) MaxConcurrent() int { return p.cfg.MaxConcurrent }
 func (p *Pipeline) ActiveQueries() int {
 	p.pmMu.Lock()
 	defer p.pmMu.Unlock()
-	return p.inFlight
+	return len(p.live)
 }
 
 // Quiesce blocks until no queries are in flight (useful in tests).

@@ -32,7 +32,7 @@ type preprocessor struct {
 	p    *Pipeline
 	scan *factScan
 	cmds chan ppCmd
-	// cancels carries queries abandoned via Handle.Cancel; the
+	// cancels carries runs abandoned via Run.Cancel; the
 	// Preprocessor retires them at the next page boundary. Capacity is
 	// maxConc (each live query cancels at most once), so senders never
 	// block on a healthy pipeline.
@@ -102,9 +102,6 @@ func newPreprocessor(p *Pipeline) *preprocessor {
 }
 
 func (pp *preprocessor) run() {
-	// Defers run LIFO: the panic guard registers AFTER the close so the
-	// failure state is recorded before the distributor can observe the
-	// closed channel and start its orphan sweep.
 	defer close(pp.out)
 	defer pp.p.guard("preprocessor")
 	for {
@@ -155,7 +152,7 @@ func (pp *preprocessor) run() {
 			}
 			// Retries exhausted or a hard failure: the scan cannot make
 			// progress, so the pipeline transitions to the terminal
-			// Failed state. fail's sweep delivers the typed cause to
+			// Failed state. fail's sweep reports the typed cause for
 			// every resident query; under a shard group the siblings
 			// keep serving.
 			pp.p.fail("preprocessor", err)
@@ -355,8 +352,8 @@ func (pp *preprocessor) refPages(rq *runningQuery, delta int) {
 // retire handles a canceled query: if it is still part of the continuous
 // scan it is finalized early, exactly as if its completion point had been
 // reached — the end-of-query control tuple flows through the pipeline in
-// order, the Distributor's deliver is an idempotent no-op (Cancel already
-// delivered ErrQueryCanceled), and Algorithm 2 recycles the slot. A query
+// order, the Distributor reports the partial (the logical query, already
+// canceled, discards it), and Algorithm 2 recycles the slot. A query
 // that already finished naturally is left alone.
 func (pp *preprocessor) retire(rq *runningQuery) {
 	for _, q := range pp.active {

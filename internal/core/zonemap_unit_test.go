@@ -122,7 +122,7 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 				// Twelve queries over eight slots: the result arrives
 				// before Algorithm 2 has recycled the slot.
 				<-h.Done()
-				rq := h.(*pipeHandle).rq
+				rq := h.rq
 				if rq.pruneEmpty {
 					if len(res.Rows) != 0 {
 						t.Fatalf("pruneEmpty query returned %d rows: %s", len(res.Rows), text)

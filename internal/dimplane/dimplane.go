@@ -17,11 +17,10 @@
 // atomic snapshot publication as the only coupling.
 //
 // Lifecycle: AdmitBatch allocates query slots and installs the queries'
-// dimension selections (Admit is a batch of one); each attached pipeline
-// calls Retire(slot) when its portion of the query has fully drained
-// (Algorithm 2 cleanup), and the last of the plane's probers to retire
-// performs the actual bit clearing, garbage collection, and slot
-// recycling. Until then the slot cannot be reused, so no pipeline ever
+// dimension selections; each attached pipeline calls Retire(slot) when
+// its portion of the query has fully drained (Algorithm 2 cleanup), and
+// the last of the plane's probers to retire performs the actual bit
+// clearing, garbage collection, and slot recycling. Until then the slot cannot be reused, so no pipeline ever
 // probes a bit that has been reassigned while its tuples are still in
 // flight.
 package dimplane
@@ -40,8 +39,8 @@ import (
 	"cjoin/internal/query"
 )
 
-// ErrSlotsExhausted is returned by Admit when all maxConc query slots are
-// in use. The execution tier maps it to core.ErrTooManyQueries.
+// ErrSlotsExhausted is returned by AdmitBatch when all maxConc query
+// slots are in use. The execution tier maps it to core.ErrTooManyQueries.
 var ErrSlotsExhausted = errors.New("dimplane: all query slots in use")
 
 // Config tunes a Plane.
@@ -218,15 +217,6 @@ func (pl *Plane) Store(i int) *CowStore { return pl.stores[i] }
 
 // InUse returns the number of currently admitted query slots.
 func (pl *Plane) InUse() int { return pl.ids.InUse() }
-
-// Admit is AdmitBatch for a lone query: a batch of one.
-func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error) {
-	slots, err := pl.AdmitBatch(ctx, []*query.Bound{q})
-	if err != nil {
-		return -1, err
-	}
-	return slots[0], nil
-}
 
 // selectRowsCached resolves one dimension predicate (fp is its canonical
 // fingerprint), consulting the predicate-scan cache first. A miss (or a

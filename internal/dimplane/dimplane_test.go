@@ -13,6 +13,15 @@ import (
 	"cjoin/internal/query"
 )
 
+// Admit is AdmitBatch for a lone query: a batch of one.
+func (pl *Plane) Admit(ctx context.Context, q *query.Bound) (slot int, err error) {
+	slots, err := pl.AdmitBatch(ctx, []*query.Bound{q})
+	if err != nil {
+		return -1, err
+	}
+	return slots[0], nil
+}
+
 // miniStar builds a 2-dimension star; dimension d1 holds rows (k, k%5)
 // for k in [0, n), d2 holds (k, k%3).
 func miniStar(t testing.TB, n int64) *catalog.Star {

@@ -36,7 +36,6 @@ func (h *gateHandle) Slot() int                  { return 0 }
 func (h *gateHandle) Wait() core.QueryResult     { return <-h.res }
 func (h *gateHandle) Done() <-chan struct{}      { return h.done }
 func (h *gateHandle) Cancel() bool               { return false }
-func (h *gateHandle) Canceled() bool             { return false }
 func (h *gateHandle) PagesScanned() int64        { return 0 }
 func (h *gateHandle) ETA() (time.Duration, bool) { return 0, false }
 func (h *gateHandle) Progress() float64          { return 0 }

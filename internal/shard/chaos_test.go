@@ -181,6 +181,51 @@ func TestStridedShardFailure(t *testing.T) {
 	}
 }
 
+// TestShardFailureNotHeldBySiblings: the group's handle delivers the
+// first shard error as soon as the failed shard reports it, and cancels
+// the healthy sibling — it does not wait for the sibling's own cycle.
+// Over a throttled device, shard 1 of two dies at its third page read;
+// the typed error must arrive, and shard 0 must recycle the slot, well
+// inside the time a healthy query takes on the same device.
+func TestShardFailureNotHeldBySiblings(t *testing.T) {
+	ds := genDataset(t, 4000, disk.Config{SeqBytesPerSec: 256 << 10})
+	const sql = "SELECT SUM(lo_revenue) AS rev FROM lineorder"
+
+	healthy := startGroup(t, ds, 2)
+	start := time.Now()
+	h, err := healthy.Submit(bind(t, ds, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	cycle := time.Since(start)
+	<-h.Done()
+	healthy.Stop()
+
+	g := chaosGroup(t, ds, 2, "seed=1;shard=1;scan-fail=2", 0)
+	start = time.Now()
+	h, err = g.Submit(bind(t, ds, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := h.Wait()
+	failed := time.Since(start)
+	if sfe := expectShardFailed(t, res.Err); sfe.Shard != 1 {
+		t.Fatalf("failure attributed to shard %d, want 1", sfe.Shard)
+	}
+	if failed > cycle/4 {
+		t.Fatalf("the shard error took %v to arrive; a healthy query takes %v", failed, cycle)
+	}
+	select {
+	case <-h.Done():
+	case <-time.After(cycle / 2):
+		t.Fatalf("slot not recycled %v after submit: shard 0 was not canceled (healthy query: %v)", cycle/2, cycle)
+	}
+	waitSlotsFree(t, g)
+}
+
 // TestPartitionedDegradedServing is the graceful-degradation
 // acceptance: on a partition-dealt group, losing one shard fails only
 // the queries that need its partitions. Queries over surviving

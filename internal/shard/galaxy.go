@@ -9,33 +9,17 @@ import (
 )
 
 // fanIn is the one sink every shard of a sink-carrying query feeds
-// (SubmitWithSink): Consume calls from the shards' Distributors are
-// serialized, and the caller's Finalize runs once, after the last
-// shard's, with the first error.
+// (SubmitWithSink): it serializes the shards' Distributors' Consume
+// calls. The group's handle calls the caller's Finalize itself, once.
 type fanIn struct {
-	mu      sync.Mutex
-	sink    core.TupleSink
-	pending int // shards yet to Finalize
-	err     error
+	mu sync.Mutex
+	core.TupleSink
 }
 
 func (f *fanIn) Consume(j *expr.Joined) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sink.Consume(j)
-}
-
-func (f *fanIn) Finalize(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.pending--
-	last := f.pending == 0
-	f.mu.Unlock()
-	if last {
-		f.sink.Finalize(f.err)
-	}
+	f.TupleSink.Consume(j)
 }
 
 // ExecuteGalaxy evaluates a two-fact-table galaxy query (§5): qa and qb

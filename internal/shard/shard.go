@@ -385,8 +385,8 @@ func (g *Group) Quiesce() {
 }
 
 // Submit registers the query (Algorithm 1: admitted once to the plane,
-// activated on every shard) and returns a handle that gathers and merges
-// the per-shard partials.
+// activated on every shard) and returns the handle every shard reports
+// its partial into.
 func (g *Group) Submit(q *query.Bound) (core.Handle, error) {
 	return g.SubmitCtx(context.Background(), q)
 }
@@ -402,8 +402,8 @@ func (g *Group) SubmitCtx(ctx context.Context, q *query.Bound) (core.Handle, err
 
 // SubmitWithSink registers q like Submit but routes its joined tuples to
 // sink instead of an aggregation operator (§5, galaxy joins). Every shard
-// feeds sink through one fan-in: Consume calls are serialized, and
-// Finalize runs once, after the last shard's, with the first error. The
+// feeds sink through one fan-in that serializes Consume calls; Finalize
+// runs once, after the last shard reports, with the query's error. The
 // handle's Wait still reports completion, with no rows on success.
 func (g *Group) SubmitWithSink(q *query.Bound, sink core.TupleSink) (core.Handle, error) {
 	if sink == nil {
@@ -422,10 +422,10 @@ func (g *Group) submitOne(ctx context.Context, q *query.Bound, sink core.TupleSi
 }
 
 // activateAdmittedLocked fans one plane-admitted query out to every
-// healthy shard and returns its merged handle. The caller holds the
-// supervision read lock across the plane admission AND this call, so
-// quarantine (which changes the number of retires a slot expects)
-// cannot land between them.
+// healthy shard and returns its handle, into which every shard's run
+// reports. The caller holds the supervision read lock across the plane
+// admission AND this call, so quarantine (which changes the number of
+// retires a slot expects) cannot land between them.
 // On error the slot has been fully released (Abort, compensating
 // Retires, or the cancel lifecycle) — the caller only reports.
 func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot int, sink core.TupleSink, start time.Time) (*groupHandle, error) {
@@ -444,39 +444,51 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 			healthy = append(healthy, i)
 		}
 	}
-
-	// Shards aggregate partials: ORDER BY and LIMIT must not truncate a
-	// shard's groups before the merge, so they are stripped here and
-	// re-applied once over the merged results. The Bound is otherwise
-	// read-only during execution and safely shared by all shards.
-	pq := *q
-	pq.OrderBy = nil
-	pq.Limit = -1
+	h := &groupHandle{
+		bound:   q,
+		slot:    slot,
+		sink:    sink,
+		parts:   make([][]agg.Result, len(g.pipes)),
+		pending: len(healthy),
+		ready:   make(chan struct{}, 1),
+		done:    make(chan struct{}),
+	}
+	h.unsettled.Store(int32(len(healthy)) + 1)
 	if sink != nil {
-		sink = &fanIn{sink: sink, pending: len(healthy)}
+		sink = &fanIn{TupleSink: sink}
 	}
 
-	subs := make([]core.Handle, len(healthy))
+	// Shards aggregate partials, which the handle merges before it
+	// applies ORDER BY and LIMIT once; the Bound is read-only during
+	// execution and shared by every shard. The last shard activates on
+	// this goroutine, so one shard starts no goroutine here.
+	runs := make([]core.Run, len(healthy))
 	errs := make([]error, len(healthy))
 	var wg sync.WaitGroup
-	for j, i := range healthy {
+	last := len(healthy) - 1
+	for j, i := range healthy[:last] {
 		wg.Add(1)
 		go func(j, i int) {
 			defer wg.Done()
-			subs[j], errs[j] = g.pipes[i].Activate(ctx, &pq, slot, sink)
+			runs[j], errs[j] = g.pipes[i].Activate(ctx, q, slot, sink, h)
 		}(j, i)
 	}
+	runs[last], errs[last] = g.pipes[healthy[last]].Activate(ctx, q, slot, sink, h)
 	wg.Wait()
 	if fi := firstErrorIdx(errs); fi >= 0 {
 		// Partial activation: rolling back is one-plane bookkeeping.
 		// Activated shards retire their hold through the normal cancel
-		// lifecycle; shards that failed never will, so compensate with
-		// one Retire each — except ErrPipelineStopped, where the
+		// lifecycle, reporting into a handle nobody holds (its sink is
+		// never finalized); shards that failed never will, so compensate
+		// with one Retire each — except ErrPipelineStopped, where the
 		// shutdown sweep owns the query and released the hold already
 		// (see Pipeline.Activate's contract).
-		for j, sh := range subs {
-			if sh != nil {
-				sh.Cancel()
+		h.mu.Lock()
+		h.sink = nil
+		h.mu.Unlock()
+		for j, run := range runs {
+			if errs[j] == nil {
+				run.Cancel()
 			} else if !errors.Is(errs[j], core.ErrPipelineStopped) {
 				g.plane.Retire(slot)
 			}
@@ -491,17 +503,16 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 		}
 		return nil, typeShardErr(healthy[fi], err)
 	}
-
-	h := &groupHandle{
-		g:          g,
-		bound:      q,
-		subs:       subs,
-		shards:     healthy,
-		submission: time.Since(start),
-		resultCh:   make(chan core.QueryResult, 1),
-		done:       make(chan struct{}),
+	h.submission = time.Since(start)
+	h.mu.Lock()
+	h.runs = runs
+	// A shard that failed during activation decided the outcome before
+	// the runs were known: cancel them now.
+	decided := h.decided
+	h.mu.Unlock()
+	if decided {
+		cancelAll(runs)
 	}
-	go h.gather()
 	return h, nil
 }
 
@@ -665,75 +676,110 @@ func (g *Group) ShardStats() []core.Stats {
 	return out
 }
 
-// groupHandle is the core.Handle over one broadcast query: it gathers
-// per-shard partial aggregates, merges them, and applies the original
-// query's ORDER BY / LIMIT once.
+// groupHandle is the one core.Handle: every shard's run of one logical
+// query reports into it (core.Reporter). It decides the query's outcome
+// in one place — the first shard error, a Cancel, or the last shard's
+// partial — and merges the partials, then applies the query's ORDER BY
+// and LIMIT once, on the goroutine that calls Wait.
 type groupHandle struct {
-	g     *Group
-	bound *query.Bound
-	subs  []core.Handle
-	// shards holds the global shard index behind each sub handle (a
-	// degraded-mode submission skips quarantined shards, so sub j is not
-	// necessarily shard j).
-	shards     []int
+	bound      *query.Bound
+	slot       int
 	submission time.Duration
+	// runs holds each activated shard's run; set under mu once activation
+	// completes, read-only after.
+	runs []core.Run
 
-	resultCh  chan core.QueryResult
+	mu      sync.Mutex
+	sink    core.TupleSink // the caller's sink; finalized after the last report
+	parts   [][]agg.Result // shard partials, indexed by shard; nil once merged
+	pending int            // runs yet to report
+	decided bool           // the outcome is final: err is set, or every partial is in
+	err     error          // the outcome's error: first shard error or cancel
+
+	// ready holds one token once the outcome is decided; Wait takes it,
+	// so the result is delivered once.
+	ready chan struct{}
+	// unsettled counts the slot recyclings still to come plus one for
+	// the last report, so Done closes only after every run has recycled
+	// and the last Report (with the sink's Finalize) has returned.
+	unsettled atomic.Int32
 	done      chan struct{}
-	delivered atomic.Bool
-	canceled  atomic.Bool
 }
 
-var _ core.Handle = (*groupHandle)(nil)
+var (
+	_ core.Handle   = (*groupHandle)(nil)
+	_ core.Reporter = (*groupHandle)(nil)
+)
 
-func (h *groupHandle) deliver(res core.QueryResult) {
-	if h.delivered.CompareAndSwap(false, true) {
-		h.resultCh <- res
+// Report takes one shard's outcome (core.Reporter). The first error
+// decides the query at once — as the serving tier's typed, retryable
+// error when the shard failed — and cancels the sibling shards; the last
+// partial decides a query nothing failed. The caller's sink is finalized
+// after the last report, with the outcome's error.
+func (h *groupHandle) Report(shard int, rows []agg.Result, err error) {
+	h.mu.Lock()
+	h.pending--
+	decide := !h.decided && (err != nil || h.pending == 0)
+	if !h.decided {
+		if err != nil {
+			h.err, h.parts = typeShardErr(shard, err), nil
+		} else {
+			h.parts[shard] = rows
+		}
+		h.decided = decide
+	}
+	last, sink, ferr, runs := h.pending == 0, h.sink, h.err, h.runs
+	h.mu.Unlock()
+	if decide {
+		h.ready <- struct{}{}
+		if err != nil {
+			cancelAll(runs)
+		}
+	}
+	if last {
+		if sink != nil {
+			sink.Finalize(ferr)
+		}
+		h.settle()
 	}
 }
 
-// gather is the scatter/gather tail: wait for every shard, merge the
-// partials, sort and truncate once, deliver, then close done after every
-// shard slot has been recycled.
-func (h *groupHandle) gather() {
-	parts := make([][]agg.Result, len(h.subs))
-	var firstErr error
-	for i, sh := range h.subs {
-		res := sh.Wait()
-		if res.Err != nil && firstErr == nil {
-			// A shard lost to failure surfaces as the serving tier's
-			// typed, retryable error; cancel and clean stop pass through.
-			firstErr = typeShardErr(h.shards[i], res.Err)
-		}
-		parts[i] = res.Rows
+// Recycled counts one shard's slot recycling (core.Reporter).
+func (h *groupHandle) Recycled() { h.settle() }
+
+// settle closes Done once the last recycle and the last report are in.
+func (h *groupHandle) settle() {
+	if h.unsettled.Add(-1) == 0 {
+		close(h.done)
 	}
-	if firstErr != nil {
-		// One shard failed or was canceled: retire the query everywhere
-		// (idempotent for shards already done) and surface the first
-		// error.
-		for _, sh := range h.subs {
-			sh.Cancel()
-		}
-		h.deliver(core.QueryResult{Err: firstErr})
-	} else {
-		rows := agg.Merge(h.bound.Aggs, parts...)
-		clear(parts) // merged: gather lives on until every slot recycles
-		query.SortResults(rows, h.bound.OrderBy)
-		rows = h.bound.ApplyLimit(rows)
-		h.deliver(core.QueryResult{Rows: rows})
+}
+
+// cancelAll retires the query on every shard; a run that already
+// reported is left alone.
+func cancelAll(runs []core.Run) {
+	for _, r := range runs {
+		r.Cancel()
 	}
-	for _, sh := range h.subs {
-		<-sh.Done()
-	}
-	close(h.done)
 }
 
 // Slot returns the query's slot on the group's plane (every shard holds
 // the same one).
-func (h *groupHandle) Slot() int { return h.subs[0].Slot() }
+func (h *groupHandle) Slot() int { return h.slot }
 
-// Wait blocks until every shard completes and returns the merged result.
-func (h *groupHandle) Wait() core.QueryResult { return <-h.resultCh }
+// Wait blocks until the outcome is decided and returns it: the error, or
+// every shard's partial merged (agg.Merge), sorted and limited once. The
+// handle keeps no rows once they are delivered: the server keeps
+// finished handles for status lookups.
+func (h *groupHandle) Wait() core.QueryResult {
+	<-h.ready
+	if h.err != nil {
+		return core.QueryResult{Err: h.err}
+	}
+	rows := agg.Merge(h.bound.Aggs, h.parts...)
+	h.parts = nil
+	query.SortResults(rows, h.bound.OrderBy)
+	return core.QueryResult{Rows: h.bound.ApplyLimit(rows)}
+}
 
 // Done returns a channel closed once every shard has recycled the
 // query's slot.
@@ -742,25 +788,24 @@ func (h *groupHandle) Done() <-chan struct{} { return h.done }
 // Cancel abandons the query on every shard; ErrQueryCanceled is
 // delivered immediately.
 func (h *groupHandle) Cancel() bool {
-	if !h.delivered.CompareAndSwap(false, true) {
+	h.mu.Lock()
+	if h.decided {
+		h.mu.Unlock()
 		return false
 	}
-	h.canceled.Store(true)
-	h.resultCh <- core.QueryResult{Err: core.ErrQueryCanceled}
-	for _, sh := range h.subs {
-		sh.Cancel()
-	}
+	h.decided, h.err, h.parts = true, core.ErrQueryCanceled, nil
+	runs := h.runs
+	h.mu.Unlock()
+	h.ready <- struct{}{}
+	cancelAll(runs)
 	return true
 }
-
-// Canceled reports whether the query was abandoned via Cancel.
-func (h *groupHandle) Canceled() bool { return h.canceled.Load() }
 
 // PagesScanned sums the fact pages charged to the query across shards.
 func (h *groupHandle) PagesScanned() int64 {
 	var n int64
-	for _, sh := range h.subs {
-		n += sh.PagesScanned()
+	for _, r := range h.runs {
+		n += r.PagesScanned()
 	}
 	return n
 }
@@ -772,21 +817,24 @@ func (h *groupHandle) PagesScanned() int64 {
 // pruned) reports 1 and only pulls the mean toward completion.
 func (h *groupHandle) Progress() float64 {
 	var sum float64
-	for _, sh := range h.subs {
-		sum += sh.Progress()
+	for _, r := range h.runs {
+		sum += r.Progress()
 	}
-	return sum / float64(len(h.subs))
+	return sum / float64(len(h.runs))
 }
 
 // ETA is the slowest shard's estimate — the group completes when its
 // last shard does. ok only once every shard has an estimate.
 func (h *groupHandle) ETA() (time.Duration, bool) {
-	if h.delivered.Load() {
+	h.mu.Lock()
+	decided := h.decided
+	h.mu.Unlock()
+	if decided {
 		return 0, true
 	}
 	var max time.Duration
-	for _, sh := range h.subs {
-		eta, ok := sh.ETA()
+	for _, r := range h.runs {
+		eta, ok := r.ETA()
 		if !ok {
 			return 0, false
 		}
