@@ -23,7 +23,7 @@ func TestDistributorRestoresSequenceOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tq := newTestQuery()
+	tq := newTestQuery(p, 3)
 	rq := &runningQuery{p: p, slot: 3, q: q, to: tq}
 
 	mkData := func(seq uint64, rows int) *batch {

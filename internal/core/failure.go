@@ -58,10 +58,10 @@ func (p *Pipeline) guard(goroutine string) {
 
 // fail transitions the pipeline to the terminal Failed state: the first
 // cause wins, the stop signal tears down every goroutine exactly as Stop
-// does, and the sweep reports the typed failure to every resident run.
-// Plane holds of swept runs are released exactly once
-// (runningQuery.releaseHold), so the shared dimension plane of a shard
-// group loses no slots to a dead member.
+// does, and the sweep reports the typed failure to every resident run
+// and recycles it. Each swept run's logical query retires its plane slot
+// once its last shard has recycled, so the shared dimension plane of a
+// shard group loses no slots to a dead member.
 func (p *Pipeline) fail(goroutine string, cause error) {
 	ferr := &PipelineFailedError{Goroutine: goroutine, Cause: cause}
 	if !p.failure.CompareAndSwap(nil, ferr) {
@@ -72,7 +72,7 @@ func (p *Pipeline) fail(goroutine string, cause error) {
 	if p.stopped.CompareAndSwap(false, true) {
 		close(p.stopCh)
 	}
-	p.sweep(ferr, true)
+	p.sweep(ferr)
 	if p.logf != nil {
 		p.logf("pipeline failed in %s: %v", goroutine, cause)
 	}
@@ -91,9 +91,10 @@ func (p *Pipeline) Failed() <-chan struct{} { return p.failedCh }
 // is healthy or merely stopped.
 func (p *Pipeline) FailureCause() *PipelineFailedError { return p.failure.Load() }
 
-// terminalErr is the error reported to runs orphaned by shutdown:
-// the typed failure when the pipeline failed, ErrPipelineStopped on a
-// clean Stop.
+// terminalErr is the error reported to runs orphaned by shutdown and to
+// activations it rejects: the typed failure when the pipeline failed
+// (fail stores it before it sets stopped), ErrPipelineStopped on a clean
+// Stop.
 func (p *Pipeline) terminalErr() error {
 	if f := p.failure.Load(); f != nil {
 		return f

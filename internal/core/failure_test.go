@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cjoin/internal/agg"
 	"cjoin/internal/core"
 	"cjoin/internal/dimplane"
 	"cjoin/internal/disk"
@@ -207,7 +210,7 @@ func TestScanHardFailureEscalatesImmediately(t *testing.T) {
 // get that cause, and the plane gets its slot back.
 func TestFailNow(t *testing.T) {
 	ds := slowDataset(t, 2000)
-	pl := dimplane.New(ds.Star, 1, dimplane.Config{MaxConcurrent: 4})
+	pl := dimplane.New(ds.Star, dimplane.Config{MaxConcurrent: 4})
 	p := core.NewTestPipeline(t, ds.Star, core.Config{MaxConcurrent: 4, Workers: 2}, core.ShardConfig{Plane: pl})
 	p.Start()
 	h, err := p.Admit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
@@ -247,5 +250,64 @@ func TestAdmitFaultRejectsCleanly(t *testing.T) {
 	}
 	if h := p.Health(); h.State != "ok" || p.Plane().InUse() != 0 {
 		t.Fatalf("admission fault damaged the pipeline: health=%+v inUse=%d", h, p.Plane().InUse())
+	}
+}
+
+// countingReporter counts the calls a pipeline run makes into its
+// logical query.
+type countingReporter struct{ reports, recycles atomic.Int32 }
+
+func (r *countingReporter) Report(int, []agg.Result, error) { r.reports.Add(1) }
+func (r *countingReporter) Recycled()                       { r.recycles.Add(1) }
+
+// TestActivateErrorNeverReports pins the error half of Activate's
+// binary contract on each terminal path it checks before it registers a
+// run: the activation errors, the run never reports or recycles, and the
+// pipeline leaves the slot's plane hold alone, so its caller retires it.
+func TestActivateErrorNeverReports(t *testing.T) {
+	ds := dataset(t, 500)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cause := errors.New("declared dead")
+	cases := []struct {
+		name  string
+		ctx   context.Context
+		setup func(p *core.Pipeline)
+		want  func(err error) bool
+	}{
+		{"stopped", context.Background(), func(p *core.Pipeline) { p.Stop() },
+			func(err error) bool { return errors.Is(err, core.ErrPipelineStopped) }},
+		{"failed", context.Background(), func(p *core.Pipeline) { p.FailNow(cause) },
+			func(err error) bool { return errors.Is(err, cause) }},
+		{"canceled", canceled, func(*core.Pipeline) {},
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := dimplane.New(ds.Star, dimplane.Config{MaxConcurrent: 4})
+			p := core.NewTestPipeline(t, ds.Star, core.Config{MaxConcurrent: 4, Workers: 2}, core.ShardConfig{Plane: pl})
+			p.Start()
+			tc.setup(p)
+			q := bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder")
+			slots, err := pl.AdmitBatch(context.Background(), []*query.Bound{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep countingReporter
+			if _, err := p.Activate(tc.ctx, q, slots[0], nil, &rep); !tc.want(err) {
+				t.Fatalf("Activate = %v", err)
+			}
+			p.Stop() // a later sweep must not find the rejected run either
+			if n, m := rep.reports.Load(), rep.recycles.Load(); n != 0 || m != 0 {
+				t.Fatalf("rejected run reported %d times and recycled %d times", n, m)
+			}
+			if got := pl.InUse(); got != 1 {
+				t.Fatalf("plane holds %d slots after a rejected activation, want the caller's 1", got)
+			}
+			pl.Retire(slots[0])
+			if got := pl.InUse(); got != 0 {
+				t.Fatalf("%d slots held after the caller's retire", got)
+			}
+		})
 	}
 }

@@ -49,11 +49,6 @@ type runningQuery struct {
 	// and fail sweeps can all reach the same run.
 	reported atomic.Bool
 	recycled atomic.Bool
-	// released guards this pipeline's hold on the plane slot: Algorithm 2
-	// cleanup and the failure sweep can race (a Cancel in flight when a
-	// shard dies reaches both paths), and the plane panics on surplus
-	// retires, so the hold must be released exactly once.
-	released atomic.Bool
 
 	// Preprocessor-owned scan bookkeeping.
 	startPos     int64
@@ -132,16 +127,6 @@ func (rq *runningQuery) detachClock() {
 	if rq.ownPages.Load() < 0 {
 		rq.ownPages.Store(rq.clock.Load() - rq.startClock)
 	}
-}
-
-// releaseHold retires this pipeline's hold on the query's plane slot if
-// it is still held, reporting whether this was the plane-wide final
-// retire. Exactly-once across cleanup and the failure sweep.
-func (rq *runningQuery) releaseHold() bool {
-	if rq.released.CompareAndSwap(false, true) {
-		return rq.p.plane.Retire(rq.slot)
-	}
-	return false
 }
 
 // report hands the run's outcome to its logical query, exactly once.
@@ -247,7 +232,7 @@ type Pipeline struct {
 	// failure is the terminal Failed state (see failure.go): set exactly
 	// once by fail, after which failedCh is closed and the pipeline winds
 	// down like Stop — but reports the typed cause instead of
-	// ErrPipelineStopped and releases its plane holds.
+	// ErrPipelineStopped.
 	failure  atomic.Pointer[PipelineFailedError]
 	failedCh chan struct{}
 	logf     func(format string, args ...any)
@@ -408,18 +393,17 @@ func (p *Pipeline) Stop() {
 	// Batches in flight when the stop signal landed may have been
 	// dropped by Stage workers before reaching the Distributor, and the
 	// manager loop has exited: every run still live is reported and
-	// recycled here. The plane holds stay — a clean stop abandons the
-	// slots with the plane.
-	p.sweep(p.terminalErr(), false)
+	// recycled here.
+	p.sweep(p.terminalErr())
 }
 
 // sweep reports err to every live run and recycles its slot, standing in
 // for the Distributor and Algorithm 2 cleanup that will never reach
-// them; release also retires the runs' plane holds. Stop and fail share
-// it. Activate re-checks the terminal states under pmMu, so every run is
-// either registered before them and taken here, or rejected. The reports
-// run after the lock is dropped: they call into the logical query.
-func (p *Pipeline) sweep(err error, release bool) {
+// them. Stop and fail share it. Activate re-checks the terminal states
+// under pmMu, so every run is either registered before them and taken
+// here, or rejected. The reports run after the lock is dropped: they
+// call into the logical query.
+func (p *Pipeline) sweep(err error) {
 	p.pmMu.Lock()
 	swept := make([]*runningQuery, 0, len(p.live))
 	for slot, rq := range p.live {
@@ -429,9 +413,6 @@ func (p *Pipeline) sweep(err error, release bool) {
 	p.pmMu.Unlock()
 	for _, rq := range swept {
 		rq.report(nil, err)
-		if release {
-			rq.releaseHold()
-		}
 		rq.recycle()
 	}
 }
@@ -478,22 +459,12 @@ func (p *Pipeline) managerLoop() {
 // tuples instead of an aggregation operator (§5, galaxy joins); the
 // pipeline only ever calls its Consume.
 //
-// Retirement contract: on success, this pipeline retires the slot
-// exactly once through its normal lifecycle (Algorithm 2 cleanup). On
-// error the slot has NOT been retired and never will be by this
-// pipeline, so the caller must compensate with one Plane.Retire — with
-// one exception: ErrPipelineStopped, where the run may already be
-// registered, the shutdown sweep reports it, and the slot is abandoned
-// with the plane. A FAILED pipeline returns its *PipelineFailedError
-// instead (never bare ErrPipelineStopped), and the caller compensates:
-// the failure sweep releases the holds of runs it swept, and a query
-// rejected here was never registered, so its hold is still the caller's.
+// The contract is binary: a nil error means the run will Report and
+// Recycled exactly once; an error means it never will. The pipeline
+// never touches the slot's plane hold — its logical query owns it.
 func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink TupleSink, to Reporter) (Run, error) {
-	if f := p.failure.Load(); f != nil {
-		return Run{}, f
-	}
 	if p.stopped.Load() {
-		return Run{}, ErrPipelineStopped
+		return Run{}, p.terminalErr()
 	}
 	if q.Schema != p.star {
 		return Run{}, ErrSchemaMismatch
@@ -526,46 +497,40 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink 
 
 	// Register under the manager lock, re-checking the terminal states:
 	// the failure sweep runs under the same lock, so a query is either
-	// rejected here (its plane hold stays the caller's to release) or
-	// registered in live and guaranteed to be swept — never lost in
-	// between.
+	// rejected here or registered in live and guaranteed to be swept —
+	// never lost in between.
 	p.pmMu.Lock()
-	if f := p.failure.Load(); f != nil {
-		p.pmMu.Unlock()
-		return Run{}, f
-	}
 	if p.stopped.Load() {
 		p.pmMu.Unlock()
-		return Run{}, ErrPipelineStopped
+		return Run{}, p.terminalErr()
 	}
 	p.rebuildFilterOrderLocked()
 	p.live[slot] = rq
 	p.pmMu.Unlock()
 
 	done := make(chan struct{})
+	var err error
 	select {
 	case p.pp.cmds <- ppCmd{rq: rq, done: done}:
-	case <-ctx.Done():
-		// The Preprocessor never saw the query; undo the registration.
-		// The plane slot stays admitted — the caller compensates.
-		p.deregister(rq)
-		return Run{}, ctx.Err()
-	case <-p.stopCh:
-		return Run{}, ErrPipelineStopped
-	}
-	// The installation command is in flight and the stall window is
-	// bounded (one page at most), so wait for it rather than abandoning a
-	// half-installed query. When the pipeline dies right after the
-	// install (both channels ready), the install wins: the run is valid
-	// and the failure sweep reports it.
-	select {
-	case <-done:
-	case <-p.stopCh:
+		// The installation command is in flight and the stall window is
+		// bounded (one page at most), so wait for it rather than
+		// abandoning a half-installed query. A stop meanwhile leaves the
+		// run registered: the sweep, or the cleanup that beat it,
+		// reports it.
 		select {
 		case <-done:
-		default:
-			return Run{}, ErrPipelineStopped
+		case <-p.stopCh:
 		}
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-p.stopCh:
+		err = p.terminalErr()
+	}
+	// The Preprocessor never saw a query that failed here: undo the
+	// registration — unless a sweep took the run first, in which case the
+	// run is valid and the sweep's Report carries the failure.
+	if err != nil && p.deregister(rq) {
+		return Run{}, err
 	}
 	return Run{rq}, nil
 }
@@ -613,37 +578,34 @@ func NeededPartitions(star *catalog.Star, plane *dimplane.Plane, q *query.Bound,
 }
 
 // cleanup finishes Algorithm 2 for this pipeline: drop the query from
-// the pipeline-manager state and release this pipeline's hold on the
-// plane slot. The plane performs the actual bit clearing, entry garbage
-// collection, and slot recycling when the last of its probers retires,
-// so a slot is never reused while another shard still has the query's
-// tuples in flight.
+// the pipeline-manager state and tell its logical query the slot is
+// recycled here. The last shard to recycle retires the slot on the plane
+// inside that call — bit clearing, entry garbage collection, slot
+// recycling — so a slot is never reused while another shard still has
+// the query's tuples in flight. That retire may drop a dimension's
+// shared reference count to zero, so the active-filter list is
+// re-derived after it; sibling shards refresh their order at their next
+// admission or cleanup, and probing a refs==0 dimension meanwhile is a
+// no-op.
 func (p *Pipeline) cleanup(rq *runningQuery) {
 	p.deregister(rq)
-	if rq.releaseHold() {
-		// Final retire: the plane just ran Algorithm 2's removal, so a
-		// dimension's shared reference count may have dropped to zero —
-		// re-derive the active-filter list. A non-final retire cannot
-		// change reference counts; sibling shards refresh their order at
-		// their next admission or final cleanup, and probing a
-		// refs==0 dimension meanwhile is a no-op.
-		p.pmMu.Lock()
-		p.rebuildFilterOrderLocked()
-		p.pmMu.Unlock()
-	}
 	rq.recycle()
+	p.pmMu.Lock()
+	p.rebuildFilterOrderLocked()
+	p.pmMu.Unlock()
 }
 
-// deregister removes a query from the pipeline-manager bookkeeping
-// without touching the shared plane. Idempotent: the failure sweep may
-// have deregistered the query already while its cleanup command was
-// still queued.
-func (p *Pipeline) deregister(rq *runningQuery) {
+// deregister removes a query from the pipeline-manager bookkeeping and
+// reports whether it did: the failure sweep may have taken the query
+// already while its cleanup command was still queued.
+func (p *Pipeline) deregister(rq *runningQuery) bool {
 	p.pmMu.Lock()
+	defer p.pmMu.Unlock()
 	if cur, ok := p.live[rq.slot]; ok && cur == rq {
 		delete(p.live, rq.slot)
+		return true
 	}
-	p.pmMu.Unlock()
+	return false
 }
 
 // rebuildFilterOrderLocked recomputes the active-filter list, preserving

@@ -77,115 +77,111 @@ func sameKeys(a, b map[int64]bool) bool {
 // per store instead of K, and interleaved retires must not perturb
 // survivors.
 func TestAdmitBatchParity(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		for _, cacheSize := range []int{-1, 0} {
-			t.Run(fmt.Sprintf("cache=%d", cacheSize), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(99))
-				star := miniStar(t, 30)
-				ctx := context.Background()
-				for trial := 0; trial < 25; trial++ {
-					k := 1 + rng.Intn(8)
-					qs := make([]*query.Bound, k)
-					for i := range qs {
-						qs[i] = randBound(star, rng)
-						if i > 0 && rng.Intn(3) == 0 {
-							qs[i] = qs[rng.Intn(i)] // repeated template
-						}
-					}
-					cfg := Config{MaxConcurrent: 16, PredCacheSize: cacheSize}
-					batched := New(star, 1, cfg)
-					seq := New(star, 1, cfg)
-					bs, err := batched.AdmitBatch(ctx, qs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ss := make([]int, k)
-					for i, q := range qs {
-						if ss[i], err = seq.Admit(ctx, q); err != nil {
-							t.Fatal(err)
-						}
-					}
-					check := func(stage string) {
-						for d := 0; d < 2; d++ {
-							for i := range qs {
-								if bk, sk := slotKeys(batched.Store(d), bs[i]), slotKeys(seq.Store(d), ss[i]); !sameKeys(bk, sk) {
-									t.Fatalf("trial %d %s: dim %d query %d: batched selects %d keys, sequential %d",
-										trial, stage, d, i, len(bk), len(sk))
-								}
-							}
-							if bl, sl := batched.Store(d).Len(), seq.Store(d).Len(); bl != sl {
-								t.Fatalf("trial %d %s: dim %d: batched stores %d entries, sequential %d", trial, stage, d, bl, sl)
-							}
-							if br, sr := batched.Store(d).RefCount(), seq.Store(d).RefCount(); br != sr {
-								t.Fatalf("trial %d %s: dim %d: refs %d vs %d", trial, stage, d, br, sr)
-							}
-						}
-					}
-					check("admitted")
-					bst, sst := batched.Stats(), seq.Stats()
-					if bst.BatchAdmits != 1 || bst.SnapshotPublishes != 2 ||
-						sst.BatchAdmits != int64(k) || sst.SnapshotPublishes != int64(2*k) {
-						t.Fatalf("trial %d: rounds/publishes batched=%d/%d sequential=%d/%d, want 1/2 and %d/%d",
-							trial, bst.BatchAdmits, bst.SnapshotPublishes, sst.BatchAdmits, sst.SnapshotPublishes, k, 2*k)
-					}
-					// Retire a random strict subset on both planes; the
-					// survivors must still match exactly.
-					if k > 1 {
-						drop := rng.Intn(k-1) + 1
-						for i := 0; i < drop; i++ {
-							batched.Retire(bs[i])
-							seq.Retire(ss[i])
-						}
-						bs, ss, qs = bs[drop:], ss[drop:], qs[drop:]
-						check("after partial retire")
+	for _, cacheSize := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("cache=%d", cacheSize), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			star := miniStar(t, 30)
+			ctx := context.Background()
+			for trial := 0; trial < 25; trial++ {
+				k := 1 + rng.Intn(8)
+				qs := make([]*query.Bound, k)
+				for i := range qs {
+					qs[i] = randBound(star, rng)
+					if i > 0 && rng.Intn(3) == 0 {
+						qs[i] = qs[rng.Intn(i)] // repeated template
 					}
 				}
-			})
-		}
-	})
+				cfg := Config{MaxConcurrent: 16, PredCacheSize: cacheSize}
+				batched := New(star, cfg)
+				seq := New(star, cfg)
+				bs, err := batched.AdmitBatch(ctx, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss := make([]int, k)
+				for i, q := range qs {
+					if ss[i], err = seq.Admit(ctx, q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check := func(stage string) {
+					for d := 0; d < 2; d++ {
+						for i := range qs {
+							if bk, sk := slotKeys(batched.Store(d), bs[i]), slotKeys(seq.Store(d), ss[i]); !sameKeys(bk, sk) {
+								t.Fatalf("trial %d %s: dim %d query %d: batched selects %d keys, sequential %d",
+									trial, stage, d, i, len(bk), len(sk))
+							}
+						}
+						if bl, sl := batched.Store(d).Len(), seq.Store(d).Len(); bl != sl {
+							t.Fatalf("trial %d %s: dim %d: batched stores %d entries, sequential %d", trial, stage, d, bl, sl)
+						}
+						if br, sr := batched.Store(d).RefCount(), seq.Store(d).RefCount(); br != sr {
+							t.Fatalf("trial %d %s: dim %d: refs %d vs %d", trial, stage, d, br, sr)
+						}
+					}
+				}
+				check("admitted")
+				bst, sst := batched.Stats(), seq.Stats()
+				if bst.BatchAdmits != 1 || bst.SnapshotPublishes != 2 ||
+					sst.BatchAdmits != int64(k) || sst.SnapshotPublishes != int64(2*k) {
+					t.Fatalf("trial %d: rounds/publishes batched=%d/%d sequential=%d/%d, want 1/2 and %d/%d",
+						trial, bst.BatchAdmits, bst.SnapshotPublishes, sst.BatchAdmits, sst.SnapshotPublishes, k, 2*k)
+				}
+				// Retire a random strict subset on both planes; the
+				// survivors must still match exactly.
+				if k > 1 {
+					drop := rng.Intn(k-1) + 1
+					for i := 0; i < drop; i++ {
+						batched.Retire(bs[i])
+						seq.Retire(ss[i])
+					}
+					bs, ss, qs = bs[drop:], ss[drop:], qs[drop:]
+					check("after partial retire")
+				}
+			}
+		})
+	}
 }
 
 // TestAdmitBatchAllOrNothing: slot exhaustion mid-batch admits nothing
 // and leaves no trace, and the failure does not disturb queries already
 // admitted.
 func TestAdmitBatchAllOrNothing(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		star := miniStar(t, 20)
-		pl := New(star, 1, Config{MaxConcurrent: 4})
-		ctx := context.Background()
-		held, err := pl.Admit(ctx, boundRef(star, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := slotKeys(pl.Store(0), held)
+	star := miniStar(t, 20)
+	pl := New(star, Config{MaxConcurrent: 4})
+	ctx := context.Background()
+	held, err := pl.Admit(ctx, boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slotKeys(pl.Store(0), held)
 
-		qs := make([]*query.Bound, 4) // 4 > 3 free slots
-		for i := range qs {
-			qs[i] = boundRef(star, 3)
-		}
-		if _, err := pl.AdmitBatch(ctx, qs); !errors.Is(err, ErrSlotsExhausted) {
-			t.Fatalf("err = %v, want ErrSlotsExhausted", err)
-		}
-		if pl.InUse() != 1 {
-			t.Fatalf("InUse = %d after failed batch, want 1", pl.InUse())
-		}
-		if !sameKeys(slotKeys(pl.Store(0), held), before) {
-			t.Fatal("failed batch disturbed an admitted query")
-		}
-		// The held query was one round publishing once per store; the
-		// failed batch must add nothing.
-		if st := pl.Stats(); st.BatchAdmits != 1 || st.SnapshotPublishes != 2 {
-			t.Fatalf("failed batch moved counters: %+v", st)
-		}
-		// The freed slots admit a fitting batch.
-		slots, err := pl.AdmitBatch(ctx, qs[:3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(slots) != 3 || pl.InUse() != 4 {
-			t.Fatalf("slots=%v inuse=%d", slots, pl.InUse())
-		}
-	})
+	qs := make([]*query.Bound, 4) // 4 > 3 free slots
+	for i := range qs {
+		qs[i] = boundRef(star, 3)
+	}
+	if _, err := pl.AdmitBatch(ctx, qs); !errors.Is(err, ErrSlotsExhausted) {
+		t.Fatalf("err = %v, want ErrSlotsExhausted", err)
+	}
+	if pl.InUse() != 1 {
+		t.Fatalf("InUse = %d after failed batch, want 1", pl.InUse())
+	}
+	if !sameKeys(slotKeys(pl.Store(0), held), before) {
+		t.Fatal("failed batch disturbed an admitted query")
+	}
+	// The held query was one round publishing once per store; the
+	// failed batch must add nothing.
+	if st := pl.Stats(); st.BatchAdmits != 1 || st.SnapshotPublishes != 2 {
+		t.Fatalf("failed batch moved counters: %+v", st)
+	}
+	// The freed slots admit a fitting batch.
+	slots, err := pl.AdmitBatch(ctx, qs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != 3 || pl.InUse() != 4 {
+		t.Fatalf("slots=%v inuse=%d", slots, pl.InUse())
+	}
 }
 
 // TestAdmitBatchRollsBack covers the fallible half of AdmitBatch: a
@@ -194,7 +190,7 @@ func TestAdmitBatchRollsBack(t *testing.T) {
 	star := miniStar(t, 20)
 	boom := errors.New("injected")
 	calls, failAt := 0, 3
-	pl := New(star, 2, Config{MaxConcurrent: 8, AdmitFault: func() error {
+	pl := New(star, Config{MaxConcurrent: 8, AdmitFault: func() error {
 		calls++
 		if calls == failAt {
 			return boom
@@ -233,13 +229,13 @@ func TestBatchSavesPublications(t *testing.T) {
 		qs[i] = boundRef(star, int64(1+i%3))
 	}
 
-	seq := New(star, 1, Config{MaxConcurrent: 16})
+	seq := New(star, Config{MaxConcurrent: 16})
 	for _, q := range qs {
 		if _, err := seq.Admit(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batched := New(star, 1, Config{MaxConcurrent: 16})
+	batched := New(star, Config{MaxConcurrent: 16})
 	if _, err := batched.AdmitBatch(ctx, qs); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +258,7 @@ func TestBatchSavesPublications(t *testing.T) {
 // matches.
 func TestPredCacheHitsAndCounters(t *testing.T) {
 	star := miniStar(t, 20)
-	pl := New(star, 1, Config{MaxConcurrent: 16})
+	pl := New(star, Config{MaxConcurrent: 16})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		// Structurally equal but distinct ASTs: the fingerprint, not
@@ -280,7 +276,7 @@ func TestPredCacheHitsAndCounters(t *testing.T) {
 	}
 
 	// Disabled cache: every admission scans.
-	off := New(star, 1, Config{MaxConcurrent: 16, PredCacheSize: -1})
+	off := New(star, Config{MaxConcurrent: 16, PredCacheSize: -1})
 	for i := 0; i < 3; i++ {
 		if _, err := off.Admit(ctx, boundRef(star, 2)); err != nil {
 			t.Fatal(err)
@@ -293,12 +289,12 @@ func TestPredCacheHitsAndCounters(t *testing.T) {
 
 // TestPredCacheInvalidation: results must never be served stale — a
 // dimension heap growing under the cached scan, an in-place rewrite of
-// one of its cells, or a Detach (quarantine reduces the plane's world)
-// all force a re-scan. A rewrite of one dimension leaves the other
+// one of its cells, or an InvalidateCache (a quarantine) all force a
+// re-scan. A rewrite of one dimension leaves the other
 // dimensions' entries hitting.
 func TestPredCacheInvalidation(t *testing.T) {
 	star := miniStar(t, 10)
-	pl := New(star, 2, Config{MaxConcurrent: 16})
+	pl := New(star, Config{MaxConcurrent: 16})
 	ctx := context.Background()
 
 	s0, err := pl.Admit(ctx, boundRef(star, 2)) // caches the v<2 scan
@@ -345,15 +341,15 @@ func TestPredCacheInvalidation(t *testing.T) {
 			before.CacheMisses, st.CacheMisses, before.CacheHits, st.CacheHits)
 	}
 
-	// Detach invalidates: the next resolution is a miss even though the
-	// fingerprint and the heap are unchanged.
+	// InvalidateCache (a quarantine) invalidates: the next resolution is
+	// a miss even though the fingerprint and the heap are unchanged.
 	misses := pl.Stats().CacheMisses
-	pl.Detach()
+	pl.InvalidateCache()
 	if _, err := pl.Admit(ctx, boundRef(star, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := pl.Stats().CacheMisses; got != misses+1 {
-		t.Fatalf("misses after Detach = %d, want %d", got, misses+1)
+		t.Fatalf("misses after InvalidateCache = %d, want %d", got, misses+1)
 	}
 }
 
@@ -378,7 +374,7 @@ func TestPredCacheStaleFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := New(star, 1, Config{MaxConcurrent: 4})
+	pl := New(star, Config{MaxConcurrent: 4})
 	ctx := context.Background()
 	var txm txn.Manager
 
@@ -417,7 +413,7 @@ func TestPredCacheStaleFill(t *testing.T) {
 // TestPredCacheEviction: the FIFO bound holds.
 func TestPredCacheEviction(t *testing.T) {
 	star := miniStar(t, 20)
-	pl := New(star, 1, Config{MaxConcurrent: 32, PredCacheSize: 2})
+	pl := New(star, Config{MaxConcurrent: 32, PredCacheSize: 2})
 	ctx := context.Background()
 	for x := int64(1); x <= 4; x++ {
 		if _, err := pl.Admit(ctx, boundRef(star, x)); err != nil {
@@ -437,7 +433,7 @@ func TestPredCacheEviction(t *testing.T) {
 // every template must select exactly what a fresh scan selects.
 func TestPredCacheChurnRace(t *testing.T) {
 	star := miniStar(t, 40)
-	pl := New(star, 2, Config{MaxConcurrent: 32, PredCacheSize: 4})
+	pl := New(star, Config{MaxConcurrent: 32, PredCacheSize: 4})
 	ctx := context.Background()
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
@@ -479,7 +475,6 @@ func TestPredCacheChurnRace(t *testing.T) {
 					}
 					for _, s := range slots {
 						pl.Retire(s)
-						pl.Retire(s)
 					}
 				} else {
 					slot, err := pl.Admit(ctx, boundRef(star, int64(1+rng.Intn(5))))
@@ -490,7 +485,6 @@ func TestPredCacheChurnRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					pl.Retire(slot)
 					pl.Retire(slot)
 				}
 			}
@@ -519,14 +513,13 @@ func TestPredCacheChurnRace(t *testing.T) {
 			t.Fatalf("v<%d after churn: admission selects %d keys, a fresh scan %d (stale fill)", x, len(got), len(wantKeys))
 		}
 		pl.Retire(slot)
-		pl.Retire(slot)
 	}
 }
 
 // TestAdmitBatchEmptyAndSingle: degenerate batch shapes.
 func TestAdmitBatchEmptyAndSingle(t *testing.T) {
 	star := miniStar(t, 10)
-	pl := New(star, 1, Config{MaxConcurrent: 4})
+	pl := New(star, Config{MaxConcurrent: 4})
 	slots, err := pl.AdmitBatch(context.Background(), nil)
 	if err != nil || slots != nil {
 		t.Fatalf("empty batch: %v %v", slots, err)

@@ -27,8 +27,8 @@ const DefaultPredCacheSize = 128
 // that dimension — including one that lands while the scan is in flight —
 // makes exactly that dimension's entries stale, with no writer having to
 // know the cache exists. An epoch, also read before the scan, covers the
-// one plane-level event that drops everything: prober Detach during
-// quarantine. Retire GC touches only the *store* (bit clearing, entry
+// one plane-level event that drops everything: InvalidateCache when the
+// executor quarantines a pipeline. Retire GC touches only the *store* (bit clearing, entry
 // GC), never the dimension heap the scan reads, so slot churn does not
 // invalidate.
 type predCache struct {

@@ -17,12 +17,12 @@
 // atomic snapshot publication as the only coupling.
 //
 // Lifecycle: AdmitBatch allocates query slots and installs the queries'
-// dimension selections; each attached pipeline calls Retire(slot) when
-// its portion of the query has fully drained (Algorithm 2 cleanup), and
-// the last of the plane's probers to retire performs the actual bit
-// clearing, garbage collection, and slot recycling. Until then the slot cannot be reused, so no pipeline ever
-// probes a bit that has been reassigned while its tuples are still in
-// flight.
+// dimension selections. Each admitted slot has exactly one hold, owned by
+// the logical query: its executor calls Retire(slot) once, after every
+// pipeline has drained the query (Algorithm 2 cleanup), and Retire
+// clears the bit, garbage-collects the entries and recycles the slot.
+// Until then the slot cannot be reused, so no pipeline ever probes a bit
+// that has been reassigned while its tuples are still in flight.
 package dimplane
 
 import (
@@ -70,18 +70,16 @@ type Config struct {
 // parallel, keeping submission time flat as concurrency grows, §6.2.2);
 // probers never block.
 type Plane struct {
-	star *catalog.Star
-	cfg  Config
-	// probers is the number of pipelines holding each newly admitted
-	// slot. Atomic because a shard supervisor Detaches a quarantined
-	// pipeline while admissions proceed on survivors; the executor's
-	// submit/quarantine lock ordering guarantees every admission's
-	// fan-out width matches the value it read here.
-	probers atomic.Int32
-	ids     *bitvec.Allocator
-	stores  []*CowStore
-	slots   []slotState
-	cache   *predCache // nil when PredCacheSize < 0
+	star   *catalog.Star
+	cfg    Config
+	ids    *bitvec.Allocator
+	stores []*CowStore
+	// refs records each admitted slot's q.DimRefs, consumed by Retire to
+	// drop each referenced dimension's reference count. AdmitBatch writes
+	// a slot's row before it returns the slot, and only that slot's owner
+	// calls Retire, so the row needs no synchronization of its own.
+	refs  [][]bool
+	cache *predCache // nil when PredCacheSize < 0
 
 	peakBytes atomic.Int64
 
@@ -91,14 +89,13 @@ type Plane struct {
 // planeMetrics is the plane's slice of the telemetry plane and its only
 // counts: Stats reads these handles.
 type planeMetrics struct {
-	admit        *obs.Histogram // one observation per round; its raw sum is Stats.AdmitNanos
-	predScan     *obs.Histogram
-	batchSize    *obs.Histogram // one observation per round; its count is Stats.BatchAdmits
-	admits       *obs.Counter
-	retires      *obs.Counter
-	finalRetires *obs.Counter
-	cacheHits    *obs.Counter // predicate scans skipped (shared cache or batch-local reuse)
-	cacheMisses  *obs.Counter // cache-enabled resolutions that scanned the heap
+	admit       *obs.Histogram // one observation per round; its raw sum is Stats.AdmitNanos
+	predScan    *obs.Histogram
+	batchSize   *obs.Histogram // one observation per round; its count is Stats.BatchAdmits
+	admits      *obs.Counter
+	retires     *obs.Counter
+	cacheHits   *obs.Counter // predicate scans skipped (shared cache or batch-local reuse)
+	cacheMisses *obs.Counter // cache-enabled resolutions that scanned the heap
 	// publishes counts store version transitions: each CowStore write
 	// (AdmitBatch, Remove) publishes exactly one COW snapshot, so the
 	// one-publication-per-store-per-round claim is directly observable.
@@ -124,9 +121,8 @@ func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
 		batchSize: r.Histogram("cjoin_dimplane_admit_batch_size",
 			"Queries admitted per plane round, a lone query observing 1 (one COW publication per store per round).",
 			obs.ExpBuckets(1, 2, 9), 1),
-		admits:       r.Counter("cjoin_dimplane_admits_total", "Successful admissions."),
-		retires:      r.Counter("cjoin_dimplane_retires_total", "Per-pipeline slot releases."),
-		finalRetires: r.Counter("cjoin_dimplane_final_retires_total", "Final retires that cleared bits, garbage-collected, and recycled the slot."),
+		admits:  r.Counter("cjoin_dimplane_admits_total", "Successful admissions."),
+		retires: r.Counter("cjoin_dimplane_retires_total", "Slot releases (Algorithm 2 runs), one per admitted query."),
 		cacheHits: r.Counter("cjoin_dimplane_cache_hits_total",
 			"Dimension predicate scans skipped because a memoized result was reused."),
 		cacheMisses: r.Counter("cjoin_dimplane_cache_misses_total",
@@ -138,41 +134,24 @@ func newPlaneMetrics(r *obs.Registry, pl *Plane) planeMetrics {
 	}
 }
 
-// slotState is the plane's per-slot retirement ledger.
-type slotState struct {
-	// remain counts pipelines that still hold the slot; the transition to
-	// zero triggers the actual removal. Written with the admitted query's
-	// refs before activation, so the release/acquire pair on the atomic
-	// publishes refs to whichever prober retires last.
-	remain atomic.Int32
-	// refs records q.DimRefs at admission, consumed by the final Retire
-	// to drop each referenced dimension's reference count.
-	refs []bool
-}
-
-// New builds a plane over the star schema shared by `probers` pipelines:
-// each admitted slot is recycled only after Retire has been called that
-// many times (once per pipeline lifecycle).
-func New(star *catalog.Star, probers int, cfg Config) *Plane {
-	if probers < 1 {
-		probers = 1
-	}
+// New builds a plane over the star schema shared by the executor's
+// pipelines.
+func New(star *catalog.Star, cfg Config) *Plane {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 64
 	}
 	words := bitvec.Words(cfg.MaxConcurrent)
 	pl := &Plane{
-		star:  star,
-		cfg:   cfg,
-		ids:   bitvec.NewAllocator(cfg.MaxConcurrent),
-		slots: make([]slotState, cfg.MaxConcurrent),
+		star: star,
+		cfg:  cfg,
+		ids:  bitvec.NewAllocator(cfg.MaxConcurrent),
+		refs: make([][]bool, cfg.MaxConcurrent),
 	}
-	pl.probers.Store(int32(probers))
 	for i := range star.Dims {
 		pl.stores = append(pl.stores, NewCowStore(words, star.Dims[i].Heap.NumCols()))
 	}
-	for i := range pl.slots {
-		pl.slots[i].refs = make([]bool, len(star.Dims))
+	for i := range pl.refs {
+		pl.refs[i] = make([]bool, len(star.Dims))
 	}
 	pl.cache = newPredCache(cfg.PredCacheSize)
 	if cfg.Obs == nil {
@@ -188,26 +167,11 @@ func (pl *Plane) Star() *catalog.Star { return pl.star }
 // MaxConcurrent returns the plane's slot bound (bit-vector width).
 func (pl *Plane) MaxConcurrent() int { return pl.cfg.MaxConcurrent }
 
-// Probers returns the number of pipelines currently sharing the plane
-// (quarantined pipelines excluded once Detached).
-func (pl *Plane) Probers() int { return int(pl.probers.Load()) }
-
-// Detach removes one prober from the plane: slots admitted from now on
-// expect one fewer Retire. Called by the shard supervisor after
-// quarantining a failed pipeline, once that pipeline's holds on already
-// admitted slots have been released (its failure sweep does this), so
-// accounting stays exact for old and new slots alike. Callers must
-// serialize Detach against Admit+activation fan-out (shard.Group's
-// supervision lock does).
-func (pl *Plane) Detach() {
-	if pl.probers.Add(-1) < 1 {
-		panic("dimplane: detached the last prober")
-	}
-	// Conservative: a quarantine may reflect I/O trouble on the shared
-	// heaps; drop every memoized scan rather than reason about which
-	// dimension the failed pipeline touched.
-	pl.cache.invalidateAll()
-}
+// InvalidateCache drops every memoized predicate scan. The executor
+// calls it when it quarantines a pipeline: a quarantine may reflect I/O
+// trouble on the shared heaps, so every cached scan is suspect, not only
+// those of the dimension the failed pipeline touched.
+func (pl *Plane) InvalidateCache() { pl.cache.invalidateAll() }
 
 // NumDims returns the number of dimension stores.
 func (pl *Plane) NumDims() int { return len(pl.stores) }
@@ -259,11 +223,11 @@ func (pl *Plane) selectRowsCached(dim int, fp uint64, pred expr.Node) (Rows, err
 // the error return means "nothing was admitted". Callers that want
 // partial progress fall back to batches of one.
 //
-// Invariant on entry (established by the final Retire): every free
-// slot's bit is clear in every store's b_Dj and every stored entry.
+// Invariant on entry (established by Retire): every free slot's bit is
+// clear in every store's b_Dj and every stored entry.
 //
-// The returned slice maps qs[i] to its slot; each slot expects
-// Probers() Retires.
+// The returned slice maps qs[i] to its slot; each slot is one hold,
+// released by exactly one Retire.
 func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -334,15 +298,12 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	// dimension for the whole batch. Store writes are infallible, so
 	// past this point the batch cannot partially fail.
 	for k, q := range qs {
-		copy(pl.slots[slots[k]].refs, q.DimRefs)
+		copy(pl.refs[slots[k]], q.DimRefs)
 	}
 	for i, st := range pl.stores {
 		st.AdmitBatch(installs[i])
 	}
 	pl.om.publishes.Add(int64(len(pl.stores)))
-	for k := range qs {
-		pl.slots[slots[k]].remain.Store(pl.probers.Load())
-	}
 
 	n := int64(len(qs))
 	pl.om.admit.ObserveSince(start)
@@ -352,47 +313,23 @@ func (pl *Plane) AdmitBatch(ctx context.Context, qs []*query.Bound) ([]int, erro
 	return slots, nil
 }
 
-// Retire releases one pipeline's hold on an admitted slot. The last of
-// the plane's probers to retire runs Algorithm 2's dimension half —
-// clear the query's bit everywhere, garbage-collect entries selected by
-// no remaining referencing query — and recycles the slot. It reports
-// whether this call performed that final removal.
-//
-// Exactly `probers` Retire calls must follow every admitted slot; a
-// surplus call panics, because it means two lifecycles believed they
-// owned the same release and a reused slot could be corrupted.
-func (pl *Plane) Retire(slot int) (final bool) {
-	ss := &pl.slots[slot]
-	n := ss.remain.Add(-1)
+// Retire releases an admitted slot's one hold and runs Algorithm 2's
+// dimension half: clear the query's bit everywhere, garbage-collect
+// entries selected by no remaining referencing query, and recycle the
+// slot. The executor calls it once per admitted query, after every
+// pipeline has drained the query or when it rejects the query before any
+// pipeline saw it. Retiring a slot that is not admitted panics: two
+// owners of one release could corrupt a reused slot.
+func (pl *Plane) Retire(slot int) {
+	if !pl.ids.Allocated(slot) {
+		panic(fmt.Sprintf("dimplane: retired slot %d, which is not admitted", slot))
+	}
+	for i, st := range pl.stores {
+		st.Remove(slot, pl.refs[slot][i])
+	}
+	pl.om.publishes.Add(int64(len(pl.stores)))
+	pl.ids.Free(slot)
 	pl.om.retires.Inc()
-	if n > 0 {
-		return false
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("dimplane: slot %d retired more times than the plane has probers", slot))
-	}
-	for i, st := range pl.stores {
-		st.Remove(slot, ss.refs[i])
-	}
-	pl.om.publishes.Add(int64(len(pl.stores)))
-	pl.ids.Free(slot)
-	pl.om.finalRetires.Inc()
-	return true
-}
-
-// Abort fully releases a slot that was admitted but never activated on
-// any pipeline — the degraded-mode rejection path, where the executor
-// discovers after admission that a query's needed partitions live on a
-// quarantined shard. No pipeline holds the slot, so the removal runs
-// immediately regardless of the prober count.
-func (pl *Plane) Abort(slot int) {
-	ss := &pl.slots[slot]
-	ss.remain.Store(0)
-	for i, st := range pl.stores {
-		st.Remove(slot, ss.refs[i])
-	}
-	pl.om.publishes.Add(int64(len(pl.stores)))
-	pl.ids.Free(slot)
 }
 
 // SelectedKeyRange returns the min and max key stored in dimension dim
@@ -416,7 +353,7 @@ func (pl *Plane) SelectedKeyRange(dim, slot int) (minKey, maxKey int64, any bool
 }
 
 // MemBytes sums the resident bytes of every dimension store's current
-// version. The figure is per plane — shared by all probers — which is
+// version. The figure is per plane — shared by every pipeline — which is
 // exactly why it stays ~constant in shard count.
 func (pl *Plane) MemBytes() int64 {
 	var b int64
@@ -452,8 +389,6 @@ type Stats struct {
 	PeakMemBytes int64
 	// InUse is the number of currently admitted slots.
 	InUse int
-	// Probers is the number of pipelines sharing the plane.
-	Probers int
 	// CacheHits / CacheMisses count predicate resolutions served from
 	// the scan cache vs resolved by scanning the dimension heap
 	// (batch-local template reuse counts as a hit: the scan was
@@ -483,7 +418,6 @@ func (pl *Plane) Stats() Stats {
 		MemBytes:          pl.MemBytes(),
 		PeakMemBytes:      pl.peakBytes.Load(),
 		InUse:             pl.ids.InUse(),
-		Probers:           int(pl.probers.Load()),
 		CacheHits:         pl.om.cacheHits.Value(),
 		CacheMisses:       pl.om.cacheMisses.Value(),
 		SnapshotPublishes: pl.om.publishes.Value(),

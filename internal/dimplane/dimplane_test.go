@@ -10,6 +10,7 @@ import (
 	"cjoin/internal/catalog"
 	"cjoin/internal/disk"
 	"cjoin/internal/expr"
+	"cjoin/internal/obs"
 	"cjoin/internal/query"
 )
 
@@ -56,95 +57,115 @@ func boundRef(star *catalog.Star, x int64) *query.Bound {
 	}
 }
 
-// forEachImpl runs the test body against the plane's one store; the
-// sub-test name keeps test IDs stable for tooling that tracks them.
-func forEachImpl(t *testing.T, fn func(t *testing.T)) {
-	t.Run("cow", fn)
-}
-
 func TestAdmitOnceInstallsEverywhere(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		star := miniStar(t, 20)
-		pl := New(star, 3, Config{MaxConcurrent: 8})
-		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
-		if err != nil {
-			t.Fatal(err)
+	star := miniStar(t, 20)
+	pl := New(star, Config{MaxConcurrent: 8})
+	slot, err := pl.Admit(context.Background(), boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// d1: v < 2 selects k%5 in {0,1}: 8 of 20 rows, tagged with slot.
+	if got := pl.Store(0).Len(); got != 8 {
+		t.Fatalf("d1 stored %d, want 8", got)
+	}
+	if got := pl.Store(0).RefCount(); got != 1 {
+		t.Fatalf("d1 refs %d", got)
+	}
+	pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
+		if !bv.Get(slot) {
+			t.Fatalf("d1 entry %d missing query bit", key)
 		}
-		// d1: v < 2 selects k%5 in {0,1}: 8 of 20 rows, tagged with slot.
-		if got := pl.Store(0).Len(); got != 8 {
-			t.Fatalf("d1 stored %d, want 8", got)
-		}
-		if got := pl.Store(0).RefCount(); got != 1 {
-			t.Fatalf("d1 refs %d", got)
-		}
-		pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
-			if !bv.Get(slot) {
-				t.Fatalf("d1 entry %d missing query bit", key)
-			}
-			return true
-		})
-		// d2 is unreferenced: empty, no refs.
-		if got := pl.Store(1).Len(); got != 0 {
-			t.Fatalf("d2 stored %d, want 0", got)
-		}
-		if got := pl.Store(1).RefCount(); got != 0 {
-			t.Fatalf("d2 refs %d", got)
-		}
-		if pl.InUse() != 1 {
-			t.Fatalf("InUse %d", pl.InUse())
-		}
-		st := pl.Stats()
-		if st.Admits != 1 || st.AdmitNanos <= 0 || st.Probers != 3 {
-			t.Fatalf("stats %+v", st)
-		}
-		if st.MemBytes <= 0 || st.PeakMemBytes < st.MemBytes {
-			t.Fatalf("memory accounting: %+v", st)
-		}
+		return true
 	})
+	// d2 is unreferenced: empty, no refs.
+	if got := pl.Store(1).Len(); got != 0 {
+		t.Fatalf("d2 stored %d, want 0", got)
+	}
+	if got := pl.Store(1).RefCount(); got != 0 {
+		t.Fatalf("d2 refs %d", got)
+	}
+	if pl.InUse() != 1 {
+		t.Fatalf("InUse %d", pl.InUse())
+	}
+	st := pl.Stats()
+	if st.Admits != 1 || st.AdmitNanos <= 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	if st.MemBytes <= 0 || st.PeakMemBytes < st.MemBytes {
+		t.Fatalf("memory accounting: %+v", st)
+	}
 }
 
-// TestRetireCountsProbers verifies the last-of-N release semantics: the
-// dimension state and the slot survive until every prober retires, and
-// one extra retire panics (a double release would corrupt a reused
-// slot).
-func TestRetireCountsProbers(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		const probers = 3
-		star := miniStar(t, 20)
-		pl := New(star, probers, Config{MaxConcurrent: 8})
-		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
-		if err != nil {
-			t.Fatal(err)
+// TestRetireReleasesOnce verifies the single-hold release: the one
+// Retire of an admitted slot clears its bit, garbage-collects its entries
+// and frees the slot, and a second Retire panics (a double release would
+// corrupt a reused slot).
+func TestRetireReleasesOnce(t *testing.T) {
+	star := miniStar(t, 20)
+	pl := New(star, Config{MaxConcurrent: 8})
+	slot, err := pl.Admit(context.Background(), boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Retire(slot)
+	if pl.Store(0).Len() != 0 || pl.Store(0).RefCount() != 0 || pl.InUse() != 0 {
+		t.Fatalf("state not released: len=%d refs=%d inuse=%d",
+			pl.Store(0).Len(), pl.Store(0).RefCount(), pl.InUse())
+	}
+	if st := pl.Stats(); st.SnapshotPublishes != 4 {
+		t.Fatalf("publishes = %d, want 4 (one per store at admission and at retire)", st.SnapshotPublishes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Retire did not panic")
 		}
-		for i := 0; i < probers-1; i++ {
-			if final := pl.Retire(slot); final {
-				t.Fatalf("retire %d of %d reported final", i+1, probers)
-			}
-			if pl.Store(0).Len() == 0 || pl.InUse() != 1 {
-				t.Fatalf("state released before the last retire (retire %d)", i+1)
-			}
-		}
-		if final := pl.Retire(slot); !final {
-			t.Fatal("last retire not final")
-		}
-		if pl.Store(0).Len() != 0 || pl.Store(0).RefCount() != 0 || pl.InUse() != 0 {
-			t.Fatalf("state not released: len=%d refs=%d inuse=%d",
-				pl.Store(0).Len(), pl.Store(0).RefCount(), pl.InUse())
-		}
+	}()
+	pl.Retire(slot)
+}
+
+// TestRetireUnadmittedPanics verifies the other half of the single-hold
+// guard: retiring a slot that was never admitted (here, a free slot next
+// to an admitted one) panics before it touches the stores, so the
+// admitted query's entries, bits and counters are left as they were.
+func TestRetireUnadmittedPanics(t *testing.T) {
+	star := miniStar(t, 20)
+	reg := obs.NewRegistry()
+	pl := New(star, Config{MaxConcurrent: 8, Obs: reg})
+	// Re-registering the family returns the plane's own series.
+	retires := reg.Counter("cjoin_dimplane_retires_total", "")
+	slot, err := pl.Admit(context.Background(), boundRef(star, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := (slot + 1) % pl.MaxConcurrent()
+	publishes := pl.Stats().SnapshotPublishes
+	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("surplus Retire did not panic")
+				t.Fatalf("Retire of never-admitted slot %d did not panic", free)
 			}
 		}()
-		pl.Retire(slot)
-	})
+		pl.Retire(free)
+	}()
+	if pl.InUse() != 1 || pl.Store(0).Len() != 8 || pl.Store(0).RefCount() != 1 {
+		t.Fatalf("plane changed by the refused retire: inuse=%d len=%d refs=%d",
+			pl.InUse(), pl.Store(0).Len(), pl.Store(0).RefCount())
+	}
+	if got := pl.Stats().SnapshotPublishes; retires.Value() != 0 || got != publishes {
+		t.Fatalf("refused retire counted: retires %d, publishes %d→%d", retires.Value(), publishes, got)
+	}
+	pl.Retire(slot)
+	if pl.InUse() != 0 || pl.Store(0).Len() != 0 || retires.Value() != 1 {
+		t.Fatalf("admitted slot not released: inuse=%d len=%d retires=%d",
+			pl.InUse(), pl.Store(0).Len(), retires.Value())
+	}
 }
 
 // TestAdmitRollsBackOnContextCancel verifies a context canceled
 // mid-admission leaves no trace: no slot held, no bits set, no entries.
 func TestAdmitRollsBackOnContextCancel(t *testing.T) {
 	star := miniStar(t, 20)
-	pl := New(star, 2, Config{MaxConcurrent: 8})
+	pl := New(star, Config{MaxConcurrent: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pl.Admit(ctx, boundRef(star, 2)); !errors.Is(err, context.Canceled) {
@@ -159,12 +180,11 @@ func TestAdmitRollsBackOnContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Retire(slot)
-	pl.Retire(slot)
 }
 
 func TestSlotsExhausted(t *testing.T) {
 	star := miniStar(t, 10)
-	pl := New(star, 1, Config{MaxConcurrent: 2})
+	pl := New(star, Config{MaxConcurrent: 2})
 	ctx := context.Background()
 	s0, err := pl.Admit(ctx, boundRef(star, 3))
 	if err != nil {
@@ -187,56 +207,54 @@ func TestSlotsExhausted(t *testing.T) {
 // retire/readmit cycle: a recycled slot starts with its bit clear in
 // every store, so a new query's selection is exact.
 func TestSlotReuseInvariant(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		star := miniStar(t, 20)
-		pl := New(star, 1, Config{MaxConcurrent: 8})
-		ctx := context.Background()
-		a, err := pl.Admit(ctx, boundRef(star, 5)) // broad selection
-		if err != nil {
-			t.Fatal(err)
+	star := miniStar(t, 20)
+	pl := New(star, Config{MaxConcurrent: 8})
+	ctx := context.Background()
+	a, err := pl.Admit(ctx, boundRef(star, 5)) // broad selection
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pl.Admit(ctx, boundRef(star, 1)) // subset
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Retire(a)
+	// The survivor entries must carry only b's bit.
+	pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
+		if bv.Get(a) {
+			t.Fatalf("entry %d keeps retired slot %d's bit", key, a)
 		}
-		b, err := pl.Admit(ctx, boundRef(star, 1)) // subset
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.Retire(a)
-		// The survivor entries must carry only b's bit.
-		pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
-			if bv.Get(a) {
-				t.Fatalf("entry %d keeps retired slot %d's bit", key, a)
-			}
-			return true
-		})
-		// Reuse of a's slot as non-referencing: every survivor gains it.
-		c, err := pl.Admit(ctx, &query.Bound{
-			Schema:   star,
-			DimRefs:  []bool{false, true},
-			DimPreds: []expr.Node{nil, predLt(1, 1)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != a {
-			t.Logf("allocator returned %d (not recycled %d); invariant still checked", c, a)
-		}
-		pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
-			if !bv.Get(c) {
-				t.Fatalf("entry %d missing non-referencing bit %d", key, c)
-			}
-			return true
-		})
-		pl.Retire(b)
-		pl.Retire(c)
-		if pl.Store(0).Len() != 0 || pl.Store(1).Len() != 0 || pl.InUse() != 0 {
-			t.Fatal("plane not empty after all retires")
-		}
+		return true
 	})
+	// Reuse of a's slot as non-referencing: every survivor gains it.
+	c, err := pl.Admit(ctx, &query.Bound{
+		Schema:   star,
+		DimRefs:  []bool{false, true},
+		DimPreds: []expr.Node{nil, predLt(1, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != a {
+		t.Logf("allocator returned %d (not recycled %d); invariant still checked", c, a)
+	}
+	pl.Store(0).ForEach(func(key int64, _ []int64, bv bitvec.Vec) bool {
+		if !bv.Get(c) {
+			t.Fatalf("entry %d missing non-referencing bit %d", key, c)
+		}
+		return true
+	})
+	pl.Retire(b)
+	pl.Retire(c)
+	if pl.Store(0).Len() != 0 || pl.Store(1).Len() != 0 || pl.InUse() != 0 {
+		t.Fatal("plane not empty after all retires")
+	}
 }
 
 // TestSelectedKeyRange exercises the §5 partition-pruning probe.
 func TestSelectedKeyRange(t *testing.T) {
 	star := miniStar(t, 20)
-	pl := New(star, 1, Config{MaxConcurrent: 8})
+	pl := New(star, Config{MaxConcurrent: 8})
 	slot, err := pl.Admit(context.Background(), boundRef(star, 2)) // k%5 in {0,1}
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +268,13 @@ func TestSelectedKeyRange(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdmitRetire churns admissions and last-prober retires
-// from many goroutines; under -race this verifies the plane's write side
+// TestConcurrentAdmitRetire churns admissions and retires from many
+// goroutines; under -race this verifies the plane's write side
 // needs no coordination beyond the per-store writer locks and the slot
-// ledger atomics.
+// allocator's atomics.
 func TestConcurrentAdmitRetire(t *testing.T) {
 	star := miniStar(t, 40)
-	pl := New(star, 2, Config{MaxConcurrent: 16})
+	pl := New(star, Config{MaxConcurrent: 16})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -273,7 +291,6 @@ func TestConcurrentAdmitRetire(t *testing.T) {
 					return
 				}
 				pl.Retire(slot)
-				pl.Retire(slot)
 			}
 		}(w)
 	}
@@ -283,82 +300,13 @@ func TestConcurrentAdmitRetire(t *testing.T) {
 	}
 }
 
-// TestDetachShrinksRetirement verifies the supervisor's quarantine
-// primitive: after Detach, new admissions need one fewer Retire, while
-// slots admitted before keep their original count (the dead prober's
-// hold is released by its failure sweep, which is one of the N).
-func TestDetachShrinksRetirement(t *testing.T) {
-	star := miniStar(t, 20)
-	pl := New(star, 3, Config{MaxConcurrent: 8})
-	before, err := pl.Admit(context.Background(), boundRef(star, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Detach()
-	if got := pl.Probers(); got != 2 {
-		t.Fatalf("probers after Detach = %d, want 2", got)
-	}
-	after, err := pl.Admit(context.Background(), boundRef(star, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-Detach slot still takes 3 retires.
-	if pl.Retire(before) || pl.Retire(before) {
-		t.Fatal("pre-Detach slot released early")
-	}
-	if !pl.Retire(before) {
-		t.Fatal("third retire of pre-Detach slot not final")
-	}
-	// Post-Detach slot takes 2.
-	if pl.Retire(after) {
-		t.Fatal("post-Detach slot released after one retire")
-	}
-	if !pl.Retire(after) {
-		t.Fatal("second retire of post-Detach slot not final")
-	}
-	if pl.InUse() != 0 {
-		t.Fatalf("InUse = %d", pl.InUse())
-	}
-	// Detaching down to zero probers is an accounting bug.
-	pl.Detach()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("detaching the last prober did not panic")
-		}
-	}()
-	pl.Detach()
-}
-
-// TestAbortReleasesUnactivatedSlot verifies the degraded-mode rejection
-// path: a slot admitted but never handed to any pipeline is fully
-// released by one Abort, whatever the prober count.
-func TestAbortReleasesUnactivatedSlot(t *testing.T) {
-	forEachImpl(t, func(t *testing.T) {
-		star := miniStar(t, 20)
-		pl := New(star, 4, Config{MaxConcurrent: 8})
-		slot, err := pl.Admit(context.Background(), boundRef(star, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.Abort(slot)
-		if pl.InUse() != 0 || pl.Store(0).Len() != 0 || pl.Store(0).RefCount() != 0 {
-			t.Fatalf("Abort left state behind: inuse=%d len=%d refs=%d",
-				pl.InUse(), pl.Store(0).Len(), pl.Store(0).RefCount())
-		}
-		// The slot is reusable immediately.
-		if _, err := pl.Admit(context.Background(), boundRef(star, 2)); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestAdmitFaultHook verifies an injected admission error rolls the slot
 // back and leaves the plane clean.
 func TestAdmitFaultHook(t *testing.T) {
 	star := miniStar(t, 20)
 	boom := errors.New("injected")
 	fail := true
-	pl := New(star, 2, Config{MaxConcurrent: 8, AdmitFault: func() error {
+	pl := New(star, Config{MaxConcurrent: 8, AdmitFault: func() error {
 		if fail {
 			return boom
 		}

@@ -218,7 +218,7 @@ func TestScanPagesMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	pl := New(star, 1, Config{MaxConcurrent: 4, Obs: reg})
+	pl := New(star, Config{MaxConcurrent: 4, Obs: reg})
 	q := &query.Bound{Schema: star, DimRefs: []bool{true},
 		DimPreds: []expr.Node{expr.Between(expr.Col{Slot: 0, Idx: 0}, 600, 700)}}
 	for i := 0; i < 2; i++ { // the second admission is a cache hit

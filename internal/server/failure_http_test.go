@@ -91,6 +91,58 @@ func TestHealthzStateMapping(t *testing.T) {
 	}
 }
 
+// shardStatsExec is a core.Executor stub with fixed per-shard stats.
+type shardStatsExec struct {
+	rejectingExec
+	shards []core.Stats
+}
+
+func (e *shardStatsExec) StatsWithShards() (core.Stats, []core.Stats) {
+	return core.Stats{}, e.shards
+}
+
+// TestStatsPlanePipelinesCountsServingShards pins the source of /stats
+// plane_pipelines: the shards of the per-shard snapshot still serving,
+// which are the pipelines probing the shared plane. A quarantined shard
+// drops out, and a group with every shard down reads 0.
+func TestStatsPlanePipelinesCountsServingShards(t *testing.T) {
+	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 300, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, f := core.ShardHealthy, core.ShardFailed
+	cases := []struct {
+		name   string
+		states []core.ShardState
+		want   int
+	}{
+		{"all-serving", []core.ShardState{h, h, h}, 3},
+		{"one-quarantined", []core.ShardState{h, f, h}, 2},
+		{"all-down", []core.ShardState{f, f}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := &shardStatsExec{}
+			for _, st := range tc.states {
+				exec.shards = append(exec.shards, core.Stats{State: st})
+			}
+			srv := server.New(ds.Star, ds.Txn, exec, server.Config{})
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+			var st server.StatsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Pipeline.PlanePipelines != tc.want {
+				t.Fatalf("plane_pipelines = %d, want %d", st.Pipeline.PlanePipelines, tc.want)
+			}
+			if len(st.Shards) != len(tc.states) {
+				t.Fatalf("%d shard entries, want %d", len(st.Shards), len(tc.states))
+			}
+		})
+	}
+}
+
 // TestShardFailureIs503WithRetryAfter drives the serving tier's typed
 // shard failure to the HTTP surface: the result endpoint answers 503
 // with a Retry-After hint, and the typed client reports it retryable.

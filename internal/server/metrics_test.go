@@ -187,7 +187,7 @@ func TestMetricsAndTraceE2E(t *testing.T) {
 	if m["cjoin_dimplane_slots_in_use"] != 0 {
 		t.Errorf("slots in use after all queries done = %v, want 0", m["cjoin_dimplane_slots_in_use"])
 	}
-	if got := m["cjoin_dimplane_final_retires_total"]; got != n {
-		t.Errorf("final retires %v, want %d", got, n)
+	if got := m["cjoin_dimplane_retires_total"]; got != n {
+		t.Errorf("retires %v, want %d", got, n)
 	}
 }

@@ -700,7 +700,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	pipeline.DimAdmitMicros = pl.AdmitNanos / 1000
 	pipeline.PlaneBytes = pl.MemBytes
 	pipeline.PlanePeakBytes = pl.PeakMemBytes
-	pipeline.PlanePipelines = pl.Probers
 	pipeline.PlaneCacheHits = pl.CacheHits
 	pipeline.PlaneCacheMisses = pl.CacheMisses
 	pipeline.PlanePublishes = pl.SnapshotPublishes
@@ -737,6 +736,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	out.Degraded = s.exec.Health().Degraded()
 	subs := s.exec.ShardPartitions()
 	for i, st := range perShard {
+		if st.State == core.ShardHealthy {
+			// The shards still serving: the pipelines probing the plane.
+			out.Pipeline.PlanePipelines++
+		}
 		ws := wireStats(st)
 		if i < len(subs) {
 			ws.Partitions = len(subs[i])

@@ -137,6 +137,63 @@ func runCancelChurn(t *testing.T, ds *ssb.Dataset, g *shard.Group, sqlFor func(i
 		}
 		<-h.Done()
 	}
+	// Stop with queries in flight: the stop sweep frees their slots.
+	hs = hs[:0]
+	for i := 0; i < g.MaxConcurrent()/2; i++ {
+		h, err := g.Submit(bind(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	stopFreesSlots(t, g, hs)
+}
+
+// stopFreesSlots stops the group and checks that its stop sweep settled
+// every handle in hs and that no plane slot is left held.
+func stopFreesSlots(t testing.TB, g *shard.Group, hs []core.Handle) {
+	t.Helper()
+	g.Stop()
+	for i, h := range hs {
+		select {
+		case <-h.Done():
+		default:
+			t.Fatalf("handle %d not settled after Stop", i)
+		}
+	}
+	if got := g.Plane().InUse(); got != 0 {
+		t.Fatalf("%d plane slots held after Stop", got)
+	}
+}
+
+// TestStopFreesInFlightSlots stops a group while its queries are still
+// scanning: the stop sweep reports ErrPipelineStopped to every query,
+// settles every handle, and each query's handle retires its one plane
+// slot, so a clean Stop leaves no slot held.
+func TestStopFreesInFlightSlots(t *testing.T) {
+	ds := genDataset(t, 1500, disk.Config{SeqBytesPerSec: 256 << 10})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			g := startGroup(t, ds, shards)
+			var hs []core.Handle
+			for i := 0; i < 3; i++ {
+				h, err := g.Submit(bind(t, ds, "SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			}
+			if got := g.Plane().InUse(); got != len(hs) {
+				t.Fatalf("%d plane slots held before Stop, want %d", got, len(hs))
+			}
+			stopFreesSlots(t, g, hs)
+			for i, h := range hs {
+				if err := h.Wait().Err; !errors.Is(err, core.ErrPipelineStopped) {
+					t.Fatalf("query %d after Stop: %v, want ErrPipelineStopped", i, err)
+				}
+			}
+		})
+	}
 }
 
 // TestSharedPlaneCancelChurn is the cancellation stress test for the
@@ -163,14 +220,11 @@ func TestSharedPlaneAdmitOnce(t *testing.T) {
 	if st.Admits != 1 {
 		t.Fatalf("plane admissions = %d, want 1 for one logical query", st.Admits)
 	}
-	if st.Probers != 4 {
-		t.Fatalf("probers = %d", st.Probers)
-	}
 	if got := g.Plane().InUse(); got != 1 {
 		t.Fatalf("slots in use = %d, want 1", got)
 	}
-	if ps := g.PlaneStats(); ps.Admits != 1 || ps.Probers != 4 {
-		t.Fatalf("executor plane stats: admits=%d probers=%d, want 1 and 4", ps.Admits, ps.Probers)
+	if ps := g.PlaneStats(); ps.Admits != 1 {
+		t.Fatalf("executor plane stats: admits=%d, want 1", ps.Admits)
 	}
 	if res := h.Wait(); res.Err != nil {
 		t.Fatal(res.Err)
@@ -190,8 +244,8 @@ func TestPartitionedAdmitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Plane().Stats(); st.Admits != 1 || st.Probers != 4 {
-		t.Fatalf("partitioned group: admits=%d probers=%d, want 1 and 4", st.Admits, st.Probers)
+	if st := g.Plane().Stats(); st.Admits != 1 {
+		t.Fatalf("partitioned group: admits=%d, want 1", st.Admits)
 	}
 	if res := h.Wait(); res.Err != nil {
 		t.Fatal(res.Err)

@@ -284,6 +284,40 @@ func TestPartitionedDegradedServing(t *testing.T) {
 	waitSlotsFree(t, g)
 }
 
+// TestDegradedRejectRetiresSlot pins the degraded-mode reject's own
+// release: a query the survivors cannot answer exactly was admitted to
+// the plane before the feasibility check, and the reject retires that
+// slot before Submit returns — no run was activated, so nothing else
+// would.
+func TestDegradedRejectRetiresSlot(t *testing.T) {
+	ds := genPartitionedDataset(t, 2000, 4, disk.Config{})
+	g := chaosGroup(t, ds, 4, "seed=5;shard=2;scan-fail=0", 0)
+	full := "SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year"
+	if h, err := g.Submit(bind(t, ds, full)); err != nil {
+		expectShardFailed(t, err)
+	} else {
+		expectShardFailed(t, h.Wait().Err)
+		<-h.Done()
+	}
+	waitDegraded(t, g)
+	waitSlotsFree(t, g)
+
+	for i := 0; i < 3; i++ {
+		before := g.PlaneStats()
+		_, err := g.Submit(bind(t, ds, full))
+		if sfe := expectShardFailed(t, err); sfe.Shard != 2 {
+			t.Fatalf("rejection names shard %d, want 2", sfe.Shard)
+		}
+		st := g.PlaneStats()
+		if st.Admits != before.Admits+1 {
+			t.Fatalf("plane admits %d→%d: the reject did not come after an admission", before.Admits, st.Admits)
+		}
+		if st.InUse != 0 || g.Plane().InUse() != 0 {
+			t.Fatalf("reject %d left %d plane slots held", i, g.Plane().InUse())
+		}
+	}
+}
+
 // TestStallSupervision arms a permanent scan stall on one shard: the
 // supervisor's liveness check must declare it dead (StallError), fail
 // the resident query with the typed error, and quarantine the shard —
@@ -357,6 +391,7 @@ func TestCancelRacingShardFailure(t *testing.T) {
 				<-h.Done()
 			}
 			waitSlotsFree(t, g)
+			stopFreesSlots(t, g, nil)
 		})
 	}
 }
@@ -514,4 +549,5 @@ func runChaosChurn(t *testing.T, ds *ssb.Dataset, g *shard.Group, deadShard int)
 		t.Fatalf("shard death never surfaced to a query: %v", outcomes)
 	}
 	t.Logf("chaos churn outcomes: %v", outcomes)
+	stopFreesSlots(t, g, nil)
 }

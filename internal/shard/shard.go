@@ -176,20 +176,12 @@ type Group struct {
 
 	// mu guards lifecycle transitions so Stats/ShardStats snapshots never
 	// race Start or Stop — the same snapshot discipline the admission
-	// queue applies to its counters.
+	// queue applies to its counters — and the quarantine set.
 	mu      sync.Mutex
 	started bool
 	stopped bool
-
-	// supLock is the supervision lock. Submissions hold the read side
-	// across the whole admit + activation fan-out span; quarantine takes
-	// the write side to flip a shard out of the serving set and detach
-	// its prober. That exclusion is what keeps the plane's
-	// retires-expected count equal to the activation width of every
-	// in-flight submission.
-	supLock sync.RWMutex
 	// failed[i] is non-nil once shard i has been quarantined (the
-	// pipeline failure cause); guarded by supLock.
+	// pipeline failure cause).
 	failed  []error
 	nFailed int
 
@@ -268,7 +260,7 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 	if planeInj := cfg.Fault.ForShard(-1, cfg.Obs); planeInj != nil {
 		plcfg.AdmitFault = planeInj.AdmitErr
 	}
-	plane := dimplane.New(star, n, plcfg)
+	plane := dimplane.New(star, plcfg)
 	g := &Group{star: star, plane: plane, subsets: subsets,
 		failed:    make([]error, n),
 		superStop: make(chan struct{}),
@@ -339,7 +331,7 @@ func (g *Group) Start() {
 }
 
 // Stop shuts every shard down in parallel. In-flight queries receive
-// ErrPipelineStopped.
+// ErrPipelineStopped, and their handles retire their plane slots.
 func (g *Group) Stop() {
 	g.mu.Lock()
 	if g.stopped {
@@ -421,22 +413,20 @@ func (g *Group) submitOne(ctx context.Context, q *query.Bound, sink core.TupleSi
 	return handles[0], errs[0]
 }
 
-// activateAdmittedLocked fans one plane-admitted query out to every
-// healthy shard and returns its handle, into which every shard's run
-// reports. The caller holds the supervision read lock across the plane
-// admission AND this call, so quarantine (which changes the number of
-// retires a slot expects) cannot land between them.
-// On error the slot has been fully released (Abort, compensating
-// Retires, or the cancel lifecycle) — the caller only reports.
-func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot int, sink core.TupleSink, start time.Time) (*groupHandle, error) {
+// activateAdmitted fans one plane-admitted query out to every healthy
+// shard and returns its handle, into which every shard's run reports.
+// The handle owns the slot's one plane hold; on error the slot has been
+// released already (Retire, or the handle once the runs activated here
+// have recycled) — the caller only reports.
+func (g *Group) activateAdmitted(ctx context.Context, q *query.Bound, slot int, sink core.TupleSink, start time.Time) (*groupHandle, error) {
 	// Degraded mode: accept only queries the survivors can answer
-	// exactly. Infeasible ones abort the admission they just made and
+	// exactly. Infeasible ones retire the admission they just made and
 	// fail fast with the typed, retryable shard error.
-	if ok, dead := g.feasibleLocked(q, slot); !ok {
-		cause := g.failed[dead]
-		g.plane.Abort(slot)
-		g.om.degradedRejects.Inc()
-		return nil, &ShardFailedError{Shard: dead, Cause: cause}
+	g.mu.Lock()
+	ok, dead := g.feasibleLocked(q, slot)
+	var cause error
+	if !ok {
+		cause = g.failed[dead]
 	}
 	healthy := make([]int, 0, len(g.pipes))
 	for i := range g.pipes {
@@ -444,7 +434,14 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 			healthy = append(healthy, i)
 		}
 	}
+	g.mu.Unlock()
+	if !ok {
+		g.plane.Retire(slot)
+		g.om.degradedRejects.Inc()
+		return nil, &ShardFailedError{Shard: dead, Cause: cause}
+	}
 	h := &groupHandle{
+		plane:   g.plane,
 		bound:   q,
 		slot:    slot,
 		sink:    sink,
@@ -476,32 +473,23 @@ func (g *Group) activateAdmittedLocked(ctx context.Context, q *query.Bound, slot
 	runs[last], errs[last] = g.pipes[healthy[last]].Activate(ctx, q, slot, sink, h)
 	wg.Wait()
 	if fi := firstErrorIdx(errs); fi >= 0 {
-		// Partial activation: rolling back is one-plane bookkeeping.
-		// Activated shards retire their hold through the normal cancel
-		// lifecycle, reporting into a handle nobody holds (its sink is
-		// never finalized); shards that failed never will, so compensate
-		// with one Retire each — except ErrPipelineStopped, where the
-		// shutdown sweep owns the query and released the hold already
-		// (see Pipeline.Activate's contract).
+		// Partial activation: the activated shards recycle through the
+		// normal cancel lifecycle, reporting into a handle nobody holds
+		// (its sink is never finalized). A shard that failed to activate
+		// never reports or recycles, so the handle takes both in its
+		// stead; it retires the slot after the last recycle.
 		h.mu.Lock()
 		h.sink = nil
 		h.mu.Unlock()
 		for j, run := range runs {
 			if errs[j] == nil {
 				run.Cancel()
-			} else if !errors.Is(errs[j], core.ErrPipelineStopped) {
-				g.plane.Retire(slot)
+			} else {
+				h.Report(healthy[j], nil, errs[j])
+				h.Recycled()
 			}
 		}
-		err := errs[fi]
-		if errors.Is(err, core.ErrPipelineStopped) {
-			// A shard that failed mid-activation reports "stopped"; the
-			// serving tier re-types it with the real cause.
-			if f := g.pipes[healthy[fi]].FailureCause(); f != nil {
-				err = f
-			}
-		}
-		return nil, typeShardErr(healthy[fi], err)
+		return nil, typeShardErr(healthy[fi], errs[fi])
 	}
 	h.submission = time.Since(start)
 	h.mu.Lock()
@@ -534,6 +522,10 @@ func (g *Group) submitBatch(ctx context.Context, qs []*query.Bound, sinks []core
 	// plane spends dimension scans and snapshot publications on it.
 	g.mu.Lock()
 	stopped := g.stopped
+	var allDown error
+	if g.nFailed == len(g.pipes) {
+		allDown = g.failed[g.firstFailedLocked()]
+	}
 	g.mu.Unlock()
 	if stopped {
 		return nil, nil, core.ErrPipelineStopped
@@ -543,24 +535,14 @@ func (g *Group) submitBatch(ctx context.Context, qs []*query.Bound, sinks []core
 			return nil, nil, core.ErrSchemaMismatch
 		}
 	}
+	if allDown != nil {
+		g.om.degradedRejects.Inc()
+		return nil, nil, &ShardFailedError{Shard: -1, Cause: allDown}
+	}
 	start := time.Now()
 
-	// The read side of the supervision lock is held across the whole
-	// admit + fan-out span: quarantine (which detaches a prober and so
-	// changes the number of retires a slot expects) cannot land in the
-	// middle, so the activation width below always matches what
-	// AdmitBatch charged the slots with.
-	g.supLock.RLock()
-	if g.nFailed == len(g.pipes) {
-		dead := g.firstFailedLocked()
-		cause := g.failed[dead]
-		g.supLock.RUnlock()
-		g.om.degradedRejects.Inc()
-		return nil, nil, &ShardFailedError{Shard: -1, Cause: cause}
-	}
 	slots, err := g.plane.AdmitBatch(ctx, qs)
 	if err != nil {
-		g.supLock.RUnlock()
 		if errors.Is(err, dimplane.ErrSlotsExhausted) {
 			return nil, nil, core.ErrTooManyQueries
 		}
@@ -574,16 +556,15 @@ func (g *Group) submitBatch(ctx context.Context, qs []*query.Bound, sinks []core
 			sink = sinks[i]
 		}
 		var h *groupHandle
-		h, errs[i] = g.activateAdmittedLocked(ctx, q, slots[i], sink, start)
+		h, errs[i] = g.activateAdmitted(ctx, q, slots[i], sink, start)
 		if errs[i] == nil {
 			handles[i] = h
 		}
 	}
-	g.supLock.RUnlock()
 	if cerr := ctx.Err(); cerr != nil {
 		// Canceled during the installation stall after every shard
-		// accepted: abort the admission cleanly — every shard retires
-		// through the cancel lifecycle.
+		// accepted: abort the admission cleanly — every shard recycles
+		// through the cancel lifecycle, then the handle retires the slot.
 		for i, h := range handles {
 			if h != nil {
 				h.Cancel()
@@ -682,6 +663,7 @@ func (g *Group) ShardStats() []core.Stats {
 // partial — and merges the partials, then applies the query's ORDER BY
 // and LIMIT once, on the goroutine that calls Wait.
 type groupHandle struct {
+	plane      *dimplane.Plane
 	bound      *query.Bound
 	slot       int
 	submission time.Duration
@@ -700,8 +682,9 @@ type groupHandle struct {
 	// so the result is delivered once.
 	ready chan struct{}
 	// unsettled counts the slot recyclings still to come plus one for
-	// the last report, so Done closes only after every run has recycled
-	// and the last Report (with the sink's Finalize) has returned.
+	// the last report. When it reaches zero every run has recycled and
+	// the last Report (with the sink's Finalize) has returned: the slot's
+	// one plane hold is retired, then Done closes.
 	unsettled atomic.Int32
 	done      chan struct{}
 }
@@ -747,9 +730,14 @@ func (h *groupHandle) Report(shard int, rows []agg.Result, err error) {
 // Recycled counts one shard's slot recycling (core.Reporter).
 func (h *groupHandle) Recycled() { h.settle() }
 
-// settle closes Done once the last recycle and the last report are in.
+// settle retires the slot and closes Done once the last recycle and the
+// last report are in. A run's Distributor reports before it hands the
+// run to cleanup, so the last settle is a recycle — Algorithm 2 cleanup
+// on the last shard's manager goroutine, or a sweep — unless a failure
+// sweep recycles a run whose Distributor is still inside Report.
 func (h *groupHandle) settle() {
 	if h.unsettled.Add(-1) == 0 {
+		h.plane.Retire(h.slot)
 		close(h.done)
 	}
 }
@@ -782,7 +770,7 @@ func (h *groupHandle) Wait() core.QueryResult {
 }
 
 // Done returns a channel closed once every shard has recycled the
-// query's slot.
+// query's slot and the plane has retired it.
 func (h *groupHandle) Done() <-chan struct{} { return h.done }
 
 // Cancel abandons the query on every shard; ErrQueryCanceled is

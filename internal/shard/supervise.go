@@ -119,11 +119,7 @@ func (g *Group) supervise() {
 					continue
 				}
 				if stalled := now.Sub(lastMove[i]); stalled >= g.stall {
-					// FailNow runs without the supervision lock: it only
-					// closes the pipeline's stop signal, which is also
-					// what unblocks any activation currently holding the
-					// read side. The failure watcher above performs the
-					// locked quarantine.
+					// The failure watcher above performs the quarantine.
 					p.FailNow(&StallError{Shard: i, Stalled: stalled})
 				}
 			}
@@ -131,30 +127,25 @@ func (g *Group) supervise() {
 	}()
 }
 
-// quarantine marks a failed shard out of the serving set. The write
-// lock excludes in-flight Admit+activation spans, so after it is
-// acquired every plane slot is in exactly one of two states: swept by
-// the dead pipeline's failure sweep (which released that pipeline's
-// hold — the compensating retires), or admitted with a fan-out that
-// already counts the shard as failed. Detaching the prober then makes
-// future admissions expect one fewer retire, and feasibility filtering
-// keeps the survivors parity-exact.
+// quarantine marks a failed shard out of the serving set: later
+// submissions skip it, and feasibility filtering keeps the survivors
+// parity-exact. It needs no plane bookkeeping: the dead pipeline's
+// failure sweep already reported and recycled its runs, and each
+// query's handle retires its slot once. A submission that read the
+// serving set just before this line activates on the dead shard, gets
+// its failure back from Activate, and fails like any activation error.
+// The plane's memoized predicate scans are dropped: a quarantine may
+// reflect I/O trouble on the shared heaps.
 func (g *Group) quarantine(shard int, cause error) {
-	g.supLock.Lock()
+	g.mu.Lock()
 	if g.failed[shard] != nil {
-		g.supLock.Unlock()
+		g.mu.Unlock()
 		return
 	}
 	g.failed[shard] = cause
 	g.nFailed++
-	if g.nFailed < len(g.pipes) {
-		// The dead pipeline no longer holds newly admitted slots. Its
-		// holds on previously admitted slots were released by its
-		// failure sweep, so accounting stays exact on both sides of this
-		// line.
-		g.plane.Detach()
-	}
-	g.supLock.Unlock()
+	g.mu.Unlock()
+	g.plane.InvalidateCache()
 	g.om.quarantines.Inc()
 	g.om.shardUp[shard].Set(0)
 	if g.logf != nil {
@@ -167,8 +158,8 @@ func (g *Group) quarantine(shard int, cause error) {
 // healthy, "degraded" once shards have been quarantined, "failed" when
 // none are left.
 func (g *Group) Health() core.Health {
-	g.supLock.RLock()
-	defer g.supLock.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	h := core.Health{State: "ok"}
 	down := 0
 	for i, p := range g.pipes {
@@ -195,16 +186,17 @@ func (g *Group) Health() core.Health {
 }
 
 // feasibleLocked decides whether a query admitted at slot can still be
-// answered exactly by the surviving shards. Callers hold supLock (read
-// side). On a page-strided group every shard owns an interleaved slice
-// of every query's pages, so any quarantine makes new queries
-// infeasible; on a partition-dealt group the §5 pruning metadata tells
-// exactly which queries the dead partitions matter to.
+// answered exactly by the surviving shards; when it cannot, it names a
+// quarantined shard. Callers hold mu. On a page-strided group every
+// shard owns an interleaved slice of every query's pages, so any
+// quarantine makes new queries infeasible; on a partition-dealt group
+// the §5 pruning metadata tells exactly which queries the dead
+// partitions matter to. With every shard down nothing is feasible.
 func (g *Group) feasibleLocked(q *query.Bound, slot int) (bool, int) {
 	if g.nFailed == 0 {
 		return true, -1
 	}
-	if g.subsets == nil {
+	if g.subsets == nil || g.nFailed == len(g.pipes) {
 		return false, g.firstFailedLocked()
 	}
 	need := core.NeededPartitions(g.star, g.plane, q, slot)

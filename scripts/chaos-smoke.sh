@@ -10,6 +10,8 @@
 #   - narrow queries over surviving partitions keep completing, queries
 #     needing the dead shard's partitions keep getting the retryable
 #     503 — both outcomes must be observed;
+#   - no plane slot is lost to the dead shard: once the workload has
+#     drained, /metrics reads cjoin_dimplane_slots_in_use 0;
 #   - SIGTERM still drains cleanly.
 set -euo pipefail
 
@@ -94,6 +96,15 @@ done
 echo "chaos-smoke: $served served, $rejected rejected on the degraded tier"
 [ "$served" -ge 1 ] || { echo "no query served after shard loss"; exit 1; }
 [ "$rejected" -ge 1 ] || { echo "dead partitions never rejected"; exit 1; }
+
+# No slot is lost to the dead shard. A query's slot is retired once its
+# last shard has recycled it, which can trail the result by a moment.
+for i in $(seq 1 50); do
+  inuse=$(curl -sf "$BASE/metrics" | awk '$1 == "cjoin_dimplane_slots_in_use" {print $2}')
+  [ "$inuse" = "0" ] && break
+  sleep 0.1
+done
+[ "$inuse" = "0" ] || { echo "cjoin_dimplane_slots_in_use $inuse after the workload drained, want 0"; exit 1; }
 
 # Still drains cleanly.
 kill -TERM $CJOIND

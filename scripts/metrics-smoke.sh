@@ -143,7 +143,7 @@ assert merged["dim_admits"] == 7 and merged["plane_pipelines"] == n, merged
 # its /metrics series exports, so at quiescence the two agree exactly —
 # the scan counters against their per-shard series summed, the plane's
 # and the admission queue's against their one series. Slot recycling
-# (the final retire's snapshot publications) runs just after delivery,
+# (the retire's snapshot publications) runs just after delivery,
 # so the comparison retries until both views settle.
 BASE=$BASE python3 -c '
 import json, os, time, urllib.request
