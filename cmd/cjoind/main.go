@@ -82,7 +82,6 @@ func main() {
 		chaos    = flag.String("chaos", "", "fault-injection spec, e.g. 'seed=7;shard=1;scan-err=0.02;scan-fail=40' (see internal/fault)")
 		stallTO  = flag.Duration("stall-timeout", 0, "declare a shard dead after this long without scan progress (0 = off)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ and Go runtime gauges on /metrics")
-		zoneMaps = flag.Bool("zonemaps", true, "page-level zone-map pruning: skip fact pages whose per-page min/max synopses no resident query can match (false = §5 partition-granular pruning only)")
 		resMem   = flag.Int64("result-mem", 256, "MiB of done queries' rows kept until fetched; past it the oldest is released and its fetch answers 410")
 	)
 	flag.Parse()
@@ -134,7 +133,6 @@ func main() {
 		Workers:          *workers,
 		PredCacheSize:    *predCach,
 		OptimizeInterval: 100 * time.Millisecond,
-		DisableZoneMaps:  !*zoneMaps,
 		Logf:             log.Printf,
 	}
 	if chaosSpec != nil {

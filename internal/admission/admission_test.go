@@ -22,17 +22,13 @@ func env(t testing.TB, rows, maxConc int) (*ssb.Dataset, *shard.Group) {
 
 // envDisk generates a dataset on a throttled device, for tests that need
 // the continuous scan to take a predictable, nontrivial time.
-func envDisk(t testing.TB, rows, maxConc int, dc disk.Config, tweaks ...func(*core.Config)) (*ssb.Dataset, *shard.Group) {
+func envDisk(t testing.TB, rows, maxConc int, dc disk.Config) (*ssb.Dataset, *shard.Group) {
 	t.Helper()
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: rows, Seed: 7, Disk: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := core.Config{MaxConcurrent: maxConc, Workers: 2}
-	for _, tw := range tweaks {
-		tw(&ccfg)
-	}
-	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: ccfg})
+	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: maxConc, Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +48,24 @@ func bind(t testing.TB, ds *ssb.Dataset, n int) []*query.Bound {
 			t.Fatal(err)
 		}
 		out = append(out, b)
+	}
+	return out
+}
+
+// bindFullScans binds n workload queries at selectivity 1: every
+// dimension predicate selects every key, so neither §5 nor the zone maps
+// prune a page and each query pays a full scan cycle.
+func bindFullScans(t testing.TB, ds *ssb.Dataset, n int) []*query.Bound {
+	t.Helper()
+	w := ssb.NewWorkload(ds, 1, 3)
+	out := make([]*query.Bound, n)
+	for i := range out {
+		_, text := w.Next()
+		b, err := query.ParseBind(text, ds.Star)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
 	}
 	return out
 }
@@ -174,13 +188,12 @@ func TestCancelWhileQueued(t *testing.T) {
 // TestCancelWhileRunning: cancel propagates to the pipeline and the slot
 // is reused by the next waiter.
 func TestCancelWhileRunning(t *testing.T) {
-	// Zone maps off so the first query pays the whole ~15 ms cycle:
-	// pruned to a few pages it can finish between two polls of its state
-	// and never be seen running.
-	ds, p := envDisk(t, 2500, 1, disk.Config{SeqBytesPerSec: 25 << 20},
-		func(c *core.Config) { c.DisableZoneMaps = true })
+	// Full scans, so the first query pays the whole ~15 ms cycle: pruned
+	// to a few pages it can finish between two polls of its state and
+	// never be seen running.
+	ds, p := envDisk(t, 2500, 1, disk.Config{SeqBytesPerSec: 25 << 20})
 	q := admission.NewQueue(p, admission.Config{MaxQueue: 16})
-	bounds := bind(t, ds, 2)
+	bounds := bindFullScans(t, ds, 2)
 
 	first, err := q.Submit(bounds[0])
 	if err != nil {
@@ -211,13 +224,12 @@ func TestCancelWhileRunning(t *testing.T) {
 
 func TestQueueWaitDeadline(t *testing.T) {
 	// ~25 MB/s over ~600 KB of fact pages: one scan cycle takes ~25 ms,
-	// far beyond the impatient ticket's deadline. Zone maps are off so
-	// the blocker pays the whole cycle: pruned to its ten pages it takes
-	// ~5 ms and races the deadline.
-	ds, p := envDisk(t, 4000, 1, disk.Config{SeqBytesPerSec: 25 << 20},
-		func(c *core.Config) { c.DisableZoneMaps = true })
+	// far beyond the impatient ticket's deadline. The queries are full
+	// scans so the blocker pays the whole cycle: pruned to its ten pages
+	// it takes ~5 ms and races the deadline.
+	ds, p := envDisk(t, 4000, 1, disk.Config{SeqBytesPerSec: 25 << 20})
 	q := admission.NewQueue(p, admission.Config{MaxQueue: 16})
-	bounds := bind(t, ds, 3)
+	bounds := bindFullScans(t, ds, 3)
 
 	blocker, err := q.Submit(bounds[0])
 	if err != nil {

@@ -12,8 +12,10 @@ const (
 	// ctrlStart is the "query start" tuple appended when a query is
 	// registered; the Distributor sets up its aggregation operator.
 	ctrlStart ctrlKind = iota
-	// ctrlEnd is the "end of query" tuple emitted when the continuous
-	// scan wraps around the query's starting tuple.
+	// ctrlEnd is the "end of query" tuple emitted right after the last
+	// page of the query's countdown: the continuous scan has delivered
+	// each page of its set once, which is the wrap back to its starting
+	// tuple of §3.3.2, or the coverage of its needed partitions of §5.
 	ctrlEnd
 )
 

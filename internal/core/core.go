@@ -14,7 +14,8 @@
 // any current query, each tagged with its own bit-vector. A single probe
 // therefore joins a fact tuple against one dimension for all queries at
 // once (§3.2). Queries latch onto the running scan at any time and
-// complete after exactly one full cycle (§3.3).
+// complete once it has delivered every page they need exactly once: one
+// full cycle (§3.3), or less where §5 or the zone maps prune.
 //
 // The implementation follows §4: the Preprocessor and Distributor each
 // own one goroutine; Filters are boxed into Stages with a configurable
@@ -74,14 +75,15 @@ func (l Layout) String() string {
 	return "unknown"
 }
 
+// queueLen is the buffer length, in batches, of every inter-stage channel.
+const queueLen = 8
+
 // Config tunes a Pipeline. The zero value gets sensible defaults from
 // normalize.
 type Config struct {
 	// MaxConcurrent is the paper's maxConc: the bound on simultaneously
 	// registered queries and the width of every bit-vector. Default 64.
 	MaxConcurrent int
-	// QueueLen is the buffer length of inter-stage channels. Default 8.
-	QueueLen int
 	// Workers is the number of Stage threads (horizontal: all in the
 	// single Stage; hybrid: divided among Stages). Default NumCPU/2,
 	// minimum 1.
@@ -95,11 +97,6 @@ type Config struct {
 	// Zero disables periodic optimization (ReorderFilters can still be
 	// called explicitly).
 	OptimizeInterval time.Duration
-	// DisableZoneMaps turns off page-level zone-map pruning: queries are
-	// charged every page of their needed partitions and the scan skips
-	// only whole partitions, restoring the §5 partition-granular
-	// behavior. The zero value (zone maps on) is the default.
-	DisableZoneMaps bool
 	// PredCacheSize bounds the dimension plane's predicate-scan cache
 	// (memoized SelectRows results keyed by canonical predicate
 	// fingerprint). 0 selects dimplane.DefaultPredCacheSize; negative
@@ -159,9 +156,6 @@ type ShardConfig struct {
 func (c Config) Normalized() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 64
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 8
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU() / 2

@@ -207,10 +207,11 @@ func TestSlotReuseBeyondMaxConc(t *testing.T) {
 
 func TestTooManyQueries(t *testing.T) {
 	ds := dataset(t, 30000)
-	// Full scans: a query zone-mapped down to a few pages can finish and
-	// free its slot before the third Submit.
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 2, DisableZoneMaps: true})
-	qs := bindWorkload(t, ds, 3, 0.3, 37)
+	// Full scans (selectivity 1: every dimension predicate selects every
+	// key, so nothing prunes): a query zone-mapped down to a few pages can
+	// finish and free its slot before the third Submit.
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 2})
+	qs := bindWorkload(t, ds, 3, 1, 37)
 	h1, err := p.Submit(qs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -322,13 +323,14 @@ func TestProgressReaches1(t *testing.T) {
 
 func TestStopFailsInflightQueries(t *testing.T) {
 	ds := dataset(t, 50000)
-	// A full scan, so the query cannot complete ahead of Stop.
-	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: 4, DisableZoneMaps: true}})
+	// A full scan (selectivity 1 prunes nothing), so the query cannot
+	// complete ahead of Stop.
+	p, err := shard.New(ds.Star, shard.Config{Shards: 1, Core: core.Config{MaxConcurrent: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
-	q := bindWorkload(t, ds, 1, 0.3, 47)[0]
+	q := bindWorkload(t, ds, 1, 1, 47)[0]
 	h, err := p.Submit(q)
 	if err != nil {
 		t.Fatal(err)
@@ -344,11 +346,12 @@ func TestStopFailsInflightQueries(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	ds := dataset(t, 1200)
-	// Zone maps off: this test pins the stats plumbing against a known
-	// full-table scan, so page pruning would invalidate the arithmetic
-	// (pruned charges have their own tests in zonemap_parity_test.go).
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4, DisableZoneMaps: true})
-	q := bindWorkload(t, ds, 1, 0.2, 53)[0]
+	// Selectivity 1 prunes nothing: this test pins the stats plumbing
+	// against a known full-table scan, so page pruning would invalidate
+	// the arithmetic (pruned charges have their own tests in
+	// zonemap_parity_test.go).
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 4})
+	q := bindWorkload(t, ds, 1, 1, 53)[0]
 	h, err := p.Submit(q)
 	if err != nil {
 		t.Fatal(err)

@@ -45,14 +45,16 @@ func newEmitRig(tb testing.TB) *emitRig {
 	}
 	for i, q := range qs {
 		rq := &runningQuery{p: p, slot: slots[i], q: q}
+		rq.needPages = r.pp.scan.needPagesFor(rq, nil) // every page: stays resident
 		r.pp.register(ppCmd{rq: rq, done: make(chan struct{})})
 		r.dist.control((<-r.pp.out).ctrl) // the query-start control tuple
 	}
 
 	geom := r.pp.scan
-	p.pool = newTuplePool(1, geom.rpp, geom.ncols, bitvec.Words(p.cfg.MaxConcurrent), len(p.dimStates))
+	rpp := geom.parts[0].src.RowsPerPage()
+	p.pool = newTuplePool(1, rpp, geom.parts[0].src.NumCols(), bitvec.Words(p.cfg.MaxConcurrent), len(p.dimStates))
 	b := p.pool.get(nil)
-	if r.n, _, _, _, _, err = geom.nextPage(b.rowArena, nil, nil); err != nil || r.n != geom.rpp {
+	if r.n, _, _, _, err = geom.nextPage(b.rowArena, nil, nil); err != nil || r.n != rpp {
 		tb.Fatalf("page read: n=%d err=%v", r.n, err)
 	}
 	p.pool.put(b)

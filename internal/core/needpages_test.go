@@ -21,17 +21,18 @@ type cellBounds func(part, page, col int) (min, max int64, ok bool)
 // refNeedPages is the per-cell reference needPagesFor must match bit for
 // bit: one cell lookup per (page × range column), a page dropped as soon
 // as one synopsis is disjoint from its range, a partition's bitmap
-// discarded when nothing was pruned.
-func refNeedPages(s *factScan, rq *runningQuery, cell cellBounds) [][]bool {
-	if rq.pruneEmpty || len(rq.pruneRanges) == 0 {
-		return nil
+// discarded (nil) when nothing was pruned or the partition is not
+// needed at all.
+func refNeedPages(s *factScan, rq *runningQuery, needParts []bool, cell cellBounds) [][]bool {
+	np := make([][]bool, len(s.parts))
+	if rq.pruneEmpty {
+		return np
 	}
-	var np [][]bool
 	for li := range s.parts {
 		if s.parts[li].bounds == nil {
 			continue
 		}
-		if s.static && !rq.needsPart(s.globalOf(li)) {
+		if needParts != nil && !needParts[s.globalOf(li)] {
 			continue
 		}
 		n := s.pagesInPart(li)
@@ -47,39 +48,50 @@ func refNeedPages(s *factScan, rq *runningQuery, cell cellBounds) [][]bool {
 				}
 			}
 		}
-		if !pruned {
-			continue
+		if pruned {
+			np[li] = bits
 		}
-		if np == nil {
-			np = make([][]bool, len(s.parts))
-		}
-		np[li] = bits
 	}
 	return np
 }
 
-func checkNeedPages(t *testing.T, ctx string, s *factScan, rq *runningQuery, cell cellBounds) (sawBitmap bool) {
+// checkNeedPages compares needPagesFor's sets with the reference: the
+// bitmap bit for bit, the frozen page count, the §5 verdict, and needed
+// as the count of pages the set charges.
+func checkNeedPages(t *testing.T, ctx string, s *factScan, rq *runningQuery, needParts []bool, cell cellBounds) (sawBitmap bool) {
 	t.Helper()
-	want := refNeedPages(s, rq, cell)
-	got := s.needPagesFor(rq)
-	if (got == nil) != (want == nil) {
-		t.Fatalf("%s: ranges %+v: bitmap nil=%v, reference nil=%v", ctx, rq.pruneRanges, got == nil, want == nil)
+	want := refNeedPages(s, rq, needParts, cell)
+	got := s.needPagesFor(rq, needParts)
+	rq.needPages = got
+	if len(got) != len(s.parts) {
+		t.Fatalf("%s: %d page sets for %d partitions", ctx, len(got), len(s.parts))
 	}
-	for li := range want {
-		if fmt.Sprint(got[li].bits) != fmt.Sprint(want[li]) {
-			t.Fatalf("%s: ranges %+v partition %d:\n got %v\nwant %v", ctx, rq.pruneRanges, li, got[li].bits, want[li])
+	for li, ps := range got {
+		if fmt.Sprint(ps.bits) != fmt.Sprint(want[li]) || (ps.bits == nil) != (want[li] == nil) {
+			t.Fatalf("%s: ranges %+v partition %d:\n got %v\nwant %v", ctx, rq.pruneRanges, li, ps.bits, want[li])
+		}
+		n := s.pagesInPart(li)
+		pruned := needParts != nil && !needParts[s.globalOf(li)]
+		if ps.frozen != n || ps.partPruned != pruned {
+			t.Fatalf("%s: partition %d: frozen=%d partPruned=%v, want %d, %v", ctx, li, ps.frozen, ps.partPruned, n, pruned)
 		}
 		var k int64
-		for _, b := range want[li] {
-			if b {
+		for pg := 0; pg < n; pg++ {
+			if rq.pageNeeded(li, pg) {
 				k++
 			}
 		}
-		if got[li].needed != k {
-			t.Fatalf("%s: partition %d: needed=%d, bitmap has %d set", ctx, li, got[li].needed, k)
+		if want[li] == nil && !pruned && !rq.pruneEmpty && k != int64(n) {
+			t.Fatalf("%s: partition %d: no bitmap, yet %d of %d pages charged", ctx, li, k, n)
+		}
+		if ps.needed != k {
+			t.Fatalf("%s: partition %d: needed=%d, the set charges %d", ctx, li, ps.needed, k)
+		}
+		if want[li] != nil {
+			sawBitmap = true
 		}
 	}
-	return want != nil
+	return sawBitmap
 }
 
 // stridedView is one shard's view of a heap (pages off, off+stride, …)
@@ -187,7 +199,7 @@ func TestNeedPagesMatchPerCellReference(t *testing.T) {
 			for k := 0; k < 12; k++ {
 				rq := &runningQuery{pruneRanges: randomRanges(rng, rows)}
 				ctx := fmt.Sprintf("trial %d rows %d view %d/%d", trial, rows, v.off, v.stride)
-				if checkNeedPages(t, ctx, s, rq, cell) {
+				if checkNeedPages(t, ctx, s, rq, nil, cell) {
 					bitmaps++
 				}
 			}
@@ -200,8 +212,8 @@ func TestNeedPagesMatchPerCellReference(t *testing.T) {
 
 // TestNeedPagesPartitionDealt runs the same equivalence over a
 // range-partitioned star scanned whole and as partition-dealt subsets,
-// with and without a partition-level needParts: the bitmap is indexed by
-// scan-local partition while needParts stays star-global.
+// with and without a partition-level needParts input: the sets are
+// indexed by scan-local partition while needParts stays star-global.
 func TestNeedPagesPartitionDealt(t *testing.T) {
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 6000, Seed: 19, Partitions: 4})
 	if err != nil {
@@ -222,13 +234,14 @@ func TestNeedPagesPartitionDealt(t *testing.T) {
 			if k%3 == 0 {
 				rq.pruneRanges = append(rq.pruneRanges, colRange(ssb.LoRevenue, 0, math.MaxInt64))
 			}
+			var needParts []bool
 			if k%2 == 0 {
-				rq.needParts = make([]bool, len(parts))
+				needParts = make([]bool, len(parts))
 				for g, p := range parts {
-					rq.needParts[g] = ds.DateKeys[hi] >= p.MinKey && ds.DateKeys[lo] <= p.MaxKey
+					needParts[g] = ds.DateKeys[hi] >= p.MinKey && ds.DateKeys[lo] <= p.MaxKey
 				}
 			}
-			if checkNeedPages(t, fmt.Sprintf("subset %v draw %d", subset, k), s, rq, cell) {
+			if checkNeedPages(t, fmt.Sprintf("subset %v draw %d", subset, k), s, rq, needParts, cell) {
 				bitmaps++
 			}
 		}
@@ -238,28 +251,45 @@ func TestNeedPagesPartitionDealt(t *testing.T) {
 	}
 }
 
-// cutHookSource runs a hook right after the zone-map build has read a
-// column run — i.e. between the moment a query's bitmap is cut on the
-// submitter's goroutine and its registration with the Preprocessor.
+// cutHookSource runs a hook at the end of a query's cut on the
+// submitter's goroutine — right after the zone-map build has read a
+// column run, or after an "every page intersects" answer that needs no
+// run — i.e. between the moment the page set is frozen and the query's
+// registration with the Preprocessor.
 type cutHookSource struct {
 	*storage.HeapFile
 	afterCut func()
 }
 
+func (s *cutHookSource) fire() {
+	if f := s.afterCut; f != nil {
+		s.afterCut = nil
+		f()
+	}
+}
+
+func (s *cutHookSource) AllPagesIntersect(col int, lo, hi int64) bool {
+	all := s.HeapFile.AllPagesIntersect(col, lo, hi)
+	if all {
+		s.fire()
+	}
+	return all
+}
+
 func (s *cutHookSource) ColBoundsRun(col, first, stride int, dst []int64) int {
 	n := s.HeapFile.ColBoundsRun(col, first, stride, dst)
-	if s.afterCut != nil {
-		s.afterCut()
-	}
+	s.fire()
 	return n
 }
 
 // TestPagesAppendedAfterCutAreReadNotCharged pins the reconciliation
-// rule for a heap that grows (and has a pruned page widened) after a
-// query's bitmap was cut but before the Preprocessor registered it: the
-// new pages lie beyond the bitmap, so the scan reads them — they may
-// hold rows of other snapshots — but the query's countdown charges
-// exactly the pages its bitmap kept, and its answer is still exact.
+// rule for a heap that grows (and has a page widened) after a query's
+// page set was cut but before the Preprocessor registered it: the new
+// pages lie beyond the set, so the scan reads them — they may hold rows
+// of other snapshots — but the query's countdown charges exactly the
+// pages its set kept, and its answer is still exact. It holds for a
+// query whose zone-map bitmap prunes and for one that prunes nothing
+// (no bitmap: every page present at the cut).
 func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 4000, Seed: 7})
 	if err != nil {
@@ -302,49 +332,68 @@ func TestPagesAppendedAfterCutAreReadNotCharged(t *testing.T) {
 		return h
 	}
 
-	// Park the scan in the middle of the heap: a countdown query over a
-	// late date window leaves the cursor just past its last needed page.
 	nk := len(ds.DateKeys)
-	run(window(nk/2, nk/2+nk/20))
-
-	// The query under test wants early dates, so its cycle runs from the
-	// parked cursor over the (pruned) rest of the heap, the appended
-	// pages, the wrap, and only then its own pages.
-	pagesAtCut := heap.NumPages()
 	rng := rand.New(rand.NewSource(5))
-	src.afterCut = func() {
-		src.afterCut = nil
-		if _, err := ds.AppendFact(2*heap.RowsPerPage()+3, rng); err != nil {
-			t.Error(err)
-		}
-		// Widen a page the bitmap pruned (the last flushed one at cut).
-		if _, err := ds.DeleteFact(int64(pagesAtCut-2) * int64(heap.RowsPerPage())); err != nil {
-			t.Error(err)
-		}
-	}
-	before := p.Stats()
-	h := run(window(0, nk/20))
-	after := p.Stats()
+	for _, tc := range []struct {
+		name   string
+		lo, hi int
+		pruned bool
+	}{
+		// Early dates: the cycle runs from the parked cursor over the
+		// (pruned) rest of the heap, the appended pages, the wrap, and
+		// only then the query's own pages.
+		{"bitmap", 0, nk / 20, true},
+		// Every date: nothing to prune, so the set is every page present
+		// at the cut, from the parked cursor round to it again.
+		{"no bitmap", 0, nk - 1, false},
+	} {
+		// Park the scan in the middle of the heap: a countdown query over
+		// a late date window leaves the cursor just past its last needed
+		// page.
+		run(window(nk/2, nk/2+nk/20))
 
-	appended := int64(heap.NumPages() - pagesAtCut)
-	if appended < 2 {
-		t.Fatalf("hook appended %d pages; the cut→register window was not exercised", appended)
-	}
-	ps := h.rq.needPages[0]
-	if len(ps.bits) != pagesAtCut {
-		t.Fatalf("bitmap covers %d pages, heap had %d when it was cut", len(ps.bits), pagesAtCut)
-	}
-	if ps.needed >= int64(pagesAtCut)/2 {
-		t.Fatalf("window kept %d of %d pages; the test needs a pruning query", ps.needed, pagesAtCut)
-	}
-	if got := h.PagesScanned(); got != ps.needed {
-		t.Fatalf("charged %d pages, bitmap kept %d (appended pages must not be charged)", got, ps.needed)
-	}
-	if read := after.PagesRead - before.PagesRead; read != ps.needed+appended {
-		t.Fatalf("scan read %d pages, want the %d needed + the %d appended after the cut", read, ps.needed, appended)
-	}
-	if pruned := after.PagesPrunedZonemap - before.PagesPrunedZonemap; pruned != int64(pagesAtCut)-ps.needed {
-		t.Fatalf("pruned counter moved by %d, want %d", pruned, int64(pagesAtCut)-ps.needed)
+		pagesAtCut := heap.NumPages()
+		src.afterCut = func() {
+			if _, err := ds.AppendFact(2*heap.RowsPerPage()+3, rng); err != nil {
+				t.Error(err)
+			}
+			// Widen a page present at the cut (the last flushed one).
+			if _, err := ds.DeleteFact(int64(pagesAtCut-2) * int64(heap.RowsPerPage())); err != nil {
+				t.Error(err)
+			}
+		}
+		before := p.Stats()
+		h := run(window(tc.lo, tc.hi))
+		after := p.Stats()
+
+		appended := int64(heap.NumPages() - pagesAtCut)
+		if appended < 2 {
+			t.Fatalf("%s: hook appended %d pages; the cut→register window was not exercised", tc.name, appended)
+		}
+		ps := h.rq.needPages[0]
+		if ps.frozen != pagesAtCut {
+			t.Fatalf("%s: set frozen at %d pages, heap had %d when it was cut", tc.name, ps.frozen, pagesAtCut)
+		}
+		if tc.pruned {
+			if len(ps.bits) != pagesAtCut {
+				t.Fatalf("%s: bitmap covers %d pages, heap had %d when it was cut", tc.name, len(ps.bits), pagesAtCut)
+			}
+			if ps.needed >= int64(pagesAtCut)/2 {
+				t.Fatalf("%s: window kept %d of %d pages; the test needs a pruning query", tc.name, ps.needed, pagesAtCut)
+			}
+		} else if ps.bits != nil || ps.needed != int64(pagesAtCut) {
+			t.Fatalf("%s: set keeps %d of %d pages (bitmap %v); the test needs a query that prunes nothing",
+				tc.name, ps.needed, pagesAtCut, ps.bits != nil)
+		}
+		if got := h.PagesScanned(); got != ps.needed {
+			t.Fatalf("%s: charged %d pages, the set kept %d (appended pages must not be charged)", tc.name, got, ps.needed)
+		}
+		if read := after.PagesRead - before.PagesRead; read != ps.needed+appended {
+			t.Fatalf("%s: scan read %d pages, want the %d needed + the %d appended after the cut", tc.name, read, ps.needed, appended)
+		}
+		if pruned := after.PagesPrunedZonemap - before.PagesPrunedZonemap; pruned != int64(pagesAtCut)-ps.needed {
+			t.Fatalf("%s: pruned counter moved by %d, want %d", tc.name, pruned, int64(pagesAtCut)-ps.needed)
+		}
 	}
 }
 
@@ -401,7 +450,7 @@ func BenchmarkBuildNeedPages(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/pages=%d", bc.name, pages), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					benchNeed = s.needPagesFor(rq)
+					benchNeed = s.needPagesFor(rq, nil)
 				}
 			})
 			// The per-cell reference on the same input: what the build
@@ -410,7 +459,7 @@ func BenchmarkBuildNeedPages(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/pages=%d/percell", bc.name, pages), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					benchRef = refNeedPages(s, rq, cell)
+					benchRef = refNeedPages(s, rq, nil, cell)
 				}
 			})
 		}

@@ -50,26 +50,19 @@ type runningQuery struct {
 	reported atomic.Bool
 	recycled atomic.Bool
 
-	// Preprocessor-owned scan bookkeeping.
-	startPos     int64
-	sawStart     bool
-	sawFirstPage bool  // the StageFirstPage trace mark is set
-	pagesLeft    int64 // -1: wrap-detected; >= 0: partitioned countdown
-	// needParts marks the partitions this query scans, indexed by the
-	// star's GLOBAL partition order (partition-dealt shards translate
-	// through factScan.globalOf). Nil means every partition.
-	needParts []bool
+	// Preprocessor-owned scan bookkeeping: the countdown of needed pages
+	// not yet delivered (§3.3.2, §5).
+	sawFirstPage bool // the StageFirstPage trace mark is set
+	pagesLeft    int64
 	// pruneRanges are the fact-column range constraints the admission
 	// derived from the plane's selected dimension key ranges and the
 	// fact predicate (zonemap.go); pruneEmpty marks an unsatisfiable
 	// constraint set (the query needs zero fact pages anywhere).
 	pruneRanges []expr.Range
 	pruneEmpty  bool
-	// needPages is the page-granular companion of needParts, indexed by
-	// the SCAN-LOCAL partition order (activate cuts it against this
-	// pipeline's own scan synopses before the Preprocessor is paused).
-	// Nil means no page-level information; nil bits means every page of
-	// that partition.
+	// needPages is the run's page set on each partition of this
+	// pipeline's scan, indexed by the SCAN-LOCAL partition order and cut
+	// by Activate before the Preprocessor is paused (needPagesFor).
 	needPages []pageSet
 
 	// Progress accounting (§3.2.3: "the current point in the continuous
@@ -88,21 +81,12 @@ type runningQuery struct {
 	submitted time.Time
 }
 
-// needsPart reports whether the query must scan global partition g.
-func (rq *runningQuery) needsPart(g int) bool {
-	return rq.needParts == nil || rq.needParts[g]
-}
-
-// pageNeeded reports whether the query's completion countdown charges
-// the given page of SCAN-LOCAL partition part. Pages beyond the bitmap
-// (appended after it was cut) are not charged: the countdown covers
-// exactly the page set frozen at admission.
+// pageNeeded reports whether the run's countdown charges the given page
+// of SCAN-LOCAL partition part: a page of its set, frozen at the cut.
+// Pages appended after the cut are read but never charged.
 func (rq *runningQuery) pageNeeded(part, page int) bool {
-	if rq.needPages == nil || rq.needPages[part].bits == nil {
-		return true
-	}
-	bits := rq.needPages[part].bits
-	return page < len(bits) && bits[page]
+	ps := &rq.needPages[part]
+	return ps.needed > 0 && page < ps.frozen && (ps.bits == nil || ps.bits[page])
 }
 
 // pagesScanned returns the number of fact pages charged to the query so
@@ -359,7 +343,7 @@ func NewPipeline(star *catalog.Star, cfg Config, sc ShardConfig) (*Pipeline, err
 	// thread, with the Preprocessor, the Distributor and two spare. A
 	// batch holds one fact page.
 	stages, workers := stageLayout(cfg, len(star.Dims))
-	nBatches := cfg.QueueLen*(len(stages)+1) + len(stages)*workers + 4
+	nBatches := queueLen*(len(stages)+1) + len(stages)*workers + 4
 	p.pool = newTuplePool(nBatches, rpp, ncols, words, len(star.Dims))
 	return p, nil
 }
@@ -481,19 +465,17 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink 
 		submitted: time.Now(),
 	}
 
-	// §5 partition pruning: derive the needed partitions from the
-	// partition-key range implied by the query (already installed in the
-	// plane's dimension stores).
+	// Cut the run's page sets here, on the submitter's goroutine, so the
+	// Preprocessor's stall (register) never pays for them: §5 partition
+	// pruning from the partition-key range the plane's dimension stores
+	// already hold, and zone-map pruning from the fact-column ranges
+	// intersected with this scan's page synopses.
+	var needParts []bool
 	if p.star.PartCol >= 0 {
-		rq.needParts = p.neededPartitions(q, slot)
+		needParts = NeededPartitions(p.star, p.plane, q, slot)
 	}
-	// Zone-map pruning: derive the fact-column ranges and intersect them
-	// with this scan's page synopses here, on the submitter's goroutine,
-	// so the Preprocessor's stall (register) never pays for it.
-	if !p.cfg.DisableZoneMaps {
-		rq.pruneRanges, rq.pruneEmpty = pruneRanges(p.star, p.plane, q, slot)
-		rq.needPages = p.pp.scan.needPagesFor(rq)
-	}
+	rq.pruneRanges, rq.pruneEmpty = pruneRanges(p.star, p.plane, q, slot)
+	rq.needPages = p.pp.scan.needPagesFor(rq, needParts)
 
 	// Register under the manager lock, re-checking the terminal states:
 	// the failure sweep runs under the same lock, so a query is either
@@ -535,20 +517,15 @@ func (p *Pipeline) Activate(ctx context.Context, q *query.Bound, slot int, sink 
 	return Run{rq}, nil
 }
 
-// neededPartitions computes which fact partitions the query must scan by
-// correlating its predicates with the partitioning scheme. When the
-// partition column is the foreign key of a referenced dimension, the
-// admission-time dimension query already identified the selected
-// dimension tuples; their key range prunes partitions exactly.
-func (p *Pipeline) neededPartitions(q *query.Bound, slot int) []bool {
-	return NeededPartitions(p.star, p.plane, q, slot)
-}
-
-// NeededPartitions is the §5 pruning primitive as a free function, so a
-// shard group can run the same feasibility analysis against its shared
-// plane — e.g. to decide whether a query can still be answered exactly
-// after a shard holding some partitions has been quarantined. The query
-// must already be admitted to the plane at slot.
+// NeededPartitions is the §5 pruning primitive: which fact partitions,
+// in the star's global order, the query must scan. When the partition
+// column is the foreign key of a referenced dimension, the admission-time
+// dimension query already identified the selected dimension tuples;
+// their key range prunes partitions exactly. Activate cuts its page sets
+// from it, and a shard group runs the same feasibility analysis against
+// its shared plane — e.g. to decide whether a query can still be
+// answered exactly after a shard holding some partitions has been
+// quarantined. The query must already be admitted to the plane at slot.
 func NeededPartitions(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot int) []bool {
 	parts := star.Partitions()
 	need := make([]bool, len(parts))

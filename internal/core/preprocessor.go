@@ -24,10 +24,12 @@ type ppCmd struct {
 // initializes the bit-vector bτ — bit i set iff query i is active, τ is
 // visible to the query's snapshot (§3.5: snapshot association is a
 // virtual fact-table predicate), and τ satisfies the query's fact
-// predicate c_i0 (§3.2.2) — and drops tuples with bτ == 0. It detects the
-// wrap-around completion point of every query (§3.3.2) and, for
-// partitioned stars, the early completion point after the query's needed
-// partitions are covered (§5).
+// predicate c_i0 (§3.2.2) — and drops tuples with bτ == 0. Every query
+// completes by one countdown over the page set cut at its activation:
+// once each page of the set has been delivered, the scan has wrapped
+// back to the query's starting tuple (§3.3.2) or, on a partitioned star,
+// covered its needed partitions (§5), and its end-of-query control tuple
+// follows that page.
 type preprocessor struct {
 	p    *Pipeline
 	scan *factScan
@@ -47,15 +49,14 @@ type preprocessor struct {
 	baseMask bitvec.Vec
 	predQ    []*runningQuery // active queries with fact predicates
 	// partRefs counts active queries needing each partition, indexed by
-	// the SCAN-LOCAL partition order (a dealt subset on a shard);
-	// runningQuery.needParts stays star-global and is translated through
-	// factScan.globalOf.
+	// the SCAN-LOCAL partition order (a dealt subset on a shard), as
+	// runningQuery.needPages is.
 	partRefs []int
 	// pageAllRefs counts active queries needing EVERY page of a local
-	// partition (wrap-detected queries, and countdown queries with no
-	// zone-map bitmap there); pageRefs counts, per page, the queries
-	// whose bitmap needs it. A page is skipped only when both are zero —
-	// the page-granular generalization of partRefs (§5).
+	// partition (a page set with no zone-map bitmap); pageRefs counts,
+	// per page, the queries whose bitmap needs it. A page is skipped only
+	// when both are zero — the page-granular generalization of partRefs
+	// (§5).
 	pageAllRefs []int
 	pageRefs    [][]int
 	mvcc        bool // fact rows carry xmin/xmax system columns
@@ -91,7 +92,7 @@ func newPreprocessor(p *Pipeline) *preprocessor {
 		scan:        scan,
 		cmds:        make(chan ppCmd),
 		cancels:     make(chan *runningQuery, p.cfg.MaxConcurrent),
-		out:         make(chan *batch, p.cfg.QueueLen),
+		out:         make(chan *batch, queueLen),
 		stop:        p.stopCh,
 		baseMask:    bitvec.New(p.cfg.MaxConcurrent),
 		partRefs:    make([]int, len(scan.parts)),
@@ -138,7 +139,7 @@ func (pp *preprocessor) run() {
 		if b == nil {
 			return
 		}
-		n, pos, part, page, wrapped, err := pp.nextPageRetry(b.rowArena)
+		n, part, page, wrapped, err := pp.nextPageRetry(b.rowArena)
 		if k := pp.scan.takeSkipped(); k > 0 {
 			pp.p.om.zmSkipped.Add(k)
 		}
@@ -178,14 +179,6 @@ func (pp *preprocessor) run() {
 			pp.cyclePages = 1
 		}
 
-		// Wrap-around completion check must run before the page at the
-		// query's start position is emitted a second time (§3.3.2).
-		pp.checkWrapEnds(pos)
-		if len(pp.active) == 0 {
-			pp.p.pool.put(b)
-			continue
-		}
-
 		if !pp.emitPage(b, n) {
 			return
 		}
@@ -200,11 +193,11 @@ func (pp *preprocessor) run() {
 // and exhausted retries return to the caller for escalation; a pipeline
 // stop during backoff returns the pending error, which the caller's stop
 // check supersedes.
-func (pp *preprocessor) nextPageRetry(dst []int64) (n int, pos int64, part, page int, wrapped bool, err error) {
+func (pp *preprocessor) nextPageRetry(dst []int64) (n, part, page int, wrapped bool, err error) {
 	const maxBackoff = 100 * time.Millisecond
 	backoff := pp.p.cfg.ScanRetryBackoff
 	for attempt := 0; ; attempt++ {
-		n, pos, part, page, wrapped, err = pp.scan.nextPage(dst, pp.skipPart, pp.skipPage)
+		n, part, page, wrapped, err = pp.scan.nextPage(dst, pp.skipPart, pp.skipPage)
 		if err == nil || !transientErr(err) || attempt >= pp.p.cfg.ScanRetries {
 			return
 		}
@@ -239,60 +232,36 @@ func (pp *preprocessor) emit(b *batch) bool {
 	}
 }
 
-// register installs a new query (Algorithm 1 lines 19–22): extend Q, mark
-// the start position, emit the query-start control tuple, resume.
+// register installs a new query (Algorithm 1 lines 19–22): extend Q,
+// start its countdown, emit the query-start control tuple, resume.
 //
 // This is the paper's stall: the scan is paused for exactly as long as
 // this function runs (cjoin_register_stall_seconds), so it only stamps,
-// counts and reference-counts. The query's page bitmap was cut by the
-// submitter before the command was sent (factScan.needPagesFor); pages
-// appended since then lie beyond it and are read but never charged.
+// counts and reference-counts. The query's page sets were cut by the
+// submitter before the command was sent (factScan.needPagesFor), one per
+// partition this scan covers: a shard's scan may hold only a dealt
+// subset, and pages the query needs on OTHER shards are theirs to count.
+// Pages appended since the cut lie beyond the sets and are read but
+// never charged, so completion means "every page of the sets delivered
+// exactly once", wherever the scan stood at registration.
 func (pp *preprocessor) register(cmd ppCmd) {
 	defer pp.p.om.registerStall.ObserveSince(time.Now())
 	rq := cmd.rq
-	rq.startPos = pp.scan.position()
-	rq.sawStart = false
 	rq.startClock = pp.pageClock.Load()
 	rq.clock = &pp.pageClock
 	rq.ownPages.Store(-1) // ride the clock; publishes the two fields above
-	if pp.scan.static || rq.pruneEmpty || rq.needPages != nil {
-		// Pruning countdown over the partitions and pages this scan
-		// covers: a shard's scan may hold only a dealt subset, so the
-		// query's star-global needParts is consulted per local partition
-		// (pages the query needs on OTHER shards are theirs to count),
-		// and within a needed partition only the pages the query's
-		// zone-map bitmap retains are charged. A non-static scan joins
-		// the countdown regime once it has a bitmap: the page set was
-		// frozen when the bitmap was cut, so pages appended later are
-		// read but never charged, and completion still means "every
-		// needed page delivered exactly once".
-		var pages, prunedPart, prunedZone int64
-		for li := range pp.scan.parts {
-			total := int64(pp.scan.pagesInPart(li))
-			switch {
-			case pp.scan.static && !rq.needsPart(pp.scan.globalOf(li)):
-				prunedPart += total
-			case rq.pruneEmpty:
-				prunedZone += total
-			case rq.needPages == nil || rq.needPages[li].bits == nil:
-				pages += total
-			default:
-				ps := rq.needPages[li]
-				pages += ps.needed
-				prunedZone += int64(len(ps.bits)) - ps.needed
-			}
+	var prunedPart, prunedZone int64
+	for _, ps := range rq.needPages {
+		rq.pagesLeft += ps.needed
+		if ps.partPruned {
+			prunedPart += int64(ps.frozen)
+		} else {
+			prunedZone += int64(ps.frozen) - ps.needed
 		}
-		rq.pagesLeft = pages
-		rq.pagesTotal.Store(pages)
-		pp.p.om.prunedPart.Add(prunedPart)
-		pp.p.om.prunedZone.Add(prunedZone)
-	} else {
-		// No pruning information: wrap-around completion (§3.3.2). The
-		// query holds a pageAllRefs reference, so no page — including its
-		// start position — is skipped while it is resident.
-		rq.pagesLeft = -1
-		rq.pagesTotal.Store(int64(pp.scan.totalPages()))
 	}
+	rq.pagesTotal.Store(rq.pagesLeft)
+	pp.p.om.prunedPart.Add(prunedPart)
+	pp.p.om.prunedZone.Add(prunedZone)
 	pp.refPages(rq, +1)
 	pp.active = append(pp.active, rq)
 	if rq.q.HasFactPred() {
@@ -305,7 +274,7 @@ func (pp *preprocessor) register(cmd ppCmd) {
 
 	// A query needing zero pages (e.g. every partition pruned, every page
 	// zone-mapped away, or an empty fact table) completes immediately.
-	if rq.pagesLeft == 0 || (rq.pagesLeft < 0 && pp.scan.totalPages() == 0) {
+	if rq.pagesLeft == 0 {
 		pp.finish(rq)
 	}
 }
@@ -314,37 +283,22 @@ func (pp *preprocessor) register(cmd ppCmd) {
 // one query; register calls it with +1 and finish with -1, keeping the
 // two levels symmetric by construction.
 func (pp *preprocessor) refPages(rq *runningQuery, delta int) {
-	if rq.pagesLeft < 0 {
-		// Wrap-detected: every page of every local partition.
-		for li := range pp.scan.parts {
-			pp.partRefs[li] += delta
-			pp.pageAllRefs[li] += delta
-		}
-		return
-	}
-	if rq.pruneEmpty {
-		return // needs nothing anywhere
-	}
-	for li := range pp.scan.parts {
-		if pp.scan.static && !rq.needsPart(pp.scan.globalOf(li)) {
+	for li, ps := range rq.needPages {
+		if ps.needed == 0 {
 			continue
 		}
-		if rq.needPages == nil || rq.needPages[li].bits == nil {
-			pp.partRefs[li] += delta
+		pp.partRefs[li] += delta
+		if ps.bits == nil {
 			pp.pageAllRefs[li] += delta
 			continue
 		}
-		bits := rq.needPages[li].bits
-		if len(pp.pageRefs[li]) < len(bits) {
-			pp.pageRefs[li] = append(pp.pageRefs[li], make([]int, len(bits)-len(pp.pageRefs[li]))...)
+		if len(pp.pageRefs[li]) < len(ps.bits) {
+			pp.pageRefs[li] = append(pp.pageRefs[li], make([]int, len(ps.bits)-len(pp.pageRefs[li]))...)
 		}
-		for pg, b := range bits {
+		for pg, b := range ps.bits {
 			if b {
 				pp.pageRefs[li][pg] += delta
 			}
-		}
-		if rq.needPages[li].needed > 0 {
-			pp.partRefs[li] += delta
 		}
 	}
 }
@@ -385,27 +339,10 @@ func (pp *preprocessor) finish(rq *runningQuery) {
 	pp.emit(ctrlBatch(pp.nextSeq(), ctrlEnd, rq, nil))
 }
 
-// checkWrapEnds finalizes unpartitioned queries whose full cycle is
-// complete: the scan is back at the query's start position.
-func (pp *preprocessor) checkWrapEnds(pos int64) {
-	for i := 0; i < len(pp.active); i++ {
-		rq := pp.active[i]
-		if rq.pagesLeft >= 0 || pos != rq.startPos {
-			continue
-		}
-		if !rq.sawStart {
-			rq.sawStart = true
-			continue
-		}
-		pp.finish(rq)
-		i--
-	}
-}
-
-// afterPage performs per-page accounting for countdown queries and
-// finalizes those whose needed pages are fully covered. Only pages in a
-// query's needed set are charged: partition-pruned partitions and
-// zone-mapped-away pages pass through (the scan may still read them for
+// afterPage performs the per-page countdown and finalizes the queries
+// whose page sets are fully covered. Only pages of a query's set are
+// charged: partition-pruned partitions, zone-mapped-away pages and pages
+// appended after the cut pass through (the scan may still read them for
 // other queries) without advancing the countdown.
 //
 // Progress is published with one atomic per page — the clock tick at the
@@ -415,13 +352,11 @@ func (pp *preprocessor) checkWrapEnds(pos int64) {
 func (pp *preprocessor) afterPage(part, page int) {
 	for i := 0; i < len(pp.active); i++ {
 		rq := pp.active[i]
-		if rq.pagesLeft >= 0 {
-			if !rq.needsPart(pp.scan.globalOf(part)) || !rq.pageNeeded(part, page) {
-				rq.detachClock()
-				continue
-			}
-			rq.pagesLeft--
+		if !rq.pageNeeded(part, page) {
+			rq.detachClock()
+			continue
 		}
+		rq.pagesLeft--
 		if !rq.sawFirstPage {
 			rq.sawFirstPage = true
 			rq.q.Trace.Mark(obs.StageFirstPage)
@@ -448,7 +383,7 @@ func (pp *preprocessor) skipPart(i int) bool { return pp.partRefs[i] == 0 }
 
 // skipPage reports whether no active query needs the given page of
 // scan-local partition part. Pages beyond the tracked range (appended
-// after every resident query registered) are conservatively scanned.
+// after every resident bitmap was cut) are conservatively scanned.
 func (pp *preprocessor) skipPage(part, page int) bool {
 	if pp.pageAllRefs[part] > 0 {
 		return false

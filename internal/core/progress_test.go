@@ -49,11 +49,10 @@ func TestProgressAndETALifecycle(t *testing.T) {
 		t.Fatalf("mid-scan ETA %v, want > 0", eta)
 	}
 
-	// Completed: release the rest (wrap detection needs the start page's
-	// read to begin a second time).
-	for i := 0; i < 8; i++ {
-		gs.gate <- struct{}{}
-	}
+	// Completed: release the other half. The countdown ends the query
+	// right after its last page, so no further read is needed.
+	gs.gate <- struct{}{}
+	gs.gate <- struct{}{}
 	res := h.Wait()
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -101,7 +100,8 @@ func TestProgressMonotonic(t *testing.T) {
 		}
 		last = got
 	}
-	gs.gate <- struct{}{} // wrap read: completion point
+	// The eighth page was the last of the query's set: it has completed
+	// without another read.
 	if res := h.Wait(); res.Err != nil {
 		t.Fatal(res.Err)
 	}

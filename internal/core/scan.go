@@ -15,20 +15,16 @@ type scanPart struct {
 
 // factScan is the continuous scan feeding the Preprocessor (§3.1): it
 // cycles over the fact source — or, for a partitioned star (§5), over a
-// sequence of fact partitions — forever, in a stable order, reporting the
-// absolute row position of every page so queries can be started and
-// finalized at exact positions (§3.3.3). For a partition-dealt shard the
-// sequence is a subset of the star's partitions (ShardConfig.PartSubset),
-// and global maps each scan-local partition back to its star-wide index
-// so pruning metadata (runningQuery.needParts) stays in one coordinate
-// system however the partitions were dealt.
+// sequence of fact partitions — forever, in a stable order (§3.3.3),
+// reporting the (partition, page) of every page it delivers so each
+// query's countdown can charge the pages of its own page set. For a
+// partition-dealt shard the sequence is a subset of the star's
+// partitions (ShardConfig.PartSubset), and global maps each scan-local
+// partition back to its star-wide index, the coordinate system of
+// NeededPartitions, however the partitions were dealt.
 type factScan struct {
-	parts   []scanPart
-	global  []int // star-wide partition index of each scan-local part
-	static  bool  // partitioned stars are static; single heaps may grow
-	rpp     int
-	ncols   int
-	offsets []int64 // starting row position of each partition (static)
+	parts  []scanPart
+	global []int // star-wide partition index of each scan-local part
 
 	partIdx int
 	page    int
@@ -65,24 +61,7 @@ func newFactScan(star *catalog.Star, override PageSource, subset []int, wrap fun
 			global = append(global, g)
 		}
 	}
-	first := parts[0].src
-	s := &factScan{
-		parts:   parts,
-		global:  global,
-		static:  override == nil && star.PartCol >= 0,
-		rpp:     first.RowsPerPage(),
-		ncols:   first.NumCols(),
-		scratch: make([]byte, storage.PageSize),
-	}
-	if s.static {
-		s.offsets = make([]int64, len(parts))
-		var off int64
-		for i, p := range parts {
-			s.offsets[i] = off
-			off += int64(p.src.NumPages()) * int64(s.rpp)
-		}
-	}
-	return s
+	return &factScan{parts: parts, global: global, scratch: make([]byte, storage.PageSize)}
 }
 
 // pagesInPart returns the page count of scan-local partition i.
@@ -98,33 +77,6 @@ func (s *factScan) takeSkipped() int64 {
 // globalOf maps a scan-local partition index to the star's global
 // partition index (they differ when the scan covers a dealt subset).
 func (s *factScan) globalOf(i int) int { return s.global[i] }
-
-// totalPages returns the current total page count across partitions.
-func (s *factScan) totalPages() int {
-	n := 0
-	for i := range s.parts {
-		n += s.parts[i].src.NumPages()
-	}
-	return n
-}
-
-// position returns the absolute row position of the page the scan will
-// deliver next, or 0 when nothing is scannable.
-func (s *factScan) position() int64 {
-	s.advance(nil, nil)
-	if s.partIdx >= len(s.parts) || s.page >= s.parts[s.partIdx].src.NumPages() {
-		return 0
-	}
-	return s.posOf(s.partIdx, s.page)
-}
-
-func (s *factScan) posOf(part, page int) int64 {
-	base := int64(0)
-	if s.static {
-		base = s.offsets[part]
-	}
-	return base + int64(page)*int64(s.rpp)
-}
 
 // advance moves the cursor to the next scannable page, hopping past
 // exhausted or skipped partitions and — within an eligible partition —
@@ -161,31 +113,30 @@ func (s *factScan) advance(skipPart func(part int) bool, skipPage func(part, pag
 // non-nil, lets the caller omit partitions no active query needs (§5: "a
 // sequential scan of the union of identified partitions"); skipPage
 // likewise omits individual pages whose zone maps no resident query
-// intersects. It returns the row count, absolute position, partition and
-// page index, and whether the scan wrapped past the end to produce this
-// page. n == 0 with err == nil means nothing is scannable (empty or fully
-// skipped fact table). A failed read does not advance the cursor, so a
+// intersects. It returns the row count, the partition and page index,
+// and whether the scan wrapped past the end to produce this page. n == 0
+// with err == nil means nothing is scannable (empty or fully skipped
+// fact table). A failed read does not advance the cursor, so a
 // retry re-decodes the same page into the same dst.
-func (s *factScan) nextPage(dst []int64, skipPart func(part int) bool, skipPage func(part, page int) bool) (n int, pos int64, part, page int, wrapped bool, err error) {
+func (s *factScan) nextPage(dst []int64, skipPart func(part int) bool, skipPage func(part, page int) bool) (n, part, page int, wrapped bool, err error) {
 	wrapped = s.advance(skipPart, skipPage)
 	if s.partIdx >= len(s.parts) {
 		// Everything is empty or skipped.
-		return 0, 0, 0, 0, wrapped, nil
+		return 0, 0, 0, wrapped, nil
 	}
 	p := s.parts[s.partIdx]
 	if s.page >= p.src.NumPages() || (skipPart != nil && skipPart(s.partIdx)) ||
 		(skipPage != nil && skipPage(s.partIdx, s.page)) {
-		return 0, 0, s.partIdx, 0, wrapped, nil
+		return 0, s.partIdx, 0, wrapped, nil
 	}
-	pos = s.posOf(s.partIdx, s.page)
 	n, err = p.src.ReadPage(s.page, dst, s.scratch)
 	if err != nil {
-		return 0, 0, s.partIdx, s.page, wrapped, err
+		return 0, s.partIdx, s.page, wrapped, err
 	}
 	part, page = s.partIdx, s.page
 	// Advance by one page only; partition hand-off happens lazily in
 	// advance so a single growing heap picks up appended tail pages
 	// before wrapping.
 	s.page++
-	return n, pos, part, page, wrapped, nil
+	return n, part, page, wrapped, nil
 }

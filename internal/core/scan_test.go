@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,10 +39,16 @@ func partStar(t *testing.T, rowsPerPart []int64) *catalog.Star {
 	return star
 }
 
+// pageBuf returns a row arena for one page of the scan.
+func pageBuf(s *factScan) []int64 {
+	src := s.parts[0].src
+	return make([]int64, src.RowsPerPage()*src.NumCols())
+}
+
 func TestFactScanCyclesOverPartitions(t *testing.T) {
 	star := partStar(t, []int64{700, 300, 500}) // 511 rows/page → 2+1+1 pages
 	s := newFactScan(star, nil, nil, nil)
-	vals := make([]int64, s.rpp*s.ncols)
+	vals := pageBuf(s)
 	// Two full cycles are consumed: the wrap flag arrives with the first
 	// page of the next cycle.
 	total := int64(2 * 1500)
@@ -49,7 +56,7 @@ func TestFactScanCyclesOverPartitions(t *testing.T) {
 	var prev int64 = -1
 	wraps := 0
 	for wraps < 2 {
-		n, pos, _, _, wrapped, err := s.nextPage(vals, nil, nil)
+		n, _, _, wrapped, err := s.nextPage(vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +67,6 @@ func TestFactScanCyclesOverPartitions(t *testing.T) {
 			}
 			prev = -1
 		}
-		_ = pos
 		for i := 0; i < n; i++ {
 			v := vals[i*2+1]
 			if v != prev+1 {
@@ -78,11 +84,11 @@ func TestFactScanCyclesOverPartitions(t *testing.T) {
 func TestFactScanSkipsPartitions(t *testing.T) {
 	star := partStar(t, []int64{400, 400, 400})
 	s := newFactScan(star, nil, nil, nil)
-	vals := make([]int64, s.rpp*s.ncols)
+	vals := pageBuf(s)
 	skipMiddle := func(p int) bool { return p == 1 }
 	seenParts := map[int]bool{}
 	for i := 0; i < 10; i++ {
-		n, _, part, _, _, err := s.nextPage(vals, skipMiddle, nil)
+		n, part, _, _, err := s.nextPage(vals, skipMiddle, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,41 +108,39 @@ func TestFactScanSkipsPartitions(t *testing.T) {
 func TestFactScanAllSkipped(t *testing.T) {
 	star := partStar(t, []int64{100})
 	s := newFactScan(star, nil, nil, nil)
-	n, _, _, _, _, err := s.nextPage(make([]int64, s.rpp*s.ncols), func(int) bool { return true }, nil)
+	n, _, _, _, err := s.nextPage(pageBuf(s), func(int) bool { return true }, nil)
 	if err != nil || n != 0 {
 		t.Fatalf("fully skipped scan must return n=0: n=%d err=%v", n, err)
 	}
 }
 
+// TestFactScanPositionsStable pins the order every page set's countdown
+// relies on: the scan delivers the same (partition, page) cycle pass
+// after pass (§3.3.3: "the continuous scan returns fact tuples in the
+// same order once resumed"), each page once per pass.
 func TestFactScanPositionsStable(t *testing.T) {
-	star := partStar(t, []int64{700, 300})
+	star := partStar(t, []int64{700, 300, 1100}) // 511 rows/page → 2+1+3 pages
 	s := newFactScan(star, nil, nil, nil)
-	vals := make([]int64, s.rpp*s.ncols)
-	var firstCycle, secondCycle []int64
-	for {
-		_, pos, _, _, wrapped, err := s.nextPage(vals, nil, nil)
+	vals := pageBuf(s)
+	type pos struct{ part, page int }
+	var cycles [3][]pos
+	for c := 0; c < len(cycles); {
+		_, part, page, wrapped, err := s.nextPage(vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wrapped {
-			// The wrap flag arrives with cycle 2's first page.
-			secondCycle = append(secondCycle, pos)
-			break
+			// The wrap flag arrives with the next pass's first page.
+			if c++; c == len(cycles) {
+				break
+			}
 		}
-		firstCycle = append(firstCycle, pos)
+		cycles[c] = append(cycles[c], pos{part, page})
 	}
-	for len(secondCycle) < len(firstCycle) {
-		_, pos, _, _, _, err := s.nextPage(vals, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secondCycle = append(secondCycle, pos)
-	}
-	// §3.3.3: "the continuous scan returns fact tuples in the same order
-	// once resumed".
-	for i := range firstCycle {
-		if secondCycle[i] != firstCycle[i] {
-			t.Fatalf("cycle 2 position %d = %d, want %d", i, secondCycle[i], firstCycle[i])
+	want := []pos{{0, 0}, {0, 1}, {1, 0}, {2, 0}, {2, 1}, {2, 2}}
+	for c, got := range cycles {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("pass %d delivered %v, want %v", c, got, want)
 		}
 	}
 }

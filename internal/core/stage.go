@@ -54,7 +54,7 @@ func (p *Pipeline) startStages(in chan *batch) chan *batch {
 // channel. dims lists the Filters this Stage applies in order; nil means
 // "use the pipeline's current optimized filter order" (horizontal mode).
 func (p *Pipeline) startStage(in chan *batch, dims []int, workers int) chan *batch {
-	out := make(chan *batch, p.cfg.QueueLen)
+	out := make(chan *batch, queueLen)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -63,39 +63,49 @@ func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot
 // however large the partition.
 const boundsChunk = 256
 
-// pageSet is a query's zone-map verdict on one scan-local partition:
-// bits[pg] is set iff page pg's synopsis intersects every range
-// constraint, needed counts the set bits. Nil bits means every page.
+// pageSet is a run's page set on one scan-local partition, cut when the
+// run is activated. frozen is the partition's page count at the cut;
+// bits, when non-nil, marks the frozen pages the zone maps keep; needed
+// counts the pages the run's countdown charges. A partition that §5
+// prunes (partPruned), or that an unsatisfiable range set prunes, needs
+// none. Pages appended after the cut lie beyond frozen: the scan reads
+// them, but never charges them.
 type pageSet struct {
-	bits   []bool
-	needed int64
+	frozen     int
+	bits       []bool
+	needed     int64
+	partPruned bool
 }
 
-// needPagesFor intersects the query's column ranges with the scan's page
-// synopses, yielding the per-partition page sets registration charges
-// and reference-counts — the page-granular companion of needParts. Nil
-// means "no page-level information" (all pages of needed partitions).
-// Pages without a frozen synopsis (the heap tail, sources with no zone
-// maps) are always needed. It touches only the scan's immutable topology
-// and the sources' own synchronized accessors, so it is safe off the
-// Preprocessor goroutine; the page set is frozen at the moment it is cut,
-// and pages appended later are read but never charged (pageNeeded).
-func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
-	if rq.pruneEmpty || len(rq.pruneRanges) == 0 {
-		return nil
-	}
+// needPagesFor cuts a run's page sets, one per scan-local partition:
+// each partition's page count now, narrowed by §5 partition pruning
+// (needParts, indexed by the star's global partition order; nil means
+// every partition) and by the query's column ranges intersected with the
+// page synopses. Pages without a frozen synopsis (the heap tail, sources
+// with no zone maps) are always needed. It touches only the scan's
+// immutable topology and the sources' own synchronized accessors, so it
+// is safe off the Preprocessor goroutine.
+func (s *factScan) needPagesFor(rq *runningQuery, needParts []bool) []pageSet {
+	sets := make([]pageSet, len(s.parts))
 	var (
-		np   []pageSet
 		live []expr.Range // ranges that can prune in the current partition
 		run  []int64      // (min, max) pairs of one column chunk, reused
 	)
 	for li := range s.parts {
+		n := s.pagesInPart(li)
+		ps := &sets[li]
+		ps.frozen = n
+		if needParts != nil && !needParts[s.globalOf(li)] {
+			ps.partPruned = true
+			continue
+		}
+		if rq.pruneEmpty {
+			continue
+		}
+		ps.needed = int64(n)
 		b := s.parts[li].bounds
 		if b == nil {
 			continue
-		}
-		if s.static && !rq.needsPart(s.globalOf(li)) {
-			continue // partition-pruned; the partition level handles it
 		}
 		live = live[:0]
 		for _, r := range rq.pruneRanges {
@@ -104,9 +114,8 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 			}
 		}
 		if len(live) == 0 {
-			continue // every page intersects: same as no bitmap
+			continue // every page intersects: no bitmap
 		}
-		n := s.pagesInPart(li)
 		if run == nil {
 			run = make([]int64, 2*boundsChunk)
 		}
@@ -126,13 +135,9 @@ func (s *factScan) needPagesFor(rq *runningQuery) []pageSet {
 				}
 			}
 		}
-		if needed == int64(n) {
-			continue // AllPagesIntersect was only being cautious
+		if needed < int64(n) { // else AllPagesIntersect was only being cautious
+			ps.bits, ps.needed = bits, needed
 		}
-		if np == nil {
-			np = make([]pageSet, len(s.parts))
-		}
-		np[li] = pageSet{bits: bits, needed: needed}
 	}
-	return np
+	return sets
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cjoin/internal/query"
@@ -18,9 +19,9 @@ func TestFactScanSkipsPages(t *testing.T) {
 	star := partStar(t, []int64{1022}) // 511 rows/page → exactly 2 flushed pages
 	s := newFactScan(star, nil, nil, nil)
 	skipFirst := func(part, page int) bool { return page == 0 }
-	vals := make([]int64, s.rpp*s.ncols)
+	vals := pageBuf(s)
 	for i := 0; i < 4; i++ {
-		n, _, part, page, _, err := s.nextPage(vals, nil, skipFirst)
+		n, part, page, _, err := s.nextPage(vals, nil, skipFirst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 					}
 					continue
 				}
-				if rq.needPages == nil {
+				if !slices.ContainsFunc(rq.needPages, func(ps pageSet) bool { return ps.bits != nil }) {
 					continue // no page-level pruning: trivially sound
 				}
 				sawBitmap = true

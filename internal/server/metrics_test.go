@@ -58,7 +58,7 @@ func TestMetricsAndTraceE2E(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sqls := workloadSQL(t, env.ds, n)
+	sqls := workloadSQL(t, env.ds, n, 0.1)
 	queries := make([]*client.Query, n)
 	for i, sqlText := range sqls {
 		q, err := env.cl.Submit(ctx, sqlText)

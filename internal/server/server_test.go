@@ -28,15 +28,15 @@ type testEnv struct {
 	reg  *obs.Registry
 }
 
-func startServer(t testing.TB, rows, maxConc int, dc disk.Config, acfg admission.Config, tweaks ...func(*core.Config)) *testEnv {
-	return startServerSharded(t, rows, maxConc, 1, 0, dc, acfg, tweaks...)
+func startServer(t testing.TB, rows, maxConc int, dc disk.Config, acfg admission.Config) *testEnv {
+	return startServerSharded(t, rows, maxConc, 1, 0, dc, acfg)
 }
 
 // startServerSharded runs the service layer over a group of `shards`
 // pipelines — the same wiring cjoind -shards uses. parts > 1
 // range-partitions the fact table, so the group deals whole partitions
 // instead of striding pages.
-func startServerSharded(t testing.TB, rows, maxConc, shards, parts int, dc disk.Config, acfg admission.Config, tweaks ...func(*core.Config)) *testEnv {
+func startServerSharded(t testing.TB, rows, maxConc, shards, parts int, dc disk.Config, acfg admission.Config) *testEnv {
 	t.Helper()
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: rows, Seed: 11, Partitions: parts, Disk: dc})
 	if err != nil {
@@ -45,11 +45,7 @@ func startServerSharded(t testing.TB, rows, maxConc, shards, parts int, dc disk.
 	// Every server test runs with the telemetry plane on — the cjoind
 	// default — so the instrumented hot paths are what the suite covers.
 	reg := obs.NewRegistry()
-	ccfg := core.Config{MaxConcurrent: maxConc, Workers: 2}
-	for _, tw := range tweaks {
-		tw(&ccfg)
-	}
-	g, err := shard.New(ds.Star, shard.Config{Shards: shards, Core: ccfg, Obs: reg})
+	g, err := shard.New(ds.Star, shard.Config{Shards: shards, Core: core.Config{MaxConcurrent: maxConc, Workers: 2}, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +57,12 @@ func startServerSharded(t testing.TB, rows, maxConc, shards, parts int, dc disk.
 	return &testEnv{ds: ds, exec: g, srv: srv, ts: ts, cl: client.New(ts.URL), reg: reg}
 }
 
-func workloadSQL(t testing.TB, ds *ssb.Dataset, n int) []string {
+// workloadSQL renders n workload queries whose dimension predicates each
+// select a fraction s of their dimension. At s = 1 every predicate
+// selects every key, so nothing prunes and each query is a full scan.
+func workloadSQL(t testing.TB, ds *ssb.Dataset, n int, s float64) []string {
 	t.Helper()
-	w := ssb.NewWorkload(ds, 0.1, 5)
+	w := ssb.NewWorkload(ds, s, 5)
 	out := make([]string, n)
 	for i := range out {
 		_, out[i] = w.Next()
@@ -94,18 +93,17 @@ func TestEndToEndOverload(t *testing.T) {
 	const maxConc = 4
 	// ~20 MB/s over ~170 KB of fact pages: a scan cycle takes ~10 ms,
 	// slow enough to observe progress, fast enough for CI.
-	// Zone maps off (PR 9): the narrow workload windows would otherwise
-	// prune the scan down to a couple of pages and queries would finish
-	// before their queued and mid-flight states can be observed over
-	// HTTP. This test pins serving-tier observability on full scans;
-	// pruned charges have their own end-to-end tests.
-	env := startServer(t, 1200, maxConc, disk.Config{SeqBytesPerSec: 20 << 20}, admission.Config{MaxQueue: 64},
-		func(c *core.Config) { c.DisableZoneMaps = true })
+	env := startServer(t, 1200, maxConc, disk.Config{SeqBytesPerSec: 20 << 20}, admission.Config{MaxQueue: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// (a) 3x maxConc queries: all accepted, all correct.
-	sqls := workloadSQL(t, env.ds, 3*maxConc)
+	// (a) 3x maxConc queries: all accepted, all correct. They are full
+	// scans: narrow workload windows would prune the scan down to a
+	// couple of pages and queries would finish before their queued and
+	// mid-flight states can be observed over HTTP. This test pins
+	// serving-tier observability on full scans; pruned charges have
+	// their own end-to-end tests.
+	sqls := workloadSQL(t, env.ds, 3*maxConc, 1)
 	queries := make([]*client.Query, len(sqls))
 	for i, sqlText := range sqls {
 		q, err := env.cl.Submit(ctx, sqlText)
@@ -383,7 +381,7 @@ func TestEndToEndShardedOverload(t *testing.T) {
 		}
 	}()
 
-	sqls := workloadSQL(t, env.ds, 3*maxConc)
+	sqls := workloadSQL(t, env.ds, 3*maxConc, 0.1)
 	queries := make([]*client.Query, len(sqls))
 	for i, sqlText := range sqls {
 		q, err := env.cl.Submit(ctx, sqlText)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cjoin/internal/admission"
-	"cjoin/internal/core"
 	"cjoin/internal/disk"
 	"cjoin/internal/server/client"
 	"cjoin/internal/ssb"
@@ -266,8 +265,7 @@ func TestBatchDispatchKeepsSubmitSnapshot(t *testing.T) {
 	// ~170 KB of fact pages at 128 KB/s: a full scan cycle takes >1 s,
 	// so the blockers reliably hold both slots while the COUNTs queue
 	// and the commit lands.
-	env := startServer(t, 1200, 2, disk.Config{SeqBytesPerSec: 128 << 10}, admission.Config{MaxQueue: 64, BatchAdmit: 4},
-		func(c *core.Config) { c.DisableZoneMaps = true })
+	env := startServer(t, 1200, 2, disk.Config{SeqBytesPerSec: 128 << 10}, admission.Config{MaxQueue: 64, BatchAdmit: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -344,8 +342,7 @@ func TestDimensionWriteIsolation(t *testing.T) {
 	// The blockers of TestBatchDispatchKeepsSubmitSnapshot: a full scan
 	// cycle takes >1 s, so two resident queries hold both slots while a
 	// third queues and the commits land.
-	env := startServer(t, 1200, 2, disk.Config{SeqBytesPerSec: 128 << 10}, admission.Config{MaxQueue: 64, BatchAdmit: 4},
-		func(c *core.Config) { c.DisableZoneMaps = true })
+	env := startServer(t, 1200, 2, disk.Config{SeqBytesPerSec: 128 << 10}, admission.Config{MaxQueue: 64, BatchAdmit: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 

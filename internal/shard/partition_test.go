@@ -3,6 +3,7 @@ package shard_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"cjoin/internal/core"
@@ -187,34 +188,48 @@ func TestGroupDealsAllPartitions(t *testing.T) {
 // must not scan a page pruning would have skipped. Since PR 9 the count
 // is page-granular: zone maps prune inside needed partitions, so the
 // parity assertion covers both pruning levels, and a partition-only
-// baseline pins that the page level actually cuts deeper.
+// baseline, summed from the sizes of the partitions the window
+// overlaps, pins that the page level actually cuts deeper.
 func TestShardedPruningPreserved(t *testing.T) {
 	ds := genPartitionedDataset(t, 4000, 6, disk.Config{})
 	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
 
 	single := openGroup(t, ds, 1, ccfg)
 
-	// Partition-granular baseline: §5 pruning only, zone maps off.
-	partOnly := openGroup(t, ds, 1, core.Config{MaxConcurrent: 8, Workers: 2, DisableZoneMaps: true})
-
-	queries := []string{
+	// partPages is the partition-granular baseline: the pages of every
+	// partition whose key range overlaps [lo, hi].
+	partPages := func(lo, hi int64) (pages int64) {
+		for _, p := range ds.Star.Partitions() {
+			if hi >= p.MinKey && lo <= p.MaxKey {
+				pages += int64(p.Heap.NumPages())
+			}
+		}
+		return pages
+	}
+	nk := len(ds.DateKeys)
+	queries := []struct {
+		sql           string
+		partOnlyPages int64
+	}{
 		// Narrow: first eighth of the date span — a strict partition subset.
-		fmt.Sprintf("SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d GROUP BY d_year",
-			ds.DateKeys[0], ds.DateKeys[len(ds.DateKeys)/8]),
+		{fmt.Sprintf("SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d GROUP BY d_year",
+			ds.DateKeys[0], ds.DateKeys[nk/8]), partPages(ds.DateKeys[0], ds.DateKeys[nk/8])},
 		// Mid-span window crossing a partition boundary.
-		fmt.Sprintf("SELECT COUNT(*) AS n FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d",
-			ds.DateKeys[len(ds.DateKeys)/3], ds.DateKeys[len(ds.DateKeys)/2]),
+		{fmt.Sprintf("SELECT COUNT(*) AS n FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN %d AND %d",
+			ds.DateKeys[nk/3], ds.DateKeys[nk/2]), partPages(ds.DateKeys[nk/3], ds.DateKeys[nk/2])},
 		// Empty key range: zero partitions, zero pages.
-		"SELECT SUM(lo_revenue), d_year FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN 1 AND 2 GROUP BY d_year",
+		{"SELECT SUM(lo_revenue), d_year FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey BETWEEN 1 AND 2 GROUP BY d_year", 0},
 		// Unrestricted: every partition.
-		"SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year",
+		{"SELECT SUM(lo_revenue) AS rev, d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year",
+			partPages(math.MinInt64, math.MaxInt64)},
 	}
 
 	var totalPages int
 	for _, p := range ds.Star.PartitionPages() {
 		totalPages += p
 	}
-	for qi, sql := range queries {
+	for qi, tc := range queries {
+		sql, partOnlyPages := tc.sql, tc.partOnlyPages
 		sh, err := single.Submit(bind(t, ds, sql))
 		if err != nil {
 			t.Fatal(err)
@@ -223,14 +238,6 @@ func TestShardedPruningPreserved(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		singlePages := sh.PagesScanned()
-		ph, err := partOnly.Submit(bind(t, ds, sql))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := ph.Wait(); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		partOnlyPages := ph.PagesScanned()
 		for _, n := range []int{2, 3} {
 			g, err := shard.New(ds.Star, shard.Config{Shards: n, Core: ccfg})
 			if err != nil {
