@@ -20,10 +20,13 @@ ci: vet build test race-core fuzz-smoke paper-smoke chaos-smoke metrics-smoke up
 
 # The native fuzz targets on a short budget: FuzzResultEncoding checks
 # the streaming /result encoder against encoding/json of DecodeResults,
-# byte for byte. A failing input lands in internal/server/testdata/fuzz
-# and is replayed by every later go test.
+# byte for byte; FuzzParseBind drives arbitrary text through the SQL
+# lexer, parser and binder and fingerprints what binds, with no panic.
+# A failing input lands in the package's testdata/fuzz and is replayed
+# by every later go test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultEncoding$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBind$$' -fuzztime=10s ./internal/query
 
 # Every paper figure and table (§6, cjoin-bench -exp all) end to end at
 # toy scale. -maxconc 8 with -ns 1,8 runs the closed loop with every

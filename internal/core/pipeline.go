@@ -81,9 +81,10 @@ type runningQuery struct {
 	submitted time.Time
 }
 
-// pageNeeded reports whether the run's countdown charges the given page
-// of SCAN-LOCAL partition part: a page of its set, frozen at the cut.
-// Pages appended after the cut are read but never charged.
+// pageNeeded reports whether the given page of SCAN-LOCAL partition part
+// is in the run's set, frozen at the cut: the countdown charges it, and
+// the scan reads it while the run is resident. Pages appended after the
+// cut are not in the set.
 func (rq *runningQuery) pageNeeded(part, page int) bool {
 	ps := &rq.needPages[part]
 	return ps.needed > 0 && page < ps.frozen && (ps.bits == nil || ps.bits[page])
@@ -268,7 +269,7 @@ func newPipeMetrics(r *obs.Registry, shard int) pipeMetrics {
 		prunedPart: pruned.With("partition", sh),
 		prunedZone: pruned.With("zonemap", sh),
 		zmSkipped: r.CounterVec("cjoin_scan_zonemap_skipped_pages_total",
-			"Fact pages the continuous scan physically skipped because no resident query's zone-map bitmap needs them.", "shard").With(sh),
+			"Fact pages the continuous scan physically skipped because no resident query's page set holds them: pages pruned by zone map and pages appended after every resident cut.", "shard").With(sh),
 		tuplesIn: r.CounterVec("cjoin_scan_tuples_total",
 			"Fact tuples entering the preprocessor.", "shard").With(sh),
 		tuplesOut: r.CounterVec("cjoin_scan_tuples_emitted_total",
@@ -639,7 +640,8 @@ type Stats struct {
 	ScanCycles    int64
 	ScanRetries   int64 // transient scan errors absorbed by page-boundary retry
 	// Pruning counters: pages charged away from queries at admission
-	// (by cause) and pages the scan physically skipped via zone maps.
+	// (by cause) and pages the scan physically skipped within a partition
+	// because no resident page set holds them.
 	PagesPrunedPartition int64
 	PagesPrunedZonemap   int64
 	PagesSkippedZonemap  int64

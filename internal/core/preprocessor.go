@@ -48,18 +48,7 @@ type preprocessor struct {
 	// their bits copy in one vector operation per tuple.
 	baseMask bitvec.Vec
 	predQ    []*runningQuery // active queries with fact predicates
-	// partRefs counts active queries needing each partition, indexed by
-	// the SCAN-LOCAL partition order (a dealt subset on a shard), as
-	// runningQuery.needPages is.
-	partRefs []int
-	// pageAllRefs counts active queries needing EVERY page of a local
-	// partition (a page set with no zone-map bitmap); pageRefs counts,
-	// per page, the queries whose bitmap needs it. A page is skipped only
-	// when both are zero — the page-granular generalization of partRefs
-	// (§5).
-	pageAllRefs []int
-	pageRefs    [][]int
-	mvcc        bool // fact rows carry xmin/xmax system columns
+	mvcc     bool            // fact rows carry xmin/xmax system columns
 
 	scratch expr.Joined // reused for fact-predicate evaluation
 
@@ -88,17 +77,14 @@ func newPreprocessor(p *Pipeline) *preprocessor {
 	}
 	scan := newFactScan(p.star, p.cfg.FactSource, p.partSubset, wrap)
 	return &preprocessor{
-		p:           p,
-		scan:        scan,
-		cmds:        make(chan ppCmd),
-		cancels:     make(chan *runningQuery, p.cfg.MaxConcurrent),
-		out:         make(chan *batch, queueLen),
-		stop:        p.stopCh,
-		baseMask:    bitvec.New(p.cfg.MaxConcurrent),
-		partRefs:    make([]int, len(scan.parts)),
-		pageAllRefs: make([]int, len(scan.parts)),
-		pageRefs:    make([][]int, len(scan.parts)),
-		mvcc:        p.star.Fact.Hidden >= 2,
+		p:        p,
+		scan:     scan,
+		cmds:     make(chan ppCmd),
+		cancels:  make(chan *runningQuery, p.cfg.MaxConcurrent),
+		out:      make(chan *batch, queueLen),
+		stop:     p.stopCh,
+		baseMask: bitvec.New(p.cfg.MaxConcurrent),
+		mvcc:     p.star.Fact.Hidden >= 2,
 	}
 }
 
@@ -236,13 +222,14 @@ func (pp *preprocessor) emit(b *batch) bool {
 // start its countdown, emit the query-start control tuple, resume.
 //
 // This is the paper's stall: the scan is paused for exactly as long as
-// this function runs (cjoin_register_stall_seconds), so it only stamps,
-// counts and reference-counts. The query's page sets were cut by the
-// submitter before the command was sent (factScan.needPagesFor), one per
-// partition this scan covers: a shard's scan may hold only a dealt
-// subset, and pages the query needs on OTHER shards are theirs to count.
-// Pages appended since the cut lie beyond the sets and are read but
-// never charged, so completion means "every page of the sets delivered
+// this function runs (cjoin_register_stall_seconds), so it only stamps
+// and counts, O(partitions) whatever the page count. The query's page
+// sets were cut by the submitter before the command was sent
+// (factScan.needPagesFor), one per partition this scan covers: a shard's
+// scan may hold only a dealt subset, and pages the query needs on OTHER
+// shards are theirs to count. From here on the sets alone decide what
+// the scan reads (skipPart, skipPage); pages appended since the cut lie
+// beyond them, so completion means "every page of the sets delivered
 // exactly once", wherever the scan stood at registration.
 func (pp *preprocessor) register(cmd ppCmd) {
 	defer pp.p.om.registerStall.ObserveSince(time.Now())
@@ -262,7 +249,6 @@ func (pp *preprocessor) register(cmd ppCmd) {
 	rq.pagesTotal.Store(rq.pagesLeft)
 	pp.p.om.prunedPart.Add(prunedPart)
 	pp.p.om.prunedZone.Add(prunedZone)
-	pp.refPages(rq, +1)
 	pp.active = append(pp.active, rq)
 	if rq.q.HasFactPred() {
 		pp.predQ = append(pp.predQ, rq)
@@ -276,30 +262,6 @@ func (pp *preprocessor) register(cmd ppCmd) {
 	// zone-mapped away, or an empty fact table) completes immediately.
 	if rq.pagesLeft == 0 {
 		pp.finish(rq)
-	}
-}
-
-// refPages adjusts the partition- and page-level reference counts for
-// one query; register calls it with +1 and finish with -1, keeping the
-// two levels symmetric by construction.
-func (pp *preprocessor) refPages(rq *runningQuery, delta int) {
-	for li, ps := range rq.needPages {
-		if ps.needed == 0 {
-			continue
-		}
-		pp.partRefs[li] += delta
-		if ps.bits == nil {
-			pp.pageAllRefs[li] += delta
-			continue
-		}
-		if len(pp.pageRefs[li]) < len(ps.bits) {
-			pp.pageRefs[li] = append(pp.pageRefs[li], make([]int, len(ps.bits)-len(pp.pageRefs[li]))...)
-		}
-		for pg, b := range ps.bits {
-			if b {
-				pp.pageRefs[li][pg] += delta
-			}
-		}
 	}
 }
 
@@ -335,15 +297,15 @@ func (pp *preprocessor) finish(rq *runningQuery) {
 			break
 		}
 	}
-	pp.refPages(rq, -1)
 	pp.emit(ctrlBatch(pp.nextSeq(), ctrlEnd, rq, nil))
 }
 
 // afterPage performs the per-page countdown and finalizes the queries
-// whose page sets are fully covered. Only pages of a query's set are
-// charged: partition-pruned partitions, zone-mapped-away pages and pages
-// appended after the cut pass through (the scan may still read them for
-// other queries) without advancing the countdown.
+// whose page sets are fully covered. The scan reads only pages some
+// resident set holds, and each page is charged to exactly the queries
+// whose sets hold it: for the others (a pruned partition, a
+// zone-mapped-away page, a page appended after their cut) the scan read
+// it on another query's behalf, and their countdowns do not move.
 //
 // Progress is published with one atomic per page — the clock tick at the
 // end — as long as every resident query is charged. A query this page
@@ -377,22 +339,29 @@ func (pp *preprocessor) afterPage(part, page int) {
 	pp.pageClock.Add(1)
 }
 
-// skipPart reports whether no active query needs scan-local partition i
-// (§5: the continuous scan covers only the union of needed partitions).
-func (pp *preprocessor) skipPart(i int) bool { return pp.partRefs[i] == 0 }
+// skipPart reports whether no resident query needs a page of scan-local
+// partition part (§5: the continuous scan covers only the union of
+// needed partitions).
+func (pp *preprocessor) skipPart(part int) bool {
+	for _, rq := range pp.active {
+		if rq.needPages[part].needed > 0 {
+			return false
+		}
+	}
+	return true
+}
 
-// skipPage reports whether no active query needs the given page of
-// scan-local partition part. Pages beyond the tracked range (appended
-// after every resident bitmap was cut) are conservatively scanned.
+// skipPage reports whether no resident query's page set holds the given
+// page of scan-local partition part: the scan reads exactly the union of
+// the resident sets. A page appended after every resident cut is in no
+// set, and its rows are invisible to every resident snapshot.
 func (pp *preprocessor) skipPage(part, page int) bool {
-	if pp.pageAllRefs[part] > 0 {
-		return false
+	for _, rq := range pp.active {
+		if rq.pageNeeded(part, page) {
+			return false
+		}
 	}
-	pr := pp.pageRefs[part]
-	if page >= len(pr) {
-		return false
-	}
-	return pr[page] == 0
+	return true
 }
 
 // emitPage turns the n rows ReadPage decoded into b's row arena into one

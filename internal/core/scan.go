@@ -31,8 +31,9 @@ type factScan struct {
 	scratch []byte
 
 	// zmSkipped counts pages the scan hopped over because no resident
-	// query's zone-map bitmap needs them; the preprocessor drains it into
-	// the telemetry plane after each delivered page.
+	// query's page set holds them (zone-mapped away, or appended after
+	// every resident cut); the preprocessor drains it into the telemetry
+	// plane after each delivered page.
 	zmSkipped int64
 }
 
@@ -112,12 +113,12 @@ func (s *factScan) advance(skipPart func(part int) bool, skipPage func(part, pag
 // caller's batch row arena: RowsPerPage()*NumCols() values). skipPart, if
 // non-nil, lets the caller omit partitions no active query needs (§5: "a
 // sequential scan of the union of identified partitions"); skipPage
-// likewise omits individual pages whose zone maps no resident query
-// intersects. It returns the row count, the partition and page index,
-// and whether the scan wrapped past the end to produce this page. n == 0
-// with err == nil means nothing is scannable (empty or fully skipped
-// fact table). A failed read does not advance the cursor, so a
-// retry re-decodes the same page into the same dst.
+// likewise omits individual pages no resident query's page set holds.
+// It returns the row count, the partition and page index, and whether
+// the scan wrapped past the end to produce this page. n == 0 with
+// err == nil means nothing is scannable (empty or fully skipped fact
+// table). A failed read does not advance the cursor, so a retry
+// re-decodes the same page into the same dst.
 func (s *factScan) nextPage(dst []int64, skipPart func(part int) bool, skipPage func(part, page int) bool) (n, part, page int, wrapped bool, err error) {
 	wrapped = s.advance(skipPart, skipPage)
 	if s.partIdx >= len(s.parts) {

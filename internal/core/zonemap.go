@@ -68,8 +68,10 @@ const boundsChunk = 256
 // bits, when non-nil, marks the frozen pages the zone maps keep; needed
 // counts the pages the run's countdown charges. A partition that §5
 // prunes (partPruned), or that an unsatisfiable range set prunes, needs
-// none. Pages appended after the cut lie beyond frozen: the scan reads
-// them, but never charges them.
+// none. The union of the resident runs' sets is exactly what the scan
+// reads (preprocessor.skipPart, skipPage). Pages appended after the cut
+// lie beyond frozen, so the scan reads them only for a run whose later
+// cut holds them.
 type pageSet struct {
 	frozen     int
 	bits       []bool

@@ -285,6 +285,17 @@ func TestPredCacheHitsAndCounters(t *testing.T) {
 	if st := off.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
 		t.Fatalf("disabled cache counted: %+v", st)
 	}
+
+	// Disabled cache, one batch of three equal templates: the batch-local
+	// memo still scans once, and its two reuses count as hits.
+	batch := New(star, Config{MaxConcurrent: 16, PredCacheSize: -1})
+	qs := []*query.Bound{boundRef(star, 2), boundRef(star, 2), boundRef(star, 2)}
+	if _, err := batch.AdmitBatch(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+	if st := batch.Stats(); st.CacheHits != 2 || st.CacheMisses != 0 {
+		t.Fatalf("disabled cache, one batch of 3: hits=%d misses=%d, want 2/0", st.CacheHits, st.CacheMisses)
+	}
 }
 
 // TestPredCacheInvalidation: results must never be served stale — a

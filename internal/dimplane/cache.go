@@ -37,9 +37,6 @@ type predCache struct {
 	epoch   uint64
 	entries map[cacheKey]*cacheEntry
 	fifo    []cacheKey // insertion order, for bounded eviction
-
-	hits   int64
-	misses int64
 }
 
 type cacheKey struct {
@@ -85,10 +82,8 @@ func (c *predCache) lookup(dim int, fp uint64, heap *storage.HeapFile) (Rows, fi
 			// generations.
 			c.deleteLocked(k)
 		}
-		c.misses++
 		return Rows{}, now, false
 	}
-	c.hits++
 	return e.rows, now, true
 }
 
@@ -129,16 +124,6 @@ func (c *predCache) invalidateAll() {
 	c.mu.Lock()
 	c.epoch++
 	c.mu.Unlock()
-}
-
-// counters returns the lifetime hit/miss totals.
-func (c *predCache) counters() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // len returns the number of resident entries (tests).

@@ -392,7 +392,8 @@ type Stats struct {
 	// CacheHits / CacheMisses count predicate resolutions served from
 	// the scan cache vs resolved by scanning the dimension heap
 	// (batch-local template reuse counts as a hit: the scan was
-	// skipped). Both zero when the cache is disabled.
+	// skipped). With the cache disabled CacheMisses stays zero and
+	// CacheHits counts only batch-local reuse.
 	CacheHits   int64
 	CacheMisses int64
 	// SnapshotPublishes counts dimension store version transitions —

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cjoin/internal/core"
+	"cjoin/internal/fault"
 	"cjoin/internal/query"
 	"cjoin/internal/ref"
 	"cjoin/internal/shard"
@@ -136,9 +137,12 @@ func TestShardParityUnderChurn(t *testing.T) {
 // deletes (which widen flushed pages' synopses) while narrow date-window
 // queries run; it is held off only while one query is being admitted to
 // the single pipeline and to every group, so all of them cut their page
-// bitmaps over the same heap geometry. Everything the writer adds after
-// that lies beyond the bitmaps: the scans read it, no executor charges
-// it, and the per-shard charged pages still sum to the single
+// bitmaps over the same heap geometry. Injected read stalls keep each
+// query resident while the writer goes on. Everything the writer adds
+// after the cut lies beyond the page sets, and each query runs alone on
+// its executors, so no scan reads it and no executor charges it: an
+// executor's per-shard pages read sum to exactly the pages its handle
+// charged, and the per-shard charged pages still sum to the single
 // pipeline's — with every answer exact at the query's snapshot.
 func TestShardPageParityUnderWriter(t *testing.T) {
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 3000, Seed: 7})
@@ -146,17 +150,20 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := core.Config{MaxConcurrent: 8, Workers: 2}
-	single := openGroup(t, ds, 1, ccfg)
-	groups := make(map[int]*shard.Group)
-	for _, n := range []int{2, 3} {
-		g, err := shard.New(ds.Star, shard.Config{Shards: n, Core: ccfg})
+	// Reads stall now and then, so each query stays resident long enough
+	// for the writer's pages to land past its cut while it runs.
+	stall := &fault.Spec{Seed: 3, Shard: -1, ScanStallProb: 0.3, ScanStallDur: 500 * time.Microsecond, ScanFailAt: -1}
+	open := func(n int) *shard.Group {
+		g, err := shard.New(ds.Star, shard.Config{Shards: n, Core: ccfg, Fault: stall})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.Start()
 		t.Cleanup(g.Stop)
-		groups[n] = g
+		return g
 	}
+	single := open(1)
+	groups := map[int]*shard.Group{2: open(2), 3: open(3)}
 
 	var admitting sync.Mutex // held by the test while it admits one query
 	stop := make(chan struct{})
@@ -204,6 +211,10 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		admitting.Lock()
 		b.Snapshot = ds.Txn.Begin()
 		pagesAtCut := int64(ds.Lineorder.Heap.NumPages())
+		readBefore := map[int]int64{1: single.Stats().PagesRead}
+		for n, g := range groups {
+			readBefore[n] = g.Stats().PagesRead
+		}
 		h, err := single.Submit(b)
 		handles := map[int]core.Handle{}
 		for n, g := range groups {
@@ -214,6 +225,17 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		admitting.Unlock()
 		if err != nil {
 			t.Fatalf("query %d submit: %v", qi, err)
+		}
+
+		// checkReads: once the query's slot is recycled on every shard,
+		// the executor's scans have read exactly what it charged.
+		checkReads := func(n int, g *shard.Group, h core.Handle) {
+			t.Helper()
+			<-h.Done()
+			if read := g.Stats().PagesRead - readBefore[n]; read != h.PagesScanned() {
+				t.Fatalf("query %d: %d-shard executor read %d pages, charged %d (%d pages at cut)",
+					qi, n, read, h.PagesScanned(), pagesAtCut)
+			}
 		}
 
 		want, err := ref.Execute(b)
@@ -227,6 +249,7 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		if !ref.ResultsEqual(sres.Rows, want) {
 			t.Fatalf("query %d: single pipeline diverges from ref at snapshot %d", qi, b.Snapshot)
 		}
+		checkReads(1, single, h)
 		if h.PagesScanned() < pagesAtCut {
 			pruned++
 		}
@@ -245,6 +268,7 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 				t.Fatalf("query %d: %d-shard group charged %d pages, single pipeline %d (%d pages at cut)",
 					qi, n, got, h.PagesScanned(), pagesAtCut)
 			}
+			checkReads(n, groups[n], gh)
 		}
 	}
 	close(stop)
