@@ -74,7 +74,7 @@ bench-pprof:
 	./scripts/bench-pprof.sh $(WORKLOAD) $(OUT)
 
 race-core:
-	$(GO) test -race -timeout 900s ./internal/core ./internal/admission ./internal/server ./internal/bitvec ./internal/dimht ./internal/dimplane ./internal/query ./internal/shard ./internal/obs ./internal/storage ./internal/txn
+	$(GO) test -race -timeout 900s ./internal/core ./internal/admission ./internal/server ./internal/bitvec ./internal/dimht ./internal/dimplane ./internal/query ./internal/shard ./internal/obs ./internal/storage ./internal/buffer ./internal/txn
 
 build:
 	$(GO) build ./...

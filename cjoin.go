@@ -276,10 +276,8 @@ type PipelineOptions struct {
 	MaxConcurrent int
 	// Workers is the number of Stage threads.
 	Workers int
-	// Layout is "horizontal" (default), "vertical" or "hybrid".
+	// Layout is "horizontal" (default) or "vertical".
 	Layout string
-	// Stages is the stage count for the hybrid layout.
-	Stages int
 	// OptimizeEvery is the interval of run-time filter reordering;
 	// 0 uses 100ms.
 	OptimizeEvery time.Duration
@@ -295,7 +293,6 @@ func (o PipelineOptions) toCore() (core.Config, error) {
 	cfg := core.Config{
 		MaxConcurrent:    o.MaxConcurrent,
 		Workers:          o.Workers,
-		Stages:           o.Stages,
 		OptimizeInterval: o.OptimizeEvery,
 	}
 	if cfg.OptimizeInterval == 0 {
@@ -306,8 +303,6 @@ func (o PipelineOptions) toCore() (core.Config, error) {
 		cfg.Layout = core.Horizontal
 	case "vertical":
 		cfg.Layout = core.Vertical
-	case "hybrid":
-		cfg.Layout = core.Hybrid
 	default:
 		return cfg, fmt.Errorf("cjoin: unknown layout %q", o.Layout)
 	}

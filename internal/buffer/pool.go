@@ -9,7 +9,6 @@
 package buffer
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -120,20 +119,12 @@ func (p *Pool) ReadPage(h *storage.HeapFile, page int, dst []int64) (int, error)
 	got, err := h.ReadExtent(page, k, buf)
 	ncols := h.NumCols()
 	for i, f := range extent {
+		f.vals = make([]int64, h.RowsPerPage()*ncols)
 		if err != nil || i >= got {
 			// Fall back to a single-page read (non-contiguous layout).
-			f.vals = make([]int64, h.RowsPerPage()*ncols)
 			f.n, f.err = h.ReadPage(f.key.page, f.vals, buf[:storage.PageSize])
 		} else {
-			pg := buf[i*storage.PageSize : (i+1)*storage.PageSize]
-			n := int(binaryRowCount(pg))
-			f.vals = make([]int64, h.RowsPerPage()*ncols)
-			if n > h.RowsPerPage() {
-				f.err = fmt.Errorf("buffer: corrupt page %d: %d rows", f.key.page, n)
-			} else {
-				storage.DecodeRows(pg[4:], f.vals[:n*ncols])
-				f.n = n
-			}
+			f.n, f.err = h.DecodePage(buf[i*storage.PageSize:(i+1)*storage.PageSize], f.vals)
 		}
 		close(f.ready)
 	}
@@ -150,10 +141,6 @@ func (p *Pool) ReadPage(h *storage.HeapFile, page int, dst []int64) (int, error)
 	}
 	copy(dst, first.vals[:first.n*ncols])
 	return first.n, nil
-}
-
-func binaryRowCount(pg []byte) uint32 {
-	return uint32(pg[0]) | uint32(pg[1])<<8 | uint32(pg[2])<<16 | uint32(pg[3])<<24
 }
 
 // evictLocked makes room for one more frame using the CLOCK policy.

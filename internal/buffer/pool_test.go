@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 
@@ -125,5 +127,82 @@ func TestReadErrorPropagates(t *testing.T) {
 	dst := make([]int64, h.RowsPerPage())
 	if _, err := p.ReadPage(h, 99, dst); err == nil {
 		t.Fatal("expected page-range error")
+	}
+}
+
+// TestReadAheadMatchesHeap drives the read-ahead path: a pool that
+// fetches 4-page extents over two heaps whose pages interleave on one
+// device (so some extents break early) and that each end in a tail. Every
+// page read through the pool, cold or cached, equals HeapFile.ReadPage.
+func TestReadAheadMatchesHeap(t *testing.T) {
+	dev := disk.NewMem()
+	a, b := storage.CreateHeap(dev, 2), storage.CreateHeap(dev, 2)
+	rpp := int64(a.RowsPerPage())
+	for i := int64(0); i < 10*rpp+7; i++ {
+		a.Append([]int64{i, -i})
+		if i%(3*rpp) == 0 {
+			b.Append([]int64{i, i})
+		}
+		if i%rpp == rpp-1 && i/rpp%4 == 1 {
+			for j := int64(0); j < rpp; j++ {
+				b.Append([]int64{j, j})
+			}
+		}
+	}
+	p := NewPool(64, 4)
+	got := make([]int64, rpp*2)
+	want := make([]int64, rpp*2)
+	scratch := make([]byte, storage.PageSize)
+	for round := 0; round < 2; round++ {
+		for _, h := range []*storage.HeapFile{a, b} {
+			for page := 0; page < h.NumPages(); page++ {
+				n, err := p.ReadPage(h, page, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantN, err := h.ReadPage(page, want, scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN || !slices.Equal(got[:n*2], want[:n*2]) {
+					t.Fatalf("round %d page %d: pool read differs from the heap", round, page)
+				}
+			}
+		}
+	}
+	// Extents of up to 4 pages: a's 10 flushed pages cannot all miss.
+	if s := p.Stats(); s.Misses >= int64(a.NumPages()+b.NumPages()) {
+		t.Fatalf("read-ahead fetched no extent: %+v", s)
+	}
+}
+
+// TestReadAheadCorruptPageErrors: a page whose header counts more rows
+// than a page holds fails its read through the extent path, and the pool
+// drops the failed frame instead of caching the error.
+func TestReadAheadCorruptPageErrors(t *testing.T) {
+	dev := disk.NewMem()
+	h := storage.CreateHeap(dev, 1)
+	rpp := int64(h.RowsPerPage())
+	for i := int64(0); i < 4*rpp; i++ {
+		h.Append([]int64{i})
+	}
+	// The heap is alone on the device, so its page 0 starts at offset 0.
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(rpp+1))
+	if err := dev.WriteAt(hdr[:], 0); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(16, 4)
+	dst := make([]int64, rpp)
+	for try := 0; try < 2; try++ {
+		if _, err := p.ReadPage(h, 0, dst); err == nil {
+			t.Fatalf("try %d: corrupt page 0 read without error", try)
+		}
+	}
+	if n, err := p.ReadPage(h, 1, dst); err != nil || n != int(rpp) || dst[0] != rpp {
+		t.Fatalf("page 1 beside the corrupt page: n=%d err=%v", n, err)
+	}
+	if s := p.Stats(); s.Misses != 2 || s.Hits != 1 {
+		t.Fatalf("stats %+v: want both corrupt reads to miss and page 1 to hit", s)
 	}
 }

@@ -5,9 +5,7 @@
 // Every stored value is an int64. String columns are dictionary-encoded:
 // the catalog owns a per-column dictionary mapping strings to dense ids,
 // and predicates on string columns are translated to id comparisons at
-// bind time. Dictionary encoding is standard warehouse practice and is
-// also how the paper's compressed-tables extension (§5) evaluates
-// predicates without decompression.
+// bind time. Dictionary encoding is standard warehouse practice.
 package catalog
 
 import (
@@ -103,21 +101,15 @@ type Table struct {
 	byName map[string]int
 }
 
-// NewTable creates a table with a fresh raw heap on dev. Hidden counts
+// NewTable creates a table with a fresh heap on dev. Hidden counts
 // leading system columns.
 func NewTable(dev *disk.Device, name string, hidden int, cols []Column) *Table {
-	return NewTableCodec(dev, name, hidden, cols, storage.Raw)
-}
-
-// NewTableCodec creates a table whose heap uses the given page codec
-// (§5 "Compressed Tables").
-func NewTableCodec(dev *disk.Device, name string, hidden int, cols []Column, codec storage.Codec) *Table {
 	t := &Table{
 		Name:    name,
 		Columns: cols,
 		Hidden:  hidden,
 		Dicts:   make([]*Dict, len(cols)),
-		Heap:    storage.CreateHeapCodec(dev, len(cols), codec),
+		Heap:    storage.CreateHeap(dev, len(cols)),
 		byName:  make(map[string]int, len(cols)),
 	}
 	for i, c := range cols {

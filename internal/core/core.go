@@ -19,7 +19,7 @@
 //
 // The implementation follows §4: the Preprocessor and Distributor each
 // own one goroutine; Filters are boxed into Stages with a configurable
-// layout (horizontal, vertical, hybrid) and thread count; tuples move
+// layout (horizontal or vertical) and thread count; tuples move
 // between threads in batches; tuple memory comes from a preallocated
 // pool. A batch is one fact page, decoded by the source straight into
 // the batch's row arena, plus a selection vector: a tuple is a row index,
@@ -58,9 +58,6 @@ const (
 	// Vertical gives every Filter its own single-threaded Stage wired in
 	// a chain.
 	Vertical
-	// Hybrid groups Filters into Config.Stages chained Stages, dividing
-	// Config.Workers among them.
-	Hybrid
 )
 
 func (l Layout) String() string {
@@ -69,8 +66,6 @@ func (l Layout) String() string {
 		return "horizontal"
 	case Vertical:
 		return "vertical"
-	case Hybrid:
-		return "hybrid"
 	}
 	return "unknown"
 }
@@ -84,14 +79,11 @@ type Config struct {
 	// MaxConcurrent is the paper's maxConc: the bound on simultaneously
 	// registered queries and the width of every bit-vector. Default 64.
 	MaxConcurrent int
-	// Workers is the number of Stage threads (horizontal: all in the
-	// single Stage; hybrid: divided among Stages). Default NumCPU/2,
-	// minimum 1.
+	// Workers is the number of threads of the horizontal layout's single
+	// Stage. Default NumCPU/2, minimum 1.
 	Workers int
 	// Layout selects the Stage configuration. Default Horizontal.
 	Layout Layout
-	// Stages is the number of Stages for the Hybrid layout. Default 2.
-	Stages int
 	// OptimizeInterval is how often the pipeline manager re-optimizes
 	// the Filter order from run-time selectivity statistics (§3.4).
 	// Zero disables periodic optimization (ReorderFilters can still be
@@ -107,13 +99,6 @@ type Config struct {
 	// Row width must match the star's fact schema. Incompatible with
 	// partitioned stars.
 	FactSource PageSource
-	// ScanRetries bounds how many times a transient fact-scan error is
-	// retried at the same page boundary before the pipeline escalates to
-	// the terminal Failed state. Default 4.
-	ScanRetries int
-	// ScanRetryBackoff is the first retry's backoff; it doubles per
-	// attempt, capped at 100ms. Default 500µs.
-	ScanRetryBackoff time.Duration
 	// Logf, when non-nil, receives pipeline lifecycle warnings (failure
 	// transitions above all). The pipeline never logs on its own.
 	Logf func(format string, args ...any)
@@ -162,15 +147,6 @@ func (c Config) Normalized() Config {
 		if c.Workers < 1 {
 			c.Workers = 1
 		}
-	}
-	if c.Stages <= 0 {
-		c.Stages = 2
-	}
-	if c.ScanRetries <= 0 {
-		c.ScanRetries = 4
-	}
-	if c.ScanRetryBackoff <= 0 {
-		c.ScanRetryBackoff = 500 * time.Microsecond
 	}
 	return c
 }

@@ -159,28 +159,22 @@ func TestStaggeredAdmission(t *testing.T) {
 	wg.Wait()
 }
 
-func TestVerticalAndHybridLayouts(t *testing.T) {
+func TestVerticalLayout(t *testing.T) {
 	ds := dataset(t, 1500)
-	for _, cfg := range []core.Config{
-		{MaxConcurrent: 8, Layout: core.Vertical},
-		{MaxConcurrent: 8, Layout: core.Hybrid, Stages: 2, Workers: 4},
-	} {
-		p := startPipeline(t, ds, cfg)
-		for _, q := range bindWorkload(t, ds, 6, 0.1, 23) {
-			h, err := p.Submit(q)
-			if err != nil {
-				t.Fatalf("%v: %v", cfg.Layout, err)
-			}
-			res := h.Wait()
-			if res.Err != nil {
-				t.Fatalf("%v: %v", cfg.Layout, res.Err)
-			}
-			want, _ := ref.Execute(q)
-			if !ref.ResultsEqual(res.Rows, want) {
-				t.Fatalf("%v layout diverges: %s", cfg.Layout, q.SQL)
-			}
+	p := startPipeline(t, ds, core.Config{MaxConcurrent: 8, Layout: core.Vertical})
+	for _, q := range bindWorkload(t, ds, 6, 0.1, 23) {
+		h, err := p.Submit(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Stop()
+		res := h.Wait()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		want, _ := ref.Execute(q)
+		if !ref.ResultsEqual(res.Rows, want) {
+			t.Fatalf("vertical layout diverges: %s", q.SQL)
+		}
 	}
 }
 

@@ -169,8 +169,7 @@ func TestTransientScanErrorsRetried(t *testing.T) {
 // the transient cause.
 func TestScanRetriesExhausted(t *testing.T) {
 	ds := dataset(t, 1000)
-	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2,
-		ScanRetryBackoff: 50 * time.Microsecond}, "seed=1;scan-err=1")
+	p := startChaos(t, ds, core.Config{MaxConcurrent: 4, Workers: 2}, "seed=1;scan-err=1")
 	h, err := p.Submit(bindOne(t, ds, "SELECT COUNT(*) AS n FROM lineorder"))
 	if err != nil {
 		t.Fatal(err)

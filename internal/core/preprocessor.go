@@ -172,6 +172,16 @@ func (pp *preprocessor) run() {
 	}
 }
 
+// A transient fact-scan error is retried at the same page boundary up to
+// scanRetries times, the first after scanRetryBackoff, each later one
+// after twice the last (at most maxScanRetryBackoff), before the pipeline
+// escalates to the terminal Failed state.
+const (
+	scanRetries         = 4
+	scanRetryBackoff    = 500 * time.Microsecond
+	maxScanRetryBackoff = 100 * time.Millisecond
+)
+
 // nextPageRetry wraps factScan.nextPage with capped exponential backoff
 // for transient errors (fault.Error and any source error implementing
 // Transient() bool). nextPage does not advance past a failed read, so
@@ -180,11 +190,10 @@ func (pp *preprocessor) run() {
 // stop during backoff returns the pending error, which the caller's stop
 // check supersedes.
 func (pp *preprocessor) nextPageRetry(dst []int64) (n, part, page int, wrapped bool, err error) {
-	const maxBackoff = 100 * time.Millisecond
-	backoff := pp.p.cfg.ScanRetryBackoff
+	backoff := scanRetryBackoff
 	for attempt := 0; ; attempt++ {
 		n, part, page, wrapped, err = pp.scan.nextPage(dst, pp.skipPart, pp.skipPage)
-		if err == nil || !transientErr(err) || attempt >= pp.p.cfg.ScanRetries {
+		if err == nil || !transientErr(err) || attempt >= scanRetries {
 			return
 		}
 		pp.p.om.retries.Inc()
@@ -195,8 +204,8 @@ func (pp *preprocessor) nextPageRetry(dst []int64) (n, part, page int, wrapped b
 			t.Stop()
 			return
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		if backoff *= 2; backoff > maxScanRetryBackoff {
+			backoff = maxScanRetryBackoff
 		}
 	}
 }

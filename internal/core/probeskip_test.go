@@ -10,37 +10,6 @@ import (
 	"cjoin/internal/ssb"
 )
 
-func TestCompressedFactMatchesReference(t *testing.T) {
-	// §5 "Compressed Tables": the continuous scan reads RLE pages and
-	// decompresses on the fly; results must be identical to the raw
-	// representation.
-	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 3000, Seed: 101, CompressFact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Lineorder.Heap.FlushedBytes() >= int64(ds.Lineorder.Heap.FlushedPages())*8192 {
-		t.Fatal("fact table did not compress")
-	}
-	p := startPipeline(t, ds, core.Config{MaxConcurrent: 16, Workers: 2})
-	for _, q := range bindWorkload(t, ds, 8, 0.1, 9) {
-		h, err := p.Submit(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := h.Wait()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		want, err := ref.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ref.ResultsEqual(res.Rows, want) {
-			t.Fatalf("compressed-fact query diverges: %s", q.SQL)
-		}
-	}
-}
-
 func TestProbeSkipMatchesReference(t *testing.T) {
 	// The probe-skip test (§3.2.2) is unconditional: a tuple whose
 	// bit-vector has no query referencing a Filter's dimension bypasses

@@ -17,16 +17,6 @@ func stageLayout(cfg Config, ndims int) (stages [][]int, workers int) {
 			stages = append(stages, []int{d})
 		}
 		return stages, 1
-	case Hybrid:
-		// Config.Stages chained Stages, Filters split round-robin in
-		// dimension order, Workers divided among Stages.
-		nStages := max(min(cfg.Stages, ndims), 1)
-		stages = make([][]int, nStages)
-		for d := 0; d < ndims; d++ {
-			g := d * nStages / ndims
-			stages[g] = append(stages[g], d)
-		}
-		return stages, max(cfg.Workers/nStages, 1)
 	default: // Horizontal
 		// One Stage running the whole (dynamically ordered) Filter
 		// sequence on Workers threads.

@@ -12,24 +12,21 @@ import (
 
 // TestZoneMapParityRandomized is the end-to-end soundness property:
 // randomized SSB workloads with zone maps on must be bit-exact against
-// the internal/ref ground truth, over raw and RLE-compressed heaps and
-// over partitioned and unpartitioned layouts. Each dataset size is
+// the internal/ref ground truth, over partitioned and unpartitioned
+// layouts. Each dataset size is
 // chosen to leave an unflushed tail page, so the conservative tail path
 // is always on the line.
 func TestZoneMapParityRandomized(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		compress bool
-		parts    int
+		name  string
+		parts int
 	}{
-		{"raw-unpartitioned", false, 0},
-		{"rle-unpartitioned", true, 0},
-		{"raw-partitioned", false, 4},
+		{"raw-unpartitioned", 0},
+		{"raw-partitioned", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := ssb.Generate(ssb.Config{
-				SF: 1, FactRowsPerSF: 2800, Seed: 29,
-				CompressFact: tc.compress, Partitions: tc.parts,
+				SF: 1, FactRowsPerSF: 2800, Seed: 29, Partitions: tc.parts,
 			})
 			if err != nil {
 				t.Fatal(err)

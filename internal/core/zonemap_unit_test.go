@@ -46,9 +46,8 @@ func TestFactScanSkipsPages(t *testing.T) {
 // checked against the raw data: for randomized SSB workloads, every page
 // holding a row that satisfies ALL of a query's derived column ranges
 // must be marked needed in the query's page bitmap — including the
-// unflushed tail page (no frozen synopsis ⇒ always needed) and
-// RLE-compressed heaps (bounds computed pre-encoding). A page the bitmap
-// drops while a qualifying row lives on it would silently corrupt
+// unflushed tail page (no frozen synopsis ⇒ always needed). A page the
+// bitmap drops while a qualifying row lives on it would silently corrupt
 // results; this test fails before that can hide behind aggregation.
 //
 // The churn variant interleaves AppendFact/DeleteFact commits between
@@ -59,22 +58,19 @@ func TestFactScanSkipsPages(t *testing.T) {
 // snapshot — the MVCC face of the same soundness property.
 func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		compress bool
-		parts    int
-		churn    bool
+		name  string
+		parts int
+		churn bool
 	}{
-		{"raw-unpartitioned", false, 0, false},
-		{"rle-unpartitioned", true, 0, false},
-		{"raw-partitioned", false, 3, false},
-		// Only the raw unpartitioned heap takes writes: partitioned
-		// stars are static and RLE pages reject in-place xmax updates.
-		{"raw-unpartitioned-churn", false, 0, true},
+		{"raw-unpartitioned", 0, false},
+		{"raw-partitioned", 3, false},
+		// Only the unpartitioned heap takes writes: partitioned stars
+		// are static.
+		{"raw-unpartitioned-churn", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := ssb.Generate(ssb.Config{
-				SF: 1, FactRowsPerSF: 3000, Seed: 11,
-				CompressFact: tc.compress, Partitions: tc.parts,
+				SF: 1, FactRowsPerSF: 3000, Seed: 11, Partitions: tc.parts,
 			})
 			if err != nil {
 				t.Fatal(err)

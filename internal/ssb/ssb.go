@@ -41,11 +41,6 @@ type Config struct {
 	// Partitions range-partitions lineorder by lo_orderdate into this
 	// many heaps (§5 "Fact Table Partitioning"). 0 or 1 disables.
 	Partitions int
-	// CompressFact stores the fact table with RLE-compressed pages
-	// (§5 "Compressed Tables"); the continuous scan transfers fewer
-	// bytes and decompresses on the fly. Compressed datasets are
-	// append-only in flushed pages, so DeleteFact is unavailable.
-	CompressFact bool
 }
 
 func (c *Config) defaults() {
@@ -197,11 +192,7 @@ func (ds *Dataset) buildTables() {
 		intc("p_partkey"), strc("p_name"), strc("p_mfgr"), strc("p_category"),
 		strc("p_brand1"), strc("p_color"), strc("p_type"), intc("p_size"), strc("p_container"),
 	})
-	factCodec := storage.Raw
-	if ds.Config.CompressFact {
-		factCodec = storage.RLE
-	}
-	ds.Lineorder = catalog.NewTableCodec(ds.Dev, "lineorder", 2, []catalog.Column{
+	ds.Lineorder = catalog.NewTable(ds.Dev, "lineorder", 2, []catalog.Column{
 		intc("xmin"), intc("xmax"),
 		intc("lo_orderkey"), intc("lo_linenumber"), intc("lo_custkey"),
 		intc("lo_partkey"), intc("lo_suppkey"), intc("lo_orderdate"),
@@ -209,7 +200,7 @@ func (ds *Dataset) buildTables() {
 		intc("lo_extendedprice"), intc("lo_ordtotalprice"), intc("lo_discount"),
 		intc("lo_revenue"), intc("lo_supplycost"), intc("lo_tax"),
 		intc("lo_commitdate"), strc("lo_shipmode"),
-	}, factCodec)
+	})
 
 	preloadSorted := ds.preloadSorted
 	preloadSorted(ds.Customer, "c_region", regions)
@@ -453,7 +444,7 @@ func (ds *Dataset) genLineorder(rng *rand.Rand) error {
 		bounds[nparts] = ds.DateKeys[len(ds.DateKeys)-1] + 1
 		for i := 0; i < nparts; i++ {
 			parts = append(parts, catalog.FactPartition{
-				Heap:   storage.CreateHeapCodec(ds.Dev, loCols, ds.Lineorder.Heap.Codec()),
+				Heap:   storage.CreateHeap(ds.Dev, loCols),
 				MinKey: bounds[i],
 				MaxKey: bounds[i+1] - 1,
 			})
@@ -469,8 +460,8 @@ func (ds *Dataset) genLineorder(rng *rand.Rand) error {
 	}
 
 	// Fact rows are appended clustered by order date: warehouses load by
-	// date, which is also what makes range partitioning (§5) and RLE
-	// compression of the date column effective.
+	// date, which is also what makes range partitioning (§5) and the
+	// zone maps on the date column effective.
 	var order int64 = 1
 	rows := make([][]int64, 0, nrows)
 	for i := int64(0); i < nrows; i++ {

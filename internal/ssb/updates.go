@@ -24,8 +24,8 @@ func (ds *Dataset) AppendFact(n int, rng *rand.Rand) (txn.Snapshot, error) {
 
 // DeleteFact marks the fact row at index idx deleted in a new commit and
 // returns the snapshot at which the deletion is visible. A failed delete
-// (out-of-range index, already-deleted row, compressed page) does not
-// publish a commit id: Begin continues to return the previous snapshot.
+// (out-of-range index, already-deleted row) does not publish a commit id:
+// Begin continues to return the previous snapshot.
 func (ds *Dataset) DeleteFact(idx int64) (txn.Snapshot, error) {
 	fact, err := ds.Star.WritableFact()
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 	"cjoin/internal/disk"
 )
 
-func benchHeap(b *testing.B, codec Codec) *HeapFile {
+func benchHeap(b *testing.B) *HeapFile {
 	b.Helper()
-	h := CreateHeapCodec(disk.NewMem(), 19, codec)
+	h := CreateHeap(disk.NewMem(), 19)
 	for i := int64(0); i < 20000; i++ {
 		row := make([]int64, 19)
 		row[7] = i / 8 // clustered date-like column
@@ -22,7 +22,7 @@ func benchHeap(b *testing.B, codec Codec) *HeapFile {
 // BenchmarkScanRaw measures the raw sequential scan the continuous scan
 // performs every cycle.
 func BenchmarkScanRaw(b *testing.B) {
-	h := benchHeap(b, Raw)
+	h := benchHeap(b)
 	dst := make([]int64, h.RowsPerPage()*19)
 	scratch := make([]byte, PageSize)
 	b.ReportAllocs()
@@ -35,24 +35,6 @@ func BenchmarkScanRaw(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(h.NumPages()) * PageSize)
-}
-
-// BenchmarkScanRLE measures the same scan with on-the-fly decompression
-// (§5 "Compressed Tables").
-func BenchmarkScanRLE(b *testing.B) {
-	h := benchHeap(b, RLE)
-	dst := make([]int64, h.RowsPerPage()*19)
-	scratch := make([]byte, PageSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < h.NumPages(); p++ {
-			if _, err := h.ReadPage(p, dst, scratch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.SetBytes(h.FlushedBytes())
 }
 
 func BenchmarkAppend(b *testing.B) {

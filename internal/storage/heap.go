@@ -5,7 +5,8 @@
 // This is the substrate under both the conventional query-at-a-time engine
 // and the CJOIN continuous scan. All column values are int64: string
 // columns are dictionary-encoded by the catalog, a standard warehouse
-// practice that the paper's compressed-tables extension (§5) also leans on.
+// practice. A page is one image: a little-endian uint32 row count followed
+// by the rows, row-major; DecodePage is the only code that reads it.
 package storage
 
 import (
@@ -31,15 +32,12 @@ type HeapFile struct {
 	ncols       int
 	width       int // bytes per row
 	rowsPerPage int
-	codec       Codec
 
-	mu         sync.RWMutex
-	pageOffs   []int64 // device offset of each flushed (full) page
-	pageLens   []int32 // encoded length per flushed page (codec != Raw)
-	flushedLen int64   // total bytes written for flushed pages
-	tail       []byte  // partially filled page, not yet on the device
-	tailRows   int
-	nrows      int64
+	mu       sync.RWMutex
+	pageOffs []int64 // device offset of each flushed (full) page
+	tail     []byte  // partially filled page, not yet on the device
+	tailRows int
+	nrows    int64
 	// version counts mutations: every appended row and every UpdateCol.
 	// Readers that memoize scan results (the dimension plane's predicate
 	// cache) read it before scanning and trust the result only while it
@@ -59,26 +57,13 @@ type HeapFile struct {
 	boundsVer uint64
 }
 
-// CreateHeap creates an empty raw heap for rows of ncols columns on dev.
+// CreateHeap creates an empty heap for rows of ncols columns on dev.
 func CreateHeap(dev *disk.Device, ncols int) *HeapFile {
-	return CreateHeapCodec(dev, ncols, Raw)
-}
-
-// CreateHeapCodec creates an empty heap using the given page codec.
-// Compressed heaps (§5 "Compressed Tables") are append-only: in-place
-// updates of flushed pages are rejected.
-func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 	if ncols <= 0 {
 		panic("storage: heap needs at least one column")
 	}
 	width := 8 * ncols
-	headroom := pageHeader
-	if codec != Raw {
-		// Leave room so a stored-raw fallback page (5-byte header) never
-		// exceeds PageSize, keeping every caller's scratch buffer valid.
-		headroom = 16
-	}
-	rpp := (PageSize - headroom) / width
+	rpp := (PageSize - pageHeader) / width
 	if rpp < 1 {
 		panic(fmt.Sprintf("storage: row width %d exceeds page capacity", width))
 	}
@@ -87,7 +72,6 @@ func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 		ncols:       ncols,
 		width:       width,
 		rowsPerPage: rpp,
-		codec:       codec,
 		tail:        make([]byte, PageSize),
 		colBounds:   make([][]int64, ncols),
 		tailMin:     make([]int64, ncols),
@@ -100,18 +84,6 @@ func CreateHeapCodec(dev *disk.Device, ncols int, codec Codec) *HeapFile {
 		h.minOfMax[c], h.maxOfMin[c] = math.MaxInt64, math.MinInt64
 	}
 	return h
-}
-
-// Codec returns the heap's page codec.
-func (h *HeapFile) Codec() Codec { return h.codec }
-
-// FlushedBytes returns the total device bytes occupied by flushed pages —
-// for a compressed heap, the post-compression footprint the continuous
-// scan actually transfers.
-func (h *HeapFile) FlushedBytes() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.flushedLen
 }
 
 // NumCols returns the number of columns per row.
@@ -196,19 +168,7 @@ func (h *HeapFile) appendLocked(row []int64) {
 	binary.LittleEndian.PutUint32(h.tail, uint32(h.tailRows))
 	if h.tailRows == h.rowsPerPage {
 		h.boundsFlushLocked()
-		if h.codec == Raw {
-			off := h.dev.Append(h.tail)
-			h.pageOffs = append(h.pageOffs, off)
-			h.flushedLen += PageSize
-		} else {
-			vals := make([]int64, h.tailRows*h.ncols)
-			DecodeRows(h.tail[pageHeader:], vals)
-			enc := encodePage(h.codec, h.tail, vals, h.tailRows, h.ncols)
-			off := h.dev.Append(enc)
-			h.pageOffs = append(h.pageOffs, off)
-			h.pageLens = append(h.pageLens, int32(len(enc)))
-			h.flushedLen += int64(len(enc))
-		}
+		h.pageOffs = append(h.pageOffs, h.dev.Append(h.tail))
 		h.tail = make([]byte, PageSize)
 		h.tailRows = 0
 	}
@@ -229,9 +189,6 @@ func (h *HeapFile) UpdateCol(idx int64, col int, v int64) error {
 	page := int(idx) / h.rowsPerPage
 	slot := int(idx) % h.rowsPerPage
 	if page < len(h.pageOffs) {
-		if h.codec != Raw {
-			return fmt.Errorf("storage: UpdateCol on a flushed page of a compressed heap (append-only)")
-		}
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		off := h.pageOffs[page] + int64(pageHeader+slot*h.width+8*col)
@@ -254,54 +211,43 @@ func (h *HeapFile) UpdateCol(idx int64, col int, v int64) error {
 func (h *HeapFile) ReadPage(page int, dst []int64, scratch []byte) (int, error) {
 	h.mu.RLock()
 	flushed := len(h.pageOffs)
-	var off int64 = -1
-	var encLen int
-	var n int
-	if page < flushed {
-		off = h.pageOffs[page]
-		if h.codec != Raw {
-			encLen = int(h.pageLens[page])
-		}
-		n = h.rowsPerPage
-	} else if page == flushed && h.tailRows > 0 {
-		n = h.tailRows
-		copy(scratch, h.tail[:pageHeader+n*h.width])
-	} else {
-		h.mu.RUnlock()
-		return 0, fmt.Errorf("storage: page %d out of range (%d pages)", page, h.numPagesLocked())
-	}
-	h.mu.RUnlock()
-
 	switch {
-	case off >= 0 && h.codec != Raw:
-		// On-the-fly decompression of the transferred bytes (§5).
-		if err := h.dev.ReadAt(scratch[:encLen], off); err != nil {
-			return 0, err
-		}
-		return decodePage(scratch[:encLen], h.ncols, h.rowsPerPage, dst)
-	case off >= 0:
+	case page < flushed:
+		off := h.pageOffs[page]
+		h.mu.RUnlock()
 		if err := h.dev.ReadAt(scratch[:PageSize], off); err != nil {
 			return 0, err
 		}
-		n = int(binary.LittleEndian.Uint32(scratch))
-		if n > h.rowsPerPage {
-			return 0, fmt.Errorf("storage: corrupt page %d: %d rows", page, n)
-		}
+	case page == flushed && h.tailRows > 0:
+		copy(scratch, h.tail[:pageHeader+h.tailRows*h.width])
+		h.mu.RUnlock()
+	default:
+		n := h.numPagesLocked()
+		h.mu.RUnlock()
+		return 0, fmt.Errorf("storage: page %d out of range (%d pages)", page, n)
 	}
-	DecodeRows(scratch[pageHeader:], dst[:n*h.ncols])
+	return h.DecodePage(scratch, dst)
+}
+
+// DecodePage decodes one page image — a page read from the device, or a
+// page of an extent ReadExtent returned — into dst and returns its row
+// count. dst needs capacity for RowsPerPage()*NumCols() values. A header
+// row count above RowsPerPage() is a corrupt page.
+func (h *HeapFile) DecodePage(pg []byte, dst []int64) (int, error) {
+	n := int(binary.LittleEndian.Uint32(pg))
+	if n > h.rowsPerPage {
+		return 0, fmt.Errorf("storage: corrupt page: %d rows, capacity %d", n, h.rowsPerPage)
+	}
+	decodeRows(pg[pageHeader:], dst[:n*h.ncols])
 	return n, nil
 }
 
 // ReadExtent reads up to count flushed pages starting at page into buf
 // (which needs count*PageSize bytes) using a single device request, the
 // way a scan with OS read-ahead would. It stops early at the first
-// non-contiguous page and returns how many pages were read.
+// non-contiguous page and returns how many pages were read; DecodePage
+// decodes each.
 func (h *HeapFile) ReadExtent(page, count int, buf []byte) (int, error) {
-	if h.codec != Raw {
-		// Variable-length encoded pages are read one at a time; callers
-		// fall back to ReadPage.
-		return 0, fmt.Errorf("storage: ReadExtent unsupported on compressed heaps")
-	}
 	h.mu.RLock()
 	flushed := len(h.pageOffs)
 	if page < 0 || page >= flushed {
@@ -342,8 +288,8 @@ func (h *HeapFile) RowAt(idx int64) ([]int64, error) {
 	return row, nil
 }
 
-// DecodeRows decodes little-endian int64s from src into dst.
-func DecodeRows(src []byte, dst []int64) {
+// decodeRows decodes little-endian int64s from src into dst.
+func decodeRows(src []byte, dst []int64) {
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -51,6 +53,79 @@ func TestRowAtAcrossPages(t *testing.T) {
 	}
 	if _, err := h.RowAt(n); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+}
+
+// TestReadExtent pins the extent read the buffer pool's read-ahead uses:
+// contiguous flushed pages come back in one device request, the extent
+// stops before the in-memory tail and at the first page another heap
+// interleaved, a start outside the flushed pages is an error, and every
+// page DecodePage decodes from the extent equals ReadPage.
+func TestReadExtent(t *testing.T) {
+	dev := disk.NewMem()
+	h := CreateHeap(dev, 2)
+	rpp := int64(h.RowsPerPage())
+	n := 3*rpp + 5 // three flushed pages and a tail
+	for i := int64(0); i < n; i++ {
+		h.Append([]int64{i, -i})
+	}
+	buf := make([]byte, 8*PageSize)
+	before := dev.Stats().Reads
+	got, err := h.ReadExtent(1, 8, buf)
+	if err != nil || got != 2 {
+		t.Fatalf("ReadExtent(1, 8) = %d, %v; want the 2 flushed pages before the tail", got, err)
+	}
+	if reads := dev.Stats().Reads - before; reads != 1 {
+		t.Fatalf("extent took %d device reads, want 1", reads)
+	}
+	dst := make([]int64, rpp*2)
+	want := make([]int64, rpp*2)
+	scratch := make([]byte, PageSize)
+	for i := 0; i < got; i++ {
+		rows, err := h.DecodePage(buf[i*PageSize:(i+1)*PageSize], dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows, err := h.ReadPage(1+i, want, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != wantRows || !slices.Equal(dst[:rows*2], want[:wantRows*2]) {
+			t.Fatalf("extent page %d differs from ReadPage", 1+i)
+		}
+	}
+	for _, start := range []int{-1, 3, 4} {
+		if _, err := h.ReadExtent(start, 1, buf); err == nil {
+			t.Fatalf("ReadExtent(%d) outside the 3 flushed pages must fail", start)
+		}
+	}
+
+	// A second heap flushing between h's pages breaks contiguity.
+	other := CreateHeap(dev, 2)
+	for i := int64(0); i < rpp; i++ {
+		other.Append([]int64{i, i})
+	}
+	for i := int64(0); i < rpp; i++ {
+		h.Append([]int64{i, i})
+	}
+	if got, err := h.ReadExtent(2, 8, buf); err != nil || got != 1 {
+		t.Fatalf("ReadExtent across an interleaved page = %d, %v; want 1", got, err)
+	}
+}
+
+// TestDecodePageRejectsCorruptCount: a header row count above the page
+// capacity is an error, not a read past the page.
+func TestDecodePageRejectsCorruptCount(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 2)
+	pg := make([]byte, PageSize)
+	dst := make([]int64, h.RowsPerPage()*2)
+	binary.LittleEndian.PutUint32(pg, uint32(h.RowsPerPage()))
+	if n, err := h.DecodePage(pg, dst); err != nil || n != h.RowsPerPage() {
+		t.Fatalf("full page: n=%d err=%v", n, err)
+	}
+	binary.LittleEndian.PutUint32(pg, uint32(h.RowsPerPage()+1))
+	if _, err := h.DecodePage(pg, dst); err == nil {
+		t.Fatal("row count above RowsPerPage must be rejected")
 	}
 }
 

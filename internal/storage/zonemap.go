@@ -9,8 +9,8 @@ import "fmt"
 // page — so a scan can test a page against a predicate range without
 // touching the device, and testing one column's range over every page
 // reads 16 bytes per page sequentially instead of striding across the
-// other columns' bounds. Bounds are computed on the pre-encoded values, so
-// they are exact for every codec.
+// other columns' bounds. Bounds are computed from the appended values,
+// so they are exact.
 //
 // The in-memory tail page is still mutable, so it deliberately has no
 // published bounds: PageColBounds answers ok=false for it and readers must

@@ -9,37 +9,33 @@ import (
 )
 
 // TestZoneMapBoundsExact verifies that every flushed page's synopsis is
-// the exact min/max of the rows it holds, for both the raw and the RLE
-// codec — bounds are computed on pre-encoded values, so compression must
-// not change them.
+// the exact min/max of the rows it holds.
 func TestZoneMapBoundsExact(t *testing.T) {
-	for _, codec := range []Codec{Raw, RLE} {
-		h := CreateHeapCodec(disk.NewMem(), 3, codec)
-		rng := rand.New(rand.NewSource(7))
-		const n = 4000
-		rows := make([][]int64, 0, n)
-		for i := 0; i < n; i++ {
-			row := []int64{rng.Int63n(1000) - 500, int64(i), rng.Int63n(5)}
-			rows = append(rows, row)
-			h.Append(row)
-		}
-		rpp := h.RowsPerPage()
-		for page := 0; page < h.FlushedPages(); page++ {
-			for col := 0; col < 3; col++ {
-				wantMin, wantMax := rows[page*rpp][col], rows[page*rpp][col]
-				for _, row := range rows[page*rpp : (page+1)*rpp] {
-					if row[col] < wantMin {
-						wantMin = row[col]
-					}
-					if row[col] > wantMax {
-						wantMax = row[col]
-					}
+	h := CreateHeap(disk.NewMem(), 3)
+	rng := rand.New(rand.NewSource(7))
+	const n = 4000
+	rows := make([][]int64, 0, n)
+	for i := 0; i < n; i++ {
+		row := []int64{rng.Int63n(1000) - 500, int64(i), rng.Int63n(5)}
+		rows = append(rows, row)
+		h.Append(row)
+	}
+	rpp := h.RowsPerPage()
+	for page := 0; page < h.FlushedPages(); page++ {
+		for col := 0; col < 3; col++ {
+			wantMin, wantMax := rows[page*rpp][col], rows[page*rpp][col]
+			for _, row := range rows[page*rpp : (page+1)*rpp] {
+				if row[col] < wantMin {
+					wantMin = row[col]
 				}
-				min, max, ok := h.PageColBounds(page, col)
-				if !ok || min != wantMin || max != wantMax {
-					t.Fatalf("codec %v page %d col %d: bounds [%d,%d] ok=%v, want [%d,%d]",
-						codec, page, col, min, max, ok, wantMin, wantMax)
+				if row[col] > wantMax {
+					wantMax = row[col]
 				}
+			}
+			min, max, ok := h.PageColBounds(page, col)
+			if !ok || min != wantMin || max != wantMax {
+				t.Fatalf("page %d col %d: bounds [%d,%d] ok=%v, want [%d,%d]",
+					page, col, min, max, ok, wantMin, wantMax)
 			}
 		}
 	}
