@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -130,8 +131,8 @@ func TestReadErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestReadAheadMatchesHeap drives the read-ahead path: a pool that
-// fetches 4-page extents over two heaps whose pages interleave on one
+// TestReadAheadMatchesHeap drives the read-ahead path: pools that fetch
+// 2-, 4- and 16-page extents over two heaps whose pages interleave on one
 // device (so some extents break early) and that each end in a tail. Every
 // page read through the pool, cold or cached, equals HeapFile.ReadPage.
 func TestReadAheadMatchesHeap(t *testing.T) {
@@ -149,30 +150,110 @@ func TestReadAheadMatchesHeap(t *testing.T) {
 			}
 		}
 	}
-	p := NewPool(64, 4)
-	got := make([]int64, rpp*2)
-	want := make([]int64, rpp*2)
-	scratch := make([]byte, storage.PageSize)
-	for round := 0; round < 2; round++ {
-		for _, h := range []*storage.HeapFile{a, b} {
-			for page := 0; page < h.NumPages(); page++ {
-				n, err := p.ReadPage(h, page, got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantN, err := h.ReadPage(page, want, scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != wantN || !slices.Equal(got[:n*2], want[:n*2]) {
-					t.Fatalf("round %d page %d: pool read differs from the heap", round, page)
+	for _, readAhead := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("readahead=%d", readAhead), func(t *testing.T) {
+			p := NewPool(64, readAhead)
+			got := make([]int64, rpp*2)
+			want := make([]int64, rpp*2)
+			scratch := make([]byte, storage.PageSize)
+			for round := 0; round < 2; round++ {
+				for _, h := range []*storage.HeapFile{a, b} {
+					for page := 0; page < h.NumPages(); page++ {
+						n, err := p.ReadPage(h, page, got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantN, err := h.ReadPage(page, want, scratch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if n != wantN || !slices.Equal(got[:n*2], want[:n*2]) {
+							t.Fatalf("round %d page %d: pool read differs from the heap", round, page)
+						}
+					}
 				}
 			}
+			// Extents of at least 2 pages: a's 10 flushed pages cannot all miss.
+			if s := p.Stats(); s.Misses >= int64(a.NumPages()+b.NumPages()) {
+				t.Fatalf("read-ahead fetched no extent: %+v", s)
+			}
+		})
+	}
+}
+
+// TestReadAheadStopsAtCachedPage: a miss fetches an extent only up to
+// the first page already in the pool, so no page is loaded twice.
+func TestReadAheadStopsAtCachedPage(t *testing.T) {
+	h := buildHeap(t, 1023*8) // 8 full pages
+	p := NewPool(16, 4)
+	dst := make([]int64, h.RowsPerPage())
+	if _, err := p.ReadPage(h, 2, dst); err != nil { // caches pages 2-5
+		t.Fatal(err)
+	}
+	if _, err := p.ReadPage(h, 0, dst); err != nil { // caches pages 0-1 only
+		t.Fatal(err)
+	}
+	if got := p.Len(); got != 6 {
+		t.Fatalf("pool holds %d frames after two extents, want 6", got)
+	}
+	for page := 0; page < 6; page++ {
+		n, err := p.ReadPage(h, page, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1023 || dst[0] != int64(page*1023) || dst[n-1] != int64(page*1023+n-1) {
+			t.Fatalf("page %d: n=%d first=%d", page, n, dst[0])
 		}
 	}
-	// Extents of up to 4 pages: a's 10 flushed pages cannot all miss.
-	if s := p.Stats(); s.Misses >= int64(a.NumPages()+b.NumPages()) {
-		t.Fatalf("read-ahead fetched no extent: %+v", s)
+	if s := p.Stats(); s.Misses != 2 || s.Hits != 6 {
+		t.Fatalf("stats %+v: want 2 extent misses and 6 hits", s)
+	}
+}
+
+// TestReadAheadTailBecomesFlushed: with read-ahead, the tail is still read
+// through, and once appends flush it the pool reads the full page from
+// the device instead of serving the tail it saw before.
+func TestReadAheadTailBecomesFlushed(t *testing.T) {
+	h := buildHeap(t, 1023*2+10) // 2 full pages and a 10-row tail
+	p := NewPool(16, 4)
+	dst := make([]int64, h.RowsPerPage())
+	for page := 0; page < 3; page++ {
+		if _, err := p.ReadPage(h, page, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Len(); got != 2 {
+		t.Fatalf("pool holds %d frames, want the 2 flushed pages", got)
+	}
+	for i := int64(1023*2 + 10); i < 1023*3+1; i++ {
+		h.Append([]int64{i})
+	}
+	n, err := p.ReadPage(h, 2, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1023 || dst[0] != 1023*2 || dst[n-1] != 1023*3-1 {
+		t.Fatalf("flushed page 2: n=%d first=%d last=%d", n, dst[0], dst[n-1])
+	}
+	if n, err := p.ReadPage(h, 3, dst); err != nil || n != 1 || dst[0] != 1023*3 {
+		t.Fatalf("new tail: n=%d err=%v", n, err)
+	}
+}
+
+// TestReadAheadOutOfRangeErrors: with read-ahead, a page before the first
+// or past the last is an error, and the pool still serves the heap's
+// pages after it.
+func TestReadAheadOutOfRangeErrors(t *testing.T) {
+	h := buildHeap(t, 1023*4+10)
+	p := NewPool(16, 4)
+	dst := make([]int64, h.RowsPerPage())
+	for _, page := range []int{-1, h.NumPages(), h.NumPages() + 5} {
+		if _, err := p.ReadPage(h, page, dst); err == nil {
+			t.Fatalf("ReadPage(%d) of a %d-page heap must fail", page, h.NumPages())
+		}
+	}
+	if n, err := p.ReadPage(h, 0, dst); err != nil || n != 1023 || dst[0] != 0 {
+		t.Fatalf("page 0 after the failed reads: n=%d err=%v", n, err)
 	}
 }
 

@@ -212,7 +212,7 @@ func (h *HeapFile) ReadPage(page int, dst []int64, scratch []byte) (int, error) 
 	h.mu.RLock()
 	flushed := len(h.pageOffs)
 	switch {
-	case page < flushed:
+	case page >= 0 && page < flushed:
 		off := h.pageOffs[page]
 		h.mu.RUnlock()
 		if err := h.dev.ReadAt(scratch[:PageSize], off); err != nil {

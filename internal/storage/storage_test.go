@@ -117,15 +117,101 @@ func TestReadExtent(t *testing.T) {
 // capacity is an error, not a read past the page.
 func TestDecodePageRejectsCorruptCount(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 2)
-	pg := make([]byte, PageSize)
-	dst := make([]int64, h.RowsPerPage()*2)
-	binary.LittleEndian.PutUint32(pg, uint32(h.RowsPerPage()))
-	if n, err := h.DecodePage(pg, dst); err != nil || n != h.RowsPerPage() {
-		t.Fatalf("full page: n=%d err=%v", n, err)
+	for _, tc := range []struct {
+		name  string
+		count uint32
+	}{
+		{"capacity+1", uint32(h.RowsPerPage() + 1)},
+		{"max-uint32", ^uint32(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pg := make([]byte, PageSize)
+			dst := make([]int64, h.RowsPerPage()*2)
+			binary.LittleEndian.PutUint32(pg, tc.count)
+			if n, err := h.DecodePage(pg, dst); err == nil {
+				t.Fatalf("header count %d decoded %d rows; want an error", tc.count, n)
+			}
+		})
 	}
-	binary.LittleEndian.PutUint32(pg, uint32(h.RowsPerPage()+1))
-	if _, err := h.DecodePage(pg, dst); err == nil {
-		t.Fatal("row count above RowsPerPage must be rejected")
+}
+
+// TestDecodePageHeaderCount: DecodePage decodes exactly the rows the
+// header counts, from the bytes after the header, and leaves the rest of
+// dst alone.
+func TestDecodePageHeaderCount(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 2)
+	rpp := h.RowsPerPage()
+	for _, tc := range []struct {
+		name string
+		rows int
+	}{{"empty", 0}, {"partial", 3}, {"full", rpp}} {
+		rows := tc.rows
+		t.Run(tc.name, func(t *testing.T) {
+			pg := make([]byte, PageSize)
+			binary.LittleEndian.PutUint32(pg, uint32(rows))
+			for i := 0; i < rpp*2; i++ {
+				binary.LittleEndian.PutUint64(pg[pageHeader+8*i:], uint64(int64(i)-5))
+			}
+			dst := make([]int64, rpp*2)
+			for i := range dst {
+				dst[i] = 1 << 40
+			}
+			n, err := h.DecodePage(pg, dst)
+			if err != nil || n != rows {
+				t.Fatalf("DecodePage = %d, %v; want %d rows", n, err, rows)
+			}
+			for i, v := range dst {
+				want := int64(i) - 5
+				if i >= rows*2 {
+					want = 1 << 40
+				}
+				if v != want {
+					t.Fatalf("dst[%d] = %d, want %d", i, v, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReadPageCorruptHeader: ReadPage decodes a flushed page through
+// DecodePage, so a corrupt header on the device is an error there too.
+func TestReadPageCorruptHeader(t *testing.T) {
+	dev := disk.NewMem()
+	h := CreateHeap(dev, 1)
+	rpp := int64(h.RowsPerPage())
+	for i := int64(0); i < 2*rpp; i++ {
+		h.Append([]int64{i})
+	}
+	// The heap is alone on the device, so its page 1 starts at PageSize.
+	var hdr [pageHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(rpp+1))
+	if err := dev.WriteAt(hdr[:], PageSize); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int64, rpp)
+	scratch := make([]byte, PageSize)
+	if _, err := h.ReadPage(1, dst, scratch); err == nil {
+		t.Fatal("corrupt page 1 read without error")
+	}
+	if n, err := h.ReadPage(0, dst, scratch); err != nil || n != int(rpp) || dst[rpp-1] != rpp-1 {
+		t.Fatalf("page 0 beside the corrupt page: n=%d err=%v", n, err)
+	}
+}
+
+// TestReadPageOutOfRange: a page before the first, past the last, or at
+// an empty tail is an error, not a panic or a zero-row page.
+func TestReadPageOutOfRange(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 1)
+	rpp := int64(h.RowsPerPage())
+	for i := int64(0); i < 2*rpp; i++ { // two full pages, empty tail
+		h.Append([]int64{i})
+	}
+	dst := make([]int64, rpp)
+	scratch := make([]byte, PageSize)
+	for _, page := range []int{-1, 2, 3} {
+		if _, err := h.ReadPage(page, dst, scratch); err == nil {
+			t.Fatalf("ReadPage(%d) of a 2-page heap must fail", page)
+		}
 	}
 }
 
