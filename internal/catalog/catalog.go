@@ -227,28 +227,6 @@ func (s *Star) PartitionPages() []int {
 	return pages
 }
 
-// PartitionPageBounds returns the zone-map synopsis of fact column col
-// for every partition, index-aligned with Partitions: per partition, the
-// per-flushed-page min/max of that column (the in-memory tail page has no
-// entry and must be treated as unbounded). Scans correlate these against
-// an admitted query's selected key ranges to skip pages within a needed
-// partition.
-func (s *Star) PartitionPageBounds(col int) ([][]storage.PageBounds, error) {
-	if col < 0 || col >= len(s.Fact.Columns) {
-		return nil, fmt.Errorf("catalog: PartitionPageBounds column %d out of range", col)
-	}
-	parts := s.Partitions()
-	out := make([][]storage.PageBounds, len(parts))
-	for i, p := range parts {
-		b, err := p.Heap.ColBounds(col)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // ErrStaticStar is wrapped by every refusal of a fact write the star
 // cannot take by construction.
 var ErrStaticStar = errors.New("static star")

@@ -110,8 +110,8 @@ func (v stridedView) NumPages() int {
 	return (n - v.off + v.stride - 1) / v.stride
 }
 
-func (v stridedView) ColBoundsRun(col, first, stride int, dst []int64) int {
-	return v.HeapFile.ColBoundsRun(col, v.off+first*v.stride, stride*v.stride, dst)
+func (v stridedView) ClearDisjoint(col, first, stride int, lo, hi int64, keep []bool) int {
+	return v.HeapFile.ClearDisjoint(col, v.off+first*v.stride, stride*v.stride, lo, hi, keep)
 }
 
 // randomHeap builds a heap whose columns cover the synopsis shapes that
@@ -169,10 +169,10 @@ func randomRanges(rng *rand.Rand, rows int) []expr.Range {
 }
 
 // TestNeedPagesMatchPerCellReference is the equivalence property of the
-// bulk zone-map build: over randomized heaps — empty, tail-only, with and
-// without a synopsis-less tail page, widened after flush — and over the
-// plain and strided views of each, needPagesFor yields exactly the bitmap
-// the per-cell reference does for every kind of range.
+// bulk zone-map build: over randomized heaps — empty, tail-only, whole
+// pages only or with a partial tail page, widened after flush — and over
+// the plain and strided views of each, needPagesFor yields exactly the
+// bitmap the per-cell reference does for every kind of range.
 func TestNeedPagesMatchPerCellReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rpp := storage.CreateHeap(disk.NewMem(), 4).RowsPerPage()
@@ -251,11 +251,40 @@ func TestNeedPagesPartitionDealt(t *testing.T) {
 	}
 }
 
+// TestNeedPagesForAllocs pins what one cut allocates on a heap with a
+// partial tail page: the page sets and, for ranges that prune, one
+// bitmap — nothing per range column, per page or per synopsis read.
+func TestNeedPagesForAllocs(t *testing.T) {
+	h := storage.CreateHeap(disk.NewMem(), 4)
+	rows := int64(600*h.RowsPerPage() + h.RowsPerPage()/3)
+	for i := int64(0); i < rows; i++ {
+		h.Append([]int64{i, i % 977, 7, rows - i})
+	}
+	s := newFactScan(nil, h, nil, nil)
+	for _, tc := range []struct {
+		name   string
+		ranges []expr.Range
+		pruned bool
+		allocs float64
+	}{
+		{"two pruning windows", []expr.Range{colRange(0, rows/2, rows/2+rows/20), colRange(3, 0, rows/2)}, true, 2},
+		{"nonpruning", []expr.Range{colRange(0, math.MinInt64, math.MaxInt64), colRange(1, 0, 1000)}, false, 1},
+	} {
+		rq := &runningQuery{pruneRanges: tc.ranges}
+		if ps := s.needPagesFor(rq, nil)[0]; (ps.bits != nil) != tc.pruned {
+			t.Fatalf("%s: bitmap %v, want pruned=%v", tc.name, ps.bits != nil, tc.pruned)
+		}
+		if got := testing.AllocsPerRun(20, func() { benchNeed = s.needPagesFor(rq, nil) }); got != tc.allocs {
+			t.Fatalf("%s: one cut made %v allocations, want %v", tc.name, got, tc.allocs)
+		}
+	}
+}
+
 // cutHookSource runs a hook at the end of a query's cut on the
-// submitter's goroutine — right after the zone-map build has read a
-// column run, or after an "every page intersects" answer that needs no
-// run — i.e. between the moment the page set is frozen and the query's
-// registration with the Preprocessor.
+// submitter's goroutine — right after the zone-map build has cleared a
+// range's disjoint pages, or after an "every page intersects" answer
+// that needs no pass — i.e. between the moment the page set is frozen
+// and the query's registration with the Preprocessor.
 type cutHookSource struct {
 	*storage.HeapFile
 	afterCut func()
@@ -276,8 +305,8 @@ func (s *cutHookSource) AllPagesIntersect(col int, lo, hi int64) bool {
 	return all
 }
 
-func (s *cutHookSource) ColBoundsRun(col, first, stride int, dst []int64) int {
-	n := s.HeapFile.ColBoundsRun(col, first, stride, dst)
+func (s *cutHookSource) ClearDisjoint(col, first, stride int, lo, hi int64, keep []bool) int {
+	n := s.HeapFile.ClearDisjoint(col, first, stride, lo, hi, keep)
 	s.fire()
 	return n
 }

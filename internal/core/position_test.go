@@ -17,9 +17,9 @@ import (
 // star. Each admission must equal internal/ref at its snapshot and
 // charge the same number of pages as every other admission. An earlier
 // pruned query parks the cursor: its countdown leaves it just past its
-// last needed page. The unpartitioned heap holds whole pages only: an
-// unflushed tail page has no synopsis, so every parker would need it and
-// park at the end of the heap.
+// last needed page. The unpartitioned heap runs with whole pages only and
+// with a partial tail page, whose synopsis prunes it like any other page,
+// so each parker parks past its own window, never at the heap's end.
 func TestRegistrationPositionInvariant(t *testing.T) {
 	tiny, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 10, Seed: 61})
 	if err != nil {
@@ -31,6 +31,7 @@ func TestRegistrationPositionInvariant(t *testing.T) {
 		rows, parts int
 	}{
 		{"unpartitioned", 75 * rpp, 0},
+		{"unpartitioned, partial tail", 75*rpp + rpp/3, 0},
 		{"4 partitions", 4000, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

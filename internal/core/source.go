@@ -17,23 +17,23 @@ type PageSource interface {
 // BoundsSource is the optional zone-map face of a PageSource: per-page
 // min/max synopses for a column, used to skip pages no resident query can
 // match. *storage.HeapFile satisfies it; sources that don't simply get no
-// page-level pruning. Admission
-// reads it in bulk, never per cell (needPagesFor, zonemap.go): one O(1)
-// question per range column, then — only for columns that can prune —
-// the column's synopses in runs of boundsChunk pages, each run one call
-// and one lock acquisition in the source.
+// page-level pruning. Every page the source has carries a synopsis.
+// Admission reads it in bulk, never per cell (needPagesFor, zonemap.go):
+// one O(1) question per range column, then — only for columns that can
+// prune — one disjointness pass over the page bitmap, one call and one
+// lock acquisition in the source.
 type BoundsSource interface {
-	// AllPagesIntersect reports whether every page with a frozen
-	// synopsis intersects [lo,hi] on column col, i.e. the range prunes
-	// nothing. It may answer false when in doubt, never true wrongly;
-	// unknown columns and sources without synopses answer true.
+	// AllPagesIntersect reports whether every page's synopsis
+	// intersects [lo,hi] on column col, i.e. the range prunes nothing.
+	// It may answer false when in doubt, never true wrongly; unknown
+	// columns and sources without synopses answer true.
 	AllPagesIntersect(col int, lo, hi int64) bool
-	// ColBoundsRun fills dst with the (min, max) synopsis pairs of
-	// column col for pages first, first+stride, … and returns how many
-	// pages it filled. It stops at the end of dst or at the first page
-	// whose contents are not frozen (the heap tail) or unknown; pages
-	// past the returned count match everything.
-	ColBoundsRun(col, first, stride int, dst []int64) int
+	// ClearDisjoint clears keep[i] for every page first+i*stride whose
+	// synopsis on column col is disjoint from [lo,hi], and returns how
+	// many bits it cleared (bits already false stay false, uncounted).
+	// Pages past the source's last page, and unknown columns, clear
+	// nothing.
+	ClearDisjoint(col, first, stride int, lo, hi int64, keep []bool) int
 }
 
 // boundsOf returns src's zone-map face, or nil. Bounds are captured from

@@ -46,9 +46,8 @@ func (g *recordingGate) ReadPage(page int, dst []int64, scratch []byte) (int, er
 // registered, so one pass covers every set. Each answer must equal
 // internal/ref at its snapshot. A pruned query first parks the cursor
 // about 30 % into the date span, so the pass runs over the heap's end and
-// wraps. The unpartitioned heap starts with whole pages only: an
-// unflushed tail page has no synopsis, so the parker would need it and
-// park the cursor at the heap's end.
+// wraps. The unpartitioned heap starts with whole pages only and with a
+// partial tail page, which its synopsis prunes like any other page.
 func TestScanReadsUnionOfResidentSets(t *testing.T) {
 	tiny, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 10, Seed: 29})
 	if err != nil {
@@ -60,6 +59,7 @@ func TestScanReadsUnionOfResidentSets(t *testing.T) {
 		rows, parts int
 	}{
 		{"unpartitioned", 75 * rpp, 0},
+		{"unpartitioned, partial tail", 75*rpp + rpp/3, 0},
 		{"4 partitions", 4000, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

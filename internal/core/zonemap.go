@@ -27,8 +27,9 @@ import (
 // in the Preprocessor's stall window: §3.3.1 keeps everything expensive
 // ahead of the pause, and the synopses are read through BoundsSource's
 // bulk face — an O(1) "can this range prune at all?" per column, then
-// lock-once column runs for the ranges that can — so a query whose ranges
-// prune nothing costs O(range columns) and allocates nothing.
+// one lock-once disjointness pass over the page bitmap for each range
+// that can — so a query whose ranges prune nothing costs O(range
+// columns) and allocates no bitmap.
 
 // pruneRanges derives the fact-column range constraints implied by an
 // admitted query: each referenced dimension's selected key range on its
@@ -57,21 +58,17 @@ func pruneRanges(star *catalog.Star, plane *dimplane.Plane, q *query.Bound, slot
 	return ranges, false
 }
 
-// boundsChunk is how many pages of one column needPagesFor reads per
-// ColBoundsRun call: large enough that the source's lock is taken a
-// handful of times per column, small enough that the buffer is a few KB
-// however large the partition.
-const boundsChunk = 256
-
 // pageSet is a run's page set on one scan-local partition, cut when the
-// run is activated. frozen is the partition's page count at the cut;
-// bits, when non-nil, marks the frozen pages the zone maps keep; needed
-// counts the pages the run's countdown charges. A partition that §5
-// prunes (partPruned), or that an unsatisfiable range set prunes, needs
-// none. The union of the resident runs' sets is exactly what the scan
-// reads (preprocessor.skipPart, skipPage). Pages appended after the cut
-// lie beyond frozen, so the scan reads them only for a run whose later
-// cut holds them.
+// run is activated. frozen is the partition's page count at the cut, a
+// partial tail page included; bits, when non-nil, marks the frozen pages
+// the zone maps keep; needed counts the pages the run's countdown
+// charges. A partition that §5 prunes (partPruned), or that an
+// unsatisfiable range set prunes, needs none. The union of the resident
+// runs' sets is exactly what the scan reads (preprocessor.skipPart,
+// skipPage). Rows appended after the cut — onto the tail page or onto
+// pages beyond frozen — are invisible to the run, so the synopses at the
+// cut decide its pages, and the scan reads pages beyond frozen only for
+// a run whose later cut holds them.
 type pageSet struct {
 	frozen     int
 	bits       []bool
@@ -83,16 +80,21 @@ type pageSet struct {
 // each partition's page count now, narrowed by §5 partition pruning
 // (needParts, indexed by the star's global partition order; nil means
 // every partition) and by the query's column ranges intersected with the
-// page synopses. Pages without a frozen synopsis (the heap tail, sources
-// with no zone maps) are always needed. It touches only the scan's
-// immutable topology and the sources' own synchronized accessors, so it
-// is safe off the Preprocessor goroutine.
+// page synopses. Sources with no zone maps need every page. It touches
+// only the scan's immutable topology and the sources' own synchronized
+// accessors, so it is safe off the Preprocessor goroutine.
+//
+// Every page present at the cut has a synopsis, the heap's unflushed
+// tail included, and testing the tail is as sound as testing any other
+// page. The query's snapshot was stamped at submit, before this cut at
+// activation. txn.Manager.Append writes a commit's rows — and so folds
+// them into their page's synopsis, under the heap lock — before it
+// publishes the commit id, so the synopses read here hold every row the
+// snapshot can see. Rows appended after the cut are invisible to the
+// query, UpdateCol only widens a synopsis, and dimension heaps never take
+// appends.
 func (s *factScan) needPagesFor(rq *runningQuery, needParts []bool) []pageSet {
 	sets := make([]pageSet, len(s.parts))
-	var (
-		live []expr.Range // ranges that can prune in the current partition
-		run  []int64      // (min, max) pairs of one column chunk, reused
-	)
 	for li := range s.parts {
 		n := s.pagesInPart(li)
 		ps := &sets[li]
@@ -109,36 +111,18 @@ func (s *factScan) needPagesFor(rq *runningQuery, needParts []bool) []pageSet {
 		if b == nil {
 			continue
 		}
-		live = live[:0]
+		var bits []bool
 		for _, r := range rq.pruneRanges {
-			if !b.AllPagesIntersect(r.Col, r.Min, r.Max) {
-				live = append(live, r)
+			if b.AllPagesIntersect(r.Col, r.Min, r.Max) {
+				continue // the range prunes nothing: no bitmap for it
 			}
-		}
-		if len(live) == 0 {
-			continue // every page intersects: no bitmap
-		}
-		if run == nil {
-			run = make([]int64, 2*boundsChunk)
-		}
-		bits := slices.Repeat([]bool{true}, n)
-		needed := int64(n)
-		for _, r := range live {
-			for first := 0; first < n; first += boundsChunk {
-				k := b.ColBoundsRun(r.Col, first, 1, run[:2*min(boundsChunk, n-first)])
-				for i, pg := 0, first; i < k; i, pg = i+1, pg+1 {
-					if bits[pg] && (run[2*i+1] < r.Min || run[2*i] > r.Max) {
-						bits[pg] = false
-						needed--
-					}
-				}
-				if k < boundsChunk {
-					break // the frozen pages end here
-				}
+			if bits == nil {
+				bits = slices.Repeat([]bool{true}, n)
 			}
+			ps.needed -= int64(b.ClearDisjoint(r.Col, 0, 1, r.Min, r.Max, bits))
 		}
-		if needed < int64(n) { // else AllPagesIntersect was only being cautious
-			ps.bits, ps.needed = bits, needed
+		if ps.needed < int64(n) { // else AllPagesIntersect was only being cautious
+			ps.bits = bits
 		}
 	}
 	return sets

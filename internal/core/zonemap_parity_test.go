@@ -14,8 +14,8 @@ import (
 // randomized SSB workloads with zone maps on must be bit-exact against
 // the internal/ref ground truth, over partitioned and unpartitioned
 // layouts. Each dataset size is
-// chosen to leave an unflushed tail page, so the conservative tail path
-// is always on the line.
+// chosen to leave an unflushed tail page, so the tail's synopsis is
+// always on the line.
 func TestZoneMapParityRandomized(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -33,7 +33,7 @@ func TestZoneMapParityRandomized(t *testing.T) {
 			}
 			fact := ds.Star.Partitions()
 			if last := fact[len(fact)-1].Heap; last.FlushedPages() >= last.NumPages() {
-				t.Fatal("dataset has no tail page; the conservative tail path is untested")
+				t.Fatal("dataset has no tail page; the tail's synopsis is untested")
 			}
 			p := startPipeline(t, ds, core.Config{MaxConcurrent: 16, Workers: 2})
 			for _, sel := range []float64{0.01, 0.1} {
@@ -112,7 +112,8 @@ func TestZoneMapPruningUnpartitioned(t *testing.T) {
 // TestZoneMapTailPageQueried pins the tail-page contract end to end: a
 // query whose only qualifying rows live on the unflushed tail page (the
 // fact table is date-sorted, so the max date key lands there) must
-// return them — the tail has no frozen synopsis and is never pruned.
+// return them — the tail's synopsis holds its rows — while the pages
+// before it that hold no such row are pruned.
 func TestZoneMapTailPageQueried(t *testing.T) {
 	ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 2800, Seed: 13})
 	if err != nil {
@@ -153,5 +154,8 @@ func TestZoneMapTailPageQueried(t *testing.T) {
 	}
 	if !ref.ResultsEqual(res.Rows, want) {
 		t.Fatalf("tail-page rows lost: got %v, want %v", res.Rows, want)
+	}
+	if pages := h.PagesScanned(); pages == 0 || pages >= int64(heap.NumPages()) {
+		t.Fatalf("charged %d of %d pages; want the tail and no page the key misses", pages, heap.NumPages())
 	}
 }

@@ -46,16 +46,17 @@ func TestFactScanSkipsPages(t *testing.T) {
 // checked against the raw data: for randomized SSB workloads, every page
 // holding a row that satisfies ALL of a query's derived column ranges
 // must be marked needed in the query's page bitmap — including the
-// unflushed tail page (no frozen synopsis ⇒ always needed). A page the
-// bitmap drops while a qualifying row lives on it would silently corrupt
-// results; this test fails before that can hide behind aggregation.
+// unflushed tail page, which its own synopsis decides like any other. A
+// page the bitmap drops while a qualifying row lives on it would silently
+// corrupt results; this test fails before that can hide behind
+// aggregation.
 //
 // The churn variant interleaves AppendFact/DeleteFact commits between
-// queries and pins half of them at older snapshots: appended rows land
-// on the unpublished tail (no synopsis ⇒ conservatively needed),
-// deletions rewrite lo_xmax through the widen-only bounds path, and
-// neither may ever prune a page holding a row visible to a query's
-// snapshot — the MVCC face of the same soundness property.
+// queries and pins half of them at older snapshots: appended rows widen
+// the tail's synopsis before their commit is published, deletions
+// rewrite lo_xmax through the widen-only bounds path, and neither may
+// ever prune a page holding a row visible to a query's snapshot — the
+// MVCC face of the same soundness property.
 func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

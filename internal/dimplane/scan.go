@@ -32,14 +32,13 @@ func (r Rows) Row(i int) []int64 {
 }
 
 // scanState is one predicate scan's working memory: the decoded page,
-// the device scratch, one column's page bounds, the page verdicts, the
-// selection under construction and the evaluation row. It is pooled, so
-// a scan's only allocation is its result arena.
+// the device scratch, the page verdicts, the selection under
+// construction and the evaluation row. It is pooled, so a scan's only
+// allocation is its result arena.
 type scanState struct {
 	vals    []int64
 	scratch []byte
-	bounds  []int64 // (min, max) pairs of one column over the frozen pages
-	keep    []bool  // keep[p]: frozen page p may hold a selected row
+	keep    []bool // keep[p]: page p may hold a selected row
 	ranges  []expr.Range
 	sel     []int64
 	j       expr.Joined
@@ -62,12 +61,13 @@ func SelectRows(tab *catalog.Table, pred expr.Node) (Rows, error) {
 // selectRows is SelectRows over a heap, reporting its page counts. It
 // reads only the pages that can hold a selected row: the predicate's
 // top-level conjunct ranges (expr.ConjunctRanges) are tested against the
-// heap's zone maps, and a frozen page whose synopsis is disjoint from any
-// of them is skipped without touching the device. The heap maintains its
+// heap's zone maps, and a page whose synopsis is disjoint from any of
+// them is skipped without touching the device. The heap maintains its
 // own synopsis on every append and in-place update (widen-only), so no
-// writer has to know the pruning exists. Pages without a frozen synopsis —
-// the tail, and pages appended during the scan — are always read. Each
-// page is read at its own moment, exactly as a full scan's would be.
+// writer has to know the pruning exists. Every page has a synopsis, the
+// unflushed tail included; only pages appended during the scan are read
+// untested. Each page is read at its own moment, exactly as a full scan's
+// would be.
 func selectRows(h *storage.HeapFile, pred expr.Node) (Rows, pageCounts, error) {
 	ncols := h.NumCols()
 	st := scanStates.Get().(*scanState)
@@ -111,10 +111,10 @@ func selectRows(h *storage.HeapFile, pred expr.Node) (Rows, pageCounts, error) {
 	return Rows{vals: out, ncols: ncols}, pc, nil
 }
 
-// prune returns the verdict for every frozen page: keep[p] is false iff
-// page p's synopsis is disjoint from one of st.ranges. A column whose
-// range intersects every page (AllPagesIntersect) costs O(1) and reads
-// no bounds; a nil result keeps every page.
+// prune returns the verdict for every page: keep[p] is false iff page
+// p's synopsis is disjoint from one of st.ranges. A column whose range
+// intersects every page (AllPagesIntersect) costs O(1) and tests no page;
+// a nil result keeps every page.
 func (st *scanState) prune(h *storage.HeapFile) []bool {
 	var keep []bool
 	for _, r := range st.ranges {
@@ -122,22 +122,16 @@ func (st *scanState) prune(h *storage.HeapFile) []bool {
 			continue
 		}
 		if keep == nil {
-			n := h.FlushedPages()
-			if cap(st.bounds) < 2*n {
-				st.bounds = make([]int64, 2*n)
+			n := h.NumPages()
+			if cap(st.keep) < n {
 				st.keep = make([]bool, n)
 			}
-			st.bounds, keep = st.bounds[:2*n], st.keep[:n]
+			keep = st.keep[:n]
 			for p := range keep {
 				keep[p] = true
 			}
 		}
-		k := h.ColBoundsRun(r.Col, 0, 1, st.bounds)
-		for p := 0; p < k; p++ {
-			if st.bounds[2*p+1] < r.Min || st.bounds[2*p] > r.Max {
-				keep[p] = false
-			}
-		}
+		h.ClearDisjoint(r.Col, 0, 1, r.Min, r.Max, keep)
 	}
 	return keep
 }

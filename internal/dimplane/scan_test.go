@@ -78,10 +78,11 @@ func randDimPred(rng *rand.Rand, n int64, depth int) expr.Node {
 // TestSelectRowsPrunedMatchesFullScan is the soundness property of the
 // pruned predicate scan: for random predicates over dimension heaps with
 // a clustered key, it selects exactly the rows — in the same order — a
-// full scan selects. The heaps have an unflushed tail page, and between
-// rounds in-place rewrites move keys far outside their page's frozen
-// bounds (the widen-only synopsis path) and appends grow the tail, so a
-// page the scan skips on stale bounds would show up here as a missing row.
+// full scan selects. The heaps have an unflushed tail page, pruned by its
+// own synopsis like any other page, and between rounds in-place rewrites
+// move keys far outside their page's bounds (the widen-only synopsis
+// path) and appends grow the tail, so a page the scan skips on stale
+// bounds would show up here as a missing row.
 func TestSelectRowsPrunedMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int64{0, 7, 512, 1500} {
@@ -92,12 +93,12 @@ func TestSelectRowsPrunedMatchesFullScan(t *testing.T) {
 			}
 			var read, pruned int
 			for round := 0; round < 4; round++ {
-				// Ranges that touch a frozen page's bounds exactly, where
-				// an off-by-one in the disjointness test would drop the
-				// page holding the boundary row.
+				// Ranges that touch a page's bounds exactly, the tail's
+				// included, where an off-by-one in the disjointness test
+				// would drop the page holding the boundary row.
 				var preds []expr.Node
 				key := expr.Col{Slot: 0, Idx: 0}
-				for p := range h.FlushedPages() {
+				for p := range h.NumPages() {
 					lo, hi, _ := h.PageColBounds(p, 0)
 					preds = append(preds,
 						expr.Bin{Op: expr.Eq, L: key, R: expr.Const{V: lo}},
@@ -210,7 +211,7 @@ func TestScanPagesMetric(t *testing.T) {
 	dev := disk.NewMem()
 	fact := catalog.NewTable(dev, "f", 0, []catalog.Column{{Name: "fk"}, {Name: "m"}})
 	dim := catalog.NewTable(dev, "d", 0, []catalog.Column{{Name: "k"}, {Name: "v"}})
-	for k := int64(0); k < 2048; k++ { // 511 rows per page: 4 frozen pages and a tail
+	for k := int64(0); k < 2048; k++ { // 511 rows per page: 4 full pages and a tail
 		dim.Heap.Append([]int64{k, k % 5})
 	}
 	star, err := catalog.NewStar(fact, []*catalog.Table{dim}, []int{0}, []int{0})
@@ -231,8 +232,8 @@ func TestScanPagesMetric(t *testing.T) {
 	// Re-registering the family returns the plane's own series.
 	pages := reg.CounterVec("cjoin_dimplane_scan_pages_total", "", "outcome")
 	read, pruned := pages.With("read").Value(), pages.With("pruned").Value()
-	if read != 2 || pruned != 3 { // page 1 and the tail; pages 0, 2, 3
-		t.Fatalf("pages read %v, pruned %v; want 2 and 3", read, pruned)
+	if read != 1 || pruned != 4 { // page 1; pages 0, 2, 3 and the tail
+		t.Fatalf("pages read %v, pruned %v; want 1 and 4", read, pruned)
 	}
 }
 

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -133,14 +134,18 @@ func TestShardParityUnderChurn(t *testing.T) {
 }
 
 // TestShardPageParityUnderWriter extends the pruning-parity invariant
-// to a growing heap. A writer keeps appending pages and stamping
-// deletes (which widen flushed pages' synopses) while narrow date-window
-// queries run; it is held off only while one query is being admitted to
-// the single pipeline and to every group, so all of them cut their page
-// bitmaps over the same heap geometry. Injected read stalls keep each
-// query resident while the writer goes on. Everything the writer adds
-// after the cut lies beyond the page sets, and each query runs alone on
-// its executors, so no scan reads it and no executor charges it: an
+// to a growing heap. A writer keeps appending bursts of rows that share
+// one date — so appended pages, the tail among them, carry narrow
+// synopses that a date window can prune — and stamping deletes (which
+// widen pages' synopses) while narrow date-window queries run; it is
+// held off only while one query is being admitted to the single
+// pipeline and to every group, so all of them cut their page bitmaps
+// over the same heap geometry and synopses. Once a query is resident,
+// the test appends rows dated inside and outside its window, onto the
+// tail page it was cut over. Injected read stalls keep each query
+// resident while the writer goes on. Rows appended after the cut are
+// invisible to the query, and each query runs alone on its executors,
+// so no executor charges more than the pages present at the cut: an
 // executor's per-shard pages read sum to exactly the pages its handle
 // charged, and the per-shard charged pages still sum to the single
 // pipeline's — with every answer exact at the query's snapshot.
@@ -165,6 +170,26 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 	single := open(1)
 	groups := map[int]*shard.Group{2: open(2), 3: open(3)}
 
+	fact, err := ds.Star.WritableFact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	template, err := ds.Lineorder.Heap.RowAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// appendDated commits n copies of a loaded row, all dated date.
+	appendDated := func(n int, date int64) error {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = slices.Clone(template)
+			rows[i][ssb.LoOrderdate] = date
+		}
+		_, err := ds.Txn.Append(fact, rows)
+		return err
+	}
+	nk := len(ds.DateKeys)
+
 	var admitting sync.Mutex // held by the test while it admits one query
 	stop := make(chan struct{})
 	var writerErr error
@@ -181,7 +206,7 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 			default:
 			}
 			admitting.Lock()
-			_, err := ds.AppendFact(wrng.Intn(40)+10, wrng)
+			err := appendDated(wrng.Intn(40)+10, ds.DateKeys[wrng.Intn(nk)])
 			if err == nil {
 				_, err = ds.DeleteFact(delCursor)
 				delCursor += 7 // spread the widenings; slower than the heap grows
@@ -196,8 +221,7 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(23))
-	nk := len(ds.DateKeys)
-	pruned := 0
+	pruned, tailPruned := 0, 0
 	for qi := 0; qi < 20; qi++ {
 		lo := rng.Intn(nk - nk/20)
 		text := fmt.Sprintf(
@@ -211,6 +235,17 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		admitting.Lock()
 		b.Snapshot = ds.Txn.Begin()
 		pagesAtCut := int64(ds.Lineorder.Heap.NumPages())
+		// The pages whose date synopsis meets the window, counted per
+		// cell while the writer is held off: exactly what the cut keeps.
+		dlo, dhi := ds.DateKeys[lo], ds.DateKeys[lo+nk/20]
+		var meets int64
+		for pg := 0; pg < int(pagesAtCut); pg++ {
+			if min, max, _ := ds.Lineorder.Heap.PageColBounds(pg, ssb.LoOrderdate); max >= dlo && min <= dhi {
+				meets++
+			} else if pg == ds.Lineorder.Heap.FlushedPages() {
+				tailPruned++ // the partial tail page
+			}
+		}
 		readBefore := map[int]int64{1: single.Stats().PagesRead}
 		for n, g := range groups {
 			readBefore[n] = g.Stats().PagesRead
@@ -225,6 +260,12 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		admitting.Unlock()
 		if err != nil {
 			t.Fatalf("query %d submit: %v", qi, err)
+		}
+		// The query is resident: land rows inside and outside its window.
+		for _, date := range []int64{ds.DateKeys[lo+nk/40], ds.DateKeys[(lo+nk/2)%nk]} {
+			if err := appendDated(3, date); err != nil {
+				t.Fatalf("query %d append: %v", qi, err)
+			}
 		}
 
 		// checkReads: once the query's slot is recycled on every shard,
@@ -256,6 +297,9 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 		if h.PagesScanned() > pagesAtCut {
 			t.Fatalf("query %d: charged %d pages, the heap had %d when its bitmap was cut", qi, h.PagesScanned(), pagesAtCut)
 		}
+		if h.PagesScanned() != meets {
+			t.Fatalf("query %d: charged %d pages, %d of the %d at the cut meet its window", qi, h.PagesScanned(), meets, pagesAtCut)
+		}
 		for n, gh := range handles {
 			gres := gh.Wait()
 			if gres.Err != nil {
@@ -278,5 +322,8 @@ func TestShardPageParityUnderWriter(t *testing.T) {
 	}
 	if pruned < 15 {
 		t.Fatalf("only %d of 20 queries were page-pruned; the bitmap path was barely exercised", pruned)
+	}
+	if tailPruned < 5 {
+		t.Fatalf("only %d of 20 cuts found the tail page outside the window; the tail's synopsis was barely exercised", tailPruned)
 	}
 }

@@ -28,9 +28,10 @@ func (s *lastReadSource) ReadPage(page int, dst []int64, scratch []byte) (int, e
 // admitted with each shard's cursor parked wherever an earlier pruned
 // query left it, must equal internal/ref at their snapshot and charge
 // the same pages summed over the shards at every parking place. The
-// unpartitioned heap is page-strided over the shards and holds whole
-// pages only (an unflushed tail page has no synopsis, so every parker
-// would need it and park at the end); the 4-partition star is dealt.
+// unpartitioned heap is page-strided over the shards, with whole pages
+// only and with a partial tail page (its synopsis prunes it like any
+// other page, so no parker stops at the heap's end); the 4-partition
+// star is dealt.
 func TestShardRegistrationPositionInvariant(t *testing.T) {
 	tiny, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: 10, Seed: 61})
 	if err != nil {
@@ -42,6 +43,7 @@ func TestShardRegistrationPositionInvariant(t *testing.T) {
 		rows, parts int
 	}{
 		{"unpartitioned", 75 * rpp, 0},
+		{"unpartitioned, partial tail", 75*rpp + rpp/3, 0},
 		{"4 partitions", 4000, 4},
 	} {
 		ds, err := ssb.Generate(ssb.Config{SF: 1, FactRowsPerSF: tc.rows, Seed: 61, Partitions: tc.parts})

@@ -866,7 +866,7 @@ func (s *stridedSource) ReadPage(page int, dst []int64, scratch []byte) (int, er
 	return s.src.ReadPage(s.offset+page*s.stride, dst, scratch)
 }
 
-// AllPagesIntersect and ColBoundsRun forward the zone-map face of the
+// AllPagesIntersect and ClearDisjoint forward the zone-map face of the
 // base source under the same page mapping, so a shard's per-page pruning
 // decisions are identical to the single pipeline's for the pages it owns
 // — the page-level half of the pruning-parity invariant. The base's
@@ -874,7 +874,7 @@ func (s *stridedSource) ReadPage(page int, dst []int64, scratch []byte) (int, er
 // holds for them too; a run over shard pages first, first+stride, … is
 // the base's run over offset+first*s.stride with the strides multiplied.
 // A base source without zone maps prunes nothing: every page intersects,
-// no page has frozen bounds.
+// no page is cleared.
 func (s *stridedSource) AllPagesIntersect(col int, lo, hi int64) bool {
 	if b, isB := s.src.(core.BoundsSource); isB {
 		return b.AllPagesIntersect(col, lo, hi)
@@ -882,9 +882,9 @@ func (s *stridedSource) AllPagesIntersect(col int, lo, hi int64) bool {
 	return true
 }
 
-func (s *stridedSource) ColBoundsRun(col, first, stride int, dst []int64) int {
+func (s *stridedSource) ClearDisjoint(col, first, stride int, lo, hi int64, keep []bool) int {
 	if b, isB := s.src.(core.BoundsSource); isB {
-		return b.ColBoundsRun(col, s.offset+first*s.stride, stride*s.stride, dst)
+		return b.ClearDisjoint(col, s.offset+first*s.stride, stride*s.stride, lo, hi, keep)
 	}
 	return 0
 }

@@ -13,10 +13,12 @@ import (
 type noBounds struct{ core.PageSource }
 
 // TestStridedBoundsMatchBase pins the zone-map half of the stride
-// mapping: a run over shard pages first, first+k, … must carry exactly
-// the base heap's per-cell synopses of pages offset+(first+i*k)*stride,
-// stop where the base's frozen pages stop, and "every page intersects"
-// may only be claimed when it holds for each of the shard's frozen pages.
+// mapping: a disjointness pass over shard pages first, first+k, … must
+// clear exactly the bits the base heap's per-cell synopses of pages
+// offset+(first+i*k)*stride say are disjoint, the partial tail page
+// included, and leave bits past the shard's last page alone; "every page
+// intersects" may only be claimed when it holds for each of the shard's
+// pages.
 func TestStridedBoundsMatchBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	h := storage.CreateHeap(disk.NewMem(), 3)
@@ -32,21 +34,31 @@ func TestStridedBoundsMatchBase(t *testing.T) {
 			for col := 0; col < 3; col++ {
 				for _, first := range []int{0, 1, 4} {
 					for _, k := range []int{1, 2} {
-						dst := make([]int64, 2*(s.NumPages()+2))
-						n := s.ColBoundsRun(col, first, k, dst)
-						for i := 0; i <= n; i++ {
+						lo := rng.Int63n(1200) - 600
+						hi := lo + rng.Int63n(300)
+						keep := make([]bool, s.NumPages()+2)
+						for i := range keep {
+							keep[i] = i%5 != 3 // a few bits arrive cleared
+						}
+						n := s.ClearDisjoint(col, first, k, lo, hi, keep)
+						want := 0
+						for i := range keep {
+							wantKeep := i%5 != 3
 							min, max, ok := h.PageColBounds(offset+(first+i*k)*stride, col)
-							if i == n {
-								if ok {
-									t.Fatalf("stride %d/%d col %d first %d step %d: run stopped at %d but the next page is frozen",
-										offset, stride, col, first, k, n)
-								}
-								break
+							if (first+i*k < s.NumPages()) != ok {
+								t.Fatalf("stride %d/%d: shard page %d has synopsis=%v", offset, stride, first+i*k, ok)
 							}
-							if !ok || dst[2*i] != min || dst[2*i+1] != max {
-								t.Fatalf("stride %d/%d col %d first %d step %d page %d: run [%d,%d], base [%d,%d] ok=%v",
-									offset, stride, col, first, k, i, dst[2*i], dst[2*i+1], min, max, ok)
+							if wantKeep && ok && (max < lo || min > hi) {
+								wantKeep = false
+								want++
 							}
+							if keep[i] != wantKeep {
+								t.Fatalf("stride %d/%d col %d first %d step %d [%d,%d]: bit %d is %v, base [%d,%d] ok=%v",
+									offset, stride, col, first, k, lo, hi, i, keep[i], min, max, ok)
+							}
+						}
+						if n != want {
+							t.Fatalf("stride %d/%d col %d first %d step %d: cleared %d bits, %d pages are disjoint", offset, stride, col, first, k, n, want)
 						}
 					}
 				}
@@ -72,7 +84,7 @@ func TestStridedBoundsMatchBase(t *testing.T) {
 	if !s.AllPagesIntersect(0, 5, 5) {
 		t.Fatal("a source without synopses must report every page as intersecting")
 	}
-	if n := s.ColBoundsRun(0, 0, 1, make([]int64, 8)); n != 0 {
-		t.Fatalf("a source without synopses filled %d pages of bounds", n)
+	if n := s.ClearDisjoint(0, 0, 1, 5, 5, []bool{true, true, true}); n != 0 {
+		t.Fatalf("a source without synopses cleared %d pages", n)
 	}
 }

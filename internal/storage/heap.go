@@ -45,13 +45,10 @@ type HeapFile struct {
 	version uint64
 
 	// Zone-map synopsis (see zonemap.go): per column, a (min, max) pair
-	// per flushed page; tailMin/tailMax track the not-yet-flushed tail.
-	// minOfMax/maxOfMin summarize each column over all flushed pages
-	// (stale-but-sound under widening); boundsVer advances whenever
-	// colBounds changes.
+	// per page, the non-empty tail's last. minOfMax/maxOfMin summarize
+	// each column over all flushed pages (stale-but-sound under
+	// widening); boundsVer advances whenever colBounds changes.
 	colBounds [][]int64
-	tailMin   []int64
-	tailMax   []int64
 	minOfMax  []int64
 	maxOfMin  []int64
 	boundsVer uint64
@@ -74,8 +71,6 @@ func CreateHeap(dev *disk.Device, ncols int) *HeapFile {
 		rowsPerPage: rpp,
 		tail:        make([]byte, PageSize),
 		colBounds:   make([][]int64, ncols),
-		tailMin:     make([]int64, ncols),
-		tailMax:     make([]int64, ncols),
 		minOfMax:    make([]int64, ncols),
 		maxOfMin:    make([]int64, ncols),
 	}

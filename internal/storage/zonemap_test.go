@@ -1,68 +1,111 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"cjoin/internal/disk"
 )
 
-// TestZoneMapBoundsExact verifies that every flushed page's synopsis is
-// the exact min/max of the rows it holds.
-func TestZoneMapBoundsExact(t *testing.T) {
-	h := CreateHeap(disk.NewMem(), 3)
-	rng := rand.New(rand.NewSource(7))
-	const n = 4000
-	rows := make([][]int64, 0, n)
-	for i := 0; i < n; i++ {
-		row := []int64{rng.Int63n(1000) - 500, int64(i), rng.Int63n(5)}
-		rows = append(rows, row)
-		h.Append(row)
-	}
+// checkBoundsExact verifies that every page's synopsis, the partial tail
+// page's included, is the exact min/max of the rows it holds.
+func checkBoundsExact(t *testing.T, ctx string, h *HeapFile, rows [][]int64) {
+	t.Helper()
 	rpp := h.RowsPerPage()
-	for page := 0; page < h.FlushedPages(); page++ {
-		for col := 0; col < 3; col++ {
-			wantMin, wantMax := rows[page*rpp][col], rows[page*rpp][col]
-			for _, row := range rows[page*rpp : (page+1)*rpp] {
-				if row[col] < wantMin {
-					wantMin = row[col]
-				}
-				if row[col] > wantMax {
-					wantMax = row[col]
-				}
+	if want := (len(rows) + rpp - 1) / rpp; h.NumPages() != want {
+		t.Fatalf("%s: %d pages for %d rows", ctx, h.NumPages(), len(rows))
+	}
+	for page := 0; page < h.NumPages(); page++ {
+		held := rows[page*rpp : min((page+1)*rpp, len(rows))]
+		for col := range rows[0] {
+			wantMin, wantMax := held[0][col], held[0][col]
+			for _, row := range held {
+				wantMin, wantMax = min(wantMin, row[col]), max(wantMax, row[col])
 			}
-			min, max, ok := h.PageColBounds(page, col)
-			if !ok || min != wantMin || max != wantMax {
-				t.Fatalf("page %d col %d: bounds [%d,%d] ok=%v, want [%d,%d]",
-					page, col, min, max, ok, wantMin, wantMax)
+			lo, hi, ok := h.PageColBounds(page, col)
+			if !ok || lo != wantMin || hi != wantMax {
+				t.Fatalf("%s: page %d col %d: bounds [%d,%d] ok=%v, want [%d,%d]",
+					ctx, page, col, lo, hi, ok, wantMin, wantMax)
 			}
 		}
 	}
 }
 
-// TestZoneMapTailConservative pins the tail-page contract: the mutable
-// in-memory tail has no published bounds (ok=false), as do pages that do
-// not exist and out-of-range columns.
-func TestZoneMapTailConservative(t *testing.T) {
+// TestZoneMapBoundsExact verifies that every page's synopsis is the exact
+// min/max of the rows it holds: with a partial tail page, after that tail
+// flushes, and after an UpdateCol on the tail that moves a value past its
+// bounds.
+func TestZoneMapBoundsExact(t *testing.T) {
+	h := CreateHeap(disk.NewMem(), 3)
+	rng := rand.New(rand.NewSource(7))
+	var rows [][]int64
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			row := []int64{rng.Int63n(1000) - 500, int64(len(rows)), rng.Int63n(5)}
+			rows = append(rows, row)
+			h.Append(row)
+		}
+	}
+	appendN(4000)
+	if h.FlushedPages() == h.NumPages() {
+		t.Fatal("the heap has no partial tail page")
+	}
+	checkBoundsExact(t, "partial tail", h, rows)
+
+	tail := int64(h.FlushedPages() * h.RowsPerPage())
+	for _, v := range []int64{-9000, 9000} {
+		idx := tail + rng.Int63n(int64(len(rows))-tail)
+		if err := h.UpdateCol(idx, 0, v); err != nil {
+			t.Fatal(err)
+		}
+		rows[idx][0] = v
+		checkBoundsExact(t, fmt.Sprintf("tail row %d set to %d", idx, v), h, rows)
+	}
+
+	appendN(h.RowsPerPage() - len(rows)%h.RowsPerPage())
+	if h.FlushedPages() != h.NumPages() {
+		t.Fatal("the tail did not flush")
+	}
+	checkBoundsExact(t, "tail flushed", h, rows)
+	appendN(1)
+	checkBoundsExact(t, "one-row tail", h, rows)
+}
+
+// TestZoneMapTailExact pins the tail-page contract: the in-memory tail
+// publishes exact bounds from its first row on, and pages that do not
+// exist and out-of-range columns publish none (ok=false).
+func TestZoneMapTailExact(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 2)
-	for i := int64(0); i < int64(h.RowsPerPage())+5; i++ {
+	if _, _, ok := h.PageColBounds(0, 0); ok {
+		t.Fatal("an empty heap published bounds")
+	}
+	rpp := int64(h.RowsPerPage())
+	for i := int64(0); i < rpp; i++ {
+		h.Append([]int64{i, -i})
+	}
+	if _, _, ok := h.PageColBounds(1, 0); ok {
+		t.Fatal("the empty page after a flush published bounds")
+	}
+	for i := rpp; i < rpp+5; i++ {
 		h.Append([]int64{i, -i})
 	}
 	if h.FlushedPages() != 1 || h.NumPages() != 2 {
 		t.Fatalf("layout: %d flushed, %d total", h.FlushedPages(), h.NumPages())
 	}
-	if _, _, ok := h.PageColBounds(0, 0); !ok {
-		t.Fatal("flushed page has no bounds")
+	for col, want := range [][2]int64{{rpp, rpp + 4}, {-rpp - 4, -rpp}} {
+		if min, max, ok := h.PageColBounds(1, col); !ok || min != want[0] || max != want[1] {
+			t.Fatalf("tail col %d: bounds [%d,%d] ok=%v, want %v", col, min, max, ok, want)
+		}
 	}
-	if _, _, ok := h.PageColBounds(1, 0); ok {
-		t.Fatal("tail page published bounds; readers would prune unflushed rows")
-	}
-	if _, _, ok := h.PageColBounds(2, 0); ok {
-		t.Fatal("nonexistent page published bounds")
-	}
-	if _, _, ok := h.PageColBounds(0, 9); ok {
-		t.Fatal("out-of-range column published bounds")
+	for _, c := range [][2]int{{2, 0}, {-1, 0}, {0, 9}, {0, -1}} {
+		if _, _, ok := h.PageColBounds(c[0], c[1]); ok {
+			t.Fatalf("page %d col %d published bounds", c[0], c[1])
+		}
 	}
 }
 
@@ -100,9 +143,13 @@ func TestZoneMapUpdateColWidens(t *testing.T) {
 		t.Fatalf("page 1 bounds [%d,%d], want [100,100]", min, max)
 	}
 
-	// Tail updates fold into the pending synopsis, surfaced at flush.
+	// A tail update widens the tail's synopsis at once, and the pair
+	// stays as it is when the tail flushes.
 	if err := h.UpdateCol(int64(2*rpp), 1, -1); err != nil {
 		t.Fatal(err)
+	}
+	if min, max, _ := h.PageColBounds(2, 1); min != -1 || max != 200 {
+		t.Fatalf("tail bounds [%d,%d], want [-1,200]", min, max)
 	}
 	for i := 0; i < rpp-3; i++ {
 		h.Append([]int64{100, 200})
@@ -115,77 +162,60 @@ func TestZoneMapUpdateColWidens(t *testing.T) {
 	}
 }
 
-// TestColBounds verifies the bulk accessor agrees with PageColBounds and
-// rejects bad columns.
-func TestColBounds(t *testing.T) {
-	h := CreateHeap(disk.NewMem(), 2)
-	for i := int64(0); i < 3000; i++ {
-		h.Append([]int64{i, i % 11})
-	}
-	for col := 0; col < 2; col++ {
-		bs, err := h.ColBounds(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bs) != h.FlushedPages() {
-			t.Fatalf("col %d: %d entries, %d flushed pages", col, len(bs), h.FlushedPages())
-		}
-		for p, b := range bs {
-			min, max, ok := h.PageColBounds(p, col)
-			if !ok || b.Min != min || b.Max != max {
-				t.Fatalf("col %d page %d: ColBounds [%d,%d] vs PageColBounds [%d,%d] ok=%v",
-					col, p, b.Min, b.Max, min, max, ok)
-			}
+// disjointBits is the per-cell reference for ClearDisjoint: keep with
+// every still-set bit of a page whose synopsis is disjoint from [lo,hi]
+// cleared, and how many it cleared.
+func disjointBits(h *HeapFile, col, first, stride int, lo, hi int64, keep []bool) ([]bool, int) {
+	want := append([]bool(nil), keep...)
+	n := 0
+	for i := range want {
+		if min, max, ok := h.PageColBounds(first+i*stride, col); want[i] && ok && (max < lo || min > hi) {
+			want[i] = false
+			n++
 		}
 	}
-	if _, err := h.ColBounds(5); err == nil {
-		t.Fatal("ColBounds(5) on a 2-column heap succeeded")
-	}
+	return want, n
 }
 
 // TestBulkBoundsMatchPerCell pins the bulk face against the per-cell one
-// on a settled heap: ColBoundsRun carries PageColBounds' values for
-// every (first, stride), stops at the tail, and AllPagesIntersect is true
-// exactly when no flushed page is disjoint — until a widening leaves its
-// scalars stale, after which it may only err towards false.
+// on a settled heap with a partial tail page: ClearDisjoint clears exactly
+// the bits PageColBounds says are disjoint for every (first, stride),
+// leaves bits past the last page and bits already clear alone, and
+// AllPagesIntersect is true exactly when no page is disjoint — until a
+// widening leaves its scalars stale, after which it may only err towards
+// false.
 func TestBulkBoundsMatchPerCell(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 3)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 9*h.RowsPerPage()+4; i++ {
 		h.Append([]int64{int64(i / 10), rng.Int63n(100), 5})
 	}
-	flushed := h.FlushedPages()
+	pages := h.NumPages()
 	for col := 0; col < 3; col++ {
-		for first := 0; first <= flushed; first++ {
+		for first := 0; first <= pages; first++ {
 			for stride := 1; stride <= 3; stride++ {
-				dst := make([]int64, 2*(flushed+2))
-				n := h.ColBoundsRun(col, first, stride, dst)
-				if want := (flushed - first + stride - 1) / stride; n != want {
-					t.Fatalf("col %d first %d stride %d: filled %d pages, %d are flushed on that run", col, first, stride, n, want)
+				lo := rng.Int63n(400) - 50
+				hi := lo + rng.Int63n(100)
+				keep := make([]bool, pages+2)
+				for i := range keep {
+					keep[i] = rng.Intn(4) > 0
 				}
-				for i := 0; i < n; i++ {
-					min, max, _ := h.PageColBounds(first+i*stride, col)
-					if dst[2*i] != min || dst[2*i+1] != max {
-						t.Fatalf("col %d page %d: run [%d,%d], cell [%d,%d]", col, first+i*stride, dst[2*i], dst[2*i+1], min, max)
-					}
+				want, wantN := disjointBits(h, col, first, stride, lo, hi, keep)
+				n := h.ClearDisjoint(col, first, stride, lo, hi, keep)
+				if n != wantN || fmt.Sprint(keep) != fmt.Sprint(want) {
+					t.Fatalf("col %d first %d stride %d [%d,%d]: cleared %d to %v, per-cell clears %d to %v",
+						col, first, stride, lo, hi, n, keep, wantN, want)
 				}
 			}
 		}
-		if n := h.ColBoundsRun(col, 0, 1, make([]int64, 6)); n != 3 {
-			t.Fatalf("a 3-pair buffer was filled with %d pages", n)
-		}
 	}
-	if n := h.ColBoundsRun(7, 0, 1, make([]int64, 8)); n != 0 {
-		t.Fatalf("unknown column filled %d pages", n)
+	if n := h.ClearDisjoint(7, 0, 1, 1, 0, []bool{true, true}); n != 0 {
+		t.Fatalf("unknown column cleared %d pages", n)
 	}
 
 	allIntersect := func(col int, lo, hi int64) bool {
-		for p := 0; p < flushed; p++ {
-			if min, max, _ := h.PageColBounds(p, col); max < lo || min > hi {
-				return false
-			}
-		}
-		return true
+		_, n := disjointBits(h, col, 0, 1, lo, hi, slices.Repeat([]bool{true}, pages))
+		return n == 0
 	}
 	probe := func(exact bool) {
 		t.Helper()
@@ -204,41 +234,50 @@ func TestBulkBoundsMatchPerCell(t *testing.T) {
 		t.Fatal("an unknown column must never prune")
 	}
 
-	// Widen page 0 so that every page now reaches 50 on column 0: the
-	// true answer for [45,50] flips to "all intersect", the stale scalars
-	// may keep saying false, and must never say true where a page is
-	// disjoint.
+	// Widen every page, the tail included, so that every page now reaches
+	// 50 on column 0: the true answer for [45,50] flips to "all
+	// intersect", the stale scalars may keep saying false, and must never
+	// say true where a page is disjoint.
 	v0 := h.BoundsVersion()
-	for p := 0; p < flushed; p++ {
+	for p := 0; p < pages; p++ {
 		if err := h.UpdateCol(int64(p*h.RowsPerPage()), 0, 50); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if h.BoundsVersion() == v0 {
-		t.Fatal("widening flushed pages did not advance the bounds version")
+		t.Fatal("widening pages did not advance the bounds version")
 	}
 	probe(false)
 }
 
-// TestBulkBoundsUnderWriter reads the bulk face from several goroutines
-// while a writer flushes pages and widens bounds (run under -race). A
-// read bracketed by two equal BoundsVersion readings saw one synopsis,
-// so there it must agree with the per-cell face exactly.
+// TestBulkBoundsUnderWriter runs the bulk face from several goroutines
+// while a writer appends (widening the tail's synopsis on every row of
+// its ascending column, and flushing pages) and widens bounds in place
+// (run under -race). The writer pauses between bursts so that readers
+// get quiet gaps. A read bracketed by two equal BoundsVersion readings
+// saw one synopsis, so there it must agree with the per-cell face
+// exactly.
 func TestBulkBoundsUnderWriter(t *testing.T) {
 	h := CreateHeap(disk.NewMem(), 2)
 	for i := 0; i < 3*h.RowsPerPage(); i++ {
 		h.Append([]int64{int64(i), 1})
 	}
+	// Readers go on until the writer has flushed a few pages under them
+	// (or their iterations run out).
+	grown := func() bool { return h.FlushedPages() >= 6 }
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(9))
 		for i := int64(3 * h.RowsPerPage()); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+			if i%32 == 0 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				time.Sleep(100 * time.Microsecond) // a quiet gap
 			}
 			h.Append([]int64{i, 1})
 			if i%64 == 0 {
@@ -255,37 +294,27 @@ func TestBulkBoundsUnderWriter(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			checked := 0
-			dst := make([]int64, 2*64)
-			for iter := 0; iter < 200000 && checked < 200; iter++ {
+			for iter := 0; iter < 200000 && (checked < 200 || !grown()); iter++ {
 				col, first, stride := iter%2, iter%5, 1+g
 				v := h.BoundsVersion()
-				n := h.ColBoundsRun(col, first, stride, dst)
+				keep := slices.Repeat([]bool{true}, 64)
+				n := h.ClearDisjoint(col, first, stride, 1, 1, keep)
 				// Every page of column 1 holds a 1 (widening only widens);
 				// on column 0 only page 0 does.
 				all := h.AllPagesIntersect(col, 1, 1)
-				type cell struct{ min, max int64 }
-				cells := make([]cell, n)
-				disjoint := false
-				for i := range cells {
-					cells[i].min, cells[i].max, _ = h.PageColBounds(first+i*stride, col)
-				}
-				for p := 0; p < h.FlushedPages(); p++ {
-					if min, max, ok := h.PageColBounds(p, col); ok && (max < 1 || min > 1) {
-						disjoint = true
-					}
-				}
+				want, wantN := disjointBits(h, col, first, stride, 1, 1, slices.Repeat([]bool{true}, 64))
+				_, disjoint := disjointBits(h, col, 0, 1, 1, 1, slices.Repeat([]bool{true}, h.NumPages()))
 				if h.BoundsVersion() != v {
 					continue // the synopsis moved under this read
 				}
+				runtime.Gosched() // let the writer in between stable reads
 				checked++
-				for i, c := range cells {
-					if dst[2*i] != c.min || dst[2*i+1] != c.max {
-						t.Errorf("col %d page %d: run [%d,%d], cell [%d,%d] at one version", col, first+i*stride, dst[2*i], dst[2*i+1], c.min, c.max)
-						return
-					}
+				if n != wantN || !slices.Equal(keep, want) {
+					t.Errorf("col %d first %d stride %d: cleared %d bits, per-cell clears %d at one version", col, first, stride, n, wantN)
+					return
 				}
-				if all == disjoint {
-					t.Errorf("col %d: AllPagesIntersect(1,1)=%v, a page is disjoint=%v at one version", col, all, disjoint)
+				if all == (disjoint > 0) {
+					t.Errorf("col %d: AllPagesIntersect(1,1)=%v, %d pages disjoint at one version", col, all, disjoint)
 					return
 				}
 			}
